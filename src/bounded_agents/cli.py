@@ -2,7 +2,7 @@
 
 Every subcommand is deterministic given its config and seed; all floats
 are printed with 12 significant digits so outputs diff cleanly. Exit
-codes: 0 success, 1 invalid input, 2 reproduction mismatch.
+codes: 0 success, 1 invalid input or usage, 2 reproduction mismatch.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .costly_comp import (
     ConversationSpec,
     MachineSpec,
     PrimalityConfig,
-    best_machine,
+    best_of,
     conversation_value,
     expected_utility,
     make_primality_instance,
@@ -42,7 +42,7 @@ from .costly_comp import (
 )
 from .dynamic_env import setting_from_dict
 from .errors import BoundedAgentsError, ValidationError
-from .markov_exact import build_joint_chain, chain_csv, stationary
+from .markov_exact import build_joint_chain, chain_csv, chain_payoff, stationary
 from .montecarlo import SimConfig, run_seed_sweep, sim_result_csv, simulate_run
 from .optimize import (
     DEFAULT_RATE_GRID,
@@ -128,7 +128,7 @@ def cmd_eval_exact(args) -> int:
     policy = _policy_from_config(config["automaton"], setting.k)
     chain = build_joint_chain(setting, policy)
     dist = stationary(chain)
-    payoff = float(dist.mu @ chain.reward)
+    payoff = chain_payoff(chain, dist)
     _emit_json(
         {"payoff": float(fmt(payoff)), "residual": float(fmt(dist.residual))},
         args.out,
@@ -175,21 +175,19 @@ def cmd_optimize(args) -> int:
     mode = config.get("mode", "pexp")
     extra = {}
     if mode == "partition":
-        result = exhaustive_partition_search(
-            setting, config["n"], r_u=r_u, r_d=r_d, grid=grid, workers=args.workers
-        )
+        result = exhaustive_partition_search(setting, config["n"], r_u=r_u, r_d=r_d, grid=grid)
     elif mode == "rates":
         rates = optimize_rates(
             setting, config["n"], _partition_from_config(config.get("partition")),
             rate_grid=tuple(config.get("rate_grid", DEFAULT_RATE_GRID)),
-            grid=grid, workers=args.workers,
+            grid=grid,
         )
         result = rates.result
         extra = {"r_u": rates.r_u, "r_d": rates.r_d}
     elif mode == "pexp":
         result = optimize_pexp(
             setting, config["n"], _partition_from_config(config.get("partition")),
-            r_u=r_u, r_d=r_d, grid=grid, workers=args.workers,
+            r_u=r_u, r_d=r_d, grid=grid,
         )
     else:
         raise ValidationError(f"unknown optimize mode {mode!r}")
@@ -353,11 +351,11 @@ def cmd_machine(args) -> int:
         problem = _problem_from_tables(config["problem"])
     else:
         raise ValidationError("config needs a 'primality' or 'problem' section")
+    eus = [expected_utility(problem, i) for i in range(len(problem.machines))]
     out["expected_utility"] = {
-        machine.name: float(fmt(expected_utility(problem, i)))
-        for i, machine in enumerate(problem.machines)
+        machine.name: float(fmt(eu)) for machine, eu in zip(problem.machines, eus)
     }
-    idx, eu = best_machine(problem)
+    idx, eu = best_of(eus)
     out["best_machine"] = problem.machines[idx].name
     out["best_eu"] = float(fmt(eu))
     if "conversation" in config:
@@ -371,13 +369,16 @@ def cmd_machine(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    return run_reproduce(
-        Path(args.out), workers=args.workers, write_goldens=args.write_goldens
-    )
+    return run_reproduce(Path(args.out), write_goldens=args.write_goldens)
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line and exit 1; exit 2 means a reproduction mismatch
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bounded-agents",
         description="Finite-state and complexity-charged decision models.",
     )
@@ -385,10 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, fn, **extra_flags):
         p = sub.add_parser(name)
-        if name != "reproduce":
-            p.add_argument("--config", required=True, help="JSON config path")
-            p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--config", required=True, help="JSON config path")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
         for flag, kwargs in extra_flags.items():
             p.add_argument(flag, **kwargs)
         p.set_defaults(fn=fn)
@@ -398,7 +397,8 @@ def build_parser() -> argparse.ArgumentParser:
         **{"--chain-csv": dict(default=None, help="also write the joint chain CSV")})
     add("simulate", cmd_simulate,
         **{"--seed": dict(type=int, default=None, help="override the config seed"),
-           "--sidecar": dict(default=None, help="JSON provenance sidecar path")})
+           "--sidecar": dict(default=None, help="JSON provenance sidecar path"),
+           "--workers": dict(type=int, default=1, help="processes for a seed sweep")})
     add("optimize", cmd_optimize,
         **{"--trace-csv": dict(default=None, help="also write the search trace CSV")})
     add("limit-curve", cmd_limit_curve)
@@ -409,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("machine", cmd_machine)
     rep = sub.add_parser("reproduce")
     rep.add_argument("--out", default="reproduce_out", help="output directory")
-    rep.add_argument("--workers", type=int, default=1)
     rep.add_argument("--write-goldens", action="store_true",
                      help="rewrite the committed goldens from this run (maintainers)")
     rep.set_defaults(fn=cmd_reproduce)

@@ -17,13 +17,10 @@ the formal story only fixes the first two.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
-import os
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .errors import (
     MissingUtilityEntryError,
@@ -32,8 +29,6 @@ from .errors import (
 )
 
 PRIOR_SUM_TOL = 1e-12
-
-CACHE_ENV_VAR = "BOUNDED_AGENTS_CACHE_DIR"
 
 Label = Hashable
 UtilityFn = Callable[[Label, Label, Label, int], float]
@@ -116,16 +111,18 @@ def expected_utility(problem: CompProblem, machine_index: int) -> float:
     return total
 
 
+def best_of(eus: Sequence[float]) -> tuple[int, float]:
+    """Index and value of the largest expected utility; ties break to the
+    lowest index."""
+    if not eus:
+        raise NoMachinesError("problem has no machines")
+    best_idx = max(range(len(eus)), key=eus.__getitem__)
+    return best_idx, eus[best_idx]
+
+
 def best_machine(problem: CompProblem) -> tuple[int, float]:
     """Argmax of expected utility; ties break to the lowest index."""
-    if not problem.machines:
-        raise NoMachinesError("problem has no machines")
-    best_idx, best_eu = 0, expected_utility(problem, 0)
-    for i in range(1, len(problem.machines)):
-        eu = expected_utility(problem, i)
-        if eu > best_eu:
-            best_idx, best_eu = i, eu
-    return best_idx, best_eu
+    return best_of([expected_utility(problem, i) for i in range(len(problem.machines))])
 
 
 def value_of_refinement(problem_before: CompProblem, problem_after: CompProblem) -> float:
@@ -195,23 +192,7 @@ def division_probes(t: int) -> tuple[int, bool]:
 
 
 def _probe_table(bound: int) -> list[tuple[int, bool, int]]:
-    """(t, is_prime, probes_full) for t in 2..bound, cached to disk if enabled."""
-    cache_dir = os.environ.get(CACHE_ENV_VAR)
-    cache_path = None
-    if cache_dir:
-        cache_path = Path(cache_dir) / f"primality_{bound}.csv"
-        if cache_path.exists():
-            rows = []
-            with open(cache_path, newline="", encoding="utf-8") as fh:
-                reader = csv.reader(fh)
-                header = next(reader)
-                if header == ["t", "is_prime", "probes_full"]:
-                    for t_str, prime_str, probes_str in reader:
-                        rows.append((int(t_str), prime_str == "1", int(probes_str)))
-                    if len(rows) == bound - 1:
-                        return rows
-            # Fall through on any mismatch and regenerate.
-
+    """(t, is_prime, probes_full) for t in 2..bound."""
     # Smallest-prime-factor sieve gives every probe count in one pass.
     spf = list(range(bound + 1))
     for p in range(2, math.isqrt(bound) + 1):
@@ -226,14 +207,6 @@ def _probe_table(bound: int) -> list[tuple[int, bool, int]]:
             rows.append((t, True, max(root - 1, 0)))
         else:
             rows.append((t, False, spf[t] - 1))
-
-    if cache_path is not None:
-        cache_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(cache_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "is_prime", "probes_full"])
-            for t, prime, probes in rows:
-                writer.writerow([t, 1 if prime else 0, probes])
     return rows
 
 

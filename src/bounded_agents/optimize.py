@@ -6,7 +6,7 @@ with local refinement, exhausting all signal partitions for small k, and
 tracing payoff along a schedule that shrinks the flip probability faster
 than 1/n while the ladder grows. A vectorized brute-force search over all
 tiny policies (at most 3 states, grid-valued rows) serves as an
-independent near-optimality oracle.
+independent near-optimality oracle. Searches solve their chains in stacks.
 
 No unimodality in p_exp is assumed anywhere: searches are coarse-grid plus
 refinement, never golden-section.
@@ -15,7 +15,7 @@ refinement, never golden-section.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,12 +30,13 @@ from .errors import (
     TrivialSettingError,
     ValidationError,
 )
-from .markov_exact import exact_average_payoff
+from .markov_exact import (
+    evaluate_stack, exact_average_payoff, joint_reward, policy_payoffs, stack_len,
+)
 
 DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
 
 BRUTE_FORCE_CAP = 10**7
-_BRUTE_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,22 +79,6 @@ def default_partition(setting: DynamicSetting) -> tuple[frozenset[int], frozense
     return frozenset({pos + 1}), frozenset({neg + 1})
 
 
-def _eval_pexp(args) -> float:
-    setting, n, pos, neg, r_u, r_d, p_exp = args
-    policy = build_a_family(
-        setting.k, AFamilyParams(n=n, p_exp=p_exp, pos=pos, neg=neg, r_u=r_u, r_d=r_d)
-    )
-    return exact_average_payoff(setting, policy)
-
-
-def _map_points(args_list, workers: int) -> list[float]:
-    # Reduction is by index, so results never depend on scheduling.
-    if workers <= 1 or len(args_list) <= 1:
-        return [_eval_pexp(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_eval_pexp, args_list))
-
-
 def optimize_pexp(
     setting: DynamicSetting,
     n: int,
@@ -103,7 +88,6 @@ def optimize_pexp(
     grid: Sequence[float] | None = None,
     refine_rounds: int = 2,
     refine_points: int = 10,
-    workers: int = 1,
 ) -> OptResult:
     """Best exploration probability on a grid, with local linear refinement."""
     if partition is None:
@@ -122,10 +106,9 @@ def optimize_pexp(
     def evaluate(points):
         fresh = [p for p in points if p not in seen]
         seen.update(fresh)
-        vals = _map_points(
-            [(setting, n, pos, neg, r_u, r_d, p) for p in fresh], workers
-        )
-        trace.extend(zip(fresh, vals))
+        params = dict(n=n, pos=pos, neg=neg, r_u=r_u, r_d=r_d)
+        policies = [build_a_family(setting.k, AFamilyParams(p_exp=p, **params)) for p in fresh]
+        trace.extend(zip(fresh, policy_payoffs(setting, policies)))
 
     evaluate(grid)
     for _ in range(refine_rounds):
@@ -160,7 +143,6 @@ def exhaustive_partition_search(
     r_u: float = 1.0,
     r_d: float = 1.0,
     grid: Sequence[float] | None = None,
-    workers: int = 1,
 ) -> OptResult:
     """Best OptResult over every legal signal partition. Needs k <= 6."""
     if setting.k > 6:
@@ -169,9 +151,7 @@ def exhaustive_partition_search(
         )
     best: OptResult | None = None
     for pos, neg in legal_partitions(setting.k):
-        result = optimize_pexp(
-            setting, n, (pos, neg), r_u=r_u, r_d=r_d, grid=grid, workers=workers
-        )
+        result = optimize_pexp(setting, n, (pos, neg), r_u=r_u, r_d=r_d, grid=grid)
         if best is None or result.best_payoff > best.best_payoff:
             best = result
     return best
@@ -193,7 +173,6 @@ def optimize_rates(
     partition: tuple[frozenset[int], frozenset[int]] | None = None,
     rate_grid: Sequence[float] = DEFAULT_RATE_GRID,
     grid: Sequence[float] | None = None,
-    workers: int = 1,
 ) -> RateSearchResult:
     """Optimize p_exp for every (r_u, r_d) pair on a small rate grid.
 
@@ -208,9 +187,7 @@ def optimize_rates(
     descending = sorted(set(float(r) for r in rate_grid), reverse=True)
     for r_u in descending:
         for r_d in descending:
-            result = optimize_pexp(
-                setting, n, partition, r_u=r_u, r_d=r_d, grid=grid, workers=workers
-            )
+            result = optimize_pexp(setting, n, partition, r_u=r_u, r_d=r_d, grid=grid)
             if (
                 best is None
                 or result.best_payoff > best.result.best_payoff + 1e-15
@@ -338,8 +315,9 @@ def brute_force_policy_search(
     Enumerates every action labeling and every kernel built from
     stay/up/down rows with grid weights. Candidates whose joint chain is
     reducible are skipped (their long-run payoff depends on the start
-    state, so they have no single exact value). Evaluation is batched
-    numpy with the same joint-chain semantics as the exact solver.
+    state, so they have no single exact value), and so are candidates
+    whose stationary solve fails its checks. Candidates are solved in
+    stacks by the same kernel as the exact solver.
     """
     if not (1 <= num_states <= 3):
         raise ValidationError(f"brute force supports 1..3 states, got {num_states}")
@@ -348,16 +326,17 @@ def brute_force_policy_search(
         raise ValidationError("prob_grid entries must lie in [0, 1]")
     m = num_states
     k = setting.k
-    options = [_row_options(q, m, grid) for q in range(m)]
+    options = [np.asarray(_row_options(q, m, grid)) for q in range(m)]
 
-    total = 0
-    labelings = list(itertools.product((SAFE, RISKY), repeat=m))
-    for acts in labelings:
-        per_state = [
-            len(options[q]) if acts[q] == SAFE else len(options[q]) ** k
-            for q in range(m)
-        ]
-        total += int(np.prod(per_state))
+    # Per state: SAFE picks one row; RISKY picks one row per signal. A
+    # candidate is a mixed-radix index over these digits, signal-major
+    # within a risky state.
+    labelings = []
+    for acts in itertools.product((SAFE, RISKY), repeat=m):
+        digits = [(q, s) for q in range(m)
+                  for s in ((None,) if acts[q] == SAFE else range(k))]
+        labelings.append((acts, digits, [len(options[q]) for q, _ in digits]))
+    total = sum(math.prod(radixes) for _, _, radixes in labelings)
     if total > BRUTE_FORCE_CAP:
         raise GridTooLargeError(
             f"{total} candidates exceed the cap of {BRUTE_FORCE_CAP}"
@@ -365,116 +344,40 @@ def brute_force_policy_search(
 
     pG = np.asarray(setting.pG)
     pB = np.asarray(setting.pB)
-    pi = setting.pi
-    dim = 2 * m
-    eye = np.eye(dim)
-    eye_bool = np.eye(dim, dtype=bool)
-
-    best_val = -np.inf
-    best_acts = None
-    best_idx = -1
-    best_counts = None
-
-    for acts in labelings:
-        # Per state: SAFE picks one row; RISKY picks one row per signal.
-        # A choice is indexed mixed-radix over states, signal-major within
-        # a risky state.
-        n_rows = [len(options[q]) for q in range(m)]
-        digits = []  # (state, signal or None) per mixed-radix digit
-        radixes = []
-        for q in range(m):
-            if acts[q] == SAFE:
-                digits.append((q, None))
-                radixes.append(n_rows[q])
-            else:
-                for s in range(k):
-                    digits.append((q, s))
-                    radixes.append(n_rows[q])
-        n_cand = int(np.prod(radixes))
-        reward = np.zeros(dim)
-        for q in range(m):
-            if acts[q] == RISKY:
-                reward[q] = setting.xG
-                reward[m + q] = setting.xB
-
-        opt_arrays = [np.asarray(options[q]) for q in range(m)]
-
-        for lo in range(0, n_cand, _BRUTE_CHUNK):
-            hi = min(lo + _BRUTE_CHUNK, n_cand)
-            idx = np.arange(lo, hi)
-            a_good = np.zeros((hi - lo, m, m))
-            a_bad = np.zeros((hi - lo, m, m))
-            rem = idx
-            for (q, s), radix in zip(reversed(digits), reversed(radixes)):
-                choice = rem % radix
-                rem = rem // radix
-                rows = opt_arrays[q][choice]  # (chunk, m)
+    chunk = stack_len(2 * m)
+    best_val, best = -np.inf, None
+    for acts, digits, radixes in labelings:
+        reward = joint_reward(setting, acts)
+        n_cand = math.prod(radixes)
+        for lo in range(0, n_cand, chunk):
+            choices = np.unravel_index(np.arange(lo, min(lo + chunk, n_cand)), radixes)
+            a_good = np.zeros((len(choices[0]), m, m))
+            a_bad = np.zeros_like(a_good)
+            for (q, s), choice in zip(digits, choices):
+                rows = options[q][choice]  # (chunk, m)
                 if s is None:
-                    a_good[:, q, :] = rows
-                    a_bad[:, q, :] = rows
+                    a_good[:, q] = a_bad[:, q] = rows
                 else:
-                    a_good[:, q, :] += pG[s] * rows
-                    a_bad[:, q, :] += pB[s] * rows
-            P = np.zeros((hi - lo, dim, dim))
-            P[:, :m, :m] = a_good * (1.0 - pi)
-            P[:, :m, m:] = a_good * pi
-            P[:, m:, :m] = a_bad * pi
-            P[:, m:, m:] = a_bad * (1.0 - pi)
-
-            # Strong connectivity from the nonzero pattern: boolean closure
-            # by repeated squaring of (I | P>0) up to path length >= dim-1.
-            reach = ((P > 0.0) | eye_bool).astype(np.float32)
-            steps = 1
-            while steps < dim - 1:
-                reach = (reach @ reach > 0.0).astype(np.float32)
-                steps *= 2
-            irreducible = (reach > 0.0).all(axis=(1, 2))
-            if not irreducible.any():
-                continue
-            sub = P[irreducible]
-            A = np.transpose(sub, (0, 2, 1)) - eye
-            A[:, -1, :] = 1.0
-            b = np.zeros((sub.shape[0], dim))
-            b[:, -1] = 1.0
-            try:
-                mu = np.linalg.solve(A, b[..., None])[..., 0]
-            except np.linalg.LinAlgError:
-                # Rare near-singular batch: fall back to one-by-one.
-                mu = np.full((sub.shape[0], dim), np.nan)
-                for i in range(sub.shape[0]):
-                    try:
-                        mu[i] = np.linalg.solve(A[i], b[i])
-                    except np.linalg.LinAlgError:
-                        pass
-            vals = mu @ reward
-            vals = np.where(np.isnan(vals), -np.inf, vals)
+                    a_good[:, q] += pG[s] * rows
+                    a_bad[:, q] += pB[s] * rows
+            ev = evaluate_stack(a_good, a_bad, setting.pi, reward)
+            vals = np.where(ev.ok, ev.payoff, -np.inf)
             local = int(np.argmax(vals))
             if vals[local] > best_val:
-                best_val = float(vals[local])
-                best_acts = acts
-                best_idx = int(idx[irreducible.nonzero()[0]][local])
-                best_counts = (digits, radixes)
+                best_val, best = float(vals[local]), (acts, digits, radixes, lo + local)
 
-    if best_acts is None:
-        raise ReducibleChainError("every enumerated candidate was reducible")
+    if best is None:
+        raise ReducibleChainError(
+            "every enumerated candidate was reducible or failed the stationary checks"
+        )
 
     # Decode the winning candidate back into a policy.
-    digits, radixes = best_counts
-    choice_of: dict[tuple[int, int | None], int] = {}
-    rem = best_idx
-    for (q, s), radix in zip(reversed(digits), reversed(radixes)):
-        choice_of[(q, s)] = rem % radix
-        rem //= radix
+    acts, digits, radixes, index = best
     kernel: dict[tuple[int, int | None], dict[int, float]] = {}
-    for q in range(m):
-        if best_acts[q] == SAFE:
-            row = options[q][choice_of[(q, None)]]
-            kernel[(q, NO_SIGNAL)] = {i: p for i, p in enumerate(row) if p > 0.0}
-        else:
-            for s in range(k):
-                row = options[q][choice_of[(q, s)]]
-                kernel[(q, s + 1)] = {i: p for i, p in enumerate(row) if p > 0.0}
-    policy = AutomatonPolicy(
-        num_states=m, initial_state=0, actions=tuple(best_acts), kernel=kernel
-    )
+    for (q, s), choice in zip(digits, np.unravel_index(index, radixes)):
+        row = options[q][choice]
+        kernel[(q, NO_SIGNAL if s is None else s + 1)] = {
+            i: float(p) for i, p in enumerate(row) if p > 0.0
+        }
+    policy = AutomatonPolicy(num_states=m, initial_state=0, actions=acts, kernel=kernel)
     return policy, best_val

@@ -27,7 +27,7 @@ from .bias_reader import (
 from .costly_comp import (
     ConversationSpec,
     PrimalityConfig,
-    best_machine,
+    best_of,
     conversation_value,
     expected_utility,
     make_primality_instance,
@@ -35,7 +35,7 @@ from .costly_comp import (
 from .dynamic_env import validate_setting
 from .markov_exact import build_joint_chain, stationary
 from .montecarlo import SimConfig, compare_exact_mc
-from .optimize import ScheduleSpec, curve_csv, optimize_pexp, limit_schedule_curve
+from .optimize import CurvePoint, ScheduleSpec, curve_csv, limit_schedule_curve, optimize_pexp
 from .static_model import (
     StaticSetting,
     first_impression_demo,
@@ -51,6 +51,7 @@ PAPER_SETTING = dict(
     k=4, pG=(0.4, 0.3, 0.2, 0.1), pB=(0.1, 0.2, 0.3, 0.4), xG=1.0, xB=-1.0, pi=0.001
 )
 PARTITION = (frozenset({1}), frozenset({4}))
+SCHEDULE = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(5, 10, 20, 40, 80))
 MC_SEEDS = (1, 2, 3)
 
 
@@ -72,7 +73,7 @@ def load_witnesses() -> dict:
         return json.load(fh)
 
 
-def compute_paper_numbers(workers: int = 1) -> dict:
+def compute_paper_numbers() -> dict:
     """Every golden quantity, recomputed from scratch."""
     setting = validate_setting(**PAPER_SETTING)
     numbers: dict = {}
@@ -81,14 +82,13 @@ def compute_paper_numbers(workers: int = 1) -> dict:
 
     # Ladder optimizations for the three headline sizes.
     for key, n in (("five_states", 4), ("six_states", 5), ("two_states", 1)):
-        result = optimize_pexp(setting, n, PARTITION, workers=workers)
+        result = optimize_pexp(setting, n, PARTITION)
         numbers[f"payoff_{key}"] = result.best_payoff
         numbers[f"pexp_{key}"] = result.best_pexp
         payoffs_seen.extend(v for _, v in result.grid_trace)
 
     # Limit-schedule curve.
-    schedule = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(5, 10, 20, 40, 80))
-    curve = limit_schedule_curve(setting, schedule, PARTITION)
+    curve = limit_schedule_curve(setting, SCHEDULE, PARTITION)
     numbers["limit_schedule_curve"] = {str(pt.n): pt.payoff for pt in curve}
     payoffs_seen.extend(pt.payoff for pt in curve)
     numbers["max_payoff_seen"] = max(payoffs_seen)
@@ -97,7 +97,7 @@ def compute_paper_numbers(workers: int = 1) -> dict:
     pexp_five = numbers["pexp_five_states"]
     robustness = {}
     for n in range(4, 10):
-        own = optimize_pexp(setting, n, PARTITION, workers=workers).best_payoff
+        own = optimize_pexp(setting, n, PARTITION).best_payoff
         fixed = optimize_pexp(
             setting, n, PARTITION, grid=(pexp_five,), refine_rounds=0
         ).best_payoff
@@ -155,11 +155,11 @@ def compute_paper_numbers(workers: int = 1) -> dict:
                   "trial_division_full", "trial_division_budget:64"),
     )
     problem = make_primality_instance(config)
+    eus = [expected_utility(problem, i) for i in range(len(problem.machines))]
     numbers["primality_eu"] = {
-        machine.name: expected_utility(problem, i)
-        for i, machine in enumerate(problem.machines)
+        machine.name: eu for machine, eu in zip(problem.machines, eus)
     }
-    best_idx, best_eu = best_machine(problem)
+    best_idx, best_eu = best_of(eus)
     numbers["primality_best"] = problem.machines[best_idx].name
     numbers["primality_best_eu"] = best_eu
     numbers["conversation_value_100_7_100"] = conversation_value(
@@ -269,7 +269,7 @@ def run_claim_checks(numbers: dict) -> list[tuple[str, bool, str]]:
         numbers["max_payoff_seen"] <= 0.5 + UPPER_BOUND_SLACK,
         fmt(numbers["max_payoff_seen"]),
     ))
-    curve = [numbers["limit_schedule_curve"][str(n)] for n in (5, 10, 20, 40, 80)]
+    curve = [numbers["limit_schedule_curve"][str(n)] for n in SCHEDULE.n_list]
     increasing = all(a < b for a, b in zip(curve, curve[1:]))
     halved = (0.5 - curve[-1]) <= (0.5 - curve[0]) / 2.0
     checks.append(("limit_curve_strictly_increasing", increasing, fmt(curve[-1])))
@@ -296,9 +296,9 @@ def run_claim_checks(numbers: dict) -> list[tuple[str, bool, str]]:
 
 def write_outputs(out_dir: Path, numbers: dict, demo_results: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    setting = validate_setting(**PAPER_SETTING)
-    schedule = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(5, 10, 20, 40, 80))
-    curve = limit_schedule_curve(setting, schedule, PARTITION)
+    payoffs = numbers["limit_schedule_curve"]
+    curve = [CurvePoint(n, SCHEDULE.pi_of_n(n), SCHEDULE.pexp_of_n(n), payoffs[str(n)])
+             for n in SCHEDULE.n_list]
     (out_dir / "limit_schedule_curve.csv").write_text(curve_csv(curve), encoding="utf-8")
 
     report = {
@@ -325,9 +325,8 @@ def golden_path() -> Path:
     return Path(__file__).parent / "goldens" / "paper_numbers.json"
 
 
-def run_reproduce(out_dir: Path, workers: int = 1, write_goldens: bool = False,
-                  echo=print) -> int:
-    numbers = compute_paper_numbers(workers=workers)
+def run_reproduce(out_dir: Path, write_goldens: bool = False, echo=print) -> int:
+    numbers = compute_paper_numbers()
     if write_goldens:
         golden_path().write_text(
             json.dumps(_round_floats(numbers), indent=2, sort_keys=True) + "\n",

@@ -99,6 +99,15 @@ class TestSimulate:
         assert lines[0] == "seed,mean,std_error"
         assert len(lines) == 4
 
+    def test_workers_flag_is_kept_for_seed_sweeps(self, tmp_path):
+        config = self.config(tmp_path, {"seeds": [5, 6]})
+        sidecar = tmp_path / "meta.json"
+        assert run_cli([
+            "simulate", "--config", config, "--workers", "1",
+            "--out", str(tmp_path / "sweep.csv"), "--sidecar", str(sidecar),
+        ]) == 0
+        assert json.loads(sidecar.read_text())["workers"] == 1
+
 
 class TestOptimize:
     def test_pexp_search(self, tmp_path, capsys):
@@ -256,7 +265,7 @@ class TestReproduce:
         fake = json.loads(json.dumps(goldens))
         fake["payoff_five_states"] = 0.399
         monkeypatch.setattr(
-            reproduce_mod, "compute_paper_numbers", lambda workers=1: fake
+            reproduce_mod, "compute_paper_numbers", lambda: fake
         )
         assert run_cli(["reproduce", "--out", str(tmp_path / "rep")]) == 2
         out = capsys.readouterr().out
@@ -269,6 +278,21 @@ class TestReproduce:
                     "robustness", "reader_value", "primality_eu", "mc_checks",
                     "paper_chain_matrix"):
             assert key in goldens
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", "--workers", "2"],
+    ["optimize", "--config", "cfg.json", "--workers", "2"],
+    ["eval-exact"],
+    ["no-such-command"],
+])
+def test_usage_error_exits_one_with_one_line(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv)
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "error:" in captured.err
 
 
 def test_module_entry_point_help():

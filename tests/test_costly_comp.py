@@ -264,18 +264,6 @@ class TestPrimalityInstance:
         )
         assert expected_utility(problem, 0) == pytest.approx(10.0, rel=1e-12)
 
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        from bounded_agents import costly_comp
-
-        monkeypatch.setenv(costly_comp.CACHE_ENV_VAR, str(tmp_path))
-        config = PrimalityConfig(type_bound=500, machines=("trial_division_full",))
-        fresh = make_primality_instance(config)
-        cache_file = tmp_path / "primality_500.csv"
-        assert cache_file.exists()
-        cached = make_primality_instance(config)
-        assert cached.machines[0].out_table == fresh.machines[0].out_table
-        assert cached.machines[0].complexity_table == fresh.machines[0].complexity_table
-
     def test_unknown_machine_spec(self):
         with pytest.raises(ValidationError):
             PrimalityConfig(machines=("divide_and_hope",))

@@ -23,15 +23,22 @@ from oracles import (
     enumerated_joint_matrix,
     geometric_series_stopped,
 )
+from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
+    CLOSURE_MAX_DIM,
     JointChainModel,
+    _connectivity_gaps,
     agent_step_matrix,
     build_joint_chain,
     chain_csv,
+    evaluate_stack,
     exact_average_payoff,
+    joint_reward,
+    reach_gaps,
     stationary,
     stopped_state_distribution,
 )
+from bounded_agents.optimize import DEFAULT_PEXP_GRID
 
 
 
@@ -232,6 +239,67 @@ class TestExactAveragePayoff:
         )
         chain = build_joint_chain(paper_setting, build_a_family(4, params))
         check_irreducible(chain)  # must not raise
+
+
+PAPER_SIDES = dict(pos=frozenset({1}), neg=frozenset({4}))
+
+
+def random_patterns(rng, count, dim):
+    """Sparse nonnegative matrices; half get a random cycle through every state."""
+    P = (rng.random((count, dim, dim)) < 1.5 / dim).astype(float)
+    for chain in P[: count // 2]:
+        order = rng.permutation(dim)
+        chain[order, np.roll(order, 1)] = 0.5
+    return P
+
+
+class TestStackedKernel:
+    @pytest.mark.parametrize("dim", [2, 4, 10, CLOSURE_MAX_DIM, CLOSURE_MAX_DIM + 2, 130])
+    def test_reachability_agrees_with_graph_search(self, dim, monkeypatch):
+        P = random_patterns(np.random.default_rng(dim), 16, dim)
+        expected = np.array([_connectivity_gaps(chain) for chain in P])
+        assert expected.any(axis=1).any() and not expected.any(axis=1).all()
+        assert np.array_equal(reach_gaps(P), expected)
+        # Both routines on both sides of the threshold.
+        monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
+        assert np.array_equal(reach_gaps(P), expected)
+        monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 0)
+        assert np.array_equal(reach_gaps(P), expected)
+
+    @staticmethod
+    def stack(setting, policies):
+        return evaluate_stack(
+            np.array([agent_step_matrix(p, setting.pG) for p in policies]),
+            np.array([agent_step_matrix(p, setting.pB) for p in policies]),
+            setting.pi, joint_reward(setting, policies[0].actions),
+        )
+
+    @pytest.mark.parametrize("n", [1, 4, 5])
+    def test_paper_grid_stack_matches_single_path_bit_for_bit(self, paper_setting, n):
+        policies = [build_a_family(4, AFamilyParams(n=n, p_exp=p, **PAPER_SIDES))
+                    for p in DEFAULT_PEXP_GRID]
+        ev = self.stack(paper_setting, policies)
+        assert ev.ok.all()
+        for i, policy in enumerate(policies):
+            dist = stationary(build_joint_chain(paper_setting, policy))
+            assert np.array_equal(ev.mu[i], dist.mu)
+            assert ev.residual[i] == dist.residual
+            assert ev.payoff[i] == exact_average_payoff(paper_setting, policy)
+
+    def test_reducible_member_is_flagged_with_the_single_path_error(self, paper_setting):
+        stuck = {(0, NO_SIGNAL): {1: 1.0}, **{(1, s): {1: 1.0} for s in range(1, 5)}}
+        policies = [
+            build_a_family(4, AFamilyParams(n=1, p_exp=0.1, **PAPER_SIDES)),
+            AutomatonPolicy(num_states=2, initial_state=0, actions=(SAFE, RISKY), kernel=stuck),
+        ]
+        ev = self.stack(paper_setting, policies)
+        assert ev.ok.tolist() == [True, False]
+        assert ev.payoff[0] == exact_average_payoff(paper_setting, policies[0])
+        assert np.isnan(ev.payoff[1]) and np.isnan(ev.mu[1]).all()
+        with pytest.raises(ReducibleChainError) as single:
+            stationary(build_joint_chain(paper_setting, policies[1]))
+        assert str(ev.error(1)) == str(single.value)
+        assert ev.error(1).unreachable == single.value.unreachable
 
 
 class TestStoppedStateDistribution:

@@ -1,16 +1,24 @@
 import numpy as np
 import pytest
 
-from bounded_agents.automaton import RISKY, SAFE, AutomatonPolicy
+from bounded_agents.automaton import (
+    RISKY,
+    SAFE,
+    AFamilyParams,
+    AutomatonPolicy,
+    build_a_family,
+)
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import (
     GridTooLargeError,
+    ReducibleChainError,
     TooManySignalsError,
     TrivialSettingError,
     ValidationError,
 )
 from bounded_agents.markov_exact import exact_average_payoff
 from bounded_agents.optimize import (
+    DEFAULT_PEXP_GRID,
     ScheduleSpec,
     brute_force_policy_search,
     curve_csv,
@@ -94,10 +102,33 @@ class TestOptimizePexp:
         with pytest.raises(ValidationError):
             optimize_pexp(paper_setting, n=2, grid=(0.0, 0.5))
 
-    def test_workers_do_not_change_result(self, paper_setting):
-        serial = optimize_pexp(paper_setting, n=2, grid=COARSE_GRID, workers=1)
-        parallel = optimize_pexp(paper_setting, n=2, grid=COARSE_GRID, workers=2)
-        assert serial == parallel
+    def test_stacked_trace_matches_single_evaluations(self, paper_setting):
+        # The grid and each refinement are solved as one stack; every traced
+        # payoff must carry the bits of a one-at-a-time evaluation.
+        partition = (frozenset({1}), frozenset({4}))
+        result = optimize_pexp(paper_setting, n=2, partition=partition)
+        assert len(result.grid_trace) > len(DEFAULT_PEXP_GRID)
+        for p, value in result.grid_trace:
+            policy = build_a_family(
+                paper_setting.k,
+                AFamilyParams(n=2, p_exp=p, pos=partition[0], neg=partition[1]),
+            )
+            assert value == exact_average_payoff(paper_setting, policy)
+
+    def test_failing_point_raises_the_single_path_error(self):
+        # Signal 1 never occurs, so the ladder cannot climb past state 1 and
+        # every grid point has a reducible chain.
+        s = validate_setting(4, (0.0, 0.5, 0.3, 0.2), (0.0, 0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
+        partition = (frozenset({1}), frozenset({4}))
+        with pytest.raises(ReducibleChainError) as stacked:
+            optimize_pexp(s, n=2, partition=partition, grid=COARSE_GRID)
+        policy = build_a_family(
+            4, AFamilyParams(n=2, p_exp=COARSE_GRID[0], pos=partition[0], neg=partition[1])
+        )
+        with pytest.raises(ReducibleChainError) as single:
+            exact_average_payoff(s, policy)
+        assert str(stacked.value) == str(single.value)
+        assert stacked.value.unreachable == ("(G, q=2)", "(B, q=2)")
 
 
 class TestExhaustivePartitionSearch:
