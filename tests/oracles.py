@@ -2,10 +2,13 @@
 
 These deliberately avoid the code paths they check: the joint matrix is
 built by outcome enumeration instead of matrix algebra, the stationary
-vector by damped power iteration instead of a linear solve, and stopped
-distributions by explicit geometric-series summation instead of a
-resolvent inverse.
+vector by damped power iteration or by elimination in exact rationals
+instead of a float solve, reachability by a depth-first search over the
+dense adjacency, and stopped distributions by explicit geometric-series
+summation instead of a resolvent inverse.
 """
+
+from fractions import Fraction
 
 import numpy as np
 
@@ -34,6 +37,66 @@ def enumerated_joint_matrix(setting, policy):
                         p_flip = setting.pi if theta_next != theta else 1.0 - setting.pi
                         P[row, theta_next * m + q_next] += p_sig * p_move * p_flip
     return P
+
+
+def connectivity_gaps(P):
+    """Mask of the states unreachable from row 0 or unable to reach row 0,
+    by a depth-first search each way over the dense ``P > 0`` adjacency."""
+    adj = P > 0.0
+    cut = np.zeros(len(P), dtype=bool)
+    for edges in (adj, adj.T):
+        seen = np.zeros(len(P), dtype=bool)
+        seen[0] = True
+        stack = [0]
+        while stack:
+            for v in np.flatnonzero(edges[stack.pop()] & ~seen):
+                seen[v] = True
+                stack.append(v)
+        cut |= ~seen
+    return cut
+
+
+def exact_average_payoff_fraction(setting, policy):
+    """Long-run payoff in exact rationals, from the model's definition.
+
+    The joint matrix is assembled in Fractions of pG, pB, pi and the
+    kernel, with 1 - pi exact, in nature-major order, and solved by GTH
+    elimination without rounding. Building it from the float matrix instead
+    would carry that matrix's row-sum defect, which at pi = 1e-15 is a
+    tenth of the coupling between the natures.
+    """
+    m = policy.num_states
+    pi = Fraction(setting.pi)
+    flip = ((1 - pi, pi), (pi, 1 - pi))
+    dim = 2 * m
+    A = [[Fraction(0)] * dim for _ in range(dim)]
+    reward = [Fraction(0)] * dim
+    for theta, probs in enumerate((setting.pG, setting.pB)):
+        for q in range(m):
+            if policy.actions[q] == SAFE:
+                moves = [(Fraction(1), policy.kernel[(q, NO_SIGNAL)])]
+            else:
+                moves = [(Fraction(p), policy.kernel[(q, s)]) for s, p in enumerate(probs, 1)]
+                reward[theta * m + q] = Fraction(setting.xG if theta == 0 else setting.xB)
+            for p_sig, row in moves:
+                for q_next, p_move in row.items():
+                    for theta_next in (0, 1):
+                        A[theta * m + q][theta_next * m + q_next] += (
+                            p_sig * Fraction(p_move) * flip[theta][theta_next])
+    # GTH: censor onto states 0..k-1, last state first; the diagonal is
+    # never read.
+    for k in range(dim - 1, 0, -1):
+        s = sum(A[k][:k])
+        cols = [j for j in range(k) if A[k][j]]
+        for i in range(k):
+            if A[i][k]:
+                A[i][k] /= s
+                for j in cols:
+                    A[i][j] += A[i][k] * A[k][j]
+    x = [Fraction(1)]
+    for k in range(1, dim):
+        x.append(sum(x[i] * A[i][k] for i in range(k) if A[i][k]))
+    return sum(xi * r for xi, r in zip(x, reward)) / sum(x)
 
 
 def damped_power_iteration(P, tol=1e-13, max_steps=400_000):

@@ -19,15 +19,16 @@ from bounded_agents.errors import (
     ReducibleChainError,
 )
 from oracles import (
+    connectivity_gaps,
     damped_power_iteration,
     enumerated_joint_matrix,
+    exact_average_payoff_fraction,
     geometric_series_stopped,
 )
 from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
     CLOSURE_MAX_DIM,
     JointChainModel,
-    _connectivity_gaps,
     agent_step_matrix,
     build_joint_chain,
     chain_csv,
@@ -145,6 +146,49 @@ class TestStationary:
         assert dist.mu.min() >= 0.0
         assert dist.mu.sum() == pytest.approx(1.0, abs=1e-10)
 
+    def test_dense_chain_above_closure_threshold(self):
+        # No band narrower than the matrix holds a dense chain, so it is
+        # stored whole and searched over all of its entries.
+        rng = np.random.default_rng(7)
+        P = rng.random((CLOSURE_MAX_DIM + 16,) * 2)
+        P /= P.sum(axis=1, keepdims=True)
+        chain = JointChainModel(dim=len(P), P=P, reward=np.zeros(len(P)),
+                                num_agent_states=len(P) // 2)
+        assert markov_exact._band(P[None])[1] == len(P) - 1
+        dist = stationary(chain)
+        assert np.max(np.abs(dist.mu - damped_power_iteration(P))) <= 1e-12
+
+
+class TestGTHAccuracy:
+    @pytest.mark.parametrize("n", [4, 9])
+    @pytest.mark.parametrize("pi", [1e-3, 1e-9, 1e-12, 1e-15])
+    def test_matches_exact_rational_oracle_at_small_pi(self, paper_setting, n, pi):
+        s = paper_setting
+        setting = validate_setting(4, s.pG, s.pB, s.xG, s.xB, pi)
+        policy = build_a_family(4, AFamilyParams(n=n, p_exp=1e-3, **PAPER_SIDES))
+        exact = float(exact_average_payoff_fraction(setting, policy))
+        assert exact_average_payoff(setting, policy) == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    def test_back_substitution_survives_mass_beyond_the_float_range(self):
+        # Both natures climb on signal 1 and almost never descend, so the top
+        # rung holds about 1e396 times the mass of the safe state.
+        setting = validate_setting(
+            4, (0.9, 0.05, 0.05 - 1e-7, 1e-7), (0.8, 0.1, 0.1 - 2e-7, 2e-7),
+            xG=1.0, xB=-0.5, pi=1e-3,
+        )
+        policy = build_a_family(4, AFamilyParams(n=60, p_exp=0.5, **PAPER_SIDES))
+        # Nature spends half its time in each state and the agent is all but
+        # always risky, so the payoff is (xG + xB) / 2.
+        assert exact_average_payoff(setting, policy) == pytest.approx(0.25, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1, 4, 60])
+    def test_ladders_are_stored_as_a_band_of_half_width_three(self, paper_setting, n):
+        policy = build_a_family(4, AFamilyParams(n=n, p_exp=0.1, **PAPER_SIDES))
+        P = build_joint_chain(paper_setting, policy).P[None]
+        S, w = markov_exact._band(P)
+        assert w == 3
+        assert S.shape == ((4, 4, 1) if n == 1 else (2 * n + 2, 7, 1))
+
 
 class TestExactAveragePayoff:
     def test_trivial_setting_symmetric_payoffs_zero(self, trivial_setting, ladder_policy_5):
@@ -244,6 +288,21 @@ class TestExactAveragePayoff:
 PAPER_SIDES = dict(pos=frozenset({1}), neg=frozenset({4}))
 
 
+def ladder_patterns(setting, n):
+    """An n-rung ladder's joint chain, and two copies in which rung n // 2
+    cannot climb (cutting off the rungs above) or cannot descend (so those
+    rungs never return)."""
+    policy = build_a_family(4, AFamilyParams(n=n, p_exp=0.1, **PAPER_SIDES))
+    P = build_joint_chain(setting, policy).P
+    stuck = np.array([P, P, P])
+    r, m = n // 2, n + 1
+    for theta in (0, m):
+        for theta_next in (0, m):
+            stuck[1, theta + r, theta_next + r + 1] = 0.0
+            stuck[2, theta + r, theta_next + r - 1] = 0.0
+    return stuck
+
+
 def random_patterns(rng, count, dim):
     """Sparse nonnegative matrices; half get a random cycle through every state."""
     P = (rng.random((count, dim, dim)) < 1.5 / dim).astype(float)
@@ -257,13 +316,23 @@ class TestStackedKernel:
     @pytest.mark.parametrize("dim", [2, 4, 10, CLOSURE_MAX_DIM, CLOSURE_MAX_DIM + 2, 130])
     def test_reachability_agrees_with_graph_search(self, dim, monkeypatch):
         P = random_patterns(np.random.default_rng(dim), 16, dim)
-        expected = np.array([_connectivity_gaps(chain) for chain in P])
+        expected = np.array([connectivity_gaps(chain) for chain in P])
         assert expected.any(axis=1).any() and not expected.any(axis=1).all()
         assert np.array_equal(reach_gaps(P), expected)
         # Both routines on both sides of the threshold.
         monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
         assert np.array_equal(reach_gaps(P), expected)
         monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 0)
+        assert np.array_equal(reach_gaps(P), expected)
+
+    @pytest.mark.parametrize("n", [64, 250])
+    def test_banded_reachability_agrees_with_graph_search(self, paper_setting, n, monkeypatch):
+        P = ladder_patterns(paper_setting, n)
+        assert P.shape[1] > CLOSURE_MAX_DIM
+        expected = np.array([connectivity_gaps(chain) for chain in P])
+        assert expected.any(axis=1).tolist() == [False, True, True]
+        assert np.array_equal(reach_gaps(P), expected)
+        monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
         assert np.array_equal(reach_gaps(P), expected)
 
     @staticmethod
