@@ -25,9 +25,10 @@ from typing import Mapping, Sequence
 
 from .errors import (
     BadProbabilityError,
-    NonStochasticError,
+    DimensionMismatchError,
     SignalOutOfRangeError,
     ValidationError,
+    check_distribution,
 )
 
 SAFE = "Safe"
@@ -36,8 +37,6 @@ HOLD = "hold"
 
 # Observation key used by SAFE states; risky/hold states use signals 1..k.
 NO_SIGNAL = None
-
-ROW_SUM_TOL = 1e-12
 
 # kernel maps (state, observation) -> {next_state: probability}
 Kernel = Mapping[tuple[int, "int | None"], Mapping[int, float]]
@@ -60,7 +59,8 @@ class AutomatonPolicy:
 
 
 def check_policy(policy: AutomatonPolicy, k: int) -> None:
-    """Raise unless every kernel row is stochastic and keyed as required."""
+    """Raise unless every kernel row is stochastic and keyed as required; keys
+    other than the observations of signals 1..k raise DimensionMismatchError."""
     if not (0 <= policy.initial_state < policy.num_states):
         raise ValidationError(f"initial state {policy.initial_state} out of range")
     if len(policy.actions) != policy.num_states:
@@ -72,20 +72,27 @@ def check_policy(policy: AutomatonPolicy, k: int) -> None:
     if set(policy.kernel) != expected_keys:
         extra = set(policy.kernel) - expected_keys
         missing = expected_keys - set(policy.kernel)
-        raise ValidationError(
-            f"kernel keys do not match observations (extra={sorted(map(str, extra))}, "
-            f"missing={sorted(map(str, missing))})"
+        raise DimensionMismatchError(
+            f"kernel keys do not match observations of signals 1..{k} "
+            f"(extra={sorted(map(str, extra))}, missing={sorted(map(str, missing))})"
         )
     for key, row in policy.kernel.items():
-        total = 0.0
-        for nxt, p in row.items():
+        for nxt in row:
             if not (0 <= nxt < policy.num_states):
                 raise ValidationError(f"row {key} targets invalid state {nxt}")
-            if p < 0.0 or p > 1.0:
-                raise BadProbabilityError(f"row {key} has probability {p}")
-            total += p
-        if abs(total - 1.0) > ROW_SUM_TOL:
-            raise NonStochasticError(f"kernel row {key} sums to {total!r}")
+        check_distribution(row.values(), "kernel row %s", key)
+
+
+def check_dynamic_policy(policy: AutomatonPolicy, k: int) -> None:
+    """Raise unless ``policy`` can act in the k-signal dynamic environment:
+    Safe/Risky action labels (else DimensionMismatchError), then
+    ``check_policy``."""
+    if not all(a in (SAFE, RISKY) for a in policy.actions):
+        raise DimensionMismatchError(
+            "the dynamic model needs Safe/Risky action labels, got "
+            f"{sorted(set(policy.actions))}"
+        )
+    check_policy(policy, k)
 
 
 @dataclass(frozen=True)
@@ -146,11 +153,9 @@ def build_a_family(k: int, params: AFamilyParams) -> AutomatonPolicy:
                 kernel[(i, s)] = _two_point(i - 1, params.r_d, i)
             else:
                 kernel[(i, s)] = {i: 1.0}
-    policy = AutomatonPolicy(
+    return AutomatonPolicy(
         num_states=n + 1, initial_state=0, actions=actions, kernel=kernel
     )
-    check_policy(policy, k)
-    return policy
 
 
 def build_linear_sticky(
@@ -171,6 +176,8 @@ def build_linear_sticky(
     """
     if num_states < 1:
         raise ValidationError("need at least one state")
+    if not (0 <= initial_state < num_states):
+        raise ValidationError(f"initial state {initial_state} out of range")
     if len(left_prob) != num_states or len(right_prob) != num_states:
         raise ValidationError("left_prob and right_prob must have one entry per state")
     for name, probs in (("left_prob", left_prob), ("right_prob", right_prob)):
@@ -193,14 +200,12 @@ def build_linear_sticky(
                 kernel[(q, s)] = _two_point(q + 1, right_prob[q], q)
             else:
                 kernel[(q, s)] = {q: 1.0}
-    policy = AutomatonPolicy(
+    return AutomatonPolicy(
         num_states=num_states,
         initial_state=initial_state,
         actions=(HOLD,) * num_states,
         kernel=kernel,
     )
-    check_policy(policy, k)
-    return policy
 
 
 def _obs_key(obs) -> str:

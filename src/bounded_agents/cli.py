@@ -18,6 +18,7 @@ from .automaton import (
     AutomatonPolicy,
     build_a_family,
     build_linear_sticky,
+    check_policy,
     policy_from_dict,
 )
 from .bias_reader import (
@@ -100,7 +101,9 @@ def _policy_from_config(doc: dict, k: int) -> AutomatonPolicy:
             initial_state=doc.get("initial_state", 0),
         )
     if kind == "policy":
-        return policy_from_dict(doc)
+        policy = policy_from_dict(doc)
+        check_policy(policy, k)
+        return policy
     raise ValidationError(f"unknown automaton type {kind!r}")
 
 
@@ -228,7 +231,6 @@ def cmd_static_demo(args) -> int:
     config = _load_config(args.config)
     _require(config, "policy", "demo")
     k = config.get("k", config["policy"].get("k", 4))
-    config["policy"].setdefault("k", k)
     policy = _policy_from_config({**config["policy"], "type": config["policy"].get("type", "linear_sticky")}, k)
     rule = (
         DecisionRule(decide=tuple(config["rule"]))

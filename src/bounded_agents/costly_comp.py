@@ -17,7 +17,6 @@ the formal story only fixes the first two.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping, Sequence
@@ -26,9 +25,8 @@ from .errors import (
     MissingUtilityEntryError,
     NoMachinesError,
     ValidationError,
+    check_distribution,
 )
-
-PRIOR_SUM_TOL = 1e-12
 
 Label = Hashable
 UtilityFn = Callable[[Label, Label, Label, int], float]
@@ -59,11 +57,7 @@ class CompProblem:
     utility: UtilityFn
 
     def __post_init__(self):
-        total = sum(self.prior.values())
-        if abs(total - 1.0) > PRIOR_SUM_TOL:
-            raise ValidationError(f"prior sums to {total!r}, not 1")
-        if any(p < 0.0 for p in self.prior.values()):
-            raise ValidationError("prior has a negative entry")
+        check_distribution(self.prior.values(), "prior")
         for machine in self.machines:
             for s in self.states:
                 for t in self.types:
@@ -334,7 +328,3 @@ def problem_to_dict(problem: CompProblem) -> dict:
             for machine in problem.machines
         ],
     }
-
-
-def problem_to_json(problem: CompProblem) -> str:
-    return json.dumps(problem_to_dict(problem), indent=2)

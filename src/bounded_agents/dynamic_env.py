@@ -17,12 +17,9 @@ from typing import Sequence
 from .errors import (
     BadFlipProbError,
     BadPayoffSignError,
-    NonStochasticError,
     ValidationError,
+    check_distribution,
 )
-
-# Absorbs decimal round-off in user-entered vectors, nothing more.
-PROB_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -48,7 +45,7 @@ def validate_setting(
     """Check raw fields and return a DynamicSetting.
 
     Never normalizes: a signal vector that does not already sum to 1
-    within 1e-12 is rejected.
+    within errors.PROB_SUM_TOL is rejected.
     """
     if k < 1 or int(k) != k:
         raise ValidationError(f"signal count must be a positive integer, got {k}")
@@ -59,12 +56,8 @@ def validate_setting(
         raise ValidationError(
             f"signal vectors must have length k={k}, got {len(pG)} and {len(pB)}"
         )
-    for name, vec in (("pG", pG), ("pB", pB)):
-        if any(p < 0.0 for p in vec):
-            raise NonStochasticError(f"{name} has a negative entry: {vec}")
-        total = sum(vec)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise NonStochasticError(f"{name} sums to {total!r}, not 1")
+    check_distribution(pG, "pG")
+    check_distribution(pB, "pB")
     if not (xG > 0.0 > xB):
         raise BadPayoffSignError(f"need xG > 0 > xB, got xG={xG}, xB={xB}")
     if not (0.0 < pi <= 0.5):

@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the probability rule.
 
 Validation errors subclass ValueError so callers can catch either the
 specific class or the built-in.
 """
+
+# Absorbs decimal round-off in user-entered vectors, nothing more.
+PROB_SUM_TOL = 1e-12
 
 
 class BoundedAgentsError(Exception):
@@ -14,7 +17,8 @@ class ValidationError(BoundedAgentsError, ValueError):
 
 
 class NonStochasticError(ValidationError):
-    """A probability vector does not sum to 1 within tolerance."""
+    """A probability vector has an entry outside [0, 1] or does not sum to 1
+    within PROB_SUM_TOL."""
 
 
 class BadPayoffSignError(ValidationError):
@@ -83,3 +87,16 @@ class ReducibleChainError(BoundedAgentsError):
 
 class SolveFailedError(BoundedAgentsError):
     """The stationary linear solve failed or left too large a residual."""
+
+
+def check_distribution(probs, label: str, *label_args) -> None:
+    """Raise NonStochasticError unless every entry of ``probs`` lies in [0, 1]
+    and they sum to within PROB_SUM_TOL of 1; never normalizes. The message
+    names the vector ``label % label_args``, formatted only on failure."""
+    total = 0.0
+    for p in probs:
+        if not (0.0 <= p <= 1.0):
+            raise NonStochasticError(f"{label % label_args} has entry {p!r} outside [0, 1]")
+        total += p
+    if abs(total - 1.0) > PROB_SUM_TOL:
+        raise NonStochasticError(f"{label % label_args} sums to {total!r}, not 1")

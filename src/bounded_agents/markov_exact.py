@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, check_policy
+from .automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, check_dynamic_policy
 from .dynamic_env import DynamicSetting
 from .errors import (
     BadEtaError,
@@ -39,7 +39,6 @@ from .errors import (
     DimensionMismatchError,
     ReducibleChainError,
     SolveFailedError,
-    ValidationError,
 )
 
 NATURE_STATES = ("G", "B")
@@ -129,17 +128,7 @@ def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
 
 def _agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):
     """Step matrices in G and in B of a policy the joint chain can take."""
-    if not all(a in (SAFE, RISKY) for a in policy.actions):
-        raise DimensionMismatchError(
-            "joint chain needs Safe/Risky action labels, got "
-            f"{sorted(set(policy.actions))}"
-        )
-    try:
-        check_policy(policy, setting.k)
-    except ValidationError as exc:
-        raise DimensionMismatchError(
-            f"policy does not consume signals 1..{setting.k}: {exc}"
-        ) from exc
+    check_dynamic_policy(policy, setting.k)
     return agent_step_matrix(policy, setting.pG), agent_step_matrix(policy, setting.pB)
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, check_policy
+from .automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, check_dynamic_policy
 from .dynamic_env import DynamicSetting
 from .errors import ValidationError
 from .markov_exact import exact_average_payoff
@@ -112,9 +112,7 @@ def simulate_run(
     setting: DynamicSetting, policy: AutomatonPolicy, config: SimConfig
 ) -> SimResult:
     """Simulate one seeded run; a deterministic function of its inputs."""
-    check_policy(policy, setting.k)
-    if not all(a in (SAFE, RISKY) for a in policy.actions):
-        raise ValidationError("simulation needs Safe/Risky action labels")
+    check_dynamic_policy(policy, setting.k)
     cdf_g, cdf_b, rows, risky = _compiled_tables(setting, policy)
     rounds = config.rounds
     u = uniform_stream(config.seed, 0, 1 + 3 * rounds)

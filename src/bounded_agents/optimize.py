@@ -38,6 +38,9 @@ DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
 
 BRUTE_FORCE_CAP = 10**7
 
+# p_exp points per refinement round, spanning the best point's neighbours.
+REFINE_POINTS = 10
+
 
 @dataclass(frozen=True)
 class OptResult:
@@ -87,7 +90,6 @@ def optimize_pexp(
     r_d: float = 1.0,
     grid: Sequence[float] | None = None,
     refine_rounds: int = 2,
-    refine_points: int = 10,
 ) -> OptResult:
     """Best exploration probability on a grid, with local linear refinement."""
     if partition is None:
@@ -96,9 +98,6 @@ def optimize_pexp(
     grid = tuple(grid) if grid is not None else DEFAULT_PEXP_GRID
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
-    for p in grid:
-        if not (0.0 < p <= 1.0):
-            raise ValidationError(f"grid p_exp {p} outside (0, 1]")
 
     trace: list[tuple[float, float]] = []
     seen: set[float] = set()
@@ -117,7 +116,7 @@ def optimize_pexp(
         i = xs.index(best_p)
         lo = xs[max(i - 1, 0)]
         hi = xs[min(i + 1, len(xs) - 1)]
-        evaluate([float(p) for p in np.linspace(lo, hi, refine_points)])
+        evaluate([float(p) for p in np.linspace(lo, hi, REFINE_POINTS)])
 
     best_p, best_v = max(trace, key=lambda t: (t[1], -t[0]))
     return OptResult(

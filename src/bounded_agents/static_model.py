@@ -17,12 +17,11 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import AutomatonPolicy, check_policy
-from .dynamic_env import PROB_SUM_TOL
 from .errors import (
     BadEtaError,
-    NonStochasticError,
     SignalOutOfRangeError,
     ValidationError,
+    check_distribution,
 )
 from .markov_exact import agent_step_matrix, stopped_state_distribution
 
@@ -51,9 +50,8 @@ class StaticSetting:
         object.__setattr__(self, "pB", pB)
         if len(pG) != self.k or len(pB) != self.k:
             raise ValidationError("signal vectors must have length k")
-        for name, vec in (("pG", pG), ("pB", pB)):
-            if any(p < 0 for p in vec) or abs(sum(vec) - 1.0) > PROB_SUM_TOL:
-                raise NonStochasticError(f"{name} is not a distribution: {vec}")
+        check_distribution(pG, "pG")
+        check_distribution(pB, "pB")
         if not (0.0 < self.eta <= 1.0):
             raise BadEtaError(f"eta must be in (0, 1], got {self.eta}")
         if not (0.0 <= self.prior_G <= 1.0):

@@ -210,6 +210,21 @@ class TestStaticDemo:
         out = json.loads(capsys.readouterr().out)
         assert out["expected_utility"] == pytest.approx(0.911938379076, abs=1e-9)
 
+    def test_non_stochastic_policy_exits_one_and_names_row(self, tmp_path, capsys):
+        policy = {
+            "type": "policy", "num_states": 1, "initial_state": 0, "actions": ["hold"],
+            "kernel": {"0:1": {"0": 0.5}, "0:2": {"0": 0.3},
+                       "0:3": {"0": 0.2}, "0:4": {"0": 0.1}},
+        }
+        config = write_config(tmp_path, {
+            "policy": policy, "demo": "polarization",
+            "start_a": 0, "start_b": 0, "sequence": [1, 2, 3, 4],
+        })
+        assert run_cli(["static-demo", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "kernel row (0, 1) sums to 0.5" in captured.err
+
 
 class TestReader:
     def test_solve_and_demos(self, tmp_path, capsys):
