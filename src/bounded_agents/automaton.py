@@ -58,6 +58,17 @@ class AutomatonPolicy:
         return tuple(range(1, k + 1))
 
 
+def kernel_row(policy: AutomatonPolicy, state: int, signal: int) -> Mapping[int, float]:
+    """Next-state distribution of ``state`` on ``signal``. A Safe state
+    observes nothing, so it takes its NoSignal row whatever the signal; any
+    other state without a row for ``signal`` raises SignalOutOfRangeError."""
+    obs = NO_SIGNAL if policy.actions[state] == SAFE else signal
+    try:
+        return policy.kernel[(state, obs)]
+    except KeyError:
+        raise SignalOutOfRangeError(f"state {state} has no row for signal {signal}") from None
+
+
 def check_policy(policy: AutomatonPolicy, k: int) -> None:
     """Raise unless every kernel row is stochastic and keyed as required; keys
     other than the observations of signals 1..k raise DimensionMismatchError."""

@@ -31,15 +31,13 @@ from .bias_reader import (
     solve_reader_dp,
 )
 from .costly_comp import (
-    CompProblem,
     ConversationSpec,
-    MachineSpec,
     PrimalityConfig,
     best_of,
     conversation_value,
     expected_utility,
     make_primality_instance,
-    utility_from_table,
+    problem_from_dict,
 )
 from .dynamic_env import setting_from_dict
 from .errors import BoundedAgentsError, ValidationError
@@ -316,28 +314,6 @@ def cmd_reader(args) -> int:
     return 0
 
 
-def _problem_from_tables(doc: dict) -> CompProblem:
-    _require(doc, "states", "types", "actions", "prior", "machines", "utility")
-    machines = []
-    for m in doc["machines"]:
-        machines.append(
-            MachineSpec(
-                name=m["name"],
-                out_table={(s, t): a for s, t, a in m["out"]},
-                complexity_table={(s, t): c for s, t, c in m["complexity"]},
-            )
-        )
-    utility = utility_from_table(
-        {(s, t, a, c): u for s, t, a, c, u in doc["utility"]}
-    )
-    return CompProblem(
-        states=tuple(doc["states"]), types=tuple(doc["types"]),
-        actions=tuple(doc["actions"]),
-        prior={(s, t): p for s, t, p in doc["prior"]},
-        machines=tuple(machines), utility=utility,
-    )
-
-
 def cmd_machine(args) -> int:
     config = _load_config(args.config)
     out: dict = {}
@@ -350,7 +326,7 @@ def cmd_machine(args) -> int:
         )
         problem = make_primality_instance(pc)
     elif "problem" in config:
-        problem = _problem_from_tables(config["problem"])
+        problem = problem_from_dict(config["problem"])
     else:
         raise ValidationError("config needs a 'primality' or 'problem' section")
     eus = [expected_utility(problem, i) for i in range(len(problem.machines))]

@@ -6,6 +6,13 @@ its complexity table over (state, type). Utility sees the complexity, so
 slow-but-right and fast-but-wrong machines trade off inside one expected
 value: EU(M) = sum over (s, t) of prior(s, t) * u(s, t, out(s, t), c(s, t)).
 
+Tables are arrays over the cells, the (state, type) pairs in state-major
+order: a float prior, and per machine int arrays of action indices and
+complexities. The utility maps equal-length arrays of state, type and
+action indices and complexities to utilities, so an expected utility is one
+utility call and one product-sum. Label rows, as the CLI reads them, become
+arrays in ``utility_from_table`` and ``problem_from_dict``.
+
 The bundled primality instance asks whether a uniformly drawn integer is
 prime. Division machines probe ascending divisors d while d*d <= t (the
 probe count is the number of divisors tested); a probe count over the
@@ -19,7 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Callable, Hashable, Sequence
+
+import numpy as np
 
 from .errors import (
     MissingUtilityEntryError,
@@ -29,80 +38,123 @@ from .errors import (
 )
 
 Label = Hashable
-UtilityFn = Callable[[Label, Label, Label, int], float]
+# (state indices, type indices, action indices, complexities) -> utilities
+UtilityFn = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """Extensional machine: output and complexity per (state, type)."""
+    """Extensional machine: action index and complexity per cell."""
 
     name: str
-    out_table: dict[tuple[Label, Label], Label]
-    complexity_table: dict[tuple[Label, Label], int]
+    out: np.ndarray
+    complexity: np.ndarray
 
-    def out(self, s: Label, t: Label) -> Label:
-        return self.out_table[(s, t)]
-
-    def complexity(self, s: Label, t: Label) -> int:
-        return self.complexity_table[(s, t)]
+    def __post_init__(self):
+        object.__setattr__(self, "out", np.asarray(self.out))
+        object.__setattr__(self, "complexity", np.asarray(self.complexity))
 
 
 @dataclass(frozen=True)
 class CompProblem:
+    """Machine choice over the cells (state, type) in state-major order."""
+
     states: tuple[Label, ...]
     types: tuple[Label, ...]
     actions: tuple[Label, ...]
-    prior: dict[tuple[Label, Label], float]
+    prior: np.ndarray
     machines: tuple[MachineSpec, ...]
     utility: UtilityFn
 
     def __post_init__(self):
-        check_distribution(self.prior.values(), "prior")
-        for machine in self.machines:
-            for s in self.states:
-                for t in self.types:
-                    if (s, t) not in machine.out_table:
-                        raise ValidationError(
-                            f"machine {machine.name} out table misses ({s!r}, {t!r})"
-                        )
-                    if (s, t) not in machine.complexity_table:
-                        raise ValidationError(
-                            f"machine {machine.name} complexity table misses ({s!r}, {t!r})"
-                        )
+        shape = (len(self.states) * len(self.types),)
+        prior = np.asarray(self.prior, dtype=float)
+        if prior.shape != shape:
+            raise ValidationError(f"prior has shape {prior.shape}, not {shape}")
+        check_distribution(prior.tolist(), "prior")
+        object.__setattr__(self, "prior", prior)
+        for m in self.machines:
+            if any(x.shape != shape or x.dtype.kind not in "iu" for x in (m.out, m.complexity)):
+                raise ValidationError(
+                    f"machine {m.name!r} needs integer tables of shape {shape}, got "
+                    f"{m.out.dtype} {m.out.shape} and {m.complexity.dtype} {m.complexity.shape}"
+                )
+            bad = np.flatnonzero((m.out < 0) | (m.out >= len(self.actions)))
+            if bad.size:
+                s, t = divmod(int(bad[0]), len(self.types))
+                raise ValidationError(
+                    f"machine {m.name!r} outputs action index {m.out[bad[0]]} at cell "
+                    f"{(self.states[s], self.types[t])!r}, outside 0..{len(self.actions) - 1}"
+                )
 
 
-def utility_from_table(table: Mapping[tuple, float]) -> UtilityFn:
-    """Wrap a dict keyed (s, t, a, c); misses raise MissingUtilityEntryError."""
+def _keys(rows, axes, what: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat index over ``axes`` (pairs of declared labels and their kind) of
+    each row's leading labels, and the row count at each index. Rows not
+    ``width`` long, naming undeclared labels or repeating an index raise."""
+    indexes = [{label: i for i, label in enumerate(labels)} for labels, _ in axes]
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise ValidationError(f"{what} row {row!r} needs {width} entries")
+        for (labels, kind), index, label in zip(axes, indexes, row):
+            if label not in index:
+                raise ValidationError(f"{what} row {row!r} names undeclared {kind} {label!r}")
+            keys[r] = keys[r] * len(labels) + index[label]
+    count = np.bincount(keys, minlength=math.prod(len(labels) for labels, _ in axes))
+    _one_row_each(count, count > 1, axes, what)
+    return keys, count
+
+
+def _one_row_each(count, wrong, axes, what: str) -> None:
+    """Raise ValidationError at the first index where ``wrong`` holds."""
+    if wrong.any():
+        key = int(np.argmax(wrong))
+        at = np.unravel_index(key, [len(labels) for labels, _ in axes])
+        labels = tuple(labels[i] for (labels, _), i in zip(axes, at))
+        raise ValidationError(f"{what} has {count[key]} rows for {labels!r}, not 1")
+
+
+def utility_from_table(rows, states, types, actions) -> UtilityFn:
+    """Utility over index arrays from label rows [state, type, action,
+    complexity, utility], no key twice; a lookup with no row raises
+    MissingUtilityEntryError."""
+    charges = np.unique([row[3] for row in rows if len(row) == 5])  # _keys rejects the rest
+    if charges.size and charges.dtype.kind not in "iu":
+        raise ValidationError(f"utility complexities must be integers, got {charges.tolist()}")
+    # The last complexity label, None, stands for every charge no row names.
+    axes = ((states, "state"), (types, "type"), (actions, "action"),
+            (tuple(charges.tolist()) + (None,), "complexity"))
+    keys, count = _keys(rows, axes, "utility", 5)
+    table = np.zeros(len(count))
+    table[keys] = [row[4] for row in rows]
 
     def u(s, t, a, c):
-        try:
-            return table[(s, t, a, c)]
-        except KeyError as exc:
+        j = np.where(np.isin(c, charges), np.searchsorted(charges, c), len(charges))
+        key = ((s * len(types) + t) * len(actions) + a) * (len(charges) + 1) + j
+        hit = count[key] == 1
+        if not hit.all():
+            i = int(np.argmin(hit))
             raise MissingUtilityEntryError(
-                f"no utility entry for (s={s!r}, t={t!r}, a={a!r}, c={c})"
-            ) from exc
+                f"no utility entry for (s={states[s[i]]!r}, t={types[t[i]]!r}, "
+                f"a={actions[a[i]]!r}, c={c[i]})"
+            )
+        return table[key]
 
     return u
 
 
 def expected_utility(problem: CompProblem, machine_index: int) -> float:
-    """EU of one machine: exact sum over the S x T table in index order."""
+    """EU of one machine: one utility call over the positive-prior cells."""
     if not (0 <= machine_index < len(problem.machines)):
-        raise IndexError(
-            f"machine index {machine_index} out of range "
-            f"(have {len(problem.machines)})"
-        )
+        raise IndexError(f"machine index {machine_index} not in 0..{len(problem.machines) - 1}")
     machine = problem.machines[machine_index]
-    total = 0.0
-    for s in problem.states:
-        for t in problem.types:
-            pr = problem.prior.get((s, t), 0.0)
-            if pr == 0.0:
-                continue
-            total += pr * problem.utility(
-                s, t, machine.out(s, t), machine.complexity(s, t)
-            )
-    return total
+    cells = np.flatnonzero(problem.prior)
+    s, t = np.divmod(cells, len(problem.types))
+    u = problem.utility(s, t, machine.out[cells], machine.complexity[cells])
+    # Summed left to right in cell order, so the bits do not depend on how
+    # numpy blocks a pairwise sum.
+    return float(np.add.accumulate(problem.prior[cells] * u)[-1])
 
 
 def best_of(eus: Sequence[float]) -> tuple[int, float]:
@@ -127,6 +179,12 @@ def value_of_refinement(problem_before: CompProblem, problem_after: CompProblem)
 # ---------------------------------------------------------------------------
 # Primality instance
 
+_ACTIONS = ("prime", "composite", "pass")
+_PRIME, _COMPOSITE, _PASS = range(3)
+# Payoff before the charge, by action index and truth (0 composite, 1 prime).
+_PAYOFF = np.array([[-10.0, 10.0], [10.0, -10.0], [1.0, 1.0]])
+_CONSTANT_OUTPUT = {"always_prime": _PRIME, "always_composite": _COMPOSITE, "always_pass": _PASS}
+
 
 @dataclass(frozen=True)
 class PrimalityConfig:
@@ -134,18 +192,13 @@ class PrimalityConfig:
 
     machines entries are spec strings: always_pass, always_prime,
     always_composite, trial_division_full, or trial_division_budget:<B>.
-    prime_truth, when given, overrides ground truth per (state, type).
     """
 
     type_bound: int = 2**16
     step_cap: int = 2**20
     machines: tuple[str, ...] = (
-        "always_pass",
-        "always_prime",
-        "always_composite",
-        "trial_division_full",
+        "always_pass", "always_prime", "always_composite", "trial_division_full",
     )
-    prime_truth: dict[tuple[Label, int], bool] | None = None
 
     def __post_init__(self):
         if self.type_bound < 2:
@@ -169,102 +222,49 @@ def _parse_machine_spec(spec: str) -> tuple[str, int | None]:
     raise ValidationError(f"unknown machine spec {spec!r}")
 
 
-def division_probes(t: int) -> tuple[int, bool]:
-    """(probe count, is_prime) under the fixed probing rule.
-
-    Probes ascending divisors d = 2, 3, ... while d*d <= t; the count
-    includes the successful divisor. Equivalent closed form: a composite
-    with smallest factor f costs f - 1 probes, a prime costs isqrt(t) - 1.
-    """
-    root = math.isqrt(t)
-    d = 2
-    while d <= root:
-        if t % d == 0:
-            return d - 1, False
-        d += 1
-    return max(root - 1, 0), True
-
-
-def _probe_table(bound: int) -> list[tuple[int, bool, int]]:
-    """(t, is_prime, probes_full) for t in 2..bound."""
-    # Smallest-prime-factor sieve gives every probe count in one pass.
-    spf = list(range(bound + 1))
+def _probe_table(bound: int) -> tuple[np.ndarray, np.ndarray]:
+    """Primality and full-division probe count of each t in 2..bound: a
+    composite with smallest factor f costs f - 1 probes, a prime isqrt(t) - 1."""
+    # Smallest-prime-factor sieve: a multiple of p from p*p on holds either
+    # itself or a smaller prime factor, so the minimum keeps the smallest.
+    spf = np.arange(bound + 1)
     for p in range(2, math.isqrt(bound) + 1):
         if spf[p] == p:
-            for multiple in range(p * p, bound + 1, p):
-                if spf[multiple] == multiple:
-                    spf[multiple] = p
-    rows = []
-    for t in range(2, bound + 1):
-        root = math.isqrt(t)
-        if spf[t] == t:
-            rows.append((t, True, max(root - 1, 0)))
-        else:
-            rows.append((t, False, spf[t] - 1))
-    return rows
+            np.minimum(spf[p * p :: p], p, out=spf[p * p :: p])
+    t = np.arange(2, bound + 1)
+    is_prime = spf[2:] == t
+    root = np.sqrt(t).astype(np.int64)
+    root -= root * root > t  # a rounded-up square root of k*k - 1
+    return is_prime, np.where(is_prime, root - 1, spf[2:] - 1)
 
 
 def make_primality_instance(config: PrimalityConfig) -> CompProblem:
-    """Build the primality CompProblem from a config.
-
-    One "true" state by default; prime_truth may disagree with arithmetic,
-    in which case division machines still report what division finds while
-    correctness is judged against prime_truth.
-    """
-    state = "true"
-    table = _probe_table(config.type_bound)
-    types = tuple(t for t, _, _ in table)
-    n_types = len(types)
-    prior = {(state, t): 1.0 / n_types for t in types}
-
-    def truth(t: int, arithmetic: bool) -> bool:
-        if config.prime_truth is not None:
-            return config.prime_truth[(state, t)]
-        return arithmetic
-
-    def charge(probes: int) -> int:
-        return 0 if probes <= config.step_cap else 10
-
+    """Build the primality CompProblem from a config: one state "true" and
+    the types 2..type_bound under a uniform prior."""
+    is_prime, probes_full = _probe_table(config.type_bound)
+    n_types = len(is_prime)
+    answer = np.where(is_prime, _PRIME, _COMPOSITE)
     machines = []
     for spec in config.machines:
         kind, budget = _parse_machine_spec(spec)
-        out_table: dict[tuple[Label, Label], Label] = {}
-        cplx_table: dict[tuple[Label, Label], int] = {}
-        for t, arith_prime, probes_full in table:
-            if kind == "always_pass":
-                out, probes = "pass", 0
-            elif kind == "always_prime":
-                out, probes = "prime", 0
-            elif kind == "always_composite":
-                out, probes = "composite", 0
-            elif kind == "trial_division_full":
-                out = "prime" if arith_prime else "composite"
-                probes = probes_full
-            else:  # trial_division_budget
-                if probes_full <= budget:
-                    out = "prime" if arith_prime else "composite"
-                    probes = probes_full
-                else:
-                    out, probes = "pass", budget
-            out_table[(state, t)] = out
-            cplx_table[(state, t)] = charge(probes)
-        machines.append(
-            MachineSpec(name=spec, out_table=out_table, complexity_table=cplx_table)
-        )
-
-    truth_by_type = {t: truth(t, arith) for t, arith, _ in table}
+        if kind == "trial_division_full":
+            out, probes = answer, probes_full
+        elif kind == "trial_division_budget":
+            done = probes_full <= budget
+            out, probes = np.where(done, answer, _PASS), np.where(done, probes_full, budget)
+        else:
+            out, probes = np.full(n_types, _CONSTANT_OUTPUT[kind]), np.zeros(n_types, int)
+        machines.append(MachineSpec(spec, out, np.where(probes <= config.step_cap, 0, 10)))
+    truth = is_prime.astype(np.int64)
 
     def u(s, t, a, c):
-        if a == "pass":
-            return 1.0 - c
-        correct = (a == "prime") == truth_by_type[t]
-        return (10.0 - c) if correct else (-10.0 - c)
+        return _PAYOFF[a, truth[t]] - c
 
     return CompProblem(
-        states=(state,),
-        types=types,
-        actions=("prime", "composite", "pass"),
-        prior=prior,
+        states=("true",),
+        types=tuple(range(2, config.type_bound + 1)),
+        actions=_ACTIONS,
+        prior=np.full(n_types, 1.0 / n_types),
         machines=tuple(machines),
         utility=u,
     )
@@ -306,25 +306,56 @@ def conversation_value(spec: ConversationSpec) -> float:
 
 
 def problem_to_dict(problem: CompProblem) -> dict:
-    """JSON form: labels, prior as a flat table, machines as nested tables.
+    """JSON form: labels, then the prior and each machine's tables as rows
+    [state, type, value] in cell order. The utility callable is not
+    serialized; ``problem_from_dict`` takes it as rows."""
+    cells = [(s, t) for s in problem.states for t in problem.types]
 
-    The utility callable is not serialized.
-    """
+    def rows(values):
+        return [[s, t, v] for (s, t), v in zip(cells, values)]
+
     return {
         "states": list(problem.states),
         "types": list(problem.types),
         "actions": list(problem.actions),
-        "prior": [[s, t, p] for (s, t), p in sorted(problem.prior.items(), key=repr)],
+        "prior": rows(problem.prior.tolist()),
         "machines": [
-            {
-                "name": machine.name,
-                "out": [[s, t, machine.out(s, t)] for s in problem.states for t in problem.types],
-                "complexity": [
-                    [s, t, machine.complexity(s, t)]
-                    for s in problem.states
-                    for t in problem.types
-                ],
-            }
+            {"name": machine.name,
+             "out": rows(problem.actions[a] for a in machine.out.tolist()),
+             "complexity": rows(machine.complexity.tolist())}
             for machine in problem.machines
         ],
     }
+
+
+def problem_from_dict(doc: dict) -> CompProblem:
+    """Inverse of ``problem_to_dict``, with the utility as rows [state, type,
+    action, complexity, utility] under the key "utility". A cell has at most
+    one prior row (none means zero mass), one out row and one complexity row.
+    """
+    fields = ("states", "types", "actions", "prior", "machines", "utility")
+    if missing := [key for key in fields if key not in doc]:
+        raise ValidationError(f"problem missing keys: {missing}")
+    states, types, actions = (tuple(doc[key]) for key in fields[:3])
+    cell_axes = ((states, "state"), (types, "type"))
+    cells, count = _keys(doc["prior"], cell_axes, "prior", 3)
+    prior = np.zeros(len(count))
+    prior[cells] = [row[2] for row in doc["prior"]]
+    machines = []
+    for m in doc["machines"]:
+        what = f"machine {m['name']!r}"
+        keys, count = _keys(m["out"], cell_axes + ((actions, "action"),), f"{what} out", 3)
+        per_cell = count.reshape(-1, len(actions)).sum(axis=1)
+        _one_row_each(per_cell, per_cell != 1, cell_axes, f"{what} out")
+        out = np.empty(len(per_cell), dtype=np.int64)
+        out[keys // len(actions)] = keys % len(actions)
+        cells, count = _keys(m["complexity"], cell_axes, f"{what} complexity", 3)
+        _one_row_each(count, count == 0, cell_axes, f"{what} complexity")
+        values = np.asarray([row[2] for row in m["complexity"]])
+        complexity = np.empty(len(count), dtype=values.dtype)
+        complexity[cells] = values
+        machines.append(MachineSpec(m["name"], out, complexity))
+    return CompProblem(
+        states=states, types=types, actions=actions, prior=prior, machines=tuple(machines),
+        utility=utility_from_table(doc["utility"], states, types, actions),
+    )

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, check_dynamic_policy
+from .automaton import RISKY, SAFE, AutomatonPolicy, check_dynamic_policy, kernel_row
 from .dynamic_env import DynamicSetting
 from .errors import (
     BadEtaError,
@@ -106,23 +106,18 @@ class StackEval:
 def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
     """One-step matrix of the automaton under a fixed signal distribution.
 
-    Safe states take their no-signal row; every other state averages its
-    signal rows under ``signal_probs``.
+    Each state averages its signal rows under ``signal_probs``, except that
+    a Safe state, whose row is the same for every signal, takes it as is.
     """
     m = policy.num_states
-    k = len(signal_probs)
     out = np.zeros((m, m))
-    for q in range(m):
-        if policy.actions[q] == SAFE:
-            for nxt, p in policy.kernel[(q, NO_SIGNAL)].items():
-                out[q, nxt] += p
-        else:
-            for s in range(1, k + 1):
-                ps = signal_probs[s - 1]
-                if ps == 0.0:
-                    continue
-                for nxt, p in policy.kernel[(q, s)].items():
-                    out[q, nxt] += ps * p
+    for q, row in enumerate(out):
+        weights = ((1, 1.0),) if policy.actions[q] == SAFE else enumerate(signal_probs, 1)
+        for s, ps in weights:
+            if ps == 0.0:
+                continue
+            for nxt, p in kernel_row(policy, q, s).items():
+                row[nxt] += ps * p
     return out
 
 

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, check_dynamic_policy
+from .automaton import RISKY, AutomatonPolicy, check_dynamic_policy, kernel_row
 from .dynamic_env import DynamicSetting
 from .errors import ValidationError
 from .markov_exact import exact_average_payoff
@@ -91,19 +91,13 @@ def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
     cdf_g[-1] = cdf_b[-1] = 1.0
     rows = []
     for q in range(policy.num_states):
-        if policy.actions[q] == SAFE:
-            items = sorted(policy.kernel[(q, NO_SIGNAL)].items())
+        per_signal = {}
+        for s in range(1, k + 1):
+            items = sorted(kernel_row(policy, q, s).items())
             cums = list(np.cumsum([p for _, p in items]))
             cums[-1] = 1.0
-            rows.append({0: (cums, [nxt for nxt, _ in items])})
-        else:
-            per_signal = {}
-            for s in range(1, k + 1):
-                items = sorted(policy.kernel[(q, s)].items())
-                cums = list(np.cumsum([p for _, p in items]))
-                cums[-1] = 1.0
-                per_signal[s] = (cums, [nxt for nxt, _ in items])
-            rows.append(per_signal)
+            per_signal[s] = (cums, [nxt for nxt, _ in items])
+        rows.append(per_signal)
     risky = [a == RISKY for a in policy.actions]
     return cdf_g, cdf_b, rows, risky
 
@@ -131,8 +125,8 @@ def simulate_run(
             while us >= cdf[s - 1]:
                 s += 1
             cums, nexts = rows[q][s]
-        else:
-            cums, nexts = rows[q][0]
+        else:  # Safe: no signal is drawn, and every signal's row is the same
+            cums, nexts = rows[q][1]
         um = u[base + 1]
         j = 0
         while um >= cums[j]:

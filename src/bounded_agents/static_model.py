@@ -16,13 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import AutomatonPolicy, check_policy
-from .errors import (
-    BadEtaError,
-    SignalOutOfRangeError,
-    ValidationError,
-    check_distribution,
-)
+from .automaton import AutomatonPolicy, check_policy, kernel_row
+from .errors import BadEtaError, ValidationError, check_distribution
 from .markov_exact import agent_step_matrix, stopped_state_distribution
 
 DECISIONS = ("G", "B")
@@ -122,10 +117,7 @@ def propagate_sequence(
             mass = dist[q]
             if mass == 0.0:
                 continue
-            row = policy.kernel.get((q, s))
-            if row is None:
-                raise SignalOutOfRangeError(f"state {q} has no row for signal {s}")
-            for qn, p in row.items():
+            for qn, p in kernel_row(policy, q, s).items():
                 nxt[qn] += mass * p
         dist = nxt
         out.append(dist.copy())

@@ -4,10 +4,13 @@ These deliberately avoid the code paths they check: the joint matrix is
 built by outcome enumeration instead of matrix algebra, the stationary
 vector by damped power iteration or by elimination in exact rationals
 instead of a float solve, reachability by a depth-first search over the
-dense adjacency, and stopped distributions by explicit geometric-series
-summation instead of a resolvent inverse.
+dense adjacency, stopped distributions by explicit geometric-series
+summation instead of a resolvent inverse, probe counts by trial division
+instead of a sieve, and machine expected utilities cell by cell in reverse
+with compensation instead of one product-sum.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -173,18 +176,36 @@ def reader_full_information_value(problem):
 
 
 def kahan_reversed_expected_utility(problem, machine_index):
-    """Expected utility summed in reversed index order with compensation."""
+    """Expected utility summed in reversed cell order with compensation,
+    calling the utility once per cell."""
     machine = problem.machines[machine_index]
+    states, types = np.divmod(np.arange(len(problem.prior)), len(problem.types))
     total = 0.0
     comp = 0.0
-    for s in reversed(problem.states):
-        for t in reversed(problem.types):
-            pr = problem.prior.get((s, t), 0.0)
-            if pr == 0.0:
-                continue
-            term = pr * problem.utility(s, t, machine.out(s, t), machine.complexity(s, t))
-            y = term - comp
-            candidate = total + y
-            comp = (candidate - total) - y
-            total = candidate
+    for cell in reversed(range(len(problem.prior))):
+        pr = float(problem.prior[cell])
+        if pr == 0.0:
+            continue
+        one = slice(cell, cell + 1)
+        u = problem.utility(states[one], types[one], machine.out[one], machine.complexity[one])
+        term = pr * np.asarray(u).item()
+        y = term - comp
+        candidate = total + y
+        comp = (candidate - total) - y
+        total = candidate
     return total
+
+
+def division_probes(t):
+    """(probe count, is_prime) by trial division, one divisor at a time.
+
+    Probes ascending divisors d = 2, 3, ... while d*d <= t; the count
+    includes the successful divisor.
+    """
+    root = math.isqrt(t)
+    d = 2
+    while d <= root:
+        if t % d == 0:
+            return d - 1, False
+        d += 1
+    return max(root - 1, 0), True

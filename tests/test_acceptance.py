@@ -323,24 +323,24 @@ def _random_comp_problem(rng):
     states = tuple(f"s{i}" for i in range(rng.randint(1, 3)))
     types = tuple(f"t{i}" for i in range(rng.randint(1, 5)))
     actions = ("a", "b", "c")
-    weights = {(s, t): rng.random() for s in states for t in types}
-    total = sum(weights.values())
-    prior = {st: w / total for st, w in weights.items()}
+    weights = [rng.random() for _ in range(len(states) * len(types))]
+    total = sum(weights)
+    prior = [w / total for w in weights]
     machines = tuple(
         MachineSpec(
             f"m{i}",
-            {(s, t): rng.choice(actions) for s in states for t in types},
-            {(s, t): rng.randint(0, 4) for s in states for t in types},
+            [rng.randrange(len(actions)) for _ in prior],
+            [rng.randint(0, 4) for _ in prior],
         )
         for i in range(rng.randint(1, 4))
     )
-    table = {
-        (s, t, a, c): rng.uniform(-100, 100)
+    rows = [
+        [s, t, a, c, rng.uniform(-100, 100)]
         for s in states for t in types for a in actions for c in range(5)
-    }
+    ]
     return CompProblem(
         states=states, types=types, actions=actions, prior=prior,
-        machines=machines, utility=utility_from_table(table),
+        machines=machines, utility=utility_from_table(rows, states, types, actions),
     )
 
 

@@ -226,6 +226,21 @@ class TestStaticDemo:
         assert "kernel row (0, 1) sums to 0.5" in captured.err
 
 
+    def test_safe_state_takes_its_no_signal_row(self, tmp_path, capsys):
+        # State 0 is Safe: on either signal it explores to 1 with p_exp 0.5.
+        # Signal 4 then sends state 1 back to 0: (0.5*0.5 + 0.5, 0.5*0.5, 0).
+        config = write_config(tmp_path, {
+            "policy": {"type": "a_family", "n": 2, "p_exp": 0.5, "pos": [1], "neg": [4]},
+            "demo": "first_impression", "start": 0, "sequence": [1, 4],
+        })
+        prop = tmp_path / "prop.csv"
+        assert run_cli([
+            "static-demo", "--config", config, "--propagation-csv", str(prop),
+        ]) == 0
+        assert json.loads(capsys.readouterr().out)["forward"] == "G"
+        assert prop.read_text().splitlines()[-1] == "2,0.75,0.25,0,G"
+
+
 class TestReader:
     def test_solve_and_demos(self, tmp_path, capsys):
         config = write_config(tmp_path, {
@@ -271,6 +286,70 @@ class TestMachine:
         out = json.loads(capsys.readouterr().out)
         assert out["best_machine"] == "go"
         assert out["best_eu"] == 5.0
+
+
+    def test_output_outside_actions_exits_one(self, tmp_path, capsys):
+        problem = {
+            "states": ["s"], "types": ["t1"], "actions": ["a"],
+            "prior": [["s", "t1", 1.0]],
+            "machines": [{"name": "m", "out": [["s", "t1", "zzz"]],
+                          "complexity": [["s", "t1", 0]]}],
+            "utility": [["s", "t1", "zzz", 0, 3.0]],
+        }
+        config = write_config(tmp_path, {"problem": problem})
+        assert run_cli(["machine", "--config", config]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "machine 'm' out row ['s', 't1', 'zzz'] names undeclared action 'zzz'" in captured.err
+
+    TWO_CELLS = {
+        "states": ["s"], "types": ["t1", "t2"], "actions": ["a", "b"],
+        "prior": [["s", "t1", 0.5], ["s", "t2", 0.5]],
+        "machines": [{"name": "m", "out": [["s", "t1", "a"], ["s", "t2", "b"]],
+                      "complexity": [["s", "t1", 0], ["s", "t2", 0]]}],
+        "utility": [["s", "t1", "a", 0, 1.0], ["s", "t2", "b", 0, 3.0],
+                    ["s", "t1", "b", 0, 9.0]],
+    }
+
+    @pytest.mark.parametrize("change,expected", [
+        ({}, 2.0),
+        # A cell without a prior row has zero mass and needs no utility row.
+        ({"prior": [["s", "t1", 1.0]], "utility": [["s", "t1", "a", 0, 1.0]]}, 1.0),
+        ({"prior": [["s", "t1", 0.5], ["s", "t3", 0.5]]}, "undeclared type 't3'"),
+        ({"prior": [["s", "t1", 0.5], ["s", "t2", 0.25], ["s", "t2", 0.5]]},
+         "prior has 2 rows for ('s', 't2')"),
+        ({"machines": [{"name": "m", "out": [["s", "t1", "a"], ["s", "t2", "b"],
+                                             ["s", "t1", "b"]],
+                        "complexity": [["s", "t1", 0], ["s", "t2", 0]]}]},
+         "machine 'm' out has 2 rows for ('s', 't1')"),
+        ({"machines": [{"name": "m", "out": [["s", "t1", "a"], ["s", "t2", "b"]],
+                        "complexity": [["s", "t1", 0], ["s", "t2", 0], ["x", "t1", 0]]}]},
+         "undeclared state 'x'"),
+        ({"utility": [["s", "t1", "a", 0, 1.0], ["s", "t2", "b", 0, 3.0],
+                      ["s", "t9", "b", 0, 9.0]]},
+         "undeclared type 't9'"),
+        ({"utility": [["s", "t1", "a", 0, 1.0], ["s", "t2", "b", 0, 3.0],
+                      ["s", "t2", "b", 0, 5.0]]},
+         "utility has 2 rows for ('s', 't2', 'b', 0)"),
+        ({"utility": [["s", "t1", "a", 0, 1.0], ["s", "t2", "b", 0, 3.0],
+                      ["s", "t2", "b", 0.5, 5.0]]},
+         "utility complexities must be integers"),
+        ({"utility": [["s", "t1", "a"], ["s", "t2", "b", 0, 3.0]]},
+         "utility row ['s', 't1', 'a'] needs 5 entries"),
+    ], ids=["valid", "no prior row, no utility row", "prior on undeclared type",
+            "prior cell twice", "out cell twice", "complexity on undeclared state",
+            "utility on undeclared type", "utility entry twice", "utility charge 0.5",
+            "short utility row"])
+    def test_inline_rows_name_each_declared_cell_once(self, tmp_path, capsys, change, expected):
+        config = write_config(tmp_path, {"problem": {**self.TWO_CELLS, **change}})
+        code = run_cli(["machine", "--config", config])
+        captured = capsys.readouterr()
+        if isinstance(expected, float):
+            assert code == 0
+            assert json.loads(captured.out)["best_eu"] == expected
+        else:
+            assert code == 1
+            assert expected in captured.err
 
 
 class TestReproduce:

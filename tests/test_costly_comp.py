@@ -1,9 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from oracles import kahan_reversed_expected_utility
+from oracles import division_probes, kahan_reversed_expected_utility
 
 from bounded_agents.costly_comp import (
     CompProblem,
@@ -12,9 +13,9 @@ from bounded_agents.costly_comp import (
     PrimalityConfig,
     best_machine,
     conversation_value,
-    division_probes,
     expected_utility,
     make_primality_instance,
+    problem_from_dict,
     problem_to_dict,
     utility_from_table,
     value_of_refinement,
@@ -26,57 +27,61 @@ from bounded_agents.errors import (
 )
 
 
-def constant_machine(name, action, states, types, complexity=0):
-    table = {(s, t): action for s in states for t in types}
-    cplx = {(s, t): complexity for s in states for t in types}
-    return MachineSpec(name=name, out_table=table, complexity_table=cplx)
+def constant_machine(name, action, cells, complexity=0):
+    """Machine answering action index ``action`` with one charge everywhere."""
+    return MachineSpec(name, np.full(cells, action), np.full(cells, complexity))
 
 
-def random_problem(seed):
-    """Small random problem with integer-ish utilities and a dense prior."""
+def constant_utility(value):
+    """Constant utility over the cells it is given."""
+    return lambda s, t, a, c: np.full(len(s), value)
+
+
+def random_problem_and_rows(seed):
+    """Small random problem with a dense prior, and its utility label rows."""
     rng = random.Random(seed)
     states = tuple(f"s{i}" for i in range(3))
     types = tuple(f"t{i}" for i in range(4))
     actions = ("a", "b", "c")
-    weights = [[rng.random() for _ in types] for _ in states]
-    total = sum(sum(row) for row in weights)
-    prior = {
-        (s, t): weights[i][j] / total
-        for i, s in enumerate(states)
-        for j, t in enumerate(types)
-    }
+    weights = [rng.random() for _ in range(len(states) * len(types))]
+    total = sum(weights)
+    prior = [w / total for w in weights]
     machines = []
     for mi in range(rng.randint(1, 4)):
-        out = {(s, t): rng.choice(actions) for s in states for t in types}
-        cplx = {(s, t): rng.randint(0, 5) for s in states for t in types}
+        out = [rng.randrange(len(actions)) for _ in prior]
+        cplx = [rng.randint(0, 5) for _ in prior]
         machines.append(MachineSpec(f"m{mi}", out, cplx))
-    utab = {}
-    for s in states:
-        for t in types:
-            for a in actions:
-                for c in range(6):
-                    utab[(s, t, a, c)] = rng.uniform(-10, 10)
-    return CompProblem(
+    rows = [
+        [s, t, a, c, rng.uniform(-10, 10)]
+        for s in states for t in types for a in actions for c in range(6)
+    ]
+    problem = CompProblem(
         states=states, types=types, actions=actions, prior=prior,
-        machines=tuple(machines), utility=utility_from_table(utab),
+        machines=tuple(machines),
+        utility=utility_from_table(rows, states, types, actions),
     )
+    return problem, rows
+
+
+def random_problem(seed):
+    return random_problem_and_rows(seed)[0]
 
 
 class TestExpectedUtility:
     def test_single_cell_correct_answer(self):
-        machine = constant_machine("m", "yes", ("s",), ("t",))
+        machine = constant_machine("m", 0, 1)
         problem = CompProblem(
             states=("s",), types=("t",), actions=("yes", "no"),
-            prior={("s", "t"): 1.0}, machines=(machine,),
+            prior=[1.0], machines=(machine,),
             utility=lambda s, t, a, c: 10.0 - c,
         )
         assert expected_utility(problem, 0) == pytest.approx(10.0, abs=0)
 
     def test_always_pass_value(self):
-        machine = constant_machine("pass", "pass", ("s",), ("t1", "t2"))
+        machine = constant_machine("pass", 0, 2)
         problem = CompProblem(
             states=("s",), types=("t1", "t2"), actions=("pass",),
-            prior={("s", "t1"): 0.5, ("s", "t2"): 0.5}, machines=(machine,),
+            prior=[0.5, 0.5], machines=(machine,),
             utility=lambda s, t, a, c: 1.0 - c,
         )
         assert expected_utility(problem, 0) == pytest.approx(1.0, abs=0)
@@ -95,14 +100,26 @@ class TestExpectedUtility:
             expected_utility(problem, len(problem.machines))
 
     def test_missing_utility_entry(self):
-        machine = constant_machine("m", "go", ("s",), ("t",), complexity=7)
+        machine = constant_machine("m", 0, 1, complexity=7)
         problem = CompProblem(
             states=("s",), types=("t",), actions=("go",),
-            prior={("s", "t"): 1.0}, machines=(machine,),
-            utility=utility_from_table({("s", "t", "go", 0): 1.0}),
+            prior=[1.0], machines=(machine,),
+            utility=utility_from_table([["s", "t", "go", 0, 1.0]], ("s",), ("t",), ("go",)),
         )
-        with pytest.raises(MissingUtilityEntryError):
+        with pytest.raises(MissingUtilityEntryError, match="c=7"):
             expected_utility(problem, 0)
+
+    def test_zero_prior_cells_never_reach_utility(self):
+        def u(s, t, a, c):
+            assert (t == 1).all()
+            return 2.0 - c
+
+        problem = CompProblem(
+            states=("s",), types=("t0", "t1", "t2"), actions=("go",),
+            prior=[0.0, 1.0, 0.0], machines=(MachineSpec("m", [0, 0, 0], [9, 0, 9]),),
+            utility=u,
+        )
+        assert expected_utility(problem, 0) == 2.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_scaling_invariance(self, seed):
@@ -123,35 +140,29 @@ class TestExpectedUtility:
     def test_multi_state_output_uncertainty(self):
         # Three states encode a machine that passes with probability 2/3
         # and answers (correctly) otherwise.
-        states = ("fast", "slow_a", "slow_b")
-        types = ("n",)
-        out = {("fast", "n"): "prime", ("slow_a", "n"): "pass", ("slow_b", "n"): "pass"}
-        cplx = {("fast", "n"): 0, ("slow_a", "n"): 0, ("slow_b", "n"): 0}
         problem = CompProblem(
-            states=states, types=types, actions=("prime", "pass"),
-            prior={("fast", "n"): 1 / 3, ("slow_a", "n"): 1 / 3, ("slow_b", "n"): 1 / 3},
-            machines=(MachineSpec("m", out, cplx),),
-            utility=lambda s, t, a, c: (10.0 if a == "prime" else 1.0) - c,
+            states=("fast", "slow_a", "slow_b"), types=("n",), actions=("prime", "pass"),
+            prior=[1 / 3, 1 / 3, 1 / 3],
+            machines=(MachineSpec("m", [0, 1, 1], [0, 0, 0]),),
+            utility=lambda s, t, a, c: np.where(a == 0, 10.0, 1.0) - c,
         )
         assert expected_utility(problem, 0) == pytest.approx(10 / 3 + 2 / 3, rel=1e-12)
 
 
 class TestBestMachine:
     def test_tie_breaks_to_lowest_index(self):
-        machine = constant_machine("m", "x", ("s",), ("t",))
-        clone = constant_machine("m2", "x", ("s",), ("t",))
+        machine = constant_machine("m", 0, 1)
+        clone = constant_machine("m2", 0, 1)
         problem = CompProblem(
             states=("s",), types=("t",), actions=("x",),
-            prior={("s", "t"): 1.0}, machines=(machine, clone),
-            utility=lambda s, t, a, c: 1.0,
+            prior=[1.0], machines=(machine, clone), utility=constant_utility(1.0),
         )
         assert best_machine(problem)[0] == 0
 
     def test_no_machines(self):
         problem = CompProblem(
             states=("s",), types=("t",), actions=("x",),
-            prior={("s", "t"): 1.0}, machines=(),
-            utility=lambda s, t, a, c: 1.0,
+            prior=[1.0], machines=(), utility=constant_utility(1.0),
         )
         with pytest.raises(NoMachinesError):
             best_machine(problem)
@@ -201,16 +212,34 @@ class TestPrimalityInstance:
     def test_types_and_prior(self, instance_2_16):
         assert instance_2_16.types[0] == 2
         assert instance_2_16.types[-1] == 2**16
-        assert sum(instance_2_16.prior.values()) == pytest.approx(1.0, abs=1e-12)
+        assert instance_2_16.prior.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_budget_machine_passes_when_exhausted(self):
         config = PrimalityConfig(
             type_bound=16, machines=("trial_division_budget:1",)
         )
         problem = make_primality_instance(config)
-        machine = problem.machines[0]
-        assert machine.out("true", 9) == "pass"  # only d=2 fits in the budget
-        assert machine.out("true", 4) == "composite"
+        out = problem.machines[0].out
+        assert problem.actions[out[problem.types.index(9)]] == "pass"  # only d=2 fits
+        assert problem.actions[out[problem.types.index(4)]] == "composite"
+
+    def test_tables_match_division_probes(self):
+        cap, budget = 5, 10
+        problem = make_primality_instance(PrimalityConfig(
+            type_bound=3000, step_cap=cap,
+            machines=("trial_division_full", f"trial_division_budget:{budget}"),
+        ))
+        full, budgeted = problem.machines
+        for cell, t in enumerate(problem.types):
+            probes, prime = division_probes(t)
+            answer = "prime" if prime else "composite"
+            assert problem.actions[full.out[cell]] == answer
+            assert full.complexity[cell] == (0 if probes <= cap else 10)
+            if probes <= budget:
+                assert problem.actions[budgeted.out[cell]] == answer
+            else:
+                assert problem.actions[budgeted.out[cell]] == "pass"
+            assert budgeted.complexity[cell] == (0 if min(probes, budget) <= cap else 10)
 
     def test_golden_expected_utilities(self, instance_2_16):
         golden = {
@@ -224,6 +253,17 @@ class TestPrimalityInstance:
             assert expected_utility(instance_2_16, i) == pytest.approx(
                 golden[machine.name], abs=1e-9
             )
+
+    def test_sum_runs_left_to_right(self, instance_2_16):
+        # Bit for bit the cell-by-cell loop, so reproduce output keeps its bits.
+        problem = instance_2_16
+        types = np.arange(len(problem.types))
+        for i, machine in enumerate(problem.machines):
+            u = problem.utility(np.zeros_like(types), types, machine.out, machine.complexity)
+            total = 0.0
+            for pr, x in zip(problem.prior.tolist(), u.tolist()):
+                total += pr * x
+            assert expected_utility(problem, i) == total
 
     def test_always_prime_formula_against_fresh_sieve(self, instance_2_16):
         bound = 2**16
@@ -254,16 +294,6 @@ class TestPrimalityInstance:
         assert problem.machines[idx].name == "trial_division_budget:4"
         assert value == pytest.approx(7.601235980774, abs=1e-9)
 
-    def test_prime_truth_override(self):
-        # Division still reports arithmetic, but correctness is judged
-        # against the supplied (possibly wrong) truth table.
-        truth = {("true", t): False for t in range(2, 11)}
-        problem = make_primality_instance(
-            PrimalityConfig(type_bound=10, machines=("always_composite",),
-                            prime_truth=truth)
-        )
-        assert expected_utility(problem, 0) == pytest.approx(10.0, rel=1e-12)
-
     def test_unknown_machine_spec(self):
         with pytest.raises(ValidationError):
             PrimalityConfig(machines=("divide_and_hope",))
@@ -272,12 +302,11 @@ class TestPrimalityInstance:
 class TestValueOfRefinement:
     def guessing_problem(self, key_bits, payoff=1000.0):
         types = tuple(range(2**key_bits))
-        prior = {(0, t): 1.0 / len(types) for t in types}
-        machine = constant_machine("guess_zero", 0, (0,), types)
+        machine = constant_machine("guess_zero", 0, len(types))
         return CompProblem(
-            states=(0,), types=types, actions=types, prior=prior,
-            machines=(machine,),
-            utility=lambda s, t, a, c: (payoff if a == t else 0.0) - c,
+            states=(0,), types=types, actions=types,
+            prior=np.full(len(types), 1.0 / len(types)), machines=(machine,),
+            utility=lambda s, t, a, c: np.where(a == t, payoff, 0.0) - c,
         )
 
     def test_identity_refinement_is_zero(self):
@@ -288,9 +317,7 @@ class TestValueOfRefinement:
         problem = random_problem(8)
         best_existing = best_machine(problem)[1]
         dominating = MachineSpec(
-            "dom",
-            dict(problem.machines[0].out_table),
-            {k: 0 for k in problem.machines[0].complexity_table},
+            "dom", problem.machines[0].out, np.zeros_like(problem.machines[0].complexity)
         )
         richer = CompProblem(
             states=problem.states, types=problem.types, actions=problem.actions,
@@ -339,22 +366,34 @@ class TestConversationValue:
 
 
 def test_prior_must_sum_to_one():
-    machine = constant_machine("m", "x", ("s",), ("t",))
+    machine = constant_machine("m", 0, 1)
     with pytest.raises(ValidationError):
         CompProblem(
             states=("s",), types=("t",), actions=("x",),
-            prior={("s", "t"): 0.9}, machines=(machine,),
-            utility=lambda s, t, a, c: 1.0,
+            prior=[0.9], machines=(machine,), utility=constant_utility(1.0),
         )
 
 
 def test_machine_tables_must_be_total():
-    machine = MachineSpec("m", {("s", "t1"): "x"}, {("s", "t1"): 0})
+    machine = MachineSpec("m", [0], [0])
     with pytest.raises(ValidationError):
         CompProblem(
             states=("s",), types=("t1", "t2"), actions=("x",),
-            prior={("s", "t1"): 0.5, ("s", "t2"): 0.5}, machines=(machine,),
-            utility=lambda s, t, a, c: 1.0,
+            prior=[0.5, 0.5], machines=(machine,), utility=constant_utility(1.0),
+        )
+
+
+@pytest.mark.parametrize("out,complexity,match", [
+    ([0, 1], [0, 0], "action index 1 at cell \\('s', 't2'\\)"),
+    ([0, -1], [0, 0], "action index -1"),
+    ([0, 0], [0, 0.5], "needs integer tables"),
+])
+def test_machine_tables_hold_action_indices_and_integer_charges(out, complexity, match):
+    with pytest.raises(ValidationError, match=match):
+        CompProblem(
+            states=("s",), types=("t1", "t2"), actions=("x",),
+            prior=[0.5, 0.5], machines=(MachineSpec("m", out, complexity),),
+            utility=constant_utility(1.0),
         )
 
 
@@ -364,3 +403,9 @@ def test_serialization_shape():
     assert set(doc) == {"states", "types", "actions", "prior", "machines"}
     assert doc["machines"][0].keys() == {"name", "out", "complexity"}
     assert sum(p for _, _, p in doc["prior"]) == pytest.approx(1.0, abs=1e-12)
+    # problem_from_dict inverts problem_to_dict, utility rows added.
+    for seed in range(12):
+        problem, rows = random_problem_and_rows(seed)
+        back = problem_from_dict({**problem_to_dict(problem), "utility": rows})
+        for i in range(len(problem.machines)):
+            assert expected_utility(back, i) == expected_utility(problem, i)

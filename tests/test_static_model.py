@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from bounded_agents.automaton import build_a_family, build_linear_sticky, AFamilyParams
-from bounded_agents.errors import BadEtaError, NonStochasticError, ValidationError
+from bounded_agents.errors import (
+    BadEtaError,
+    NonStochasticError,
+    SignalOutOfRangeError,
+    ValidationError,
+)
 from oracles import geometric_series_stopped
 
 from bounded_agents.markov_exact import agent_step_matrix
@@ -159,6 +164,16 @@ class TestPropagateSequence:
             seq = [rng.randint(1, 4) for _ in range(rng.randint(0, 12))]
             for dist in propagate_sequence(policy, rng.randint(0, 4), seq):
                 assert abs(dist.sum() - 1.0) <= 1e-10
+
+    def test_safe_state_ignores_the_signal(self):
+        ladder = build_a_family(4, AFamilyParams(n=2, p_exp=0.5, pos={1}, neg={4}))
+        dists = propagate_sequence(ladder, 0, [1, 4])
+        assert dists[1] == pytest.approx([0.5, 0.5, 0], abs=0)
+        assert dists[2] == pytest.approx([0.75, 0.25, 0], abs=0)
+
+    def test_missing_signal_row_raises(self):
+        with pytest.raises(SignalOutOfRangeError, match="state 1 has no row for signal 5"):
+            propagate_sequence(sticky_policy(), 2, [1, 5])
 
     def test_sticky_zero_row_dominates_escape(self):
         # Identity state-0 row keeps weakly more mass at 0 than any escape.

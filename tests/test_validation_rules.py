@@ -53,7 +53,7 @@ DISTRIBUTION_ENTRY_POINTS = {
     "StaticSetting": lambda vec: StaticSetting(k=3, pG=FINE, pB=vec, eta=0.1),
     "CompProblem": lambda vec: CompProblem(
         states=("s",), types=(1, 2, 3), actions=("a",),
-        prior={("s", t): p for t, p in zip((1, 2, 3), vec)},
+        prior=vec,
         machines=(), utility=lambda s, t, a, c: 0.0,
     ),
     "check_policy": _kernel_rows,
