@@ -25,6 +25,7 @@ the formal story only fixes the first two.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
@@ -55,6 +56,14 @@ class MachineSpec:
         object.__setattr__(self, "complexity", np.asarray(self.complexity))
 
 
+def _check_labels(states, types, actions) -> None:
+    """Raise ValidationError naming the first axis that repeats a label, and the label."""
+    for axis, labels in (("state", states), ("type", types), ("action", actions)):
+        if len(set(labels)) < len(labels):
+            label, count = Counter(labels).most_common(1)[0]
+            raise ValidationError(f"{axis} label {label!r} is declared {count} times")
+
+
 @dataclass(frozen=True)
 class CompProblem:
     """Machine choice over the cells (state, type) in state-major order."""
@@ -67,6 +76,7 @@ class CompProblem:
     utility: UtilityFn
 
     def __post_init__(self):
+        _check_labels(self.states, self.types, self.actions)
         shape = (len(self.states) * len(self.types),)
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != shape:
@@ -337,6 +347,8 @@ def problem_from_dict(doc: dict) -> CompProblem:
     if missing := [key for key in fields if key not in doc]:
         raise ValidationError(f"problem missing keys: {missing}")
     states, types, actions = (tuple(doc[key]) for key in fields[:3])
+    # Rows name cells by label, so repeats must be refused before any row is read.
+    _check_labels(states, types, actions)
     cell_axes = ((states, "state"), (types, "type"))
     cells, count = _keys(doc["prior"], cell_axes, "prior", 3)
     prior = np.zeros(len(count))

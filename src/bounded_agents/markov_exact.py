@@ -121,7 +121,7 @@ def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
     return out
 
 
-def _agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):
+def agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):
     """Step matrices in G and in B of a policy the joint chain can take."""
     check_dynamic_policy(policy, setting.k)
     return agent_step_matrix(policy, setting.pG), agent_step_matrix(policy, setting.pB)
@@ -146,7 +146,7 @@ def joint_matrices(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> np.ndarr
 
 def build_joint_chain(setting: DynamicSetting, policy: AutomatonPolicy) -> JointChainModel:
     """Compose the automaton with switching nature into one Markov chain."""
-    a_good, a_bad = _agent_matrices(setting, policy)
+    a_good, a_bad = agent_matrices(setting, policy)
     P = joint_matrices(a_good[None], a_bad[None], setting.pi)[0]
     return JointChainModel(dim=len(P), P=P, reward=joint_reward(setting, policy.actions),
                            num_agent_states=policy.num_states)
@@ -407,26 +407,6 @@ def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
     mu[failed] = residual[failed] = np.nan
     return StackEval(mu=mu, residual=residual, payoff=_payoffs(mu, reward), ok=ok,
                      cut_off=cut_off, solve_errors=errors)
-
-
-def policy_payoffs(setting: DynamicSetting, policies) -> list[float]:
-    """exact_average_payoff of each policy, solved in stacks. The policies
-    share one action labeling; the first whose chain fails raises its error."""
-    if not policies:
-        return []
-    actions = policies[0].actions
-    if any(p.actions != actions for p in policies):
-        raise DimensionMismatchError("stacked policies must share one action labeling")
-    reward = joint_reward(setting, actions)
-    step = stack_len(reward.size)
-    payoffs: list[float] = []
-    for lo in range(0, len(policies), step):
-        a_good, a_bad = zip(*(_agent_matrices(setting, p) for p in policies[lo:lo + step]))
-        ev = evaluate_stack(np.array(a_good), np.array(a_bad), setting.pi, reward)
-        if not ev.ok.all():
-            raise ev.error(int(np.argmin(ev.ok)))
-        payoffs.extend(ev.payoff.tolist())
-    return payoffs
 
 
 def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .markov_exact import (
-    evaluate_stack, exact_average_payoff, joint_reward, policy_payoffs, stack_len,
+    agent_matrices, evaluate_stack, exact_average_payoff, joint_reward, stack_len,
 )
 
 DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
@@ -99,32 +99,38 @@ def optimize_pexp(
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
 
-    trace: list[tuple[float, float]] = []
-    seen: set[float] = set()
+    base = AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
+    ladder = build_a_family(setting.k, base)
+    agent = np.array(agent_matrices(setting, ladder))
+    reward = joint_reward(setting, ladder.actions)
+    step = stack_len(reward.size)
+    trace: dict[float, float] = {}
 
     def evaluate(points):
-        fresh = [p for p in points if p not in seen]
-        seen.update(fresh)
-        params = dict(n=n, pos=pos, neg=neg, r_u=r_u, r_d=r_d)
-        policies = [build_a_family(setting.k, AFamilyParams(p_exp=p, **params)) for p in fresh]
-        trace.extend(zip(fresh, policy_payoffs(setting, policies)))
+        fresh = [p for p in dict.fromkeys(points) if p not in trace]
+        # Every point is validated before any stack is solved.
+        p_exp = np.array([replace(base, p_exp=p).p_exp for p in fresh])
+        for lo in range(0, len(fresh), step):
+            ps = p_exp[lo:lo + step]
+            stack = np.repeat(agent[:, None], len(ps), axis=1)
+            # p_exp is only the Safe row [1 - p, p, 0, ...], the same in G and B.
+            stack[:, :, 0, 0], stack[:, :, 0, 1] = 1.0 - ps, ps
+            ev = evaluate_stack(*stack, setting.pi, reward)
+            if not ev.ok.all():
+                raise ev.error(int(np.argmin(ev.ok)))
+            trace.update(zip(fresh[lo:lo + step], ev.payoff.tolist()))
 
     evaluate(grid)
     for _ in range(refine_rounds):
-        best_p, _ = max(trace, key=lambda t: (t[1], -t[0]))
-        xs = sorted(p for p, _ in trace)
+        best_p, _ = max(trace.items(), key=lambda t: (t[1], -t[0]))
+        xs = sorted(trace)
         i = xs.index(best_p)
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
         evaluate([float(p) for p in np.linspace(lo, hi, REFINE_POINTS)])
 
-    best_p, best_v = max(trace, key=lambda t: (t[1], -t[0]))
-    return OptResult(
-        best_pexp=best_p,
-        best_payoff=best_v,
-        grid_trace=tuple(trace),
-        partition=(pos, neg),
-    )
+    best_p, best_v = max(trace.items(), key=lambda t: (t[1], -t[0]))
+    return OptResult(best_pexp=best_p, best_payoff=best_v, grid_trace=tuple(trace.items()),
+                     partition=(pos, neg))
 
 
 def legal_partitions(k: int):

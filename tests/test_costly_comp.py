@@ -409,3 +409,33 @@ def test_serialization_shape():
         back = problem_from_dict({**problem_to_dict(problem), "utility": rows})
         for i in range(len(problem.machines)):
             assert expected_utility(back, i) == expected_utility(problem, i)
+
+
+def _problem_with_labels(entry, states, types, actions):
+    """A uniform-prior problem over the given labels with one row per declared
+    cell, built directly or from its JSON form."""
+    cells = [(s, t) for s in states for t in types]
+    if entry == "CompProblem":
+        return CompProblem(
+            states=states, types=types, actions=actions,
+            prior=np.full(len(cells), 1.0 / len(cells)),
+            machines=(constant_machine("m", 0, len(cells)),),
+            utility=constant_utility(1.0),
+        )
+    return problem_from_dict({
+        "states": list(states), "types": list(types), "actions": list(actions),
+        "prior": [[s, t, 1.0 / len(cells)] for s, t in cells],
+        "machines": [{"name": "m", "out": [[s, t, actions[0]] for s, t in cells],
+                      "complexity": [[s, t, 0] for s, t in cells]}],
+        "utility": [[s, t, a, 0, 1.0] for s, t in cells for a in actions],
+    })
+
+
+@pytest.mark.parametrize("entry", ["CompProblem", "problem_from_dict"])
+@pytest.mark.parametrize("axis", ["state", "type", "action"])
+def test_repeated_label_is_refused_naming_axis_and_label(entry, axis):
+    labels = {"state": ("s1", "s2"), "type": ("t1", "t2"), "action": ("a", "b")}
+    _problem_with_labels(entry, *labels.values())
+    labels[axis] = (labels[axis][0],) * 2
+    with pytest.raises(ValidationError, match=f"{axis} label '{labels[axis][0]}' "):
+        _problem_with_labels(entry, *labels.values())

@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from bounded_agents import optimize
 from bounded_agents.automaton import (
     RISKY,
     SAFE,
@@ -103,17 +106,41 @@ class TestOptimizePexp:
             optimize_pexp(paper_setting, n=2, grid=(0.0, 0.5))
 
     def test_stacked_trace_matches_single_evaluations(self, paper_setting):
-        # The grid and each refinement are solved as one stack; every traced
-        # payoff must carry the bits of a one-at-a-time evaluation.
-        partition = (frozenset({1}), frozenset({4}))
-        result = optimize_pexp(paper_setting, n=2, partition=partition)
-        assert len(result.grid_trace) > len(DEFAULT_PEXP_GRID)
-        for p, value in result.grid_trace:
-            policy = build_a_family(
-                paper_setting.k,
-                AFamilyParams(n=2, p_exp=p, pos=partition[0], neg=partition[1]),
-            )
-            assert value == exact_average_payoff(paper_setting, policy)
+        # Grid points share one ladder and differ in its Safe row only; every
+        # traced payoff must carry the bits of a policy built for that point.
+        assert 1.0 in DEFAULT_PEXP_GRID
+        partitions = [
+            (frozenset({1}), frozenset({4})),  # signals 2 and 3 ignored
+            (frozenset({1, 2}), frozenset({3, 4})),
+        ]
+        for n, (r_u, r_d), (pos, neg) in itertools.product(
+            (1, 2, 4), ((1.0, 1.0), (0.5, 0.7)), partitions
+        ):
+            result = optimize_pexp(paper_setting, n=n, partition=(pos, neg), r_u=r_u, r_d=r_d)
+            assert len(result.grid_trace) > len(DEFAULT_PEXP_GRID)
+            for p, value in result.grid_trace:
+                params = AFamilyParams(n=n, p_exp=p, pos=pos, neg=neg, r_u=r_u, r_d=r_d)
+                policy = build_a_family(paper_setting.k, params)
+                assert value == exact_average_payoff(paper_setting, policy), params
+
+    def test_repeated_grid_point_counts_once(self, paper_setting):
+        # A repeated point must not be its own neighbour, or the refinement
+        # spans [0.01, 0.01] and adds nothing.
+        repeated = optimize_pexp(paper_setting, n=4, grid=(0.01, 0.01, 0.2))
+        assert repeated == optimize_pexp(paper_setting, n=4, grid=(0.01, 0.2))
+        assert len(repeated.grid_trace) == 18
+
+    def test_one_ladder_built_per_search(self, paper_setting, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return build_a_family(*args)
+
+        monkeypatch.setattr(optimize, "build_a_family", counting)
+        optimize_pexp(paper_setting, n=4)
+        optimize.optimize_rates(paper_setting, n=2, rate_grid=(0.5, 1.0), grid=COARSE_GRID)
+        assert len(calls) == 1 + 4
 
     def test_failing_point_raises_the_single_path_error(self):
         # Signal 1 never occurs, so the ladder cannot climb past state 1 and

@@ -20,11 +20,7 @@ from bounded_agents.automaton import (
 from bounded_agents.costly_comp import CompProblem
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import DimensionMismatchError, NonStochasticError
-from bounded_agents.markov_exact import (
-    build_joint_chain,
-    exact_average_payoff,
-    policy_payoffs,
-)
+from bounded_agents.markov_exact import build_joint_chain, exact_average_payoff
 from bounded_agents.montecarlo import SimConfig, simulate_run
 from bounded_agents.static_model import StaticSetting
 
@@ -99,7 +95,6 @@ BAD_DYNAMIC_POLICIES = {
 DYNAMIC_ENTRY_POINTS = {
     "exact_average_payoff": exact_average_payoff,
     "build_joint_chain": build_joint_chain,
-    "policy_payoffs": lambda setting, policy: policy_payoffs(setting, [policy]),
     "simulate_run": lambda setting, policy: simulate_run(
         setting, policy, SimConfig(rounds=100, seed=1)),
 }
