@@ -5,6 +5,14 @@ pair, a distribution over next states. States whose action is SAFE observe
 nothing (the distinct NO_SIGNAL observation); every other state observes
 one of the signals 1..k.
 
+A policy is stored as two (m, k, r) arrays: ``next_state[q, s - 1]`` and
+``prob[q, s - 1]`` hold the r entries of the row of state q on signal s, in
+the order given. Shorter rows are padded with probability-0 entries to q
+itself, and a Safe state's one row is copied into every signal slot, so a
+reader takes row (q, s) whatever the action. ``kernel`` is a derived view in
+the dict form {(state, observation): {next_state: probability}};
+``policy_from_dict`` is the one way in from that form.
+
 Two constructors cover the families used elsewhere:
 
 * ``build_a_family``: a ladder of N+1 states. State 0 plays safe and
@@ -21,7 +29,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .errors import (
     BadProbabilityError,
@@ -38,60 +48,51 @@ HOLD = "hold"
 # Observation key used by SAFE states; risky/hold states use signals 1..k.
 NO_SIGNAL = None
 
-# kernel maps (state, observation) -> {next_state: probability}
-Kernel = Mapping[tuple[int, "int | None"], Mapping[int, float]]
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AutomatonPolicy:
-    """Immutable finite-state policy; safe to share across threads."""
+    """Finite-state policy; nothing writes its arrays, so threads may share it."""
 
     num_states: int
     initial_state: int
     actions: tuple[str, ...]
-    kernel: dict[tuple[int, int | None], dict[int, float]]
+    next_state: np.ndarray
+    prob: np.ndarray
 
-    def observations(self, state: int, k: int) -> tuple:
-        """Observation keys consumed in ``state`` for a k-signal environment."""
-        if self.actions[state] == SAFE:
-            return (NO_SIGNAL,)
-        return tuple(range(1, k + 1))
+    def row_key(self, q: int, s: int) -> tuple[int, int | None]:
+        """Dict-form key of slot s (0-based) of state q."""
+        return (q, NO_SIGNAL if self.actions[q] == SAFE else s + 1)
 
-
-def kernel_row(policy: AutomatonPolicy, state: int, signal: int) -> Mapping[int, float]:
-    """Next-state distribution of ``state`` on ``signal``. A Safe state
-    observes nothing, so it takes its NoSignal row whatever the signal; any
-    other state without a row for ``signal`` raises SignalOutOfRangeError."""
-    obs = NO_SIGNAL if policy.actions[state] == SAFE else signal
-    try:
-        return policy.kernel[(state, obs)]
-    except KeyError:
-        raise SignalOutOfRangeError(f"state {state} has no row for signal {signal}") from None
+    @property
+    def kernel(self) -> dict[tuple[int, int | None], dict[int, float]]:
+        """The rows as {(state, observation): {next_state: probability}}, positive
+        entries only, (q, NO_SIGNAL) for a Safe state; a new dict on each read."""
+        return {
+            self.row_key(q, s): {n: p for n, p in zip(nexts, probs) if p > 0.0}
+            for q, rows in enumerate(zip(self.next_state.tolist(), self.prob.tolist()))
+            for s, (nexts, probs) in enumerate(zip(*rows))
+            if s == 0 or self.actions[q] != SAFE
+        }
 
 
 def check_policy(policy: AutomatonPolicy, k: int) -> None:
-    """Raise unless every kernel row is stochastic and keyed as required; keys
-    other than the observations of signals 1..k raise DimensionMismatchError."""
-    if not (0 <= policy.initial_state < policy.num_states):
+    """Raise unless the arrays hold one stochastic row per state and signal
+    1..k, each targeting a state; arrays not shaped (num_states, k, r) raise
+    DimensionMismatchError. Builders copy a Safe state's row to every slot."""
+    m = policy.num_states
+    if not (0 <= policy.initial_state < m):
         raise ValidationError(f"initial state {policy.initial_state} out of range")
-    if len(policy.actions) != policy.num_states:
+    if len(policy.actions) != m:
         raise ValidationError("one action label required per state")
-    expected_keys = set()
-    for q in range(policy.num_states):
-        for obs in policy.observations(q, k):
-            expected_keys.add((q, obs))
-    if set(policy.kernel) != expected_keys:
-        extra = set(policy.kernel) - expected_keys
-        missing = expected_keys - set(policy.kernel)
-        raise DimensionMismatchError(
-            f"kernel keys do not match observations of signals 1..{k} "
-            f"(extra={sorted(map(str, extra))}, missing={sorted(map(str, missing))})"
-        )
-    for key, row in policy.kernel.items():
-        for nxt in row:
-            if not (0 <= nxt < policy.num_states):
-                raise ValidationError(f"row {key} targets invalid state {nxt}")
-        check_distribution(row.values(), "kernel row %s", key)
+    nxt, prob = policy.next_state, policy.prob
+    if nxt.shape != prob.shape or prob.ndim != 3 or prob.shape[:2] != (m, k):
+        raise DimensionMismatchError(f"rows shaped {nxt.shape} and {prob.shape} do not "
+                                     f"match {m} states and signals 1..{k}")
+    outside = np.argwhere((nxt < 0) | (nxt >= m))
+    if len(outside):
+        q, s, j = map(int, outside[0])
+        raise ValidationError(f"row {policy.row_key(q, s)} targets invalid state {nxt[q, s, j]}")
+    check_distribution(prob, lambda q, s: f"kernel row {policy.row_key(q, s)}")
 
 
 def check_dynamic_policy(policy: AutomatonPolicy, k: int) -> None:
@@ -138,10 +139,14 @@ class AFamilyParams:
         return frozenset(range(1, k + 1)) - self.pos - self.neg
 
 
-def _two_point(target: int, move_prob: float, stay: int) -> dict[int, float]:
-    if move_prob >= 1.0:
-        return {target: 1.0}
-    return {target: move_prob, stay: 1.0 - move_prob}
+def _move_or_stay(actions: tuple[str, ...], target: np.ndarray, move: np.ndarray,
+                  initial_state: int = 0) -> AutomatonPolicy:
+    """Policy whose row (q, s) moves to target[q, s - 1] with probability
+    move[q, s - 1] and otherwise stays at q (a probability-0 pad if it moves surely)."""
+    stay = np.broadcast_to(np.arange(len(target))[:, None], target.shape)
+    return AutomatonPolicy(num_states=len(target), initial_state=initial_state, actions=actions,
+                           next_state=np.stack([target, stay], axis=-1),
+                           prob=np.stack([move, 1.0 - move], axis=-1))
 
 
 def build_a_family(k: int, params: AFamilyParams) -> AutomatonPolicy:
@@ -150,23 +155,14 @@ def build_a_family(k: int, params: AFamilyParams) -> AutomatonPolicy:
         if not (1 <= s <= k):
             raise SignalOutOfRangeError(f"signal {s} outside 1..{k}")
     n = params.n
-    actions = (SAFE,) + (RISKY,) * n
-    kernel: dict[tuple[int, int | None], dict[int, float]] = {}
-    kernel[(0, NO_SIGNAL)] = _two_point(1, params.p_exp, 0)
-    for i in range(1, n + 1):
-        for s in range(1, k + 1):
-            if s in params.pos:
-                if i == n:
-                    kernel[(i, s)] = {n: 1.0}
-                else:
-                    kernel[(i, s)] = _two_point(i + 1, params.r_u, i)
-            elif s in params.neg:
-                kernel[(i, s)] = _two_point(i - 1, params.r_d, i)
-            else:
-                kernel[(i, s)] = {i: 1.0}
-    return AutomatonPolicy(
-        num_states=n + 1, initial_state=0, actions=actions, kernel=kernel
-    )
+    signals = range(1, k + 1)
+    pos, neg = (np.array([s in side for s in signals]) for side in (params.pos, params.neg))
+    rung = np.arange(n + 1)[:, None]
+    target = np.where(pos, np.minimum(rung + 1, n), np.where(neg, rung - 1, rung))
+    move = np.where(pos, np.where(rung == n, 1.0, params.r_u), np.where(neg, params.r_d, 1.0))
+    # The Safe state explores whatever the signal.
+    target[0], move[0] = 1, params.p_exp
+    return _move_or_stay((SAFE,) + (RISKY,) * n, target, move)
 
 
 def build_linear_sticky(
@@ -201,66 +197,72 @@ def build_linear_sticky(
     if good_signal == bad_signal:
         raise ValidationError("good and bad signals must differ")
 
-    kernel: dict[tuple[int, int | None], dict[int, float]] = {}
-    last = num_states - 1
-    for q in range(num_states):
-        for s in range(1, k + 1):
-            if s == good_signal and q > 0:
-                kernel[(q, s)] = _two_point(q - 1, left_prob[q], q)
-            elif s == bad_signal and q < last:
-                kernel[(q, s)] = _two_point(q + 1, right_prob[q], q)
-            else:
-                kernel[(q, s)] = {q: 1.0}
-    return AutomatonPolicy(
-        num_states=num_states,
-        initial_state=initial_state,
-        actions=(HOLD,) * num_states,
-        kernel=kernel,
-    )
+    signals = np.arange(1, k + 1)
+    q = np.arange(num_states)[:, None]
+    left = (signals == good_signal) & (q > 0)
+    right = (signals == bad_signal) & (q < num_states - 1)
+    target = np.where(left, q - 1, np.where(right, q + 1, q))
+    move = np.where(left, np.asarray(left_prob, dtype=float)[:, None],
+                    np.where(right, np.asarray(right_prob, dtype=float)[:, None], 1.0))
+    return _move_or_stay((HOLD,) * num_states, target, move, initial_state)
 
 
-def _obs_key(obs) -> str:
-    return "NoSignal" if obs is NO_SIGNAL else str(obs)
-
-
-def _obs_from_key(key: str):
-    return NO_SIGNAL if key == "NoSignal" else int(key)
+def _parse_key(key) -> tuple[int, int | None]:
+    """(state, observation) of a "state:obs" kernel key."""
+    try:
+        q, obs = key.split(":")
+        return int(q), NO_SIGNAL if obs == "NoSignal" else int(obs)
+    except (AttributeError, ValueError):
+        raise ValidationError(f"kernel key {key!r} is not state:obs") from None
 
 
 def policy_to_dict(policy: AutomatonPolicy) -> dict:
     """JSON-ready form: kernel keyed "state:obs" with sparse rows."""
-    kernel = {
-        f"{q}:{_obs_key(obs)}": {str(nxt): p for nxt, p in sorted(row.items())}
-        for (q, obs), row in sorted(
-            policy.kernel.items(), key=lambda kv: (kv[0][0], _obs_key(kv[0][1]))
-        )
-    }
     return {
-        "num_states": policy.num_states,
-        "initial_state": policy.initial_state,
+        "num_states": policy.num_states, "initial_state": policy.initial_state,
         "actions": list(policy.actions),
-        "kernel": kernel,
+        "kernel": {f"{q}:{'NoSignal' if obs is NO_SIGNAL else obs}":
+                   {str(nxt): p for nxt, p in sorted(row.items())}
+                   for (q, obs), row in policy.kernel.items()},
     }
 
 
-def policy_from_dict(doc: dict) -> AutomatonPolicy:
-    kernel: dict[tuple[int, int | None], dict[int, float]] = {}
-    for key, row in doc["kernel"].items():
-        state_part, obs_part = key.split(":", 1)
-        kernel[(int(state_part), _obs_from_key(obs_part))] = {
-            int(nxt): float(p) for nxt, p in row.items()
-        }
-    return AutomatonPolicy(
-        num_states=int(doc["num_states"]),
-        initial_state=int(doc["initial_state"]),
-        actions=tuple(doc["actions"]),
-        kernel=kernel,
-    )
+def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
+    """Policy from its JSON form (see policy_to_dict), one state per action
+    label. The kernel needs one row "q:NoSignal" per Safe state and "q:s" per
+    other state and signal 1..k, else DimensionMismatchError names the extra
+    and missing keys; check_policy checks the rest."""
+    missing = [f for f in ("num_states", "initial_state", "actions", "kernel") if f not in doc]
+    if missing:
+        raise ValidationError(f"policy missing fields: {missing}")
+    for name in ("num_states", "initial_state"):
+        if not isinstance(doc[name], int):
+            raise ValidationError(f"policy {name} must be an integer, got {doc[name]!r}")
+    actions = tuple(doc["actions"])
+    m = len(actions)
+    rows = {_parse_key(key): {int(nxt): float(p) for nxt, p in row.items()}
+            for key, row in doc["kernel"].items()}
+    expected = {(q, obs) for q, a in enumerate(actions)
+                for obs in ((NO_SIGNAL,) if a == SAFE else range(1, k + 1))}
+    if rows.keys() != expected:
+        extra, missing = rows.keys() - expected, expected - rows.keys()
+        raise DimensionMismatchError(
+            f"kernel keys do not match observations of signals 1..{k} "
+            f"(extra={sorted(map(str, extra))}, missing={sorted(map(str, missing))})")
+    r = max([1, *map(len, rows.values())])
+    next_state = np.repeat(np.arange(m), k * r).reshape(m, k, r)
+    prob = np.zeros((m, k, r))
+    for (q, obs), row in rows.items():
+        slots = slice(None) if obs is NO_SIGNAL else obs - 1
+        next_state[q, slots, :len(row)] = list(row)
+        prob[q, slots, :len(row)] = list(row.values())
+    return AutomatonPolicy(num_states=doc["num_states"], initial_state=doc["initial_state"],
+                           actions=actions, next_state=next_state, prob=prob)
 
 
 def policy_to_json(policy: AutomatonPolicy) -> str:
     return json.dumps(policy_to_dict(policy), indent=2, sort_keys=True)
 
 
-def policy_from_json(text: str) -> AutomatonPolicy:
-    return policy_from_dict(json.loads(text))
+def policy_from_json(text: str, k: int) -> AutomatonPolicy:
+    return policy_from_dict(json.loads(text), k)

@@ -99,7 +99,7 @@ def _policy_from_config(doc: dict, k: int) -> AutomatonPolicy:
             initial_state=doc.get("initial_state", 0),
         )
     if kind == "policy":
-        policy = policy_from_dict(doc)
+        policy = policy_from_dict(doc, k)
         check_policy(policy, k)
         return policy
     raise ValidationError(f"unknown automaton type {kind!r}")

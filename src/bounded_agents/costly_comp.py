@@ -81,7 +81,7 @@ class CompProblem:
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != shape:
             raise ValidationError(f"prior has shape {prior.shape}, not {shape}")
-        check_distribution(prior.tolist(), "prior")
+        check_distribution(prior, "prior")
         object.__setattr__(self, "prior", prior)
         for m in self.machines:
             if any(x.shape != shape or x.dtype.kind not in "iu" for x in (m.out, m.complexity)):

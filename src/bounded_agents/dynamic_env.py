@@ -56,8 +56,7 @@ def validate_setting(
         raise ValidationError(
             f"signal vectors must have length k={k}, got {len(pG)} and {len(pB)}"
         )
-    check_distribution(pG, "pG")
-    check_distribution(pB, "pB")
+    check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
     if not (xG > 0.0 > xB):
         raise BadPayoffSignError(f"need xG > 0 > xB, got xG={xG}, xB={xB}")
     if not (0.0 < pi <= 0.5):

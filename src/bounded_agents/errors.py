@@ -4,6 +4,8 @@ Validation errors subclass ValueError so callers can catch either the
 specific class or the built-in.
 """
 
+import numpy as np
+
 # Absorbs decimal round-off in user-entered vectors, nothing more.
 PROB_SUM_TOL = 1e-12
 
@@ -89,14 +91,32 @@ class SolveFailedError(BoundedAgentsError):
     """The stationary linear solve failed or left too large a residual."""
 
 
-def check_distribution(probs, label: str, *label_args) -> None:
-    """Raise NonStochasticError unless every entry of ``probs`` lies in [0, 1]
-    and they sum to within PROB_SUM_TOL of 1; never normalizes. The message
-    names the vector ``label % label_args``, formatted only on failure."""
-    total = 0.0
-    for p in probs:
-        if not (0.0 <= p <= 1.0):
-            raise NonStochasticError(f"{label % label_args} has entry {p!r} outside [0, 1]")
-        total += p
-    if abs(total - 1.0) > PROB_SUM_TOL:
-        raise NonStochasticError(f"{label % label_args} sums to {total!r}, not 1")
+def stochastic_rows(probs) -> np.ndarray:
+    """Mask of the rows of ``probs`` along its last axis that are
+    distributions: every entry in [0, 1] and a sum, taken left to right,
+    within PROB_SUM_TOL of 1."""
+    probs = np.asarray(probs, dtype=float)
+    in_range = ((probs >= 0.0) & (probs <= 1.0)).all(axis=-1)
+    return in_range & (np.abs(_sum(probs) - 1.0) <= PROB_SUM_TOL)
+
+
+def _sum(probs: np.ndarray) -> np.ndarray:
+    return np.add.accumulate(probs, axis=-1)[..., -1] if probs.shape[-1] else probs.sum(-1)
+
+
+def check_distribution(probs, label) -> None:
+    """Raise NonStochasticError unless every row of ``probs`` is a
+    distribution (see stochastic_rows); never normalizes. The message names
+    the first faulty row: ``label`` for a vector, ``label(*index)`` for a row
+    of a larger array, so that name is formatted only on failure."""
+    probs = np.asarray(probs, dtype=float)
+    ok = stochastic_rows(probs)
+    if ok.all():
+        return
+    index = np.unravel_index(np.argmin(ok), ok.shape)
+    row = probs[index]
+    name = label(*map(int, index)) if callable(label) else label
+    outside = row[~((row >= 0.0) & (row <= 1.0))]
+    if outside.size:
+        raise NonStochasticError(f"{name} has entry {float(outside[0])!r} outside [0, 1]")
+    raise NonStochasticError(f"{name} sums to {float(_sum(row))!r}, not 1")

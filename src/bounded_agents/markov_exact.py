@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .automaton import RISKY, SAFE, AutomatonPolicy, check_dynamic_policy, kernel_row
+from .automaton import RISKY, SAFE, AutomatonPolicy, check_dynamic_policy
 from .dynamic_env import DynamicSetting
 from .errors import (
     BadEtaError,
@@ -104,21 +104,17 @@ class StackEval:
 
 
 def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
-    """One-step matrix of the automaton under a fixed signal distribution.
-
-    Each state averages its signal rows under ``signal_probs``, except that
-    a Safe state, whose row is the same for every signal, takes it as is.
+    """One-step matrix of the automaton under a fixed signal distribution:
+    each state averages its signal rows under ``signal_probs``, adding them
+    in signal order, except that a Safe state takes its one row as is.
     """
-    m = policy.num_states
-    out = np.zeros((m, m))
-    for q, row in enumerate(out):
-        weights = ((1, 1.0),) if policy.actions[q] == SAFE else enumerate(signal_probs, 1)
-        for s, ps in weights:
-            if ps == 0.0:
-                continue
-            for nxt, p in kernel_row(policy, q, s).items():
-                row[nxt] += ps * p
-    return out
+    m, k = policy.num_states, len(signal_probs)
+    safe = np.array([a == SAFE for a in policy.actions], dtype=bool)[:, None]
+    weight = np.where(safe, np.arange(k) == 0, np.asarray(signal_probs, dtype=float))
+    # bincount adds in input order, so signal-major input keeps signal order.
+    cells = (np.arange(m)[:, None, None] * m + policy.next_state).transpose(1, 0, 2)
+    terms = (weight[:, :, None] * policy.prob).transpose(1, 0, 2)
+    return np.bincount(cells.ravel(), terms.ravel(), minlength=m * m).reshape(m, m)
 
 
 def agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import RISKY, AutomatonPolicy, check_dynamic_policy, kernel_row
+from .automaton import RISKY, AutomatonPolicy, check_dynamic_policy
 from .dynamic_env import DynamicSetting
 from .errors import ValidationError
 from .markov_exact import exact_average_payoff
@@ -84,20 +84,18 @@ class ComparisonReport:
 
 
 def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
-    """Flatten the policy into cumulative lookup lists for the hot loop."""
-    k = setting.k
+    """Lookup lists for the hot loop: ``rows[q][s - 1]`` holds the cumulative
+    sums and next states of row (q, s), its positive entries in next-state
+    order (the last sum set to 1.0), then zero entries the draw never reaches."""
     cdf_g = list(np.cumsum(setting.pG))
     cdf_b = list(np.cumsum(setting.pB))
     cdf_g[-1] = cdf_b[-1] = 1.0
-    rows = []
-    for q in range(policy.num_states):
-        per_signal = {}
-        for s in range(1, k + 1):
-            items = sorted(kernel_row(policy, q, s).items())
-            cums = list(np.cumsum([p for _, p in items]))
-            cums[-1] = 1.0
-            per_signal[s] = (cums, [nxt for nxt, _ in items])
-        rows.append(per_signal)
+    zero = policy.prob == 0.0
+    order = np.argsort(policy.next_state + policy.num_states * zero, axis=-1, kind="stable")
+    cums = np.cumsum(np.take_along_axis(policy.prob, order, -1), axis=-1)
+    cums[np.arange(cums.shape[-1]) >= (~zero).sum(axis=-1, keepdims=True) - 1] = 1.0
+    nexts = np.take_along_axis(policy.next_state, order, -1)
+    rows = [list(zip(*per_state)) for per_state in zip(cums.tolist(), nexts.tolist())]
     risky = [a == RISKY for a in policy.actions]
     return cdf_g, cdf_b, rows, risky
 
@@ -121,12 +119,12 @@ def simulate_run(
             payoffs[t] = pay[theta]
             us = u[base]
             cdf = cdf_g if theta == 0 else cdf_b
-            s = 1
-            while us >= cdf[s - 1]:
+            s = 0
+            while us >= cdf[s]:
                 s += 1
-            cums, nexts = rows[q][s]
         else:  # Safe: no signal is drawn, and every signal's row is the same
-            cums, nexts = rows[q][1]
+            s = 0
+        cums, nexts = rows[q][s]
         um = u[base + 1]
         j = 0
         while um >= cums[j]:

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import NO_SIGNAL, RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
+from .automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
 from .dynamic_env import DynamicSetting, is_nontrivial, validate_setting
 from .errors import (
     GridTooLargeError,
@@ -29,6 +29,7 @@ from .errors import (
     TooManySignalsError,
     TrivialSettingError,
     ValidationError,
+    stochastic_rows,
 )
 from .markov_exact import (
     agent_matrices, evaluate_stack, exact_average_payoff, joint_reward, stack_len,
@@ -284,30 +285,18 @@ def trace_csv(result: OptResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _row_options(q: int, m: int, grid: Sequence[float]) -> list[tuple[float, ...]]:
-    """Distinct rows at state q: grid-weighted mixtures of stay/up/down.
+def _row_options(q: int, m: int, grid: Sequence[float]) -> np.ndarray:
+    """Distinct rows at state q, sorted: grid-weighted mixtures of stay/up/down.
 
-    Moves past either end fold into stay, then duplicates are removed, so
-    the candidate count reflects genuinely distinct rows.
+    Moves past either end fold into stay. Only rows that are distributions
+    by the package's one rule are kept, and duplicates are removed, so the
+    candidate count reflects genuinely distinct rows.
     """
-    rows = set()
-    for ws in grid:
-        for wu in grid:
-            for wd in grid:
-                if abs(ws + wu + wd - 1.0) > 1e-9:
-                    continue
-                row = [0.0] * m
-                row[q] += ws
-                if q + 1 < m:
-                    row[q + 1] += wu
-                else:
-                    row[q] += wu
-                if q - 1 >= 0:
-                    row[q - 1] += wd
-                else:
-                    row[q] += wd
-                rows.add(tuple(row))
-    return sorted(rows)
+    w = np.array(list(itertools.product(grid, repeat=3))).reshape(-1, 3)
+    rows = np.zeros((len(w), m))
+    for j, target in enumerate((q, min(q + 1, m - 1), max(q - 1, 0))):
+        rows[:, target] += w[:, j]
+    return np.unique(rows[stochastic_rows(rows)], axis=0)
 
 
 def brute_force_policy_search(
@@ -331,7 +320,7 @@ def brute_force_policy_search(
         raise ValidationError("prob_grid entries must lie in [0, 1]")
     m = num_states
     k = setting.k
-    options = [np.asarray(_row_options(q, m, grid)) for q in range(m)]
+    options = [_row_options(q, m, grid) for q in range(m)]
 
     # Per state: SAFE picks one row; RISKY picks one row per signal. A
     # candidate is a mixed-radix index over these digits, signal-major
@@ -376,13 +365,13 @@ def brute_force_policy_search(
             "every enumerated candidate was reducible or failed the stationary checks"
         )
 
-    # Decode the winning candidate back into a policy.
+    # Decode the winning candidate: the digits of state q are its one Safe
+    # row, broadcast to every signal slot, or its k Risky rows.
     acts, digits, radixes, index = best
-    kernel: dict[tuple[int, int | None], dict[int, float]] = {}
-    for (q, s), choice in zip(digits, np.unravel_index(index, radixes)):
-        row = options[q][choice]
-        kernel[(q, NO_SIGNAL if s is None else s + 1)] = {
-            i: float(p) for i, p in enumerate(row) if p > 0.0
-        }
-    policy = AutomatonPolicy(num_states=m, initial_state=0, actions=acts, kernel=kernel)
-    return policy, best_val
+    choice = np.array(np.unravel_index(index, radixes))
+    owner = np.array([q for q, _ in digits])
+    prob = np.empty((m, k, m))
+    for q in range(m):
+        prob[q] = options[q][choice[owner == q]]
+    next_state = np.broadcast_to(np.arange(m), prob.shape)
+    return AutomatonPolicy(m, 0, acts, next_state, prob), best_val

@@ -179,11 +179,7 @@ def _diff(name: str, actual, golden, failures: list[str]) -> None:
         if a.shape != g.shape or np.max(np.abs(a - g)) > GOLDEN_TOL:
             failures.append(f"{name}: matrix differs from golden")
         return
-    if isinstance(golden, str):
-        if actual != golden:
-            failures.append(f"{name}: {actual!r} != golden {golden!r}")
-        return
-    if isinstance(golden, bool) or isinstance(golden, int):
+    if isinstance(golden, (str, int)):  # bool is an int
         if actual != golden:
             failures.append(f"{name}: {actual!r} != golden {golden!r}")
         return

@@ -16,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import AutomatonPolicy, check_policy, kernel_row
-from .errors import BadEtaError, ValidationError, check_distribution
+from .automaton import AutomatonPolicy, check_policy
+from .errors import BadEtaError, SignalOutOfRangeError, ValidationError, check_distribution
 from .markov_exact import agent_step_matrix, stopped_state_distribution
 
 DECISIONS = ("G", "B")
@@ -45,8 +45,7 @@ class StaticSetting:
         object.__setattr__(self, "pB", pB)
         if len(pG) != self.k or len(pB) != self.k:
             raise ValidationError("signal vectors must have length k")
-        check_distribution(pG, "pG")
-        check_distribution(pB, "pB")
+        check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
         if not (0.0 < self.eta <= 1.0):
             raise BadEtaError(f"eta must be in (0, 1], got {self.eta}")
         if not (0.0 <= self.prior_G <= 1.0):
@@ -104,23 +103,23 @@ def propagate_sequence(
     """State distribution after each prefix of an explicit signal sequence.
 
     The empty prefix is included, so the result has len(sequence) + 1
-    entries and starts with the point mass at ``start``.
+    entries and starts with the point mass at ``start``. A signal outside
+    1..k raises SignalOutOfRangeError whichever states hold the mass.
     """
     if not (0 <= start < policy.num_states):
         raise ValidationError(f"start state {start} out of range")
+    k = policy.prob.shape[1]
     dist = np.zeros(policy.num_states)
     dist[start] = 1.0
-    out = [dist.copy()]
+    out = [dist]
     for s in sequence:
-        nxt = np.zeros_like(dist)
-        for q in range(policy.num_states):
-            mass = dist[q]
-            if mass == 0.0:
-                continue
-            for qn, p in kernel_row(policy, q, s).items():
-                nxt[qn] += mass * p
-        dist = nxt
-        out.append(dist.copy())
+        if s not in range(1, k + 1):
+            raise SignalOutOfRangeError(
+                f"state {np.flatnonzero(dist)[0]} has no row for signal {s} (signals are 1..{k})")
+        j = int(s) - 1
+        dist = np.zeros_like(dist)
+        np.add.at(dist, policy.next_state[:, j], out[-1][:, None] * policy.prob[:, j])
+        out.append(dist)
     return out
 
 

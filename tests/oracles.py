@@ -6,8 +6,10 @@ vector by damped power iteration or by elimination in exact rationals
 instead of a float solve, reachability by a depth-first search over the
 dense adjacency, stopped distributions by explicit geometric-series
 summation instead of a resolvent inverse, probe counts by trial division
-instead of a sieve, and machine expected utilities cell by cell in reverse
-with compensation instead of one product-sum.
+instead of a sieve, machine expected utilities cell by cell in reverse
+with compensation instead of one product-sum, and agent step matrices and
+simulator tables by walking a policy's dict view row by row instead of its
+arrays.
 """
 
 import math
@@ -15,7 +17,55 @@ from fractions import Fraction
 
 import numpy as np
 
-from bounded_agents.automaton import NO_SIGNAL, SAFE
+from bounded_agents.automaton import NO_SIGNAL, SAFE, policy_from_dict
+
+
+def dict_policy(actions, kernel, k, initial_state=0):
+    """Policy from a {(state, obs): {next: p}} kernel, through the JSON form
+    that policy_from_dict reads."""
+    return policy_from_dict({
+        "num_states": len(actions), "initial_state": initial_state,
+        "actions": list(actions),
+        "kernel": {f"{q}:{'NoSignal' if obs is NO_SIGNAL else obs}": row
+                   for (q, obs), row in kernel.items()},
+    }, k)
+
+
+def dict_walk_step_matrix(policy, signal_probs):
+    """Agent step matrix by walking the dict view: each state adds its
+    signal rows weighted by ``signal_probs`` in signal order, skipping
+    zero-probability signals; a Safe state adds its one row with weight 1."""
+    kernel = policy.kernel
+    m = policy.num_states
+    out = np.zeros((m, m))
+    for q, row in enumerate(out):
+        if policy.actions[q] == SAFE:
+            weights = ((NO_SIGNAL, 1.0),)
+        else:
+            weights = enumerate(signal_probs, 1)
+        for s, ps in weights:
+            if ps == 0.0:
+                continue
+            for nxt, p in kernel[(q, s)].items():
+                row[nxt] += ps * p
+    return out
+
+
+def dict_walk_sim_rows(policy, k):
+    """Simulator lookup rows by walking the dict view: per state and
+    signal 1..k, the cumulative sums of the row's entries in next-state
+    order, the last set to 1.0, and the next states."""
+    kernel = policy.kernel
+    rows = []
+    for q in range(policy.num_states):
+        per_signal = []
+        for s in range(1, k + 1):
+            items = sorted(kernel[(q, NO_SIGNAL if policy.actions[q] == SAFE else s)].items())
+            cums = list(np.cumsum([p for _, p in items]))
+            cums[-1] = 1.0
+            per_signal.append((cums, [nxt for nxt, _ in items]))
+        rows.append(per_signal)
+    return rows
 
 
 def enumerated_joint_matrix(setting, policy):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from bounded_agents.automaton import (
@@ -9,11 +11,13 @@ from bounded_agents.automaton import (
     build_a_family,
     build_linear_sticky,
     check_policy,
+    policy_from_dict,
     policy_from_json,
     policy_to_json,
 )
 from bounded_agents.errors import (
     BadProbabilityError,
+    DimensionMismatchError,
     SignalOutOfRangeError,
     ValidationError,
 )
@@ -156,14 +160,70 @@ class TestLinearSticky:
 
 def test_policy_json_round_trip(ladder_policy_5):
     text = policy_to_json(ladder_policy_5)
-    restored = policy_from_json(text)
-    assert restored == ladder_policy_5
+    restored = policy_from_json(text, 4)
+    assert restored.kernel == ladder_policy_5.kernel
+    assert policy_to_json(restored) == text
 
 
 def test_policy_json_shape(ladder_policy_5):
-    import json
-
     doc = json.loads(policy_to_json(ladder_policy_5))
     assert set(doc) == {"num_states", "initial_state", "actions", "kernel"}
     assert "0:NoSignal" in doc["kernel"]
     assert "1:4" in doc["kernel"]
+
+
+def _ladder_doc(**changes):
+    doc = json.loads(policy_to_json(build_a_family(
+        2, AFamilyParams(n=1, p_exp=0.5, pos=frozenset({1}), neg=frozenset({2})))))
+    return {**doc, **changes}
+
+
+class TestPolicyFromDict:
+    def test_reads_its_own_json_form(self):
+        policy = policy_from_dict(_ladder_doc(), 2)
+        check_policy(policy, 2)
+        assert policy.kernel[(0, NO_SIGNAL)] == {0: 0.5, 1: 0.5}
+        assert policy.kernel[(1, 2)] == {0: 1.0}
+
+    @pytest.mark.parametrize("field", ["num_states", "initial_state", "actions", "kernel"])
+    def test_missing_field_is_named(self, field):
+        doc = _ladder_doc()
+        del doc[field]
+        with pytest.raises(ValidationError, match=f"missing fields: \\['{field}'\\]"):
+            policy_from_dict(doc, 2)
+
+    @pytest.mark.parametrize("key", ["1", "1-2", "1:2:3", "a:1", "1:x"])
+    def test_malformed_key_is_named(self, key):
+        doc = _ladder_doc()
+        doc["kernel"][key] = doc["kernel"].pop("1:2")
+        with pytest.raises(ValidationError, match=f"kernel key '{key}' is not state:obs"):
+            policy_from_dict(doc, 2)
+
+    @pytest.mark.parametrize("field", ["num_states", "initial_state"])
+    @pytest.mark.parametrize("value", [2.5, "2"])
+    def test_non_integer_count_is_refused(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            policy_from_dict(_ladder_doc(**{field: value}), 2)
+
+    def test_key_set_mismatch_names_extra_and_missing(self):
+        doc = _ladder_doc()
+        doc["kernel"]["0:1"] = doc["kernel"].pop("0:NoSignal")
+        with pytest.raises(DimensionMismatchError) as err:
+            policy_from_dict(doc, 2)
+        assert "extra=['(0, 1)']" in str(err.value)
+        assert "missing=['(0, None)']" in str(err.value)
+
+    def test_signal_count_comes_from_the_caller(self):
+        with pytest.raises(DimensionMismatchError, match="missing=\\['\\(1, 3\\)'\\]"):
+            policy_from_dict(_ladder_doc(), 3)
+
+
+def test_kernel_view_lists_positive_entries_only():
+    policy = build_linear_sticky(3, [0.0, 0.0, 1.0], [1.0, 0.0, 0.0], 1, 2, k=2)
+    # State 1's rows move with probability 0: their targets are padding.
+    assert policy.kernel[(1, 1)] == {1: 1.0}
+    assert policy.kernel[(1, 2)] == {1: 1.0}
+    assert policy.kernel[(0, 2)] == {1: 1.0}
+    view = policy.kernel
+    view[(0, 2)][0] = 0.5
+    assert policy.kernel[(0, 2)] == {1: 1.0}

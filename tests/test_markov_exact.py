@@ -8,7 +8,6 @@ from bounded_agents.automaton import (
     RISKY,
     SAFE,
     AFamilyParams,
-    AutomatonPolicy,
     build_a_family,
     build_linear_sticky,
 )
@@ -21,6 +20,7 @@ from bounded_agents.errors import (
 from oracles import (
     connectivity_gaps,
     damped_power_iteration,
+    dict_policy,
     enumerated_joint_matrix,
     exact_average_payoff_fraction,
     geometric_series_stopped,
@@ -132,9 +132,7 @@ class TestStationary:
         kernel = {(0, NO_SIGNAL): {1: 1.0}}
         for s in range(1, 5):
             kernel[(1, s)] = {1: 1.0}
-        policy = AutomatonPolicy(
-            num_states=2, initial_state=0, actions=(SAFE, RISKY), kernel=kernel
-        )
+        policy = dict_policy((SAFE, RISKY), kernel, 4)
         chain = build_joint_chain(paper_setting, policy)
         with pytest.raises(ReducibleChainError) as err:
             stationary(chain)
@@ -359,7 +357,7 @@ class TestStackedKernel:
         stuck = {(0, NO_SIGNAL): {1: 1.0}, **{(1, s): {1: 1.0} for s in range(1, 5)}}
         policies = [
             build_a_family(4, AFamilyParams(n=1, p_exp=0.1, **PAPER_SIDES)),
-            AutomatonPolicy(num_states=2, initial_state=0, actions=(SAFE, RISKY), kernel=stuck),
+            dict_policy((SAFE, RISKY), stuck, 4),
         ]
         ev = self.stack(paper_setting, policies)
         assert ev.ok.tolist() == [True, False]

@@ -114,15 +114,14 @@ class TestCompareExactMc:
         )
 
     def test_propagates_reducible_chain(self, paper_setting):
-        from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy
+        from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE
         from bounded_agents.errors import ReducibleChainError
+        from oracles import dict_policy
 
         kernel = {(0, NO_SIGNAL): {1: 1.0}}
         for s in range(1, 5):
             kernel[(1, s)] = {1: 1.0}
-        stuck = AutomatonPolicy(
-            num_states=2, initial_state=0, actions=(SAFE, RISKY), kernel=kernel
-        )
+        stuck = dict_policy((SAFE, RISKY), kernel, 4)
         with pytest.raises(ReducibleChainError):
             compare_exact_mc(paper_setting, stuck, SimConfig(rounds=1_000, seed=1))
 

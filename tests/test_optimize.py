@@ -8,7 +8,6 @@ from bounded_agents.automaton import (
     RISKY,
     SAFE,
     AFamilyParams,
-    AutomatonPolicy,
     build_a_family,
 )
 from bounded_agents.dynamic_env import validate_setting
@@ -20,6 +19,7 @@ from bounded_agents.errors import (
     ValidationError,
 )
 from bounded_agents.markov_exact import exact_average_payoff
+from oracles import dict_policy
 from bounded_agents.optimize import (
     DEFAULT_PEXP_GRID,
     ScheduleSpec,
@@ -283,10 +283,7 @@ class TestBruteForce:
         # Only two one-state policies exist; always-risky earns (xG + xB) / 2.
         assert value == pytest.approx((s.xG + s.xB) / 2.0, abs=1e-12)
         assert policy.actions == (RISKY,)
-        always_risky = AutomatonPolicy(
-            num_states=1, initial_state=0, actions=(RISKY,),
-            kernel={(0, s_): {0: 1.0} for s_ in (1, 2)},
-        )
+        always_risky = dict_policy((RISKY,), {(0, s_): {0: 1.0} for s_ in (1, 2)}, 2)
         assert exact_average_payoff(s, always_risky) == pytest.approx(value, abs=1e-12)
 
     def test_returned_policy_is_well_formed(self, paper_setting):
@@ -297,6 +294,17 @@ class TestBruteForce:
         )
         check_policy(policy, paper_setting.k)
         assert all(a in (SAFE, RISKY) for a in policy.actions)
+
+    def test_candidate_rows_obey_the_distribution_rule(self, paper_setting):
+        # 3 * 0.3333333333 is 1e-10 short of 1: within a loose filter, but
+        # not a distribution, so no candidate may carry such a row.
+        from bounded_agents.automaton import check_policy
+
+        policy, value = brute_force_policy_search(
+            paper_setting, 2, prob_grid=(0.0, 0.3333333333, 1.0)
+        )
+        check_policy(policy, paper_setting.k)
+        assert exact_average_payoff(paper_setting, policy) == value
 
     @pytest.mark.parametrize("seed", range(3))
     def test_winner_agrees_with_exact_evaluator_on_random_settings(self, seed):

@@ -10,7 +10,7 @@ from bounded_agents.errors import (
     SignalOutOfRangeError,
     ValidationError,
 )
-from oracles import geometric_series_stopped
+from oracles import dict_policy, geometric_series_stopped
 
 from bounded_agents.markov_exact import agent_step_matrix
 from bounded_agents.static_model import (
@@ -175,6 +175,12 @@ class TestPropagateSequence:
         with pytest.raises(SignalOutOfRangeError, match="state 1 has no row for signal 5"):
             propagate_sequence(sticky_policy(), 2, [1, 5])
 
+    @pytest.mark.parametrize("sequence", [[7], [1, 7], [0]])
+    def test_out_of_range_signal_raises_from_a_safe_start(self, sequence):
+        ladder = build_a_family(4, AFamilyParams(n=2, p_exp=0.5, pos={1}, neg={4}))
+        with pytest.raises(SignalOutOfRangeError, match=f"signal {sequence[-1]} "):
+            propagate_sequence(ladder, 0, sequence)
+
     def test_sticky_zero_row_dominates_escape(self):
         # Identity state-0 row keeps weakly more mass at 0 than any escape.
         frozen = sticky_policy(1, escape=0.0)
@@ -234,12 +240,9 @@ class TestFirstImpressionDemo:
             row = ladder.kernel.get((q, 1), {q: 1.0})
             for s in range(1, 5):
                 kernel[(q, s)] = dict(row)
-        from bounded_agents.automaton import HOLD, AutomatonPolicy
+        from bounded_agents.automaton import HOLD
 
-        policy = AutomatonPolicy(
-            num_states=ladder.num_states, initial_state=0,
-            actions=(HOLD,) * ladder.num_states, kernel=kernel,
-        )
+        policy = dict_policy((HOLD,) * ladder.num_states, kernel, 4)
         rng = random.Random(3)
         rule = threshold_rule(policy.num_states)
         for _ in range(10):
