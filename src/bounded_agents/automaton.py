@@ -77,8 +77,8 @@ class AutomatonPolicy:
 
 def check_policy(policy: AutomatonPolicy, k: int) -> None:
     """Raise unless the arrays hold one stochastic row per state and signal
-    1..k, each targeting a state; arrays not shaped (num_states, k, r) raise
-    DimensionMismatchError. Builders copy a Safe state's row to every slot."""
+    1..k, each targeting a state, and a Safe state's row is the same in every
+    slot; arrays not shaped (num_states, k, r) raise DimensionMismatchError."""
     m = policy.num_states
     if not (0 <= policy.initial_state < m):
         raise ValidationError(f"initial state {policy.initial_state} out of range")
@@ -93,6 +93,11 @@ def check_policy(policy: AutomatonPolicy, k: int) -> None:
         q, s, j = map(int, outside[0])
         raise ValidationError(f"row {policy.row_key(q, s)} targets invalid state {nxt[q, s, j]}")
     check_distribution(prob, lambda q, s: f"kernel row {policy.row_key(q, s)}")
+    safe = np.array([a == SAFE for a in policy.actions])
+    differs = np.argwhere(safe[:, None] & ((nxt != nxt[:, :1]) | (prob != prob[:, :1])).any(-1))
+    if len(differs):
+        q, s = map(int, differs[0])
+        raise ValidationError(f"Safe state {q} has different rows in signal slots 1 and {s + 1}")
 
 
 def check_dynamic_policy(policy: AutomatonPolicy, k: int) -> None:
@@ -207,13 +212,18 @@ def build_linear_sticky(
     return _move_or_stay((HOLD,) * num_states, target, move, initial_state)
 
 
-def _parse_key(key) -> tuple[int, int | None]:
-    """(state, observation) of a "state:obs" kernel key."""
+def _parse_row(key, row) -> tuple[tuple[int, int | None], dict[int, float]]:
+    """(state, observation) of a "state:obs" kernel key, and its row as {next: p}."""
     try:
         q, obs = key.split(":")
-        return int(q), NO_SIGNAL if obs == "NoSignal" else int(obs)
+        state_obs = int(q), NO_SIGNAL if obs == "NoSignal" else int(obs)
     except (AttributeError, ValueError):
         raise ValidationError(f"kernel key {key!r} is not state:obs") from None
+    try:
+        return state_obs, {int(nxt): float(p) for nxt, p in row.items()}
+    except (AttributeError, TypeError, ValueError):
+        raise ValidationError(f"kernel row {key!r} is not an object of next state: "
+                              f"probability, got {row!r}") from None
 
 
 def policy_to_dict(policy: AutomatonPolicy) -> dict:
@@ -240,8 +250,7 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
             raise ValidationError(f"policy {name} must be an integer, got {doc[name]!r}")
     actions = tuple(doc["actions"])
     m = len(actions)
-    rows = {_parse_key(key): {int(nxt): float(p) for nxt, p in row.items()}
-            for key, row in doc["kernel"].items()}
+    rows = dict(_parse_row(key, row) for key, row in doc["kernel"].items())
     expected = {(q, obs) for q, a in enumerate(actions)
                 for obs in ((NO_SIGNAL,) if a == SAFE else range(1, k + 1))}
     if rows.keys() != expected:

@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     )
     seeds = config.get("seeds")
     if seeds:
-        results = run_seed_sweep(setting, policy, sim_config, seeds, workers=args.workers)
+        results = run_seed_sweep(setting, policy, sim_config, seeds)
         lines = ["seed,mean,std_error"]
         for s, result in zip(seeds, results):
             lines.append(f"{s},{fmt(result.mean)},{fmt(result.std_error)}")
@@ -160,10 +160,7 @@ def cmd_simulate(args) -> int:
         result = simulate_run(setting, policy, sim_config)
         _write(args.out, sim_result_csv(result))
     if args.sidecar:
-        _emit_json(
-            {"config": config, "seed": seed, "workers": args.workers},
-            args.sidecar,
-        )
+        _emit_json({"config": config, "seed": seed}, args.sidecar)
     return 0
 
 
@@ -375,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
         **{"--chain-csv": dict(default=None, help="also write the joint chain CSV")})
     add("simulate", cmd_simulate,
         **{"--seed": dict(type=int, default=None, help="override the config seed"),
-           "--sidecar": dict(default=None, help="JSON provenance sidecar path"),
-           "--workers": dict(type=int, default=1, help="processes for a seed sweep")})
+           "--sidecar": dict(default=None, help="JSON provenance sidecar path")})
     add("optimize", cmd_optimize,
         **{"--trace-csv": dict(default=None, help="also write the search trace CSV")})
     add("limit-curve", cmd_limit_curve)

@@ -5,10 +5,16 @@ uniform at counter i is a pure function of (seed, i), so runs are
 bit-reproducible across platforms and Python versions. The counter layout
 is fixed: counter 0 picks the initial nature state (G iff u < 0.5), and
 round t consumes counters 1+3t, 2+3t, 3+3t for the signal draw, the
-kernel-row draw, and the nature flip. The signal uniform is consumed but
-unused in safe states so that the layout never depends on the trajectory.
-Signals and kernel rows are sampled by inverse CDF in index order; the
-sampling path contains no transcendental calls.
+kernel-row draw, and the nature flip. A Safe state's row is the same in
+every signal slot, so the signal drawn in a Safe round changes nothing and
+the layout never depends on the trajectory. Signals and kernel rows are
+sampled by inverse CDF in index order; the sampling path contains no
+transcendental calls.
+
+Nature, signals and payoffs do not depend on the agent, so they are arrays;
+only the agent is walked round by round. The rounds run as a burn-in segment
+and one segment per batch (later rounds are not simulated), each drawn in
+slabs of SLAB rounds, so memory is one batch's payoffs plus one slab.
 
 Per-round payoffs are autocorrelated when pi is small, so the standard
 error uses batch means rather than an i.i.d. formula.
@@ -16,8 +22,8 @@ error uses batch means rather than an i.i.d. formula.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -30,6 +36,8 @@ from .markov_exact import exact_average_payoff
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
+
+SLAB = 1 << 16  # rounds drawn per uniform_stream call
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -53,6 +61,11 @@ class SimConfig:
     batches: int = 20
 
     def __post_init__(self):
+        for name in ("rounds", "seed", "burn_in", "batches"):
+            value = getattr(self, name)
+            unset = name == "burn_in" and value is None
+            if not unset and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.rounds < 1:
             raise ValidationError(f"rounds must be positive, got {self.rounds}")
         if self.batches < 2:
@@ -84,20 +97,18 @@ class ComparisonReport:
 
 
 def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
-    """Lookup lists for the hot loop: ``rows[q][s - 1]`` holds the cumulative
-    sums and next states of row (q, s), its positive entries in next-state
-    order (the last sum set to 1.0), then zero entries the draw never reaches."""
-    cdf_g = list(np.cumsum(setting.pG))
-    cdf_b = list(np.cumsum(setting.pB))
-    cdf_g[-1] = cdf_b[-1] = 1.0
+    """Lookup tables: the signal slot is the count of ``cdf_g`` or ``cdf_b``
+    (the first k - 1 cumulative sums) at or below the uniform. ``rows[q][s - 1]``
+    holds the cumulative sums and next states of row (q, s), its positive entries
+    in next-state order (the last sum set to 1.0), then zero entries never drawn."""
+    cdf_g, cdf_b = (np.cumsum(p)[:-1] for p in (setting.pG, setting.pB))
     zero = policy.prob == 0.0
     order = np.argsort(policy.next_state + policy.num_states * zero, axis=-1, kind="stable")
     cums = np.cumsum(np.take_along_axis(policy.prob, order, -1), axis=-1)
     cums[np.arange(cums.shape[-1]) >= (~zero).sum(axis=-1, keepdims=True) - 1] = 1.0
     nexts = np.take_along_axis(policy.next_state, order, -1)
     rows = [list(zip(*per_state)) for per_state in zip(cums.tolist(), nexts.tolist())]
-    risky = [a == RISKY for a in policy.actions]
-    return cdf_g, cdf_b, rows, risky
+    return cdf_g, cdf_b, rows
 
 
 def simulate_run(
@@ -105,45 +116,43 @@ def simulate_run(
 ) -> SimResult:
     """Simulate one seeded run; a deterministic function of its inputs."""
     check_dynamic_policy(policy, setting.k)
-    cdf_g, cdf_b, rows, risky = _compiled_tables(setting, policy)
-    rounds = config.rounds
-    u = uniform_stream(config.seed, 0, 1 + 3 * rounds)
-    theta = 0 if u[0] < 0.5 else 1  # 0 = G, 1 = B; nature starts stationary
+    cdf_g, cdf_b, rows = _compiled_tables(setting, policy)
+    risky = np.array([a == RISKY for a in policy.actions])
     q = policy.initial_state
-    payoffs = np.zeros(rounds)
-    pay = (setting.xG, setting.xB)
-    pi = setting.pi
-    for t in range(rounds):
-        base = 1 + 3 * t
-        if risky[q]:
-            payoffs[t] = pay[theta]
-            us = u[base]
-            cdf = cdf_g if theta == 0 else cdf_b
-            s = 0
-            while us >= cdf[s]:
-                s += 1
-        else:  # Safe: no signal is drawn, and every signal's row is the same
-            s = 0
-        cums, nexts = rows[q][s]
-        um = u[base + 1]
-        j = 0
-        while um >= cums[j]:
-            j += 1
-        q = nexts[j]
-        if u[base + 2] < pi:
-            theta ^= 1
-
-    kept = payoffs[config.burn_in :]
-    per_batch = len(kept) // config.batches
-    used = per_batch * config.batches
-    bm = kept[:used].reshape(config.batches, per_batch).mean(axis=1)
-    mean = float(bm.mean())
-    std_error = float(bm.std(ddof=1) / np.sqrt(config.batches))
+    theta = uniform_stream(config.seed, 0, 1)[0] >= 0.5  # True = B; nature starts stationary
+    per_batch = (config.rounds - config.burn_in) // config.batches
+    payoffs = np.empty(per_batch)
+    bm = np.empty(config.batches)
+    # Segment 0 is the burn-in, then one per batch; later rounds never count.
+    edges = [0] + [config.burn_in + b * per_batch for b in range(config.batches + 1)]
+    for seg, (start, stop) in enumerate(zip(edges, edges[1:])):
+        for t0 in range(start, stop, SLAB):
+            n = min(SLAB, stop - t0)
+            u = uniform_stream(config.seed, 1 + 3 * t0, 3 * n).reshape(n, 3)
+            flips = u[:, 2] < setting.pi
+            nature = np.bitwise_xor.accumulate(flips) ^ flips ^ theta  # before each flip
+            theta = nature[-1] ^ flips[-1]
+            slots = np.where(nature, np.searchsorted(cdf_b, u[:, 0], "right"),
+                             np.searchsorted(cdf_g, u[:, 0], "right"))
+            path = []
+            record = path.append
+            for s, um in zip(slots.tolist(), u[:, 1].tolist()):
+                record(q)
+                cums, nexts = rows[q][s]
+                j = 0
+                while um >= cums[j]:
+                    j += 1
+                q = nexts[j]
+            if seg:
+                payoffs[t0 - start : t0 - start + n] = np.where(
+                    risky[path], np.where(nature, setting.xB, setting.xG), 0.0)
+        if seg:
+            bm[seg - 1] = payoffs.mean()
     return SimResult(
-        mean=mean,
-        std_error=std_error,
+        mean=float(bm.mean()),
+        std_error=float(bm.std(ddof=1) / np.sqrt(config.batches)),
         batch_means=tuple(float(x) for x in bm),
-        rounds_used=used,
+        rounds_used=per_batch * config.batches,
     )
 
 
@@ -159,24 +168,10 @@ def compare_exact_mc(
     )
 
 
-def _sweep_worker(args) -> SimResult:
-    setting, policy, config, seed = args
-    return simulate_run(setting, policy, replace(config, seed=seed))
-
-
-def run_seed_sweep(
-    setting: DynamicSetting,
-    policy: AutomatonPolicy,
-    config: SimConfig,
-    seeds: Sequence[int],
-    workers: int = 1,
-) -> list[SimResult]:
-    """One run per seed, in seed-list order regardless of scheduling."""
-    jobs = [(setting, policy, config, seed) for seed in seeds]
-    if workers <= 1 or len(jobs) <= 1:
-        return [_sweep_worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_worker, jobs))
+def run_seed_sweep(setting: DynamicSetting, policy: AutomatonPolicy, config: SimConfig,
+                   seeds: Sequence[int]) -> list[SimResult]:
+    """One run per seed, in seed-list order."""
+    return [simulate_run(setting, policy, replace(config, seed=seed)) for seed in seeds]
 
 
 def sim_result_csv(result: SimResult) -> str:

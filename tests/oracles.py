@@ -7,9 +7,10 @@ instead of a float solve, reachability by a depth-first search over the
 dense adjacency, stopped distributions by explicit geometric-series
 summation instead of a resolvent inverse, probe counts by trial division
 instead of a sieve, machine expected utilities cell by cell in reverse
-with compensation instead of one product-sum, and agent step matrices and
+with compensation instead of one product-sum, agent step matrices and
 simulator tables by walking a policy's dict view row by row instead of its
-arrays.
+arrays, and Monte Carlo runs one round at a time over the whole counter
+stream instead of in slabs with nature and signals as arrays.
 """
 
 import math
@@ -17,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bounded_agents.automaton import NO_SIGNAL, SAFE, policy_from_dict
+from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, policy_from_dict
 
 
 def dict_policy(actions, kernel, k, initial_state=0):
@@ -29,6 +30,22 @@ def dict_policy(actions, kernel, k, initial_state=0):
         "kernel": {f"{q}:{'NoSignal' if obs is NO_SIGNAL else obs}": row
                    for (q, obs), row in kernel.items()},
     }, k)
+
+
+def two_safe_states_policy(initial_state=0):
+    """A 3-signal JSON policy with two Safe states, and three-entry rows keyed
+    out of next-state order beside a four-entry row, so they carry a pad;
+    row (1, 1) sums to 1 - 2**-53 in next-state order."""
+    return dict_policy((SAFE, RISKY, SAFE, RISKY), {
+        (0, None): {"2": 0.25, "0": 0.5, "1": 0.25},
+        (1, 1): {"3": 0.1, "1": 0.7, "0": 0.2},
+        (1, 2): {"1": 1.0},
+        (1, 3): {"2": 0.6, "0": 0.0, "3": 0.4},
+        (2, None): {"3": 1.0},
+        (3, 1): {"0": 0.3, "3": 0.3, "2": 0.4},
+        (3, 2): {"3": 1.0 / 3.0, "1": 1.0 / 3.0, "0": 1.0 / 3.0},
+        (3, 3): {"0": 0.25, "1": 0.25, "2": 0.125, "3": 0.375},
+    }, 3, initial_state)
 
 
 def dict_walk_step_matrix(policy, signal_probs):
@@ -66,6 +83,48 @@ def dict_walk_sim_rows(policy, k):
             per_signal.append((cums, [nxt for nxt, _ in items]))
         rows.append(per_signal)
     return rows
+
+
+def scalar_simulate_run(setting, policy, config):
+    """Monte Carlo run stepped one round at a time in the order the
+    montecarlo docstring fixes, over all 1 + 3 * rounds uniforms at once:
+    a Risky round pays, draws its signal and moves on that signal's row; a
+    Safe round draws no signal and moves on its one row; then nature flips.
+    Batch means come from one reshape of the kept payoffs."""
+    # Looked up at call time, so a test that replaces the stream replaces it here too.
+    from bounded_agents.montecarlo import SimResult, uniform_stream
+
+    cdfs = [list(np.cumsum(p)) for p in (setting.pG, setting.pB)]
+    for cdf in cdfs:
+        cdf[-1] = 1.0
+    rows = dict_walk_sim_rows(policy, setting.k)
+    rounds = config.rounds
+    u = uniform_stream(config.seed, 0, 1 + 3 * rounds)
+    theta = 0 if u[0] < 0.5 else 1
+    q = policy.initial_state
+    payoffs = np.zeros(rounds)
+    pay = (setting.xG, setting.xB)
+    for t in range(rounds):
+        base = 1 + 3 * t
+        s = 0
+        if policy.actions[q] != SAFE:
+            payoffs[t] = pay[theta]
+            while u[base] >= cdfs[theta][s]:
+                s += 1
+        cums, nexts = rows[q][s]
+        j = 0
+        while u[base + 1] >= cums[j]:
+            j += 1
+        q = nexts[j]
+        if u[base + 2] < setting.pi:
+            theta ^= 1
+    kept = payoffs[config.burn_in:]
+    per_batch = len(kept) // config.batches
+    used = per_batch * config.batches
+    bm = kept[:used].reshape(config.batches, per_batch).mean(axis=1)
+    return SimResult(mean=float(bm.mean()),
+                     std_error=float(bm.std(ddof=1) / np.sqrt(config.batches)),
+                     batch_means=tuple(float(x) for x in bm), rounds_used=used)
 
 
 def enumerated_joint_matrix(setting, policy):

@@ -205,6 +205,13 @@ class TestPolicyFromDict:
         with pytest.raises(ValidationError, match=f"{field} must be an integer"):
             policy_from_dict(_ladder_doc(**{field: value}), 2)
 
+    @pytest.mark.parametrize("row", [[1.0], {"0": "abc"}, {"x": 1.0}, {"0": None}, 0.5])
+    def test_malformed_row_is_named(self, row):
+        doc = _ladder_doc()
+        doc["kernel"]["1:1"] = row
+        with pytest.raises(ValidationError, match="kernel row '1:1' is not an object"):
+            policy_from_dict(doc, 2)
+
     def test_key_set_mismatch_names_extra_and_missing(self):
         doc = _ladder_doc()
         doc["kernel"]["0:1"] = doc["kernel"].pop("0:NoSignal")
@@ -216,6 +223,15 @@ class TestPolicyFromDict:
     def test_signal_count_comes_from_the_caller(self):
         with pytest.raises(DimensionMismatchError, match="missing=\\['\\(1, 3\\)'\\]"):
             policy_from_dict(_ladder_doc(), 3)
+
+
+def test_safe_state_needs_the_same_row_in_every_slot():
+    policy = build_a_family(3, AFamilyParams(n=1, p_exp=0.25, pos=frozenset({1}),
+                                             neg=frozenset({3})))
+    policy.prob[0, 2] = policy.prob[0, 2, ::-1]  # Safe state 0 explores w.p. 0.75 on signal 3
+    message = "Safe state 0 has different rows in signal slots 1 and 3"
+    with pytest.raises(ValidationError, match=message):
+        check_policy(policy, 3)
 
 
 def test_kernel_view_lists_positive_entries_only():

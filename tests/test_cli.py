@@ -89,6 +89,7 @@ class TestSimulate:
             "simulate", "--config", config, "--seed", "11",
             "--out", str(tmp_path / "run.csv"), "--sidecar", str(sidecar),
         ]) == 0
+        assert json.loads(sidecar.read_text()).keys() == {"config", "seed"}
         assert json.loads(sidecar.read_text())["seed"] == 11
 
     def test_seed_sweep_csv(self, tmp_path):
@@ -99,14 +100,10 @@ class TestSimulate:
         assert lines[0] == "seed,mean,std_error"
         assert len(lines) == 4
 
-    def test_workers_flag_is_kept_for_seed_sweeps(self, tmp_path):
-        config = self.config(tmp_path, {"seeds": [5, 6]})
-        sidecar = tmp_path / "meta.json"
-        assert run_cli([
-            "simulate", "--config", config, "--workers", "1",
-            "--out", str(tmp_path / "sweep.csv"), "--sidecar", str(sidecar),
-        ]) == 0
-        assert json.loads(sidecar.read_text())["workers"] == 1
+    def test_non_integer_rounds_exits_one_and_names_field(self, tmp_path, capsys):
+        config = self.config(tmp_path, {"rounds": 20000.0})
+        assert run_cli(["simulate", "--config", config]) == 1
+        assert capsys.readouterr().err == "error: rounds must be an integer, got 20000.0\n"
 
 
 class TestOptimize:
@@ -225,6 +222,19 @@ class TestStaticDemo:
         assert captured.out == ""
         assert "kernel row (0, 1) sums to 0.5" in captured.err
 
+    @pytest.mark.parametrize("row", [[1.0], {"0": "abc"}, {"x": 1.0}])
+    def test_malformed_kernel_row_exits_one_and_names_key(self, tmp_path, capsys, row):
+        policy = {
+            "type": "policy", "num_states": 1, "initial_state": 0, "actions": ["hold"],
+            "kernel": {"0:1": row, "0:2": {"0": 1.0}, "0:3": {"0": 1.0}, "0:4": {"0": 1.0}},
+        }
+        config = write_config(tmp_path, {
+            "policy": policy, "demo": "polarization",
+            "start_a": 0, "start_b": 0, "sequence": [1, 2, 3, 4],
+        })
+        assert run_cli(["static-demo", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: kernel row '0:1' is not an object") and err.count("\n") == 1
 
     def test_safe_state_takes_its_no_signal_row(self, tmp_path, capsys):
         # State 0 is Safe: on either signal it explores to 1 with p_exp 0.5.
@@ -379,6 +389,7 @@ class TestReproduce:
     ["optimize", "--config", "cfg.json", "--workers", "2"],
     ["eval-exact"],
     ["no-such-command"],
+    ["simulate", "--config", "cfg.json", "--workers", "2"],
 ])
 def test_usage_error_exits_one_with_one_line(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+from bounded_agents import montecarlo
 from bounded_agents.automaton import AFamilyParams, build_a_family
+from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import ValidationError
 from bounded_agents.markov_exact import exact_average_payoff
 from bounded_agents.montecarlo import (
+    SLAB,
     SimConfig,
     compare_exact_mc,
     run_seed_sweep,
@@ -12,6 +15,10 @@ from bounded_agents.montecarlo import (
     simulate_run,
     uniform_stream,
 )
+from bounded_agents.optimize import brute_force_policy_search
+from oracles import scalar_simulate_run, two_safe_states_policy
+
+PG, PB = (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)
 
 
 class TestUniformStream:
@@ -48,6 +55,19 @@ class TestSimConfig:
     def test_batches_minimum(self):
         with pytest.raises(ValidationError):
             SimConfig(rounds=100, seed=1, batches=1)
+
+    @pytest.mark.parametrize("field,value", [
+        ("rounds", 1000.0), ("rounds", True), ("seed", 1.5), ("seed", "7"),
+        ("burn_in", 10.0), ("batches", 4.0), ("batches", None),
+    ])
+    def test_non_integer_field_is_named(self, field, value):
+        fields = {"rounds": 1000, "seed": 1, "burn_in": 10, "batches": 4, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+            SimConfig(**fields)
+
+    def test_numpy_integers_are_integers(self):
+        config = SimConfig(rounds=np.int64(1000), seed=np.uint64(2**63), batches=np.int32(4))
+        assert config.burn_in == 10
 
 
 class TestSimulateRun:
@@ -97,6 +117,87 @@ class TestSimulateRun:
             simulate_run(paper_setting, policy, SimConfig(rounds=100, seed=1))
 
 
+def _ladder_case(n, pi):
+    return (validate_setting(4, PG, PB, 1.0, -1.0, pi),
+            build_a_family(4, AFamilyParams(n=n, p_exp=0.0273668, pos=frozenset({1}),
+                                            neg=frozenset({4}))))
+
+
+def _brute_force_case():
+    setting = validate_setting(2, (0.7, 0.3), (0.2, 0.8), 1.0, -1.0, 0.05)
+    return setting, brute_force_policy_search(setting, 2, prob_grid=(0.0, 0.5, 1.0))[0]
+
+
+ORACLE_CASES = {
+    **{f"ladder n={n} pi={pi}": (lambda n=n, pi=pi: _ladder_case(n, pi))
+       for n in (1, 4, 30) for pi in (1e-3, 0.5)},
+    "brute-force winner": _brute_force_case,
+    "two Safe states": lambda: (
+        validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 2.0, -1.0, 0.02),
+        two_safe_states_policy(initial_state=3)),
+}
+
+# (config, slab): a default run; no burn-in with rounds not divisible by the
+# batches; and slabs so small that slab edges fall inside the burn-in and
+# every batch, apart from the segment edges.
+ORACLE_RUNS = {
+    "default": (SimConfig(rounds=20_000, seed=1), SLAB),
+    "no burn-in, ragged": (SimConfig(rounds=20_011, seed=2, burn_in=0, batches=7), SLAB),
+    "small slabs": (SimConfig(rounds=5_003, seed=3, burn_in=250, batches=3), 97),
+}
+
+
+class TestAgainstScalarOracle:
+    @pytest.mark.parametrize("run", ORACLE_RUNS.values(), ids=ORACLE_RUNS)
+    @pytest.mark.parametrize("case", ORACLE_CASES.values(), ids=ORACLE_CASES)
+    def test_equals_scalar_loop(self, monkeypatch, case, run):
+        setting, policy = case()
+        config, slab = run
+        monkeypatch.setattr(montecarlo, "SLAB", slab)
+        assert simulate_run(setting, policy, config) == scalar_simulate_run(
+            setting, policy, config)
+
+    def test_batches_longer_than_a_slab(self):
+        # Two batches of 75,000 rounds, each drawn as two default slabs.
+        setting, policy = _ladder_case(4, 1e-3)
+        config = SimConfig(rounds=151_515, seed=4, batches=2)
+        assert simulate_run(setting, policy, config) == scalar_simulate_run(
+            setting, policy, config)
+
+    def test_uniforms_on_cumulative_sums(self, monkeypatch):
+        # Uniforms rounded down to eighths land exactly on these dyadic
+        # cumulative sums, where a draw steps past the tie as the loop does.
+        monkeypatch.setattr(montecarlo, "uniform_stream", lambda seed, start, count: np.floor(
+            uniform_stream(seed, start, count) * 8.0) / 8.0)
+        setting = validate_setting(3, (0.25, 0.25, 0.5), (0.5, 0.25, 0.25), 1.0, -1.0, 0.25)
+        policy = build_a_family(3, AFamilyParams(n=3, p_exp=0.5, pos=frozenset({1}),
+                                                 neg=frozenset({3}), r_u=0.5, r_d=0.75))
+        config = SimConfig(rounds=5_000, seed=6, batches=4)
+        assert simulate_run(setting, policy, config) == scalar_simulate_run(
+            setting, policy, config)
+
+
+@pytest.mark.parametrize("slab", [SLAB, 1_000])
+def test_uniform_requests_stay_within_one_slab(monkeypatch, paper_setting, ladder_policy_5,
+                                               slab):
+    requests = []
+
+    def recording_stream(seed, start, count):
+        requests.append((start, count))
+        return uniform_stream(seed, start, count)
+
+    monkeypatch.setattr(montecarlo, "SLAB", slab)
+    monkeypatch.setattr(montecarlo, "uniform_stream", recording_stream)
+    config = SimConfig(rounds=200_003, seed=5, batches=2)
+    result = simulate_run(paper_setting, ladder_policy_5, config)
+    assert max(count for _, count in requests) <= 3 * slab
+    # The requests tile the counters of the simulated rounds, in order.
+    starts = [start for start, _ in requests]
+    ends = [start + count for start, count in requests]
+    assert starts == [0] + ends[:-1]
+    assert ends[-1] == 1 + 3 * (config.burn_in + result.rounds_used)
+
+
 class TestCompareExactMc:
     def test_trivial_setting_z(self, trivial_setting, ladder_policy_5):
         report = compare_exact_mc(
@@ -127,22 +228,18 @@ class TestCompareExactMc:
 
 
 class TestSeedSweep:
-    def test_worker_count_does_not_change_results(self, paper_setting):
-        policy = build_a_family(
-            4, AFamilyParams(n=1, p_exp=0.2, pos=frozenset({1}), neg=frozenset({4}))
-        )
-        config = SimConfig(rounds=20_000, seed=0)
-        seeds = [101, 202, 303, 404]
-        serial = run_seed_sweep(paper_setting, policy, config, seeds, workers=1)
-        parallel = run_seed_sweep(paper_setting, policy, config, seeds, workers=2)
-        assert serial == parallel
-
     def test_results_in_seed_order(self, paper_setting, ladder_policy_5):
         config = SimConfig(rounds=5_000, seed=0)
-        results = run_seed_sweep(paper_setting, ladder_policy_5, config, [7, 8], workers=1)
+        results = run_seed_sweep(paper_setting, ladder_policy_5, config, [7, 8])
         direct_7 = simulate_run(paper_setting, ladder_policy_5, SimConfig(rounds=5_000, seed=7))
         direct_8 = simulate_run(paper_setting, ladder_policy_5, SimConfig(rounds=5_000, seed=8))
         assert results == [direct_7, direct_8]
+
+    @pytest.mark.parametrize("seed", [2.0, "3", None])
+    def test_non_integer_seed_is_refused(self, paper_setting, ladder_policy_5, seed):
+        config = SimConfig(rounds=100, seed=0)
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run_seed_sweep(paper_setting, ladder_policy_5, config, [1, seed])
 
 
 def test_csv_layout(paper_setting, ladder_policy_5):

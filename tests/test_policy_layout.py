@@ -11,8 +11,6 @@ import numpy as np
 import pytest
 
 from bounded_agents.automaton import (
-    RISKY,
-    SAFE,
     AFamilyParams,
     build_a_family,
     build_linear_sticky,
@@ -22,7 +20,7 @@ from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.markov_exact import agent_step_matrix
 from bounded_agents.montecarlo import _compiled_tables
 from bounded_agents.optimize import brute_force_policy_search
-from oracles import dict_policy, dict_walk_sim_rows, dict_walk_step_matrix
+from oracles import dict_walk_sim_rows, dict_walk_step_matrix, two_safe_states_policy
 
 
 def _random_setting(rng, k):
@@ -52,22 +50,6 @@ def _random_sticky(rng, k, m):
     left, right = ([rng.choice((0.0, 1.0, rng.random())) for _ in range(m)] for _ in range(2))
     good, bad = rng.sample(range(1, k + 1), 2)
     return build_linear_sticky(m, left, right, good, bad, k, initial_state=rng.randrange(m))
-
-
-def _json_policy():
-    """Two Safe states, and three-entry rows keyed out of next-state order
-    beside a four-entry row, so they carry a pad; row (1, 1) sums to
-    1 - 2**-53 in next-state order."""
-    return dict_policy((SAFE, RISKY, SAFE, RISKY), {
-        (0, None): {"2": 0.25, "0": 0.5, "1": 0.25},
-        (1, 1): {"3": 0.1, "1": 0.7, "0": 0.2},
-        (1, 2): {"1": 1.0},
-        (1, 3): {"2": 0.6, "0": 0.0, "3": 0.4},
-        (2, None): {"3": 1.0},
-        (3, 1): {"0": 0.3, "3": 0.3, "2": 0.4},
-        (3, 2): {"3": 1.0 / 3.0, "1": 1.0 / 3.0, "0": 1.0 / 3.0},
-        (3, 3): {"0": 0.25, "1": 0.25, "2": 0.125, "3": 0.375},
-    }, 3)
 
 
 def _assert_step_matrices_match(policy, *signal_probs):
@@ -119,7 +101,7 @@ def test_brute_force_winners_match_dict_walk():
 
 
 def test_json_policy_matches_dict_walk():
-    policy = _json_policy()
+    policy = two_safe_states_policy()
     check_policy(policy, 3)
     assert policy.kernel[(1, 3)] == {2: 0.6, 3: 0.4}
     _assert_step_matrices_match(policy, (0.5, 0.3, 0.2), (0.0, 0.0, 1.0), (0.2, 0.0, 0.8))
@@ -148,4 +130,4 @@ def test_simulator_tables_match_dict_walk(seed):
 
 def test_json_simulator_tables_match_dict_walk():
     setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
-    _assert_sim_rows_match(_json_policy(), setting)
+    _assert_sim_rows_match(two_safe_states_policy(), setting)

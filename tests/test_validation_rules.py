@@ -23,6 +23,7 @@ from bounded_agents.errors import (
     PROB_SUM_TOL,
     DimensionMismatchError,
     NonStochasticError,
+    ValidationError,
     check_distribution,
     stochastic_rows,
 )
@@ -72,6 +73,12 @@ def _safe_risky(rows):
     return dict_policy((SAFE, RISKY), kernel, 4)
 
 
+def _safe_moves_surely_on_signal_2():
+    policy = _safe_risky({1: {1: 1.0}, 2: {1: 1.0}, 3: {1: 1.0}, 4: {0: 1.0}})
+    policy.prob[0, 1] = (0.0, 1.0)
+    return policy
+
+
 BAD_DYNAMIC_POLICIES = {
     "row sums to 0.5": (
         _safe_risky({1: {1: 0.5}, 2: {1: 1.0}, 3: {1: 1.0}, 4: {0: 1.0}}),
@@ -86,6 +93,7 @@ BAD_DYNAMIC_POLICIES = {
                                         neg=frozenset({3}))),
         DimensionMismatchError,
     ),
+    "Safe row differs by signal": (_safe_moves_surely_on_signal_2(), ValidationError),
     "hold labels": (
         build_linear_sticky(3, [1, 1, 1], [1, 1, 1], 1, 4, k=4),
         DimensionMismatchError,
