@@ -39,6 +39,8 @@ from .errors import (
     SignalOutOfRangeError,
     ValidationError,
     check_distribution,
+    check_keys,
+    check_object,
 )
 
 SAFE = "Safe"
@@ -242,9 +244,8 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
     label. The kernel needs one row "q:NoSignal" per Safe state and "q:s" per
     other state and signal 1..k, else DimensionMismatchError names the extra
     and missing keys; check_policy checks the rest."""
-    missing = [f for f in ("num_states", "initial_state", "actions", "kernel") if f not in doc]
-    if missing:
-        raise ValidationError(f"policy missing fields: {missing}")
+    check_keys(doc, "policy", ("num_states", "initial_state", "actions", "kernel"))
+    check_object(doc["kernel"], "kernel")
     for name in ("num_states", "initial_state"):
         if not isinstance(doc[name], int):
             raise ValidationError(f"policy {name} must be an integer, got {doc[name]!r}")

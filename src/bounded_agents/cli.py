@@ -3,11 +3,15 @@
 Every subcommand is deterministic given its config and seed; all floats
 are printed with 12 significant digits so outputs diff cleanly. Exit
 codes: 0 success, 1 invalid input or usage, 2 reproduction mismatch.
+
+Each config section holds exactly the keyword arguments of what it builds
+(see _section), and a key that the subcommand and mode never read exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 from dataclasses import replace
@@ -40,11 +44,10 @@ from .costly_comp import (
     problem_from_dict,
 )
 from .dynamic_env import setting_from_dict
-from .errors import BoundedAgentsError, ValidationError
+from .errors import BoundedAgentsError, ValidationError, check_keys, check_object
 from .markov_exact import build_joint_chain, chain_csv, chain_payoff, stationary
 from .montecarlo import SimConfig, run_seed_sweep, sim_result_csv, simulate_run
 from .optimize import (
-    DEFAULT_RATE_GRID,
     ScheduleSpec,
     curve_csv,
     exhaustive_partition_search,
@@ -68,47 +71,46 @@ from .static_model import (
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}")
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}")
+    check_object(config, "config")
+    return config
 
 
-def _require(config: dict, *keys: str) -> None:
-    missing = [k for k in keys if k not in config]
-    if missing:
-        raise ValidationError(f"config missing keys: {missing}")
+def _section(make, doc, what: str, **fixed):
+    """``make(**doc, **fixed)``, once ``doc`` holds every parameter of ``make``
+    outside ``fixed`` that has no default, and no key that is not one."""
+    params = [p for p in inspect.signature(make).parameters.values() if p.name not in fixed]
+    check_keys(doc, what, [p.name for p in params if p.default is p.empty],
+               [p.name for p in params])
+    return make(**doc, **fixed)
 
 
-def _policy_from_config(doc: dict, k: int) -> AutomatonPolicy:
-    kind = doc.get("type", "a_family")
+def _given(config: dict, keys) -> dict:
+    """The entries of ``config`` under ``keys``: an absent key takes the callee's default."""
+    return {key: config[key] for key in keys if key in config}
+
+
+def _policy_from_config(doc, what: str, k: int | None, kind: str = "a_family") -> AutomatonPolicy:
+    """The automaton a section describes: its "type" (default ``kind``) picks
+    the builder, and its other keys are the builder's, except that with ``k``
+    None the signal count is the section's "k" (default 4)."""
+    check_object(doc, what)
+    doc = dict(doc)
+    kind = doc.pop("type", kind)
+    k = doc.pop("k", 4) if k is None else k
     if kind == "a_family":
-        _require(doc, "n", "p_exp", "pos", "neg")
-        params = AFamilyParams(
-            n=doc["n"], p_exp=doc["p_exp"],
-            pos=frozenset(doc["pos"]), neg=frozenset(doc["neg"]),
-            r_u=doc.get("r_u", 1.0), r_d=doc.get("r_d", 1.0),
-        )
-        return build_a_family(k, params)
+        return build_a_family(k, _section(AFamilyParams, doc, what))
     if kind == "linear_sticky":
-        _require(doc, "num_states", "left_prob", "right_prob", "good_signal", "bad_signal")
-        return build_linear_sticky(
-            doc["num_states"], doc["left_prob"], doc["right_prob"],
-            doc["good_signal"], doc["bad_signal"], k,
-            initial_state=doc.get("initial_state", 0),
-        )
+        return _section(build_linear_sticky, doc, what, k=k)
     if kind == "policy":
         policy = policy_from_dict(doc, k)
         check_policy(policy, k)
         return policy
     raise ValidationError(f"unknown automaton type {kind!r}")
-
-
-def _partition_from_config(doc) -> tuple[frozenset[int], frozenset[int]] | None:
-    if doc is None:
-        return None
-    return frozenset(doc[0]), frozenset(doc[1])
 
 
 def _write(path: str | None, text: str) -> None:
@@ -124,9 +126,9 @@ def _emit_json(doc: dict, path: str | None) -> None:
 
 def cmd_eval_exact(args) -> int:
     config = _load_config(args.config)
-    _require(config, "setting", "automaton")
+    check_keys(config, "config", ("setting", "automaton"))
     setting = setting_from_dict(config["setting"])
-    policy = _policy_from_config(config["automaton"], setting.k)
+    policy = _policy_from_config(config["automaton"], "automaton", setting.k)
     chain = build_joint_chain(setting, policy)
     dist = stationary(chain)
     payoff = chain_payoff(chain, dist)
@@ -141,14 +143,12 @@ def cmd_eval_exact(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    _require(config, "setting", "automaton", "rounds")
+    check_keys(config, "config", ("setting", "automaton", "rounds"),
+               ("seed", "seeds", "burn_in", "batches"))
     setting = setting_from_dict(config["setting"])
-    policy = _policy_from_config(config["automaton"], setting.k)
+    policy = _policy_from_config(config["automaton"], "automaton", setting.k)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
-    sim_config = SimConfig(
-        rounds=config["rounds"], seed=seed,
-        burn_in=config.get("burn_in"), batches=config.get("batches", 20),
-    )
+    sim_config = SimConfig(seed=seed, **_given(config, ("rounds", "burn_in", "batches")))
     seeds = config.get("seeds")
     if seeds:
         results = run_seed_sweep(setting, policy, sim_config, seeds)
@@ -164,31 +164,31 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+# The search keyword arguments that each optimize mode reads from its config.
+_OPTIMIZE_KEYS = {
+    "pexp": ("grid", "partition", "r_u", "r_d"),
+    "partition": ("grid", "r_u", "r_d"),
+    "rates": ("grid", "partition", "rate_grid"),
+}
+
+
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
-    _require(config, "setting", "n")
-    setting = setting_from_dict(config["setting"])
-    grid = config.get("grid")
-    r_u, r_d = config.get("r_u", 1.0), config.get("r_d", 1.0)
     mode = config.get("mode", "pexp")
+    if mode not in _OPTIMIZE_KEYS:
+        raise ValidationError(f"unknown optimize mode {mode!r}")
+    check_keys(config, f"{mode} mode config", ("setting", "n"), ("mode", *_OPTIMIZE_KEYS[mode]))
+    setting = setting_from_dict(config["setting"])
+    search = _given(config, _OPTIMIZE_KEYS[mode])
     extra = {}
     if mode == "partition":
-        result = exhaustive_partition_search(setting, config["n"], r_u=r_u, r_d=r_d, grid=grid)
+        result = exhaustive_partition_search(setting, config["n"], **search)
     elif mode == "rates":
-        rates = optimize_rates(
-            setting, config["n"], _partition_from_config(config.get("partition")),
-            rate_grid=tuple(config.get("rate_grid", DEFAULT_RATE_GRID)),
-            grid=grid,
-        )
+        rates = optimize_rates(setting, config["n"], **search)
         result = rates.result
         extra = {"r_u": rates.r_u, "r_d": rates.r_d}
-    elif mode == "pexp":
-        result = optimize_pexp(
-            setting, config["n"], _partition_from_config(config.get("partition")),
-            r_u=r_u, r_d=r_d, grid=grid,
-        )
     else:
-        raise ValidationError(f"unknown optimize mode {mode!r}")
+        result = optimize_pexp(setting, config["n"], **search)
     _emit_json(
         {
             "best_pexp": float(fmt(result.best_pexp)),
@@ -206,36 +206,38 @@ def cmd_optimize(args) -> int:
 
 def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
-    _require(config, "setting", "schedule")
+    options = ("partition", "r_u", "r_d")
+    check_keys(config, "config", ("setting", "schedule"), options)
     setting = setting_from_dict(config["setting"])
-    sched = config["schedule"]
-    _require(sched, "c1", "a", "c2", "b", "n_list")
-    schedule = ScheduleSpec(
-        c1=sched["c1"], a=sched["a"], c2=sched["c2"], b=sched["b"],
-        n_list=tuple(sched["n_list"]),
-    )
-    curve = limit_schedule_curve(
-        setting, schedule, _partition_from_config(config.get("partition")),
-        r_u=config.get("r_u", 1.0), r_d=config.get("r_d", 1.0),
-    )
+    schedule = _section(ScheduleSpec, config["schedule"], "schedule")
+    curve = limit_schedule_curve(setting, schedule, **_given(config, options))
     _write(args.out, curve_csv(curve))
     return 0
 
 
+# The keys each static demo needs besides "policy" and "demo".
+_DEMO_KEYS = {
+    "polarization": ("start_a", "start_b", "sequence"),
+    "first_impression": ("start", "sequence"),
+    "expected_utility": ("setting",),
+}
+
+
 def cmd_static_demo(args) -> int:
     config = _load_config(args.config)
-    _require(config, "policy", "demo")
-    k = config.get("k", config["policy"].get("k", 4))
-    policy = _policy_from_config({**config["policy"], "type": config["policy"].get("type", "linear_sticky")}, k)
+    demo = config.get("demo")
+    if "demo" in config and demo not in _DEMO_KEYS:
+        raise ValidationError(f"unknown static demo {demo!r}")
+    # "start" and "sequence" also feed --propagation-csv, under any demo.
+    check_keys(config, "config", ("policy", "demo", *_DEMO_KEYS.get(demo, ())),
+               ("k", "rule", "start", "sequence"))
+    policy = _policy_from_config(config["policy"], "policy", config.get("k"), "linear_sticky")
     rule = (
         DecisionRule(decide=tuple(config["rule"]))
         if "rule" in config
         else threshold_rule(policy.num_states)
     )
-    demo = config["demo"]
-    out: dict = {}
     if demo == "polarization":
-        _require(config, "start_a", "start_b", "sequence")
         result = polarization_demo(
             policy, config["start_a"], config["start_b"], config["sequence"], rule
         )
@@ -247,28 +249,15 @@ def cmd_static_demo(args) -> int:
             "decision_dist_b": {k2: float(fmt(v)) for k2, v in result.decision_dist_b.items()},
         }
     elif demo == "first_impression":
-        _require(config, "start", "sequence")
         result = first_impression_demo(policy, config["start"], config["sequence"], rule)
         out = {
             "forward": result.decision_forward,
             "reversed": result.decision_reversed,
             "order_sensitive": result.order_sensitive,
         }
-    elif demo == "expected_utility":
-        _require(config, "setting")
-        _require(config["setting"], "k", "pG", "pB", "eta")
-        setting = StaticSetting(
-            k=config["setting"]["k"],
-            pG=tuple(config["setting"]["pG"]),
-            pB=tuple(config["setting"]["pB"]),
-            eta=config["setting"]["eta"],
-            utility=tuple(tuple(row) for row in config["setting"].get(
-                "utility", ((1.0, 0.0), (0.0, 1.0)))),
-            prior_G=config["setting"].get("prior_G", 0.5),
-        )
-        out = {"expected_utility": float(fmt(static_expected_utility(setting, policy, rule)))}
     else:
-        raise ValidationError(f"unknown static demo {demo!r}")
+        setting = _section(StaticSetting, config["setting"], "setting")
+        out = {"expected_utility": float(fmt(static_expected_utility(setting, policy, rule)))}
     _emit_json(out, args.out)
     if args.propagation_csv and "sequence" in config:
         start = config.get("start", config.get("start_a", policy.initial_state))
@@ -278,10 +267,8 @@ def cmd_static_demo(args) -> int:
 
 def cmd_reader(args) -> int:
     config = _load_config(args.config)
-    _require(config, "problem")
-    p = config["problem"]
-    _require(p, "n", "rho", "c")
-    problem = ReaderProblem(n=p["n"], rho=p["rho"], c=p["c"], prior1=p.get("prior1", 0.5))
+    check_keys(config, "config", ("problem",), ("sequence", "polarization"))
+    problem = _section(ReaderProblem, config["problem"], "problem")
     table = solve_reader_dp(problem)
     out: dict = {
         "value": float(fmt(table.value(0, 0))),
@@ -299,7 +286,7 @@ def cmd_reader(args) -> int:
         }
     if "polarization" in config:
         pol = config["polarization"]
-        _require(pol, "prior_b", "sequence")
+        check_keys(pol, "polarization", ("prior_b", "sequence"))
         other = replace(problem, prior1=pol["prior_b"])
         guess_a, guess_b, diverged = polarization_reader(problem, other, pol["sequence"])
         out["polarization"] = {
@@ -315,14 +302,11 @@ def cmd_machine(args) -> int:
     config = _load_config(args.config)
     out: dict = {}
     if "primality" in config:
-        p = config["primality"]
-        pc = PrimalityConfig(
-            type_bound=p.get("type_bound", 2**16),
-            step_cap=p.get("step_cap", 2**20),
-            machines=tuple(p.get("machines", PrimalityConfig().machines)),
-        )
-        problem = make_primality_instance(pc)
+        check_keys(config, "config", ("primality",), ("conversation",))
+        primality = _section(PrimalityConfig, config["primality"], "primality")
+        problem = make_primality_instance(primality)
     elif "problem" in config:
+        check_keys(config, "config", ("problem",), ("conversation",))
         problem = problem_from_dict(config["problem"])
     else:
         raise ValidationError("config needs a 'primality' or 'problem' section")
@@ -334,17 +318,14 @@ def cmd_machine(args) -> int:
     out["best_machine"] = problem.machines[idx].name
     out["best_eu"] = float(fmt(eu))
     if "conversation" in config:
-        c = config["conversation"]
-        _require(c, "domain_size", "questions", "payoff")
-        out["conversation_value"] = float(fmt(conversation_value(
-            ConversationSpec(c["domain_size"], c["questions"], c["payoff"])
-        )))
+        spec = _section(ConversationSpec, config["conversation"], "conversation")
+        out["conversation_value"] = float(fmt(conversation_value(spec)))
     _emit_json(out, args.out)
     return 0
 
 
 def cmd_reproduce(args) -> int:
-    return run_reproduce(Path(args.out), write_goldens=args.write_goldens)
+    return run_reproduce(Path(args.out))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -383,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     add("machine", cmd_machine)
     rep = sub.add_parser("reproduce")
     rep.add_argument("--out", default="reproduce_out", help="output directory")
-    rep.add_argument("--write-goldens", action="store_true",
-                     help="rewrite the committed goldens from this run (maintainers)")
     rep.set_defaults(fn=cmd_reproduce)
     return parser
 
@@ -394,8 +373,11 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BoundedAgentsError, ValueError, TypeError, KeyError) as exc:
+    except (BoundedAgentsError, ValueError, TypeError) as exc:
         # Malformed configs surface as one diagnostic line, not a traceback.
+        # Keys are checked before they are read, so a KeyError is a bug and
+        # propagates. TypeError stays caught while numeric validators still
+        # compare raw JSON values, as "n": "4" does.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -36,6 +36,7 @@ from .errors import (
     NoMachinesError,
     ValidationError,
     check_distribution,
+    check_keys,
 )
 
 Label = Hashable
@@ -343,10 +344,8 @@ def problem_from_dict(doc: dict) -> CompProblem:
     action, complexity, utility] under the key "utility". A cell has at most
     one prior row (none means zero mass), one out row and one complexity row.
     """
-    fields = ("states", "types", "actions", "prior", "machines", "utility")
-    if missing := [key for key in fields if key not in doc]:
-        raise ValidationError(f"problem missing keys: {missing}")
-    states, types, actions = (tuple(doc[key]) for key in fields[:3])
+    check_keys(doc, "problem", ("states", "types", "actions", "prior", "machines", "utility"))
+    states, types, actions = (tuple(doc[key]) for key in ("states", "types", "actions"))
     # Rows name cells by label, so repeats must be refused before any row is read.
     _check_labels(states, types, actions)
     cell_axes = ((states, "state"), (types, "type"))
@@ -354,7 +353,8 @@ def problem_from_dict(doc: dict) -> CompProblem:
     prior = np.zeros(len(count))
     prior[cells] = [row[2] for row in doc["prior"]]
     machines = []
-    for m in doc["machines"]:
+    for i, m in enumerate(doc["machines"]):
+        check_keys(m, f"machines entry {i}", ("name", "out", "complexity"))
         what = f"machine {m['name']!r}"
         keys, count = _keys(m["out"], cell_axes + ((actions, "action"),), f"{what} out", 3)
         per_cell = count.reshape(-1, len(actions)).sum(axis=1)

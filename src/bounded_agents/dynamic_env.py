@@ -19,6 +19,7 @@ from .errors import (
     BadPayoffSignError,
     ValidationError,
     check_distribution,
+    check_keys,
 )
 
 
@@ -76,12 +77,8 @@ def oracle_upper_bound(setting: DynamicSetting) -> float:
 
 def setting_from_dict(doc: dict) -> DynamicSetting:
     """Build a setting from a JSON-style mapping with keys k, pG, pB, xG, xB, pi."""
-    missing = {"k", "pG", "pB", "xG", "xB", "pi"} - doc.keys()
-    if missing:
-        raise ValidationError(f"setting document missing keys: {sorted(missing)}")
-    return validate_setting(
-        doc["k"], doc["pG"], doc["pB"], doc["xG"], doc["xB"], doc["pi"]
-    )
+    check_keys(doc, "setting", ("k", "pG", "pB", "xG", "xB", "pi"))
+    return validate_setting(**doc)
 
 
 def setting_to_dict(setting: DynamicSetting) -> dict:

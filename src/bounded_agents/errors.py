@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the probability rule.
+"""Exception types shared across the package, and the probability and key rules.
 
 Validation errors subclass ValueError so callers can catch either the
 specific class or the built-in.
@@ -120,3 +120,20 @@ def check_distribution(probs, label) -> None:
     if outside.size:
         raise NonStochasticError(f"{name} has entry {float(outside[0])!r} outside [0, 1]")
     raise NonStochasticError(f"{name} sums to {float(_sum(row))!r}, not 1")
+
+
+def check_object(doc, what) -> None:
+    """Raise ValidationError, naming ``what``, unless ``doc`` is a JSON object."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {doc!r}")
+
+
+def check_keys(doc, what, required, optional=()) -> None:
+    """Raise ValidationError, naming ``what`` and the keys, unless ``doc`` is a JSON
+    object with every key in ``required`` and none outside ``required`` and ``optional``."""
+    check_object(doc, what)
+    if missing := [key for key in required if key not in doc]:
+        raise ValidationError(f"{what} missing keys: {missing}")
+    allowed = {*required, *optional}
+    if unknown := [key for key in doc if key not in allowed]:
+        raise ValidationError(f"{what} has unknown keys: {unknown}")

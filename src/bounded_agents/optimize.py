@@ -83,6 +83,18 @@ def default_partition(setting: DynamicSetting) -> tuple[frozenset[int], frozense
     return frozenset({pos + 1}), frozenset({neg + 1})
 
 
+def _sides(setting: DynamicSetting, partition) -> tuple[frozenset[int], frozenset[int]]:
+    """``partition`` as a (pos, neg) pair of signal sets, default_partition if
+    None; ValidationError names any other value."""
+    if partition is None:
+        return default_partition(setting)
+    try:
+        pos, neg = partition
+        return frozenset(pos), frozenset(neg)
+    except (TypeError, ValueError):
+        raise ValidationError(f"partition must be a (pos, neg) pair, got {partition!r}") from None
+
+
 def optimize_pexp(
     setting: DynamicSetting,
     n: int,
@@ -93,9 +105,7 @@ def optimize_pexp(
     refine_rounds: int = 2,
 ) -> OptResult:
     """Best exploration probability on a grid, with local linear refinement."""
-    if partition is None:
-        partition = default_partition(setting)
-    pos, neg = frozenset(partition[0]), frozenset(partition[1])
+    pos, neg = _sides(setting, partition)
     grid = tuple(grid) if grid is not None else DEFAULT_PEXP_GRID
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
@@ -109,8 +119,11 @@ def optimize_pexp(
 
     def evaluate(points):
         fresh = [p for p in dict.fromkeys(points) if p not in trace]
-        # Every point is validated before any stack is solved.
-        p_exp = np.array([replace(base, p_exp=p).p_exp for p in fresh])
+        p_exp = np.array(fresh, dtype=float)
+        # Validate every point before any solve: the rule is a range, so the ends decide
+        # it; a NaN reaches both, and the valid base.p_exp gives an empty batch ends.
+        for end in (np.min(p_exp, initial=base.p_exp), np.max(p_exp, initial=base.p_exp)):
+            replace(base, p_exp=end)
         for lo in range(0, len(fresh), step):
             ps = p_exp[lo:lo + step]
             stack = np.repeat(agent[:, None], len(ps), axis=1)
@@ -249,9 +262,7 @@ def limit_schedule_curve(
     r_d: float = 1.0,
 ) -> list[CurvePoint]:
     """Exact payoff along the schedule; setting_base's pi is replaced per point."""
-    if partition is None:
-        partition = default_partition(setting_base)
-    pos, neg = partition
+    pos, neg = _sides(setting_base, partition)
     curve = []
     for n in schedule.n_list:
         pi_n = schedule.pi_of_n(n)

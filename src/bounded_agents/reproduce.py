@@ -79,10 +79,12 @@ def compute_paper_numbers() -> dict:
     numbers: dict = {}
 
     payoffs_seen: list[float] = []
+    # One p_exp search per ladder size: the headline sizes and the robustness table share them.
+    searches = {n: optimize_pexp(setting, n, PARTITION) for n in (1, *range(4, 10))}
 
     # Ladder optimizations for the three headline sizes.
     for key, n in (("five_states", 4), ("six_states", 5), ("two_states", 1)):
-        result = optimize_pexp(setting, n, PARTITION)
+        result = searches[n]
         numbers[f"payoff_{key}"] = result.best_payoff
         numbers[f"pexp_{key}"] = result.best_pexp
         payoffs_seen.extend(v for _, v in result.grid_trace)
@@ -97,7 +99,7 @@ def compute_paper_numbers() -> dict:
     pexp_five = numbers["pexp_five_states"]
     robustness = {}
     for n in range(4, 10):
-        own = optimize_pexp(setting, n, PARTITION).best_payoff
+        own = searches[n].best_payoff
         fixed = optimize_pexp(
             setting, n, PARTITION, grid=(pexp_five,), refine_rounds=0
         ).best_payoff
@@ -317,19 +319,8 @@ def _round_floats(obj):
     return obj
 
 
-def golden_path() -> Path:
-    return Path(__file__).parent / "goldens" / "paper_numbers.json"
-
-
-def run_reproduce(out_dir: Path, write_goldens: bool = False, echo=print) -> int:
+def run_reproduce(out_dir: Path, echo=print) -> int:
     numbers = compute_paper_numbers()
-    if write_goldens:
-        golden_path().write_text(
-            json.dumps(_round_floats(numbers), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        echo(f"wrote goldens to {golden_path()}")
-
     failures: list[str] = []
     goldens = load_goldens()
     for key in goldens:

@@ -189,7 +189,7 @@ class TestPolicyFromDict:
     def test_missing_field_is_named(self, field):
         doc = _ladder_doc()
         del doc[field]
-        with pytest.raises(ValidationError, match=f"missing fields: \\['{field}'\\]"):
+        with pytest.raises(ValidationError, match=f"missing keys: \\['{field}'\\]"):
             policy_from_dict(doc, 2)
 
     @pytest.mark.parametrize("key", ["1", "1-2", "1:2:3", "a:1", "1:x"])

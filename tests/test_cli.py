@@ -1,11 +1,17 @@
 import json
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import pytest
 
+from bounded_agents import cli, reproduce as reproduce_mod
+from bounded_agents.automaton import AFamilyParams, build_a_family
+from bounded_agents.bias_reader import ReaderProblem, disregard_index, solve_reader_dp
 from bounded_agents.cli import run_cli
-from bounded_agents import reproduce as reproduce_mod
+from bounded_agents.dynamic_env import validate_setting
+from bounded_agents.markov_exact import exact_average_payoff
+from bounded_agents.optimize import optimize_pexp
 
 PAPER_SETTING = {
     "k": 4, "pG": [0.4, 0.3, 0.2, 0.1], "pB": [0.1, 0.2, 0.3, 0.4],
@@ -207,6 +213,20 @@ class TestStaticDemo:
         out = json.loads(capsys.readouterr().out)
         assert out["expected_utility"] == pytest.approx(0.911938379076, abs=1e-9)
 
+    def test_propagation_keys_are_read_under_any_demo(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "policy": {**self.STICKY, "initial_state": 2}, "demo": "expected_utility",
+            "setting": {"k": 4, "pG": [0.4, 0.3, 0.2, 0.1],
+                        "pB": [0.1, 0.2, 0.3, 0.4], "eta": 0.01},
+            "start": 1, "sequence": [1, 4],
+        })
+        prop = tmp_path / "prop.csv"
+        assert run_cli([
+            "static-demo", "--config", config, "--propagation-csv", str(prop),
+        ]) == 0
+        assert "expected_utility" in json.loads(capsys.readouterr().out)
+        assert prop.read_text().splitlines()[1] == "0,0,1,0,0,0,G"
+
     def test_non_stochastic_policy_exits_one_and_names_row(self, tmp_path, capsys):
         policy = {
             "type": "policy", "num_states": 1, "initial_state": 0, "actions": ["hold"],
@@ -376,6 +396,21 @@ class TestReproduce:
         assert "FAIL payoff_5_states_above_0.4" in out
         assert "FAIL golden-diff payoff_five_states" in out
 
+    def test_each_ladder_size_is_searched_once(self, monkeypatch):
+        searched = []
+
+        def counting(setting, n, partition, **options):
+            if not options:  # the fixed-p_exp evaluations pass a grid
+                searched.append(n)
+            return optimize_pexp(setting, n, partition, **options)
+
+        monkeypatch.setattr(reproduce_mod, "optimize_pexp", counting)
+        monkeypatch.setattr(reproduce_mod, "compare_exact_mc", lambda *args: SimpleNamespace(
+            mc_mean=0.0, std_error=1.0, z_score=0.0))
+        numbers = reproduce_mod.compute_paper_numbers()
+        assert sorted(searched) == [1, 4, 5, 6, 7, 8, 9]
+        assert numbers["robustness"]["5"]["own_optimum"] == numbers["payoff_five_states"]
+
     def test_goldens_have_expected_keys(self):
         goldens = reproduce_mod.load_goldens()
         for key in ("payoff_five_states", "payoff_two_states", "limit_schedule_curve",
@@ -384,8 +419,155 @@ class TestReproduce:
             assert key in goldens
 
 
+STICKY = {
+    "type": "linear_sticky", "num_states": 5,
+    "left_prob": [1, 1, 1, 1, 1], "right_prob": [0.01, 1, 1, 1, 1],
+    "good_signal": 1, "bad_signal": 4,
+}
+STATIC_SETTING = {"k": 4, "pG": [0.4, 0.3, 0.2, 0.1], "pB": [0.1, 0.2, 0.3, 0.4], "eta": 0.01}
+SCHEDULE = {"c1": 1.0, "a": 2.0, "c2": 1.0, "b": 1.0, "n_list": [5, 10]}
+INLINE_PROBLEM = {
+    "states": ["s"], "types": ["t"], "actions": ["go"], "prior": [["s", "t", 1.0]],
+    "machines": [{"name": "go", "out": [["s", "t", "go"]], "complexity": [["s", "t", 0]]}],
+    "utility": [["s", "t", "go", 0, 5.0]],
+}
+
+
+def one_error_line(tmp_path, capsys, command, doc):
+    config = write_config(tmp_path, doc)
+    assert run_cli([command, "--config", config]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
+
+
+# A key that no code path of the subcommand and mode reads (or a typo that leaves a
+# required key out), and the one error line that names it.
+UNREAD_KEYS = {
+    "automaton rd": ("eval-exact", {"setting": PAPER_SETTING, "automaton": {**LADDER, "rd": 0.3}},
+                     "automaton has unknown keys: ['rd']"),
+    "automaton k": ("eval-exact", {"setting": PAPER_SETTING, "automaton": {**LADDER, "k": 4}},
+                    "automaton has unknown keys: ['k']"),
+    "top level": ("eval-exact", {"setting": PAPER_SETTING, "automaton": LADDER, "seed": 1},
+                  "config has unknown keys: ['seed']"),
+    "setting": ("eval-exact", {"setting": {**PAPER_SETTING, "p": 0.1}, "automaton": LADDER},
+                "setting has unknown keys: ['p']"),
+    "simulate batch": ("simulate", {"setting": PAPER_SETTING, "automaton": LADDER,
+                                    "rounds": 100, "batch": 4},
+                       "config has unknown keys: ['batch']"),
+    "reader prior": ("reader", {"problem": {"n": 20, "rho": 0.75, "c": 0.01, "prior": 0.2}},
+                     "problem has unknown keys: ['prior']"),
+    "reader polarization": ("reader", {"problem": {"n": 2, "rho": 0.75, "c": 0.01},
+                                       "polarization": {"prior_b": 0.4, "sequence": [1, 0],
+                                                        "prior_a": 0.6}},
+                            "polarization has unknown keys: ['prior_a']"),
+    "static setting prior_g": ("static-demo", {
+        "policy": STICKY, "demo": "expected_utility",
+        "setting": {**STATIC_SETTING, "prior_g": 0.2}}, "setting has unknown keys: ['prior_g']"),
+    "static policy": ("static-demo", {"policy": {**STICKY, "initial": 2}, "demo": "first_impression",
+                                      "start": 1, "sequence": [1]},
+                      "policy has unknown keys: ['initial']"),
+    "static k twice": ("static-demo", {"policy": {**STICKY, "k": 4}, "k": 4,
+                                       "demo": "first_impression", "start": 1, "sequence": [1]},
+                       "policy has unknown keys: ['k']"),
+    "static demo start_a": ("static-demo", {"policy": STICKY, "demo": "first_impression",
+                                            "start": 1, "start_a": 1, "sequence": [1]},
+                            "config has unknown keys: ['start_a']"),
+    "schedule c3": ("limit-curve", {"setting": PAPER_SETTING, "schedule": {**SCHEDULE, "c3": 1}},
+                    "schedule has unknown keys: ['c3']"),
+    "rates mode r_u": ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "rates",
+                                    "r_u": 0.5}, "rates mode config has unknown keys: ['r_u']"),
+    "partition mode partition": ("optimize", {"setting": PAPER_SETTING, "n": 1,
+                                              "mode": "partition", "partition": [[1], [4]]},
+                                 "partition mode config has unknown keys: ['partition']"),
+    "pexp mode rate_grid": ("optimize", {"setting": PAPER_SETTING, "n": 1, "rate_grid": [1.0]},
+                            "pexp mode config has unknown keys: ['rate_grid']"),
+    "machine primality and problem": ("machine", {"primality": {"type_bound": 64},
+                                                  "problem": INLINE_PROBLEM},
+                                      "config has unknown keys: ['problem']"),
+    "primality": ("machine", {"primality": {"type_bound": 64, "budget": 3}},
+                  "primality has unknown keys: ['budget']"),
+    "conversation": ("machine", {"primality": {"type_bound": 64},
+                                 "conversation": {"domain_size": 4, "questions": 1, "pay": 1}},
+                     "conversation missing keys: ['payoff']"),
+}
+
+
+@pytest.mark.parametrize("command,doc,message", UNREAD_KEYS.values(), ids=UNREAD_KEYS)
+def test_unread_key_exits_one_and_names_it(tmp_path, capsys, command, doc, message):
+    assert one_error_line(tmp_path, capsys, command, doc) == f"error: {message}\n"
+
+
+NON_OBJECT_SECTIONS = {
+    "config": ("eval-exact", [1], "config"),
+    "automaton": ("eval-exact", {"setting": PAPER_SETTING, "automaton": [1]}, "automaton"),
+    "setting": ("eval-exact", {"setting": [1], "automaton": LADDER}, "setting"),
+    "kernel": ("eval-exact", {"setting": PAPER_SETTING, "automaton": {
+        "type": "policy", "num_states": 1, "initial_state": 0, "actions": ["Risky"],
+        "kernel": []}}, "kernel"),
+    "static policy": ("static-demo", {"policy": [1], "demo": "first_impression",
+                                      "start": 0, "sequence": [1]}, "policy"),
+    "schedule": ("limit-curve", {"setting": PAPER_SETTING, "schedule": [1]}, "schedule"),
+    "reader problem": ("reader", {"problem": [20, 0.75, 0.01]}, "problem"),
+    "machines entry": ("machine", {"problem": {**INLINE_PROBLEM, "machines": [["go"]]}},
+                       "machines entry 0"),
+}
+
+
+@pytest.mark.parametrize("command,doc,what", NON_OBJECT_SECTIONS.values(),
+                         ids=NON_OBJECT_SECTIONS)
+def test_non_object_section_exits_one_and_names_it(tmp_path, capsys, command, doc, what):
+    assert one_error_line(tmp_path, capsys, command, doc).startswith(
+        f"error: {what} must be a JSON object, got [")
+
+
+def test_machines_entry_without_name_names_the_key(tmp_path, capsys):
+    problem = {**INLINE_PROBLEM, "machines": [{"out": [["s", "t", "go"]],
+                                               "complexity": [["s", "t", 0]]}]}
+    err = one_error_line(tmp_path, capsys, "machine", {"problem": problem})
+    assert err == "error: machines entry 0 missing keys: ['name']\n"
+
+
+@pytest.mark.parametrize("command,doc", [
+    ("optimize", {"setting": PAPER_SETTING, "n": 1, "partition": [[1]]}),
+    ("optimize", {"setting": PAPER_SETTING, "n": 1, "partition": [[1], [4], [2]]}),
+    ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "rates", "partition": [[1]]}),
+    ("limit-curve", {"setting": PAPER_SETTING, "schedule": SCHEDULE, "partition": [[1]]}),
+], ids=["optimize one side", "optimize three sides", "rates one side", "limit-curve one side"])
+def test_malformed_partition_exits_one_and_names_it(tmp_path, capsys, command, doc):
+    err = one_error_line(tmp_path, capsys, command, doc)
+    assert err == f"error: partition must be a (pos, neg) pair, got {doc['partition']!r}\n"
+
+
+def test_section_keys_reach_the_builder(tmp_path, capsys):
+    # The keys that a typo above misses are read: r_d and prior1 change the result.
+    config = write_config(tmp_path, {"setting": PAPER_SETTING, "automaton": {**LADDER, "r_d": 0.3}})
+    assert run_cli(["eval-exact", "--config", config]) == 0
+    policy = build_a_family(4, AFamilyParams(n=4, p_exp=0.0273668, pos=frozenset({1}),
+                                             neg=frozenset({4}), r_d=0.3))
+    expected = exact_average_payoff(validate_setting(**PAPER_SETTING), policy)
+    assert json.loads(capsys.readouterr().out)["payoff"] == float(f"{expected:.12g}")
+    config = write_config(tmp_path, {"problem": {"n": 20, "rho": 0.75, "c": 0.01, "prior1": 0.2}})
+    assert run_cli(["reader", "--config", config]) == 0
+    table = solve_reader_dp(ReaderProblem(n=20, rho=0.75, c=0.01, prior1=0.2))
+    assert json.loads(capsys.readouterr().out) == {
+        "value": float(f"{table.value(0, 0):.12g}"), "disregard_index": disregard_index(table)}
+
+
+def test_key_error_is_a_bug_not_invalid_input(tmp_path, monkeypatch):
+    def broken(problem):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "solve_reader_dp", broken)
+    config = write_config(tmp_path, {"problem": {"n": 2, "rho": 0.75, "c": 0.01}})
+    with pytest.raises(KeyError, match="internal"):
+        run_cli(["reader", "--config", config])
+
+
 @pytest.mark.parametrize("argv", [
     ["reproduce", "--workers", "2"],
+    ["reproduce", "--write-goldens"],
     ["optimize", "--config", "cfg.json", "--workers", "2"],
     ["eval-exact"],
     ["no-such-command"],

@@ -1,4 +1,6 @@
 import itertools
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from bounded_agents.automaton import (
 )
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import (
+    BadProbabilityError,
     GridTooLargeError,
     ReducibleChainError,
     TooManySignalsError,
@@ -104,6 +107,46 @@ class TestOptimizePexp:
     def test_zero_pexp_rejected_at_validation(self, paper_setting):
         with pytest.raises(ValidationError):
             optimize_pexp(paper_setting, n=2, grid=(0.0, 0.5))
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.5, 0.0, 1.5, float("inf")])
+    def test_bad_point_anywhere_rejected_before_any_solve(self, paper_setting, monkeypatch, bad):
+        monkeypatch.setattr(optimize, "evaluate_stack", lambda *a: pytest.fail("solved"))
+        with pytest.raises(BadProbabilityError, match="p_exp must be in"):
+            optimize_pexp(paper_setting, n=2, grid=(0.5, 0.25, bad, 0.75))
+
+    def test_each_batch_is_validated_by_two_constructions(self, paper_setting, monkeypatch):
+        calls = []
+
+        def counting(params, **changes):
+            calls.append(changes["p_exp"])
+            return replace(params, **changes)
+
+        monkeypatch.setattr(optimize, "replace", counting)
+        result = optimize_pexp(paper_setting, n=4, grid=(0.5, 0.01, 0.2))
+        assert len(result.grid_trace) > 3
+        # One batch for the grid, one per refinement round.
+        assert len(calls) == 2 * 3
+        assert calls[:2] == [0.01, 0.5]
+
+    def test_single_point_grid_refines_to_nothing(self, paper_setting):
+        result = optimize_pexp(paper_setting, n=2, grid=(0.1,))
+        assert result.best_pexp == 0.1 and len(result.grid_trace) == 1
+
+    @pytest.mark.parametrize("partition", [[[1]], [[1], [4], [2]], [1, 4], 5],
+                             ids=["one side", "three sides", "flat", "scalar"])
+    def test_malformed_partition_is_named(self, paper_setting, partition):
+        message = rf"^partition must be a \(pos, neg\) pair, got {re.escape(repr(partition))}$"
+        with pytest.raises(ValidationError, match=message):
+            optimize_pexp(paper_setting, n=2, partition=partition, grid=(0.5,))
+        schedule = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(5, 10))
+        with pytest.raises(ValidationError, match=message):
+            limit_schedule_curve(paper_setting, schedule, partition)
+
+    def test_partition_sides_may_be_lists(self, paper_setting):
+        as_lists = optimize_pexp(paper_setting, n=2, partition=[[1, 2], [4]], grid=(0.5, 0.1))
+        as_sets = optimize_pexp(paper_setting, n=2, partition=(frozenset({1, 2}), frozenset({4})),
+                                grid=(0.5, 0.1))
+        assert as_lists == as_sets
 
     def test_stacked_trace_matches_single_evaluations(self, paper_setting):
         # Grid points share one ladder and differ in its Safe row only; every

@@ -17,14 +17,16 @@ from bounded_agents.automaton import (
     build_linear_sticky,
     check_policy,
 )
-from bounded_agents.costly_comp import CompProblem
-from bounded_agents.dynamic_env import validate_setting
+from bounded_agents.automaton import policy_from_dict, policy_to_dict
+from bounded_agents.costly_comp import CompProblem, problem_from_dict
+from bounded_agents.dynamic_env import setting_from_dict, setting_to_dict, validate_setting
 from bounded_agents.errors import (
     PROB_SUM_TOL,
     DimensionMismatchError,
     NonStochasticError,
     ValidationError,
     check_distribution,
+    check_keys,
     stochastic_rows,
 )
 from bounded_agents.markov_exact import build_joint_chain, exact_average_payoff
@@ -143,3 +145,54 @@ def test_array_check_names_the_first_faulty_row():
     rows[1, 1, 0] = 1.5
     with pytest.raises(NonStochasticError, match=r"^row \(1, 1\) has entry 1.5 outside"):
         check_distribution(rows, lambda q, s: f"row {(q, s)}")
+
+
+def test_key_rule():
+    check_keys({"a": 1, "b": 2}, "doc", ("a",), ("b",))
+    check_keys({"a": 1}, "doc", ("a",), ("b",))
+    with pytest.raises(ValidationError, match=r"^doc must be a JSON object, got \[1\]$"):
+        check_keys([1], "doc", ("a",))
+    with pytest.raises(ValidationError, match=r"^doc missing keys: \['a', 'c'\]$"):
+        check_keys({"b": 2}, "doc", ("a", "c"), ("b",))
+    with pytest.raises(ValidationError, match=r"^doc has unknown keys: \['x'\]$"):
+        check_keys({"a": 1, "x": 3}, "doc", ("a",), ("b",))
+
+
+# Each JSON reader, with a document it accepts; the first key is required.
+KEY_ENTRY_POINTS = {
+    "setting_from_dict": (setting_from_dict, "setting", {
+        "k": 2, "pG": [0.6, 0.4], "pB": [0.4, 0.6], "xG": 1.0, "xB": -1.0, "pi": 0.1}),
+    "policy_from_dict": (lambda doc: policy_from_dict(doc, 2), "policy", policy_to_dict(
+        build_linear_sticky(2, [1, 1], [1, 1], 1, 2, k=2))),
+    "problem_from_dict": (problem_from_dict, "problem", {
+        "states": ["s"], "types": ["t"], "actions": ["a"], "prior": [["s", "t", 1.0]],
+        "machines": [{"name": "m", "out": [["s", "t", "a"]], "complexity": [["s", "t", 0]]}],
+        "utility": [["s", "t", "a", 0, 1.0]]}),
+}
+
+
+@pytest.mark.parametrize("read,what,doc", KEY_ENTRY_POINTS.values(), ids=KEY_ENTRY_POINTS)
+def test_key_rule_at_each_json_reader(read, what, doc):
+    read(doc)
+    first = next(iter(doc))
+    with pytest.raises(ValidationError, match=rf"^{what} missing keys: \['{first}'\]$"):
+        read({key: v for key, v in doc.items() if key != first})
+    with pytest.raises(ValidationError, match=rf"^{what} has unknown keys: \['extra'\]$"):
+        read({**doc, "extra": 1})
+    with pytest.raises(ValidationError, match=rf"^{what} must be a JSON object"):
+        read([doc])
+
+
+@pytest.mark.parametrize("entry", [{"out": [], "complexity": []}, ["m"]],
+                         ids=["no name", "not an object"])
+def test_machines_entry_is_checked_by_the_key_rule(entry):
+    doc = {**KEY_ENTRY_POINTS["problem_from_dict"][2]}
+    doc["machines"] = [doc["machines"][0], entry]
+    with pytest.raises(ValidationError, match=r"^machines entry 1 (missing keys: \['name'\]|must be)"):
+        problem_from_dict(doc)
+
+
+def test_policy_kernel_must_be_an_object():
+    doc = {**KEY_ENTRY_POINTS["policy_from_dict"][2], "kernel": []}
+    with pytest.raises(ValidationError, match=r"^kernel must be a JSON object, got \[\]$"):
+        policy_from_dict(doc, 2)
