@@ -39,6 +39,7 @@ from .errors import (
     SignalOutOfRangeError,
     ValidationError,
     check_distribution,
+    check_integer,
     check_keys,
     check_object,
 )
@@ -126,7 +127,8 @@ class AFamilyParams:
     r_d: float = 1.0
 
     def __post_init__(self):
-        if self.n < 1 or int(self.n) != self.n:
+        check_integer(self.n, "n")
+        if self.n < 1:
             raise ValidationError(f"n must be a positive integer, got {self.n}")
         if not (0.0 < self.p_exp <= 1.0):
             raise BadProbabilityError(f"p_exp must be in (0, 1], got {self.p_exp}")
@@ -247,8 +249,7 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
     check_keys(doc, "policy", ("num_states", "initial_state", "actions", "kernel"))
     check_object(doc["kernel"], "kernel")
     for name in ("num_states", "initial_state"):
-        if not isinstance(doc[name], int):
-            raise ValidationError(f"policy {name} must be an integer, got {doc[name]!r}")
+        check_integer(doc[name], f"policy {name}")
     actions = tuple(doc["actions"])
     m = len(actions)
     rows = dict(_parse_row(key, row) for key, row in doc["kernel"].items())

@@ -29,6 +29,7 @@ from .errors import (
     LengthMismatchError,
     MismatchedProblemsError,
     ValidationError,
+    check_integer,
 )
 
 
@@ -40,6 +41,7 @@ class ReaderProblem:
     prior1: float = 0.5
 
     def __post_init__(self):
+        check_integer(self.n, "n")
         if self.n < 1:
             raise ValidationError(f"n must be positive, got {self.n}")
         if not (0.5 < self.rho < 1.0):

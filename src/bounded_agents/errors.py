@@ -1,8 +1,10 @@
-"""Exception types shared across the package, and the probability and key rules.
+"""Exception types shared across the package, and the probability, integer and key rules.
 
 Validation errors subclass ValueError so callers can catch either the
 specific class or the built-in.
 """
+
+from numbers import Integral
 
 import numpy as np
 
@@ -120,6 +122,13 @@ def check_distribution(probs, label) -> None:
     if outside.size:
         raise NonStochasticError(f"{name} has entry {float(outside[0])!r} outside [0, 1]")
     raise NonStochasticError(f"{name} sums to {float(_sum(row))!r}, not 1")
+
+
+def check_integer(value, name) -> None:
+    """Raise ValidationError, naming ``name``, unless ``value`` is an integer:
+    an Integral, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def check_object(doc, what) -> None:

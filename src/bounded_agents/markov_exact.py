@@ -12,21 +12,21 @@ expectation of the reward vector (via the Cesaro limit, so periodic chains
 need no special handling). The stationary distribution comes from GTH
 elimination (Grassmann, Taksar & Heyman 1985), which never subtracts and so
 stays accurate when small pi leaves the chain nearly decomposable. It runs
-on the states in the interleaved order 2q + theta, where the matrix is
-banded: its half-bandwidth w is measured from the nonzeros of P (3 for every
-ladder), and the chain is stored as a band when that is narrower than the
-matrix, so a ladder solves in O(d). The same band serves the reachability
-search of large chains.
+in the interleaved order 2q + theta, where agents that move at most W
+states give half-bandwidth at most 2W + 1 (3 for a ladder). Joint chains
+are assembled straight into that band, so a ladder is built, checked and
+solved in O(d); the dense matrix is made only when read, or up to
+CLOSURE_MAX_DIM for the closure and residual.
 
-One stacked path assembles, checks and solves (B, 2m, 2m) joint chains from
-(B, m, m) agent matrices. The single-chain functions are its B = 1 case, so
-a chain gives the same bits whether it is solved alone or inside a stack.
+One stacked path assembles, checks and solves joint chains; the single-chain
+functions are its B = 1 case, so a chain gets the same bits alone or in a stack.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -45,31 +45,35 @@ NATURE_STATES = ("G", "B")
 
 STATIONARY_TOL = 1e-10
 
-# Reachability takes a batched boolean closure up to this chain dimension
-# and one graph search per chain above it.
+# Dense-matrix reachability closure and residual up to this dimension, band above.
 CLOSURE_MAX_DIM = 64
 
-# Bytes of float64 joint matrices in one stack.
+# Bytes of float64 joint storage in one stack.
 STACK_BYTES = 8 << 20
 
 
-def stack_len(dim: int) -> int:
-    """Chains of dimension ``dim`` per stack, within STACK_BYTES."""
-    return max(1, STACK_BYTES // (8 * dim * dim))
+def stack_len(m: int, W: int) -> int:
+    """Chains of m-state agents of band half-width W per stack, so that the
+    joint storage as assembled, 2m rows of 4W + 3 columns, fits STACK_BYTES."""
+    return max(1, STACK_BYTES // (16 * m * (4 * W + 3)))
 
 
 @dataclass(frozen=True)
 class JointChainModel:
-    """Transition matrix and rewards over (nature, automaton-state) pairs.
-
-    Row index = nature_index * num_agent_states + agent_state, with nature
-    index 0 = G, 1 = B.
-    """
+    """Transition matrix and rewards over (nature, automaton-state) pairs, row
+    nature_index * num_agent_states + agent_state with G = 0, B = 1. The
+    matrix is held as joint_band's (d, L, 1) storage ``band`` of half-width
+    ``w``; the dense ``P`` is built from it on first read."""
 
     dim: int
-    P: np.ndarray
+    band: np.ndarray
+    w: int
     reward: np.ndarray
     num_agent_states: int
+
+    @cached_property
+    def P(self) -> np.ndarray:
+        return _dense(self.band, self.w)[:, :, 0]
 
     def index_of(self, nature: str, agent_state: int) -> int:
         return NATURE_STATES.index(nature) * self.num_agent_states + agent_state
@@ -104,21 +108,28 @@ class StackEval:
 
 
 def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
-    """One-step matrix of the automaton under a fixed signal distribution:
-    each state averages its signal rows under ``signal_probs``, adding them
-    in signal order, except that a Safe state takes its one row as is.
-    """
+    """(m, 2W + 1) band of the automaton's one-step matrix under a fixed
+    signal distribution, (q, q') at column q' - q + W for the longest move W
+    of any row entry: each state adds its signal rows under ``signal_probs``
+    in signal order, except that a Safe state takes its one row as is."""
     m, k = policy.num_states, len(signal_probs)
     safe = np.array([a == SAFE for a in policy.actions], dtype=bool)[:, None]
     weight = np.where(safe, np.arange(k) == 0, np.asarray(signal_probs, dtype=float))
+    move = policy.next_state - np.arange(m)[:, None, None]
+    L = 2 * int(np.abs(move).max()) + 1
     # bincount adds in input order, so signal-major input keeps signal order.
-    cells = (np.arange(m)[:, None, None] * m + policy.next_state).transpose(1, 0, 2)
+    cells = (np.arange(m)[:, None, None] * L + move + L // 2).transpose(1, 0, 2)
     terms = (weight[:, :, None] * policy.prob).transpose(1, 0, 2)
-    return np.bincount(cells.ravel(), terms.ravel(), minlength=m * m).reshape(m, m)
+    return np.bincount(cells.ravel(), terms.ravel(), minlength=m * L).reshape(m, L)
+
+
+def dense_matrix(band: np.ndarray) -> np.ndarray:
+    """(m, m) matrix of an agent's (m, 2W + 1) band."""
+    return _dense(band[:, :, None], band.shape[1] // 2, np.arange(len(band)))[:, :, 0]
 
 
 def agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):
-    """Step matrices in G and in B of a policy the joint chain can take."""
+    """Step-matrix bands in G and in B of a policy the joint chain can take."""
     check_dynamic_policy(policy, setting.k)
     return agent_step_matrix(policy, setting.pG), agent_step_matrix(policy, setting.pB)
 
@@ -129,23 +140,36 @@ def joint_reward(setting: DynamicSetting, actions) -> np.ndarray:
     return np.concatenate([np.where(risky, setting.xG, 0.0), np.where(risky, setting.xB, 0.0)])
 
 
-def joint_matrices(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> np.ndarray:
-    """(B, 2m, 2m) joint matrices from (B, m, m) agent matrices in G and B."""
-    b, m, _ = a_good.shape
-    P = np.empty((b, 2 * m, 2 * m))
-    np.multiply(a_good, 1.0 - pi, out=P[:, :m, :m])
-    np.multiply(a_good, pi, out=P[:, :m, m:])
-    np.multiply(a_bad, pi, out=P[:, m:, :m])
-    np.multiply(a_bad, 1.0 - pi, out=P[:, m:, m:])
-    return P
+def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.ndarray, int]:
+    """(d, L, B) interleaved-order storage of the joint chains of (B, m, 2W + 1)
+    agent bands in G and B, and its half-bandwidth w: row i holds (i, j) at column
+    j - i + w, w the least that holds every nonzero; or whole rows (w = d - 1) if no
+    width 3, 7, 15, ... that holds them is narrower than the matrix. The stack axis
+    is last, so each elimination step runs over contiguous runs of B values."""
+    b, m, wide = a_good.shape
+    # (q, theta) -> (q', theta') is held at column 2(q' - q + W) + theta' - theta + 2W + 1.
+    S = np.zeros((m, 2, 2 * wide + 1, b))
+    good, bad = a_good.transpose(1, 2, 0), a_bad.transpose(1, 2, 0)
+    np.multiply(good, 1.0 - pi, out=S[:, 0, 1:-1:2])
+    np.multiply(good, pi, out=S[:, 0, 2::2])
+    np.multiply(bad, pi, out=S[:, 1, :-2:2])
+    np.multiply(bad, 1.0 - pi, out=S[:, 1, 1:-1:2])
+    S = S.reshape(2 * m, 2 * wide + 1, b)
+    tight = int(np.abs(np.flatnonzero(S.any(axis=(0, 2))) - wide).max(initial=1))
+    d, w = 2 * m, 3
+    while 2 * w + 1 < d:
+        if tight <= w:
+            return np.ascontiguousarray(S[:, wide - tight:wide + tight + 1]), tight
+        w = 2 * w + 1
+    return _dense(S, wide, np.arange(d)), d - 1
 
 
 def build_joint_chain(setting: DynamicSetting, policy: AutomatonPolicy) -> JointChainModel:
     """Compose the automaton with switching nature into one Markov chain."""
     a_good, a_bad = agent_matrices(setting, policy)
-    P = joint_matrices(a_good[None], a_bad[None], setting.pi)[0]
-    return JointChainModel(dim=len(P), P=P, reward=joint_reward(setting, policy.actions),
-                           num_agent_states=policy.num_states)
+    band, w = joint_band(a_good[None], a_bad[None], setting.pi)
+    return JointChainModel(dim=len(band), band=band, w=w, num_agent_states=policy.num_states,
+                           reward=joint_reward(setting, policy.actions))
 
 
 def _interleaved(d: int) -> np.ndarray:
@@ -153,48 +177,30 @@ def _interleaved(d: int) -> np.ndarray:
     return np.arange(d).reshape(2, d // 2).T.ravel()
 
 
-def _gather(P: np.ndarray, w: int) -> np.ndarray:
-    """(d, L, B) storage of a stack's B chains in the interleaved order.
-    Row i holds the entries (i, j) with |i - j| <= w at column j - i + w
-    (L = 2w + 1), or the whole row (L = d) when that band would cover it.
-    The stack axis is last, so each elimination step runs over contiguous
-    runs of B values rather than over B short windows."""
-    b, d, _ = P.shape
-    order = _interleaved(d)
-    by_entry = P.reshape(b, d * d).T
-    if 2 * w + 1 >= d:
-        return by_entry[order[:, None] * d + order]
-    cols = np.arange(d)[:, None] + np.arange(-w, w + 1)
-    S = by_entry[order[:, None] * d + order.take(cols, mode="clip")]
-    S[(cols < 0) | (cols >= d)] = 0.0
-    return S
+def _cells(S: np.ndarray, w: int):
+    """Row, column and (n * L)-row index of each in-matrix cell of an (n, L, B) storage."""
+    n, L = S.shape[:2]
+    i, c = np.divmod(np.arange(n * L), L)
+    j = i + c - w if L == 2 * w + 1 else c
+    cells = np.flatnonzero((j >= 0) & (j < n))
+    return i[cells], j[cells], cells
 
 
-def _band(P: np.ndarray) -> tuple[np.ndarray, int]:
-    """Band storage of a stack (see _gather) and its half-bandwidth w, the
-    least with every nonzero (i, j) of every chain within |i - j| <= w in
-    the interleaved order; w = d - 1 when no narrower band holds them."""
-    d = P.shape[1]
-    nonzeros = np.count_nonzero(P != 0.0)
-    # A joint chain whose agent moves has w >= 3, so the search starts there.
-    w = 3
-    while 2 * w + 1 < d:
-        S = _gather(P, w)
-        per_offset = (S != 0.0).sum(axis=(0, 2))
-        if per_offset.sum() == nonzeros:
-            tight = int(np.abs(np.flatnonzero(per_offset) - w).max(initial=1))
-            return np.ascontiguousarray(S[:, w - tight:w + tight + 1]), tight
-        w = 2 * w + 1
-    return _gather(P, d - 1), d - 1
+def _dense(S: np.ndarray, w: int, order: np.ndarray | None = None) -> np.ndarray:
+    """(n, n, B) matrices of a storage, (i, j) at [order[i], order[j]]; nature-major if None."""
+    n, L, b = S.shape
+    order = _interleaved(n) if order is None else order
+    i, j, cells = _cells(S, w)
+    out = np.zeros((n, n, b))
+    out[order[i], order[j]] = S.reshape(n * L, b)[cells]
+    return out
 
 
 def _square_view(S: np.ndarray, w: int) -> np.ndarray:
-    """(d, d, B) view of a band storage, entry (i, j) at row i*R + j + off
-    of the storage's (d*L, B) rows: R, off = 2w, w for a band and d, 0 for
-    whole rows. Outside the band, entries alias others, so only entries
-    with |i - j| <= w may be touched."""
+    """(d, d, B) view of a storage, (i, j) at row 2w*i + j + w of its (d*L, B) rows
+    (whole rows as stored); outside |i - j| <= w entries alias others: keep out."""
     d, L, b = S.shape
-    if L == d:
+    if L != 2 * w + 1:
         return S
     rows = S.reshape(d * L, b)
     step = rows.strides[0]
@@ -205,11 +211,10 @@ def _band_gaps(S: np.ndarray, w: int) -> np.ndarray:
     """(B, d) nature-major mask of the states each stored chain cuts off
     from state 0, by a graph search each way over the band's nonzeros."""
     d, L, b = S.shape
+    i, j, cells = _cells(S, w)
     cut = np.zeros((b, d), dtype=bool)
-    for chain, gaps in zip(np.moveaxis(S > 0.0, 2, 0), cut):
-        i, c = np.nonzero(chain)
-        j = c if L == d else i + c - w
-        for src, dst in ((i, j), (j, i)):
+    for edges, gaps in zip(S.reshape(d * L, b)[cells].T > 0.0, cut):
+        for src, dst in ((i[edges], j[edges]), (j[edges], i[edges])):
             by_src = np.argsort(src, kind="stable")
             starts = np.searchsorted(src[by_src], np.arange(d + 1)).tolist()
             succ = dst[by_src].tolist()
@@ -224,18 +229,6 @@ def _band_gaps(S: np.ndarray, w: int) -> np.ndarray:
                         stack.append(u)
             gaps |= ~np.array(seen)
     return cut[:, np.argsort(_interleaved(d))]
-
-
-def _closure_gaps(P: np.ndarray) -> np.ndarray:
-    # Boolean closure by repeated squaring of (I | P > 0) until it covers
-    # paths of length d - 1; float32 counts stay exact at these sizes.
-    d = P.shape[1]
-    reach = ((P > 0.0) | np.eye(d, dtype=bool)).astype(np.float32)
-    steps = 1
-    while steps < d - 1:
-        reach = (reach @ reach > 0.0).astype(np.float32)
-        steps *= 2
-    return (reach[:, 0, :] == 0.0) | (reach[:, :, 0] == 0.0)
 
 
 def _state_label(row: int, m: int) -> str:
@@ -295,54 +288,52 @@ def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
     return mu, pivot.T
 
 
-def _checked_band(P: np.ndarray):
-    """(cut_off, chains, P, S, w) of a stack of joint chains: the (B, d)
-    masks of cut-off states, the stack indices of the irreducible chains,
-    their matrices, and their band storage and half-bandwidth.
-
-    The band is measured and stored once, for the reachability search above
-    CLOSURE_MAX_DIM and for the solve.
-    """
-    if P.shape[1] <= CLOSURE_MAX_DIM:
-        cut_off = _closure_gaps(P)
-        chains = np.flatnonzero(~cut_off.any(axis=1))
-        if len(chains) < len(P):
-            P = P[chains]
-        S, w = _band(P)
-    else:
-        S, w = _band(P)
-        cut_off = _band_gaps(S, w)
-        chains = np.flatnonzero(~cut_off.any(axis=1))
-        if len(chains) < len(P):
-            P, S = P[chains], S[:, :, chains]
-    return cut_off, chains, P, S, w
-
-
-def reach_gaps(P: np.ndarray) -> np.ndarray:
-    """(B, d) mask of the states each chain of a stack cuts off from row 0."""
-    return _checked_band(P)[0]
+def reach_gaps(S: np.ndarray, w: int, P: np.ndarray | None) -> np.ndarray:
+    """(B, d) nature-major mask of the states each stored chain cuts off from state
+    0, by the closure of its dense matrices P up to CLOSURE_MAX_DIM, else the band."""
+    d = len(S)
+    if d > CLOSURE_MAX_DIM:
+        return _band_gaps(S, w)
+    # Boolean closure by repeated squaring of (I | P > 0) until it covers
+    # paths of length d - 1; float32 counts stay exact at these sizes.
+    reach = ((P > 0.0) | np.eye(d, dtype=bool)).astype(np.float32)
+    steps = 1
+    while steps < d - 1:
+        reach = (reach @ reach > 0.0).astype(np.float32)
+        steps *= 2
+    return (reach[:, 0, :] == 0.0) | (reach[:, :, 0] == 0.0)
 
 
 def check_irreducible(chain: JointChainModel):
     """Raise ReducibleChainError naming the cut-off states, if any. Returns
-    the chain's band storage and half-bandwidth, which ``stationary`` solves."""
-    cut_off, _, _, S, w = _checked_band(chain.P[None])
+    the dense (1, d, d) stack for the residual, None above CLOSURE_MAX_DIM."""
+    P = chain.P[None] if chain.dim <= CLOSURE_MAX_DIM else None
+    cut_off = reach_gaps(chain.band, chain.w, P)
     if cut_off.any():
         raise _reducible_error(cut_off[0], chain.num_agent_states)
-    return S, w
+    return P
 
 
-def _solve(P: np.ndarray, S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Stationary rows, residuals and failure messages of a stack of
-    irreducible chains, from their band storage S (overwritten)."""
-    d = P.shape[1]
+def _solve(S: np.ndarray, w: int,
+           P: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
+    """Stationary rows, residuals and failure messages of a stack of irreducible
+    chains from their storage S (overwritten); residuals on P if given, else on S."""
+    d, L, b = S.shape
     order = _interleaved(d)
-    mu = np.empty((len(P), d))
+    mu = np.empty((b, d))
+    band = S.copy() if P is None else None
     # A zero pivot (from underflow) gives inf and NaN, which fail the checks
     # below with a typed error.
     with np.errstate(divide="ignore", invalid="ignore"):
-        mu[:, order], pivot = _gth(S, w)
-        residual = np.abs((mu[:, None, :] @ P)[:, 0, :] - mu).max(axis=1)
+        x, pivot = _gth(S, w)
+        mu[:, order] = x
+        if P is None:
+            i, j, cells = _cells(band, w)
+            xP = np.zeros((d, b))
+            np.add.at(xP, j, x.T[i] * band.reshape(d * L, b)[cells])
+            residual = np.abs(xP.T - x).max(axis=1)
+        else:
+            residual = np.abs((mu[:, None, :] @ P)[:, 0, :] - mu).max(axis=1)
     mass = mu.sum(axis=1)
     least = mu.min(axis=1)
     # Written so that NaN fails too.
@@ -364,8 +355,8 @@ def _solve(P: np.ndarray, S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray
 
 def stationary(chain: JointChainModel) -> StationaryDist:
     """Unique stationary distribution of an irreducible chain."""
-    S, w = check_irreducible(chain)
-    mu, residual, errors = _solve(chain.P[None], S, w)
+    P = check_irreducible(chain)
+    mu, residual, errors = _solve(chain.band.copy(), chain.w, P)
     if errors:
         raise SolveFailedError(errors[0])
     return StationaryDist(mu=mu[0], residual=float(residual[0]))
@@ -389,10 +380,19 @@ def exact_average_payoff(setting: DynamicSetting, policy: AutomatonPolicy) -> fl
 
 def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
                    reward: np.ndarray) -> StackEval:
-    """Assemble, check and solve a stack of joint chains sharing ``reward``;
-    reducible chains are not solved."""
-    cut_off, chains, P, S, w = _checked_band(joint_matrices(a_good, a_bad, pi))
-    solved, solved_residual, solve_errors = _solve(P, S, w)
+    """Assemble, check and solve a stack of joint chains from (B, m, 2W + 1)
+    agent bands, all sharing ``reward``; reducible chains are not solved."""
+    S, w = joint_band(a_good, a_bad, pi)
+    P = None
+    if len(S) <= CLOSURE_MAX_DIM:
+        P = np.ascontiguousarray(_dense(S, w).transpose(2, 0, 1))
+    cut_off = reach_gaps(S, w, P)
+    chains = np.flatnonzero(~cut_off.any(axis=1))
+    if len(chains) < len(cut_off):
+        # take keeps the stack axis contiguous, as each elimination step needs.
+        S = np.take(S, chains, axis=2)
+        P = None if P is None else P[chains]
+    solved, solved_residual, solve_errors = _solve(S, w, P)
     errors = {int(chains[i]): msg for i, msg in solve_errors.items()}
     failed = list(errors)
     ok = ~cut_off.any(axis=1)

@@ -23,14 +23,13 @@ error uses batch means rather than an i.i.d. formula.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
 from .automaton import RISKY, AutomatonPolicy, check_dynamic_policy
 from .dynamic_env import DynamicSetting
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .markov_exact import exact_average_payoff
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -62,10 +61,8 @@ class SimConfig:
 
     def __post_init__(self):
         for name in ("rounds", "seed", "burn_in", "batches"):
-            value = getattr(self, name)
-            unset = name == "burn_in" and value is None
-            if not unset and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if not (name == "burn_in" and self.burn_in is None):
+                check_integer(getattr(self, name), name)
         if self.rounds < 1:
             raise ValidationError(f"rounds must be positive, got {self.rounds}")
         if self.batches < 2:

@@ -113,8 +113,9 @@ def optimize_pexp(
     base = AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
     ladder = build_a_family(setting.k, base)
     agent = np.array(agent_matrices(setting, ladder))
+    W = agent.shape[-1] // 2
     reward = joint_reward(setting, ladder.actions)
-    step = stack_len(reward.size)
+    step = stack_len(ladder.num_states, W)
     trace: dict[float, float] = {}
 
     def evaluate(points):
@@ -127,8 +128,9 @@ def optimize_pexp(
         for lo in range(0, len(fresh), step):
             ps = p_exp[lo:lo + step]
             stack = np.repeat(agent[:, None], len(ps), axis=1)
-            # p_exp is only the Safe row [1 - p, p, 0, ...], the same in G and B.
-            stack[:, :, 0, 0], stack[:, :, 0, 1] = 1.0 - ps, ps
+            # p_exp is only the Safe row [1 - p, p, 0, ...], the same in G and B:
+            # band columns W and W + 1 of row 0.
+            stack[:, :, 0, W], stack[:, :, 0, W + 1] = 1.0 - ps, ps
             ev = evaluate_stack(*stack, setting.pi, reward)
             if not ev.ok.all():
                 raise ev.error(int(np.argmin(ev.ok)))
@@ -349,22 +351,26 @@ def brute_force_policy_search(
 
     pG = np.asarray(setting.pG)
     pB = np.asarray(setting.pB)
-    chunk = stack_len(2 * m)
+    # Every row may reach every state: agent bands of half-width W = m - 1,
+    # with state q's row at columns W - q onward.
+    W = m - 1
+    chunk = stack_len(m, W)
     best_val, best = -np.inf, None
     for acts, digits, radixes in labelings:
         reward = joint_reward(setting, acts)
         n_cand = math.prod(radixes)
         for lo in range(0, n_cand, chunk):
             choices = np.unravel_index(np.arange(lo, min(lo + chunk, n_cand)), radixes)
-            a_good = np.zeros((len(choices[0]), m, m))
+            a_good = np.zeros((len(choices[0]), m, 2 * W + 1))
             a_bad = np.zeros_like(a_good)
             for (q, s), choice in zip(digits, choices):
                 rows = options[q][choice]  # (chunk, m)
+                band = np.s_[:, q, W - q:W - q + m]
                 if s is None:
-                    a_good[:, q] = a_bad[:, q] = rows
+                    a_good[band] = a_bad[band] = rows
                 else:
-                    a_good[:, q] += pG[s] * rows
-                    a_bad[:, q] += pB[s] * rows
+                    a_good[band] += pG[s] * rows
+                    a_bad[band] += pB[s] * rows
             ev = evaluate_stack(a_good, a_bad, setting.pi, reward)
             vals = np.where(ev.ok, ev.payoff, -np.inf)
             local = int(np.argmax(vals))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .automaton import AutomatonPolicy, check_policy
 from .errors import BadEtaError, SignalOutOfRangeError, ValidationError, check_distribution
-from .markov_exact import agent_step_matrix, stopped_state_distribution
+from .markov_exact import agent_step_matrix, dense_matrix, stopped_state_distribution
 
 DECISIONS = ("G", "B")
 
@@ -67,6 +67,14 @@ class DecisionRule:
             raise ValidationError(f"decisions must be in {DECISIONS}")
 
 
+def check_rule(rule: DecisionRule, policy: AutomatonPolicy) -> None:
+    """Raise ValidationError, naming both counts, unless ``rule`` has one
+    label per state of ``policy``."""
+    if len(rule.decide) != policy.num_states:
+        raise ValidationError(f"rule must have one label per policy state "
+                              f"({policy.num_states}), got {len(rule.decide)}")
+
+
 def threshold_rule(num_states: int) -> DecisionRule:
     """Midpoint rule: decide G iff the state index is below num_states/2."""
     return DecisionRule(
@@ -79,8 +87,7 @@ def static_expected_utility(
 ) -> float:
     """Exact expected utility of (policy, rule) under the geometric deadline."""
     check_policy(policy, setting.k)
-    if len(rule.decide) != policy.num_states:
-        raise ValidationError("rule must cover every policy state")
+    check_rule(rule, policy)
     d0 = np.zeros(policy.num_states)
     d0[policy.initial_state] = 1.0
     total = 0.0
@@ -89,7 +96,7 @@ def static_expected_utility(
     ):
         if prior == 0.0:
             continue
-        step = agent_step_matrix(policy, probs)
+        step = dense_matrix(agent_step_matrix(policy, probs))
         stopped = stopped_state_distribution(step, d0, setting.eta)
         for q in range(policy.num_states):
             d_idx = DECISIONS.index(rule.decide[q])
@@ -156,6 +163,7 @@ def polarization_demo(
     Identical starts are allowed as a negative control and trivially never
     diverge.
     """
+    check_rule(rule, policy)
     final_a = propagate_sequence(policy, start_a, sequence)[-1]
     final_b = propagate_sequence(policy, start_b, sequence)[-1]
     dist_a = decision_distribution(final_a, rule)
@@ -184,6 +192,7 @@ def first_impression_demo(
     rule: DecisionRule,
 ) -> FirstImpressionResult:
     """Same evidence in both orders; does the modal decision change?"""
+    check_rule(rule, policy)
     seq = list(sequence)
     if not seq:
         raise ValidationError("sequence must be nonempty")
@@ -202,6 +211,7 @@ def propagation_csv(
     policy: AutomatonPolicy, start: int, sequence: Sequence[int], rule: DecisionRule
 ) -> str:
     """One row per step: step, state masses, modal decision."""
+    check_rule(rule, policy)
     cols = ",".join(f"state_{q}" for q in range(policy.num_states))
     buf = io.StringIO()
     buf.write(f"step,{cols},modal_decision\n")

@@ -9,8 +9,10 @@ summation instead of a resolvent inverse, probe counts by trial division
 instead of a sieve, machine expected utilities cell by cell in reverse
 with compensation instead of one product-sum, agent step matrices and
 simulator tables by walking a policy's dict view row by row instead of its
-arrays, and Monte Carlo runs one round at a time over the whole counter
-stream instead of in slabs with nature and signals as arrays.
+arrays, Monte Carlo runs one round at a time over the whole counter
+stream instead of in slabs with nature and signals as arrays, and joint
+chains through dense agent and joint matrices, whose band is searched for
+and gathered afterwards, instead of assembled in band storage.
 """
 
 import math
@@ -125,6 +127,91 @@ def scalar_simulate_run(setting, policy, config):
     return SimResult(mean=float(bm.mean()),
                      std_error=float(bm.std(ddof=1) / np.sqrt(config.batches)),
                      batch_means=tuple(float(x) for x in bm), rounds_used=used)
+
+
+def dense_step_matrix(policy, signal_probs):
+    """Dense (m, m) agent step matrix by one signal-major bincount, as the
+    band of markov_exact.agent_step_matrix sums it."""
+    m, k = policy.num_states, len(signal_probs)
+    safe = np.array([a == SAFE for a in policy.actions], dtype=bool)[:, None]
+    weight = np.where(safe, np.arange(k) == 0, np.asarray(signal_probs, dtype=float))
+    cells = (np.arange(m)[:, None, None] * m + policy.next_state).transpose(1, 0, 2)
+    terms = (weight[:, :, None] * policy.prob).transpose(1, 0, 2)
+    return np.bincount(cells.ravel(), terms.ravel(), minlength=m * m).reshape(m, m)
+
+
+def dense_joint_matrices(a_good, a_bad, pi):
+    """(B, 2m, 2m) nature-major joint matrices of (B, m, m) agent matrices."""
+    b, m, _ = a_good.shape
+    P = np.empty((b, 2 * m, 2 * m))
+    np.multiply(a_good, 1.0 - pi, out=P[:, :m, :m])
+    np.multiply(a_good, pi, out=P[:, :m, m:])
+    np.multiply(a_bad, pi, out=P[:, m:, :m])
+    np.multiply(a_bad, 1.0 - pi, out=P[:, m:, m:])
+    return P
+
+
+def _interleaved(d):
+    return np.arange(d).reshape(2, d // 2).T.ravel()
+
+
+def _gather(P, w):
+    b, d, _ = P.shape
+    order = _interleaved(d)
+    by_entry = P.reshape(b, d * d).T
+    if 2 * w + 1 >= d:
+        return by_entry[order[:, None] * d + order]
+    cols = np.arange(d)[:, None] + np.arange(-w, w + 1)
+    S = by_entry[order[:, None] * d + order.take(cols, mode="clip")]
+    S[(cols < 0) | (cols >= d)] = 0.0
+    return S
+
+
+def dense_band(P):
+    """(d, L, B) storage and half-bandwidth of a (B, d, d) stack, found from
+    the dense matrices: w doubles from 3 until a band of half-width w holds
+    every nonzero in the interleaved order 2q + theta, then shrinks to the
+    widest offset used; whole rows (w = d - 1) once 2w + 1 reaches d."""
+    d = P.shape[1]
+    nonzeros = np.count_nonzero(P != 0.0)
+    w = 3
+    while 2 * w + 1 < d:
+        S = _gather(P, w)
+        per_offset = (S != 0.0).sum(axis=(0, 2))
+        if per_offset.sum() == nonzeros:
+            tight = int(np.abs(np.flatnonzero(per_offset) - w).max(initial=1))
+            return np.ascontiguousarray(S[:, w - tight:w + tight + 1]), tight
+        w = 2 * w + 1
+    return _gather(P, d - 1), d - 1
+
+
+def chain_of_matrix(P, reward=None, num_agent_states=None):
+    """JointChainModel of a dense nature-major matrix, stored by dense_band."""
+    from bounded_agents.markov_exact import JointChainModel
+
+    band, w = dense_band(np.asarray(P, dtype=float)[None])
+    d = len(P)
+    return JointChainModel(dim=d, band=band, w=w,
+                           reward=np.zeros(d) if reward is None else reward,
+                           num_agent_states=num_agent_states or d // 2)
+
+
+def dense_route(setting, policy):
+    """(band, w, mu, residual, payoff) of a policy's joint chain by the dense
+    route: dense agent and joint matrices, dense_band, the package's GTH
+    elimination, and the residual of the dense product mu P."""
+    from bounded_agents.markov_exact import _gth, joint_reward
+
+    P = dense_joint_matrices(dense_step_matrix(policy, setting.pG)[None],
+                             dense_step_matrix(policy, setting.pB)[None], setting.pi)
+    band, w = dense_band(P)
+    d = P.shape[1]
+    mu = np.empty((1, d))
+    mu[:, _interleaved(d)] = _gth(band.copy(), w)[0]
+    residual = float(np.abs((mu[:, None, :] @ P)[:, 0, :] - mu).max())
+    reward = joint_reward(setting, policy.actions)
+    payoff = float((mu[:, None, :] @ reward[:, None])[0, 0, 0])
+    return band, w, mu[0], residual, payoff
 
 
 def enumerated_joint_matrix(setting, policy):

@@ -1,0 +1,117 @@
+"""Band-first assembly of joint chains against the dense route.
+
+``oracles.dense_route`` builds dense agent and joint matrices, searches the
+joint matrix for its band and gathers it, then solves. The package
+assembles the band storage straight from the agents' bands. Both must give
+the same storage and half-bandwidth, and the same stationary rows, residuals
+(where the package still takes them on the dense matrix) and payoffs, bit
+for bit.
+"""
+
+import random
+
+import numpy as np
+import pytest
+
+from bounded_agents.automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
+from bounded_agents.dynamic_env import validate_setting
+from bounded_agents.markov_exact import (
+    CLOSURE_MAX_DIM,
+    agent_step_matrix,
+    build_joint_chain,
+    chain_payoff,
+    dense_matrix,
+    stationary,
+)
+from bounded_agents.optimize import brute_force_policy_search, default_partition
+from oracles import dense_joint_matrices, dense_route, dense_step_matrix, dict_policy
+
+# perfbench's ladder_scaling draws: seed 31's climbing signals, and the
+# fixed setting whose ladder sinks in G.
+SEED_31 = ((0.044440696483823594, 0.11588506093413292, 0.3160011978277597, 0.5236730447542838),
+           (0.1309872198822981, 0.11276657719702568, 0.1956241705975795, 0.5606220323230967))
+SINKING = ((0.3, 0.3, 0.3, 0.1), (0.2, 0.45, 0.3, 0.05))
+
+
+def assert_matches_dense_route(setting, policy):
+    chain = build_joint_chain(setting, policy)
+    band, w, mu, residual, payoff = dense_route(setting, policy)
+    assert chain.w == w
+    assert np.array_equal(chain.band, band)
+    dist = stationary(chain)
+    assert np.array_equal(dist.mu, mu)
+    assert chain_payoff(chain, dist) == payoff
+    if chain.dim <= CLOSURE_MAX_DIM:
+        assert dist.residual == residual
+        dense = dense_joint_matrices(dense_step_matrix(policy, setting.pG)[None],
+                                     dense_step_matrix(policy, setting.pB)[None], setting.pi)
+        assert np.array_equal(chain.P, dense[0])
+    for probs in (setting.pG, setting.pB):
+        assert np.array_equal(dense_matrix(agent_step_matrix(policy, probs)),
+                              dense_step_matrix(policy, probs))
+    return chain
+
+
+def ladder(setting, n, p_exp, partition=None, r_u=1.0, r_d=1.0):
+    pos, neg = partition or default_partition(setting)
+    return build_a_family(setting.k, AFamilyParams(n=n, p_exp=p_exp, pos=pos, neg=neg,
+                                                   r_u=r_u, r_d=r_d))
+
+
+@pytest.mark.parametrize("n", [1, 4, 64, 2000])
+def test_ladders_with_random_rates(paper_setting, n):
+    rng = random.Random(n)
+    policy = ladder(paper_setting, n, rng.uniform(1e-4, 1.0),
+                    r_u=rng.uniform(0.01, 1.0), r_d=rng.uniform(0.01, 1.0))
+    chain = assert_matches_dense_route(paper_setting, policy)
+    assert chain.w == 3
+
+
+@pytest.mark.parametrize("signals", [SEED_31, SINKING], ids=["seed31", "sinking"])
+@pytest.mark.parametrize("n", [125, 1000])
+def test_ladder_scaling_points(signals, n):
+    setting = validate_setting(4, *signals, 1.0, -1.0, 1.0 / n**2)
+    assert_matches_dense_route(setting, ladder(setting, n, 1.0 / n))
+
+
+def jump_policy(m, jump):
+    """A Safe state that explores to state 1, and Risky states that jump
+    ``jump`` states up on signal 1, one down on signal 3 and stay on 2."""
+    kernel = {(0, None): {"0": 0.7, "1": 0.3}}
+    for q in range(1, m):
+        up = min(q + jump, m - 1)
+        kernel[(q, 1)] = {str(up): 0.6, str(q): 0.4} if up > q else {str(q): 1.0}
+        kernel[(q, 2)] = {str(q): 1.0}
+        kernel[(q, 3)] = {str(q - 1): 0.9, str(q): 0.1}
+    return dict_policy((SAFE,) + (RISKY,) * (m - 1), kernel, 3)
+
+
+@pytest.mark.parametrize("m, jump, w", [
+    (6, 2, 11),    # half-width 5, but the band of width 7 is no narrower: whole rows
+    (10, 2, 5),    # half-width 5 inside the band of width 7
+    (40, 3, 7),    # d = 80, above CLOSURE_MAX_DIM
+])
+def test_policies_that_jump_two_or_more_states(m, jump, w):
+    setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
+    policy = jump_policy(m, jump)
+    assert agent_step_matrix(policy, setting.pG).shape[1] == 2 * jump + 1
+    assert assert_matches_dense_route(setting, policy).w == w
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_brute_force_winners(m):
+    setting = validate_setting(2, (0.7, 0.3), (0.2, 0.8), 1.0, -0.5, 0.01)
+    policy, value = brute_force_policy_search(setting, m, prob_grid=(0.0, 0.5, 1.0))
+    chain = assert_matches_dense_route(setting, policy)
+    assert chain.band.shape == (2 * m, 2 * m, 1)
+    assert value == chain_payoff(chain, stationary(chain))
+
+
+def test_chain_above_closure_threshold_stored_whole(paper_setting):
+    m = CLOSURE_MAX_DIM // 2 + 1
+    rng = np.random.default_rng(3)
+    prob = rng.random((m, 4, m))
+    prob /= prob.sum(axis=-1, keepdims=True)
+    policy = AutomatonPolicy(m, 0, (RISKY,) * m, np.broadcast_to(np.arange(m), prob.shape), prob)
+    chain = assert_matches_dense_route(paper_setting, policy)
+    assert chain.w == 2 * m - 1 and chain.band.shape == (2 * m, 2 * m, 1)

@@ -522,6 +522,36 @@ def test_non_object_section_exits_one_and_names_it(tmp_path, capsys, command, do
         f"error: {what} must be a JSON object, got [")
 
 
+@pytest.mark.parametrize("labels", [1, 6])
+@pytest.mark.parametrize("demo", [
+    {"demo": "polarization", "start_a": 1, "start_b": 2, "sequence": [1, 4]},
+    {"demo": "first_impression", "start": 1, "sequence": [1, 4]},
+    {"demo": "expected_utility", "setting": STATIC_SETTING, "start": 1, "sequence": [1]},
+], ids=lambda doc: doc["demo"])
+def test_rule_of_the_wrong_length_exits_one_and_names_both_counts(tmp_path, capsys, demo,
+                                                                  labels):
+    doc = {"policy": STICKY, "rule": ["G"] * labels, **demo}
+    err = one_error_line(tmp_path, capsys, "static-demo", doc)
+    assert err == f"error: rule must have one label per policy state (5), got {labels}\n"
+
+
+# A count that JSON gives as a float, a string or a bool, and the field it names.
+NON_INTEGERS = {
+    "reader n float": ("reader", {"problem": {"n": 3.5, "rho": 0.75, "c": 0.01}}, "n", "3.5"),
+    "reader n bool": ("reader", {"problem": {"n": True, "rho": 0.75, "c": 0.01}}, "n", "True"),
+    "automaton n string": ("eval-exact", {"setting": PAPER_SETTING,
+                                          "automaton": {**LADDER, "n": "4"}}, "n", "'4'"),
+    "optimize n float": ("optimize", {"setting": PAPER_SETTING, "n": 2.0}, "n", "2.0"),
+}
+
+
+@pytest.mark.parametrize("command,doc,field,value", NON_INTEGERS.values(), ids=NON_INTEGERS)
+def test_non_integer_count_exits_one_and_names_the_field(tmp_path, capsys, command, doc, field,
+                                                         value):
+    err = one_error_line(tmp_path, capsys, command, doc)
+    assert err == f"error: {field} must be an integer, got {value}\n"
+
+
 def test_machines_entry_without_name_names_the_key(tmp_path, capsys):
     problem = {**INLINE_PROBLEM, "machines": [{"out": [["s", "t", "go"]],
                                                "complexity": [["s", "t", 0]]}]}

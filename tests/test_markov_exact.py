@@ -8,6 +8,7 @@ from bounded_agents.automaton import (
     RISKY,
     SAFE,
     AFamilyParams,
+    AutomatonPolicy,
     build_a_family,
     build_linear_sticky,
 )
@@ -18,8 +19,10 @@ from bounded_agents.errors import (
     ReducibleChainError,
 )
 from oracles import (
+    chain_of_matrix,
     connectivity_gaps,
     damped_power_iteration,
+    dense_band,
     dict_policy,
     enumerated_joint_matrix,
     exact_average_payoff_fraction,
@@ -28,10 +31,10 @@ from oracles import (
 from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
     CLOSURE_MAX_DIM,
-    JointChainModel,
     agent_step_matrix,
     build_joint_chain,
     chain_csv,
+    dense_matrix,
     evaluate_stack,
     exact_average_payoff,
     joint_reward,
@@ -65,7 +68,7 @@ class TestBuildJointChain:
 
     def test_trivial_setting_factors_as_kronecker(self, trivial_setting, ladder_policy_5):
         chain = build_joint_chain(trivial_setting, ladder_policy_5)
-        agent = agent_step_matrix(ladder_policy_5, trivial_setting.pG)
+        agent = dense_matrix(agent_step_matrix(ladder_policy_5, trivial_setting.pG))
         pi = trivial_setting.pi
         nature = np.array([[1 - pi, pi], [pi, 1 - pi]])
         assert np.allclose(chain.P, np.kron(nature, agent), atol=1e-15)
@@ -98,7 +101,7 @@ class TestBuildJointChain:
 class TestStationary:
     def test_two_state_closed_form(self):
         P = np.array([[0.8, 0.2], [0.1, 0.9]])
-        chain = JointChainModel(dim=2, P=P, reward=np.zeros(2), num_agent_states=1)
+        chain = chain_of_matrix(P, num_agent_states=1)
         dist = stationary(chain)
         assert dist.mu == pytest.approx([1 / 3, 2 / 3], abs=1e-12)
         assert dist.residual <= 1e-10
@@ -110,13 +113,13 @@ class TestStationary:
             [0.25, 0.25, 0.0, 0.5],
             [0.25, 0.25, 0.5, 0.0],
         ])
-        chain = JointChainModel(dim=4, P=P, reward=np.zeros(4), num_agent_states=2)
+        chain = chain_of_matrix(P)
         dist = stationary(chain)
         assert dist.mu == pytest.approx([0.25] * 4, abs=1e-12)
 
     def test_periodic_chain_handled(self):
         P = np.array([[0.0, 1.0], [1.0, 0.0]])
-        chain = JointChainModel(dim=2, P=P, reward=np.zeros(2), num_agent_states=1)
+        chain = chain_of_matrix(P, num_agent_states=1)
         dist = stationary(chain)
         assert dist.mu == pytest.approx([0.5, 0.5], abs=1e-12)
 
@@ -144,17 +147,20 @@ class TestStationary:
         assert dist.mu.min() >= 0.0
         assert dist.mu.sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_dense_chain_above_closure_threshold(self):
-        # No band narrower than the matrix holds a dense chain, so it is
-        # stored whole and searched over all of its entries.
+    def test_dense_chain_above_closure_threshold(self, paper_setting):
+        # No band narrower than the matrix holds a chain whose agent can
+        # reach every state from every state, so it is stored whole and
+        # searched over all of its entries.
+        m = (CLOSURE_MAX_DIM + 16) // 2
         rng = np.random.default_rng(7)
-        P = rng.random((CLOSURE_MAX_DIM + 16,) * 2)
-        P /= P.sum(axis=1, keepdims=True)
-        chain = JointChainModel(dim=len(P), P=P, reward=np.zeros(len(P)),
-                                num_agent_states=len(P) // 2)
-        assert markov_exact._band(P[None])[1] == len(P) - 1
+        prob = rng.random((m, 4, m))
+        prob /= prob.sum(axis=-1, keepdims=True)
+        policy = AutomatonPolicy(m, 0, (RISKY,) * m,
+                                 np.broadcast_to(np.arange(m), prob.shape), prob)
+        chain = build_joint_chain(paper_setting, policy)
+        assert chain.w == 2 * m - 1 and chain.band.shape == (2 * m, 2 * m, 1)
         dist = stationary(chain)
-        assert np.max(np.abs(dist.mu - damped_power_iteration(P))) <= 1e-12
+        assert np.max(np.abs(dist.mu - damped_power_iteration(chain.P))) <= 1e-12
 
 
 class TestGTHAccuracy:
@@ -182,10 +188,9 @@ class TestGTHAccuracy:
     @pytest.mark.parametrize("n", [1, 4, 60])
     def test_ladders_are_stored_as_a_band_of_half_width_three(self, paper_setting, n):
         policy = build_a_family(4, AFamilyParams(n=n, p_exp=0.1, **PAPER_SIDES))
-        P = build_joint_chain(paper_setting, policy).P[None]
-        S, w = markov_exact._band(P)
-        assert w == 3
-        assert S.shape == ((4, 4, 1) if n == 1 else (2 * n + 2, 7, 1))
+        chain = build_joint_chain(paper_setting, policy)
+        assert chain.w == 3
+        assert chain.band.shape == ((4, 4, 1) if n == 1 else (2 * n + 2, 7, 1))
 
 
 class TestExactAveragePayoff:
@@ -316,12 +321,13 @@ class TestStackedKernel:
         P = random_patterns(np.random.default_rng(dim), 16, dim)
         expected = np.array([connectivity_gaps(chain) for chain in P])
         assert expected.any(axis=1).any() and not expected.any(axis=1).all()
-        assert np.array_equal(reach_gaps(P), expected)
+        S, w = dense_band(P)
+        assert np.array_equal(reach_gaps(S, w, P), expected)
         # Both routines on both sides of the threshold.
         monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
-        assert np.array_equal(reach_gaps(P), expected)
+        assert np.array_equal(reach_gaps(S, w, P), expected)
         monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 0)
-        assert np.array_equal(reach_gaps(P), expected)
+        assert np.array_equal(reach_gaps(S, w, P), expected)
 
     @pytest.mark.parametrize("n", [64, 250])
     def test_banded_reachability_agrees_with_graph_search(self, paper_setting, n, monkeypatch):
@@ -329,9 +335,11 @@ class TestStackedKernel:
         assert P.shape[1] > CLOSURE_MAX_DIM
         expected = np.array([connectivity_gaps(chain) for chain in P])
         assert expected.any(axis=1).tolist() == [False, True, True]
-        assert np.array_equal(reach_gaps(P), expected)
+        S, w = dense_band(P)
+        assert w == 3
+        assert np.array_equal(reach_gaps(S, w, P), expected)
         monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
-        assert np.array_equal(reach_gaps(P), expected)
+        assert np.array_equal(reach_gaps(S, w, P), expected)
 
     @staticmethod
     def stack(setting, policies):
@@ -375,7 +383,7 @@ class TestStoppedStateDistribution:
             5, [1, 1, 1, 1, 1], [0.01, 1, 1, 1, 1], good_signal=1, bad_signal=4, k=4
         )
         pG = (0.4, 0.3, 0.2, 0.1)
-        return agent_step_matrix(policy, pG)
+        return dense_matrix(agent_step_matrix(policy, pG))
 
     def test_eta_one_is_single_step(self):
         P = self.sticky_matrices()

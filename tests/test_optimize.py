@@ -1,5 +1,6 @@
 import itertools
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -12,7 +13,7 @@ from bounded_agents.automaton import (
     AFamilyParams,
     build_a_family,
 )
-from bounded_agents.dynamic_env import validate_setting
+from bounded_agents.dynamic_env import oracle_upper_bound, validate_setting
 from bounded_agents.errors import (
     BadProbabilityError,
     GridTooLargeError,
@@ -22,7 +23,7 @@ from bounded_agents.errors import (
     ValidationError,
 )
 from bounded_agents.markov_exact import exact_average_payoff
-from oracles import dict_policy
+from oracles import dict_policy, exact_average_payoff_fraction
 from bounded_agents.optimize import (
     DEFAULT_PEXP_GRID,
     ScheduleSpec,
@@ -278,6 +279,29 @@ class TestLimitScheduleCurve:
         gap_first = 0.5 - payoffs[0]
         gap_last = 0.5 - payoffs[-1]
         assert gap_last <= gap_first / 2.0
+
+    def test_gap_shrinks_far_past_dense_reach(self, paper_setting):
+        # At n = 10^4 the chain has dimension 20,002: a dense P would take
+        # 3.2 GB, and the band takes about 1 MB.
+        partition = (frozenset({1}), frozenset({4}))
+        schedule = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0,
+                                n_list=(2, 4, 8, 100, 1000, 10_000))
+        tracemalloc.start()
+        try:
+            curve = limit_schedule_curve(paper_setting, schedule, partition)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
+        gaps = [oracle_upper_bound(paper_setting) - pt.payoff for pt in curve]
+        assert all(a > b > 0.0 for a, b in zip(gaps, gaps[1:]))
+        for pt in curve[:3]:
+            s = paper_setting
+            setting = validate_setting(s.k, s.pG, s.pB, s.xG, s.xB, pt.pi)
+            policy = build_a_family(s.k, AFamilyParams(n=pt.n, p_exp=pt.p_exp, pos=partition[0],
+                                                       neg=partition[1]))
+            exact = float(exact_average_payoff_fraction(setting, policy))
+            assert pt.payoff == pytest.approx(exact, rel=1e-12, abs=0.0)
 
     def test_never_exceeds_upper_bound(self, paper_setting):
         curve = limit_schedule_curve(

@@ -17,7 +17,7 @@ from bounded_agents.automaton import (
     check_policy,
 )
 from bounded_agents.dynamic_env import validate_setting
-from bounded_agents.markov_exact import agent_step_matrix
+from bounded_agents.markov_exact import agent_step_matrix, dense_matrix
 from bounded_agents.montecarlo import _compiled_tables
 from bounded_agents.optimize import brute_force_policy_search
 from oracles import dict_walk_sim_rows, dict_walk_step_matrix, two_safe_states_policy
@@ -54,7 +54,7 @@ def _random_sticky(rng, k, m):
 
 def _assert_step_matrices_match(policy, *signal_probs):
     for probs in signal_probs:
-        assert np.array_equal(agent_step_matrix(policy, probs),
+        assert np.array_equal(dense_matrix(agent_step_matrix(policy, probs)),
                               dict_walk_step_matrix(policy, probs))
 
 

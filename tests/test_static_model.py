@@ -12,7 +12,7 @@ from bounded_agents.errors import (
 )
 from oracles import dict_policy, geometric_series_stopped
 
-from bounded_agents.markov_exact import agent_step_matrix
+from bounded_agents.markov_exact import agent_step_matrix, dense_matrix
 from bounded_agents.static_model import (
     DecisionRule,
     FirstImpressionResult,
@@ -75,7 +75,7 @@ class TestStaticExpectedUtility:
         for prior, probs, truth in (
             (0.5, setting.pG, "G"), (0.5, setting.pB, "B")
         ):
-            one_step = d0 @ agent_step_matrix(policy, probs)
+            one_step = d0 @ dense_matrix(agent_step_matrix(policy, probs))
             for q in range(5):
                 if rule.decide[q] == truth:
                     expected += prior * one_step[q]
@@ -106,7 +106,7 @@ class TestStaticExpectedUtility:
         expected = 0.0
         for prior, probs, truth in ((0.5, setting.pG, "G"), (0.5, setting.pB, "B")):
             stopped = geometric_series_stopped(
-                agent_step_matrix(policy, probs), d0, 0.01
+                dense_matrix(agent_step_matrix(policy, probs)), d0, 0.01
             )
             expected += prior * sum(
                 stopped[q] for q in range(5) if rule.decide[q] == truth

@@ -18,6 +18,7 @@ from bounded_agents.automaton import (
     check_policy,
 )
 from bounded_agents.automaton import policy_from_dict, policy_to_dict
+from bounded_agents.bias_reader import ReaderProblem
 from bounded_agents.costly_comp import CompProblem, problem_from_dict
 from bounded_agents.dynamic_env import setting_from_dict, setting_to_dict, validate_setting
 from bounded_agents.errors import (
@@ -26,12 +27,20 @@ from bounded_agents.errors import (
     NonStochasticError,
     ValidationError,
     check_distribution,
+    check_integer,
     check_keys,
     stochastic_rows,
 )
 from bounded_agents.markov_exact import build_joint_chain, exact_average_payoff
 from bounded_agents.montecarlo import SimConfig, simulate_run
-from bounded_agents.static_model import StaticSetting
+from bounded_agents.static_model import (
+    DecisionRule,
+    StaticSetting,
+    first_impression_demo,
+    polarization_demo,
+    propagation_csv,
+    static_expected_utility,
+)
 from oracles import dict_policy
 
 # Each vector breaks exactly one clause of the distribution rule.
@@ -196,3 +205,42 @@ def test_policy_kernel_must_be_an_object():
     doc = {**KEY_ENTRY_POINTS["policy_from_dict"][2], "kernel": []}
     with pytest.raises(ValidationError, match=r"^kernel must be a JSON object, got \[\]$"):
         policy_from_dict(doc, 2)
+
+
+# Each entry point of the integer rule, building from one integer field.
+INTEGER_ENTRY_POINTS = {
+    "SimConfig.rounds": (lambda n: SimConfig(rounds=n, seed=1), "rounds", 100),
+    "AFamilyParams.n": (lambda n: AFamilyParams(n=n, p_exp=0.1, pos={1}, neg={2}), "n", 3),
+    "ReaderProblem.n": (lambda n: ReaderProblem(n=n, rho=0.75, c=0.01), "n", 3),
+    "policy num_states": (lambda n: policy_from_dict(
+        {**KEY_ENTRY_POINTS["policy_from_dict"][2], "num_states": n}, 2), "policy num_states", 2),
+}
+
+
+@pytest.mark.parametrize("build,field,n", INTEGER_ENTRY_POINTS.values(), ids=INTEGER_ENTRY_POINTS)
+def test_integer_rule_at_each_entry_point(build, field, n):
+    build(n)
+    build(np.int64(n))
+    for value in (float(n), str(n), True, None):
+        with pytest.raises(ValidationError, match=rf"^{field} must be an integer, got {value!r}$"):
+            build(value)
+
+
+def test_integer_rule():
+    check_integer(3, "n")
+    with pytest.raises(ValidationError, match=r"^n must be an integer, got False$"):
+        check_integer(False, "n")
+
+
+def test_rule_length_rule_at_each_static_entry_point():
+    policy = build_linear_sticky(3, [1, 1, 1], [1, 1, 1], 1, 2, k=2)
+    setting = StaticSetting(k=2, pG=(0.6, 0.4), pB=(0.4, 0.6), eta=0.1)
+    for labels in (2, 4):
+        rule = DecisionRule(decide=("G",) * labels)
+        for call in (lambda: static_expected_utility(setting, policy, rule),
+                     lambda: polarization_demo(policy, 0, 1, [1], rule),
+                     lambda: first_impression_demo(policy, 0, [1, 2], rule),
+                     lambda: propagation_csv(policy, 0, [1], rule)):
+            with pytest.raises(ValidationError, match=rf"^rule must have one label per policy "
+                                                      rf"state \(3\), got {labels}$"):
+                call()
