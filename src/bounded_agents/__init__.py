@@ -8,8 +8,6 @@ from .automaton import (
     AutomatonPolicy,
     build_a_family,
     build_linear_sticky,
-    policy_from_json,
-    policy_to_json,
 )
 from .bias_reader import (
     ReaderDPTable,

@@ -27,7 +27,6 @@ Two constructors cover the families used elsewhere:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -269,11 +268,3 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
         prob[q, slots, :len(row)] = list(row.values())
     return AutomatonPolicy(num_states=doc["num_states"], initial_state=doc["initial_state"],
                            actions=actions, next_state=next_state, prob=prob)
-
-
-def policy_to_json(policy: AutomatonPolicy) -> str:
-    return json.dumps(policy_to_dict(policy), indent=2, sort_keys=True)
-
-
-def policy_from_json(text: str, k: int) -> AutomatonPolicy:
-    return policy_from_dict(json.loads(text), k)

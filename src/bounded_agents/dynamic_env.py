@@ -81,17 +81,6 @@ def setting_from_dict(doc: dict) -> DynamicSetting:
     return validate_setting(**doc)
 
 
-def setting_to_dict(setting: DynamicSetting) -> dict:
-    return {
-        "k": setting.k,
-        "pG": list(setting.pG),
-        "pB": list(setting.pB),
-        "xG": setting.xG,
-        "xB": setting.xB,
-        "pi": setting.pi,
-    }
-
-
 def load_setting(path) -> DynamicSetting:
     with open(path, encoding="utf-8") as fh:
         return setting_from_dict(json.load(fh))

@@ -14,11 +14,12 @@ elimination (Grassmann, Taksar & Heyman 1985), which never subtracts and so
 stays accurate when small pi leaves the chain nearly decomposable. It runs
 in the interleaved order 2q + theta, where agents that move at most W
 states give half-bandwidth at most 2W + 1 (3 for a ladder). Joint chains
-are assembled straight into that band, so a ladder is built, checked and
-solved in O(d); the dense matrix is made only when read, or up to
-CLOSURE_MAX_DIM for the closure and residual.
+are assembled straight into that band, so a ladder is built, solved and
+checked in O(d), and the dense matrix is made only when read. The solve
+certifies irreducibility itself (see _gth); only a chain it cannot certify
+gets the structural pass, the same elimination on the chain's zero pattern.
 
-One stacked path assembles, checks and solves joint chains; the single-chain
+One stacked path assembles, solves and checks joint chains; the single-chain
 functions are its B = 1 case, so a chain gets the same bits alone or in a stack.
 """
 
@@ -44,9 +45,6 @@ from .errors import (
 NATURE_STATES = ("G", "B")
 
 STATIONARY_TOL = 1e-10
-
-# Dense-matrix reachability closure and residual up to this dimension, band above.
-CLOSURE_MAX_DIM = 64
 
 # Bytes of float64 joint storage in one stack.
 STACK_BYTES = 8 << 20
@@ -207,30 +205,6 @@ def _square_view(S: np.ndarray, w: int) -> np.ndarray:
     return as_strided(rows[w:], shape=(d, d, b), strides=((L - 1) * step, step, rows.strides[1]))
 
 
-def _band_gaps(S: np.ndarray, w: int) -> np.ndarray:
-    """(B, d) nature-major mask of the states each stored chain cuts off
-    from state 0, by a graph search each way over the band's nonzeros."""
-    d, L, b = S.shape
-    i, j, cells = _cells(S, w)
-    cut = np.zeros((b, d), dtype=bool)
-    for edges, gaps in zip(S.reshape(d * L, b)[cells].T > 0.0, cut):
-        for src, dst in ((i[edges], j[edges]), (j[edges], i[edges])):
-            by_src = np.argsort(src, kind="stable")
-            starts = np.searchsorted(src[by_src], np.arange(d + 1)).tolist()
-            succ = dst[by_src].tolist()
-            seen = [False] * d
-            seen[0] = True
-            stack = [0]
-            while stack:
-                v = stack.pop()
-                for u in succ[starts[v]:starts[v + 1]]:
-                    if not seen[u]:
-                        seen[u] = True
-                        stack.append(u)
-            gaps |= ~np.array(seen)
-    return cut[:, np.argsort(_interleaved(d))]
-
-
 def _state_label(row: int, m: int) -> str:
     return f"({NATURE_STATES[row // m]}, q={row % m})"
 
@@ -249,13 +223,20 @@ def _reducible_error(cut_off: np.ndarray, m: int) -> ReducibleChainError:
 RESCALE_BITS = 1000
 
 
-def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
+def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, d) stationary rows of a stack of band storages in the interleaved
-    order, and the pivot of each state, by GTH elimination (Grassmann,
-    Taksar & Heyman 1985). Overwrites S.
+    order, the pivot of each state, and whether the solve certifies each chain
+    irreducible, by GTH elimination (Grassmann, Taksar & Heyman 1985).
+    Overwrites S.
 
     Every sum runs term by term (``accumulate``), so a chain gets the same
-    bits alone as in a stack of any size."""
+    bits alone as in a stack of any size.
+
+    GTH never subtracts, so an entry that comes out positive is positive in
+    the chain's zero pattern too (see reach_gaps). A positive pivot says that
+    state k reaches a lower state, and so, by induction, state 0; a positive
+    x[k] says that a lower state, and so state 0, reaches k. A chain whose
+    every pivot and every x[k], as computed, is positive is irreducible."""
     d, _, b = S.shape
     V = _square_view(S, w)
     pivot = np.ones((d, b))
@@ -271,92 +252,105 @@ def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray]:
         block = V[lo:k, lo:k]
         block += col[:, None] * row
     # Each censored entry is at most 1, so x[k] is at most w / pivot[k]
-    # times the largest entry before it: that bounds the growth in bits.
-    growth = np.log2(np.fmax(w / pivot, 1.0)).max(axis=1, initial=0.0).tolist()
+    # times the largest entry before it: that bounds the growth in bits. A
+    # zero pivot leaves its chain uncertified, so it sets no rescale.
+    growth = np.log2(np.fmax(w / pivot, 1.0), where=pivot > 0.0, out=np.zeros((d, b)))
+    growth = growth.max(axis=1, initial=0.0).tolist()
+    certified = (pivot > 0.0).all(axis=0)
     x = np.zeros((d, b))
     x[0] = 1.0
-    bits = 0.0
+    bits, since = 0.0, 0
     for k in range(1, d):
         if bits + growth[k] > RESCALE_BITS:
+            # A rescale may flush the least entries to 0, so the entries
+            # since the last one are read as they were computed.
+            certified &= (x[since:k] > 0.0).all(axis=0)
             x[:k] = np.ldexp(x[:k], -np.frexp(x[:k].max(axis=0))[1])
-            bits = 0.0
+            bits, since = 0.0, k
         bits += growth[k]
         lo = max(0, k - w)
         x[k] = np.add.accumulate(x[lo:k] * V[lo:k, k], axis=0)[-1]
+    certified &= (x[since:] > 0.0).all(axis=0)
     mu = np.ascontiguousarray(x.T)
     mu /= mu.sum(axis=1, keepdims=True)
-    return mu, pivot.T
+    return mu, pivot.T, certified
 
 
-def reach_gaps(S: np.ndarray, w: int, P: np.ndarray | None) -> np.ndarray:
-    """(B, d) nature-major mask of the states each stored chain cuts off from state
-    0, by the closure of its dense matrices P up to CLOSURE_MAX_DIM, else the band."""
-    d = len(S)
-    if d > CLOSURE_MAX_DIM:
-        return _band_gaps(S, w)
-    # Boolean closure by repeated squaring of (I | P > 0) until it covers
-    # paths of length d - 1; float32 counts stay exact at these sizes.
-    reach = ((P > 0.0) | np.eye(d, dtype=bool)).astype(np.float32)
-    steps = 1
-    while steps < d - 1:
-        reach = (reach @ reach > 0.0).astype(np.float32)
-        steps *= 2
-    return (reach[:, 0, :] == 0.0) | (reach[:, :, 0] == 0.0)
+def reach_gaps(S: np.ndarray, w: int) -> np.ndarray:
+    """(B, d) nature-major mask of the states each stored chain cuts off from
+    state 0, by _gth's elimination run on the chains' zero patterns, ``|`` for
+    ``+`` and ``&`` for ``*``. When state k is eliminated, its row holds the
+    lower states it reaches through higher ones, and its column the lower
+    states that reach it so: k reaches 0 if a state in its row does, and 0
+    reaches k if it reaches a state in its column."""
+    d, _, b = S.shape
+    V = _square_view(S > 0.0, w)
+    for k in range(d - 1, 0, -1):
+        lo = max(0, k - w)
+        V[lo:k, lo:k] |= V[lo:k, k, None] & V[k, lo:k]
+    reaches, reached = np.ones((2, d, b), dtype=bool)
+    for k in range(1, d):
+        lo = max(0, k - w)
+        reaches[k] = (V[k, lo:k] & reaches[lo:k]).any(axis=0)
+        reached[k] = (V[lo:k, k] & reached[lo:k]).any(axis=0)
+    return ~(reaches & reached).T[:, np.argsort(_interleaved(d))]
 
 
-def check_irreducible(chain: JointChainModel):
-    """Raise ReducibleChainError naming the cut-off states, if any. Returns
-    the dense (1, d, d) stack for the residual, None above CLOSURE_MAX_DIM."""
-    P = chain.P[None] if chain.dim <= CLOSURE_MAX_DIM else None
-    cut_off = reach_gaps(chain.band, chain.w, P)
-    if cut_off.any():
-        raise _reducible_error(cut_off[0], chain.num_agent_states)
-    return P
+def check_irreducible(chain: JointChainModel, certified: bool) -> None:
+    """Raise ReducibleChainError naming the cut-off states, if any. Only a
+    chain that its solve has not ``certified`` irreducible is searched."""
+    if not certified:
+        cut_off = reach_gaps(chain.band, chain.w)[0]
+        if cut_off.any():
+            raise _reducible_error(cut_off, chain.num_agent_states)
 
 
-def _solve(S: np.ndarray, w: int,
-           P: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, dict[int, str]]:
-    """Stationary rows, residuals and failure messages of a stack of irreducible
-    chains from their storage S (overwritten); residuals on P if given, else on S."""
+def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Stationary rows, residuals, pivots and irreducibility certificates (see
+    _gth) of a stack of chains from their storage S."""
     d, L, b = S.shape
-    order = _interleaved(d)
     mu = np.empty((b, d))
-    band = S.copy() if P is None else None
-    # A zero pivot (from underflow) gives inf and NaN, which fail the checks
-    # below with a typed error.
+    # A zero pivot (from underflow, or a reducible chain) gives inf and NaN,
+    # which fail the checks of _failures with a typed error.
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, pivot = _gth(S, w)
-        mu[:, order] = x
-        if P is None:
-            i, j, cells = _cells(band, w)
-            xP = np.zeros((d, b))
-            np.add.at(xP, j, x.T[i] * band.reshape(d * L, b)[cells])
-            residual = np.abs(xP.T - x).max(axis=1)
-        else:
-            residual = np.abs((mu[:, None, :] @ P)[:, 0, :] - mu).max(axis=1)
+        x, pivot, certified = _gth(S.copy(), w)
+        mu[:, _interleaved(d)] = x
+        i, j, cells = _cells(S, w)
+        xP = np.zeros((d, b))
+        np.add.at(xP, j, x.T[i] * S.reshape(d * L, b)[cells])
+        residual = np.abs(xP.T - x).max(axis=1)
+    return mu, residual, pivot, certified
+
+
+def _failures(mu: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
+              rows: np.ndarray) -> dict[int, str]:
+    """Why each chain of ``rows`` in a solved stack fails the checks, if it does."""
+    d = mu.shape[1]
     mass = mu.sum(axis=1)
     least = mu.min(axis=1)
     # Written so that NaN fails too.
     within = ((residual <= STATIONARY_TOL) & (np.abs(mass - 1.0) <= STATIONARY_TOL)
               & (least >= 0.0))
+    failed = ~(pivot > 0.0).all(axis=1) | ~within
     errors: dict[int, str] = {}
-    for i in np.flatnonzero(~(pivot > 0.0).all(axis=1) | ~within).tolist():
+    for i in rows[failed[rows]].tolist():
         low = np.flatnonzero(~(pivot[i] > 0.0))
         if low.size:
-            state = _state_label(int(order[low[-1]]), d // 2)
+            state = _state_label(int(_interleaved(d)[low[-1]]), d // 2)
             errors[i] = f"GTH pivot of state {state} is {float(pivot[i, low[-1]])!r}"
         elif least[i] < 0.0:
             errors[i] = f"stationary solve produced mass {float(least[i])!r}"
         else:
             errors[i] = (f"stationary residual {float(residual[i])!r} / mass "
-                         f"{mass[i]!r} out of tolerance")
-    return mu, residual, errors
+                         f"{float(mass[i])!r} out of tolerance")
+    return errors
 
 
 def stationary(chain: JointChainModel) -> StationaryDist:
     """Unique stationary distribution of an irreducible chain."""
-    P = check_irreducible(chain)
-    mu, residual, errors = _solve(chain.band.copy(), chain.w, P)
+    mu, residual, pivot, certified = _solve(chain.band, chain.w)
+    check_irreducible(chain, bool(certified[0]))
+    errors = _failures(mu, residual, pivot, np.arange(1))
     if errors:
         raise SolveFailedError(errors[0])
     return StationaryDist(mu=mu[0], residual=float(residual[0]))
@@ -380,27 +374,19 @@ def exact_average_payoff(setting: DynamicSetting, policy: AutomatonPolicy) -> fl
 
 def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
                    reward: np.ndarray) -> StackEval:
-    """Assemble, check and solve a stack of joint chains from (B, m, 2W + 1)
-    agent bands, all sharing ``reward``; reducible chains are not solved."""
+    """Assemble, solve and check a stack of joint chains from (B, m, 2W + 1)
+    agent bands, all sharing ``reward``; only the chains that their solve
+    does not certify irreducible are searched for cut-off states."""
     S, w = joint_band(a_good, a_bad, pi)
-    P = None
-    if len(S) <= CLOSURE_MAX_DIM:
-        P = np.ascontiguousarray(_dense(S, w).transpose(2, 0, 1))
-    cut_off = reach_gaps(S, w, P)
-    chains = np.flatnonzero(~cut_off.any(axis=1))
-    if len(chains) < len(cut_off):
-        # take keeps the stack axis contiguous, as each elimination step needs.
-        S = np.take(S, chains, axis=2)
-        P = None if P is None else P[chains]
-    solved, solved_residual, solve_errors = _solve(S, w, P)
-    errors = {int(chains[i]): msg for i, msg in solve_errors.items()}
-    failed = list(errors)
+    mu, residual, pivot, certified = _solve(S, w)
+    cut_off = np.zeros(mu.shape, dtype=bool)
+    doubt = np.flatnonzero(~certified)
+    if doubt.size:
+        cut_off[doubt] = reach_gaps(np.take(S, doubt, axis=2), w)
     ok = ~cut_off.any(axis=1)
-    ok[failed] = False
-    mu = np.full(cut_off.shape, np.nan)
-    residual = np.full(len(cut_off), np.nan)
-    mu[chains], residual[chains] = solved, solved_residual
-    mu[failed] = residual[failed] = np.nan
+    errors = _failures(mu, residual, pivot, np.flatnonzero(ok))
+    ok[list(errors)] = False
+    mu[~ok] = residual[~ok] = np.nan
     return StackEval(mu=mu, residual=residual, payoff=_payoffs(mu, reward), ok=ok,
                      cut_off=cut_off, solve_errors=errors)
 

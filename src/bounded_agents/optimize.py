@@ -29,6 +29,7 @@ from .errors import (
     TooManySignalsError,
     TrivialSettingError,
     ValidationError,
+    check_integer,
     stochastic_rows,
 )
 from .markov_exact import (
@@ -238,7 +239,11 @@ class ScheduleSpec:
             raise ValidationError(f"need a > 1 so that n*pi(n) shrinks, got a={self.a}")
         if self.b <= 0:
             raise ValidationError(f"need b > 0, got b={self.b}")
-        ns = tuple(int(n) for n in self.n_list)
+        for n in self.n_list:
+            check_integer(n, "n_list entry")
+            if n < 1:
+                raise ValidationError(f"n_list entry must be a positive integer, got {n}")
+        ns = tuple(self.n_list)
         object.__setattr__(self, "n_list", ns)
         if len(ns) < 2 or any(x >= y for x, y in zip(ns, ns[1:])):
             raise ValidationError("n_list must be increasing with at least 2 entries")

@@ -3,7 +3,8 @@
 These deliberately avoid the code paths they check: the joint matrix is
 built by outcome enumeration instead of matrix algebra, the stationary
 vector by damped power iteration or by elimination in exact rationals
-instead of a float solve, reachability by a depth-first search over the
+instead of a float solve, its residual in exact rationals instead of float
+sums, reachability by a depth-first search over the
 dense adjacency, stopped distributions by explicit geometric-series
 summation instead of a resolvent inverse, probe counts by trial division
 instead of a sieve, machine expected utilities cell by cell in reverse
@@ -197,9 +198,9 @@ def chain_of_matrix(P, reward=None, num_agent_states=None):
 
 
 def dense_route(setting, policy):
-    """(band, w, mu, residual, payoff) of a policy's joint chain by the dense
-    route: dense agent and joint matrices, dense_band, the package's GTH
-    elimination, and the residual of the dense product mu P."""
+    """(P, band, w, mu, payoff) of a policy's joint chain by the dense route:
+    dense agent and joint matrices P, dense_band, and the package's GTH
+    elimination."""
     from bounded_agents.markov_exact import _gth, joint_reward
 
     P = dense_joint_matrices(dense_step_matrix(policy, setting.pG)[None],
@@ -208,10 +209,20 @@ def dense_route(setting, policy):
     d = P.shape[1]
     mu = np.empty((1, d))
     mu[:, _interleaved(d)] = _gth(band.copy(), w)[0]
-    residual = float(np.abs((mu[:, None, :] @ P)[:, 0, :] - mu).max())
     reward = joint_reward(setting, policy.actions)
     payoff = float((mu[:, None, :] @ reward[:, None])[0, 0, 0])
-    return band, w, mu[0], residual, payoff
+    return P[0], band, w, mu[0], payoff
+
+
+def exact_residual(P, mu):
+    """max_j |(mu P)_j - mu_j| of float P and mu, in exact rationals over the
+    nonzeros of P."""
+    exact = [Fraction(x) for x in mu.tolist()]
+    acc = [-x for x in exact]
+    rows, cols = np.nonzero(P)
+    for i, j, p in zip(rows.tolist(), cols.tolist(), P[rows, cols].tolist()):
+        acc[j] += exact[i] * Fraction(p)
+    return max(map(abs, acc))
 
 
 def enumerated_joint_matrix(setting, policy):

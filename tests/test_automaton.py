@@ -12,8 +12,7 @@ from bounded_agents.automaton import (
     build_linear_sticky,
     check_policy,
     policy_from_dict,
-    policy_from_json,
-    policy_to_json,
+    policy_to_dict,
 )
 from bounded_agents.errors import (
     BadProbabilityError,
@@ -159,22 +158,22 @@ class TestLinearSticky:
 
 
 def test_policy_json_round_trip(ladder_policy_5):
-    text = policy_to_json(ladder_policy_5)
-    restored = policy_from_json(text, 4)
+    text = json.dumps(policy_to_dict(ladder_policy_5))
+    restored = policy_from_dict(json.loads(text), 4)
     assert restored.kernel == ladder_policy_5.kernel
-    assert policy_to_json(restored) == text
+    assert json.dumps(policy_to_dict(restored)) == text
 
 
 def test_policy_json_shape(ladder_policy_5):
-    doc = json.loads(policy_to_json(ladder_policy_5))
+    doc = policy_to_dict(ladder_policy_5)
     assert set(doc) == {"num_states", "initial_state", "actions", "kernel"}
     assert "0:NoSignal" in doc["kernel"]
     assert "1:4" in doc["kernel"]
 
 
 def _ladder_doc(**changes):
-    doc = json.loads(policy_to_json(build_a_family(
-        2, AFamilyParams(n=1, p_exp=0.5, pos=frozenset({1}), neg=frozenset({2})))))
+    doc = policy_to_dict(build_a_family(
+        2, AFamilyParams(n=1, p_exp=0.5, pos=frozenset({1}), neg=frozenset({2}))))
     return {**doc, **changes}
 
 

@@ -3,9 +3,9 @@
 ``oracles.dense_route`` builds dense agent and joint matrices, searches the
 joint matrix for its band and gathers it, then solves. The package
 assembles the band storage straight from the agents' bands. Both must give
-the same storage and half-bandwidth, and the same stationary rows, residuals
-(where the package still takes them on the dense matrix) and payoffs, bit
-for bit.
+the same storage and half-bandwidth, and the same stationary rows and
+payoffs, bit for bit. The residual the package reports must be the exact
+residual of its stationary row to within rounding.
 """
 
 import random
@@ -15,16 +15,17 @@ import pytest
 
 from bounded_agents.automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
 from bounded_agents.dynamic_env import validate_setting
+from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
-    CLOSURE_MAX_DIM,
     agent_step_matrix,
     build_joint_chain,
     chain_payoff,
     dense_matrix,
+    reach_gaps,
     stationary,
 )
 from bounded_agents.optimize import brute_force_policy_search, default_partition
-from oracles import dense_joint_matrices, dense_route, dense_step_matrix, dict_policy
+from oracles import dense_route, dense_step_matrix, dict_policy, exact_residual
 
 # perfbench's ladder_scaling draws: seed 31's climbing signals, and the
 # fixed setting whose ladder sinks in G.
@@ -35,17 +36,19 @@ SINKING = ((0.3, 0.3, 0.3, 0.1), (0.2, 0.45, 0.3, 0.05))
 
 def assert_matches_dense_route(setting, policy):
     chain = build_joint_chain(setting, policy)
-    band, w, mu, residual, payoff = dense_route(setting, policy)
+    P, band, w, mu, payoff = dense_route(setting, policy)
     assert chain.w == w
     assert np.array_equal(chain.band, band)
     dist = stationary(chain)
     assert np.array_equal(dist.mu, mu)
     assert chain_payoff(chain, dist) == payoff
-    if chain.dim <= CLOSURE_MAX_DIM:
-        assert dist.residual == residual
-        dense = dense_joint_matrices(dense_step_matrix(policy, setting.pG)[None],
-                                     dense_step_matrix(policy, setting.pB)[None], setting.pi)
-        assert np.array_equal(chain.P, dense[0])
+    # Each sum behind the residual adds at most 2w + 1 products whose total
+    # is about mu_j <= max(mu), then takes mu_j off: at most 2w + 3
+    # roundings of 2**-53 * max(mu) each.
+    bound = (2 * w + 3) * 2.0**-53 * dist.mu.max()
+    assert abs(dist.residual - exact_residual(P, dist.mu)) <= bound
+    if chain.dim < 4002:  # At d = 4002 a second dense matrix alone takes 128 MB.
+        assert np.array_equal(chain.P, P)
     for probs in (setting.pG, setting.pB):
         assert np.array_equal(dense_matrix(agent_step_matrix(policy, probs)),
                               dense_step_matrix(policy, probs))
@@ -89,7 +92,7 @@ def jump_policy(m, jump):
 @pytest.mark.parametrize("m, jump, w", [
     (6, 2, 11),    # half-width 5, but the band of width 7 is no narrower: whole rows
     (10, 2, 5),    # half-width 5 inside the band of width 7
-    (40, 3, 7),    # d = 80, above CLOSURE_MAX_DIM
+    (40, 3, 7),    # d = 80
 ])
 def test_policies_that_jump_two_or_more_states(m, jump, w):
     setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
@@ -107,11 +110,41 @@ def test_brute_force_winners(m):
     assert value == chain_payoff(chain, stationary(chain))
 
 
-def test_chain_above_closure_threshold_stored_whole(paper_setting):
-    m = CLOSURE_MAX_DIM // 2 + 1
+def test_chain_of_66_states_stored_whole(paper_setting):
+    m = 33
     rng = np.random.default_rng(3)
     prob = rng.random((m, 4, m))
     prob /= prob.sum(axis=-1, keepdims=True)
     policy = AutomatonPolicy(m, 0, (RISKY,) * m, np.broadcast_to(np.arange(m), prob.shape), prob)
     chain = assert_matches_dense_route(paper_setting, policy)
     assert chain.w == 2 * m - 1 and chain.band.shape == (2 * m, 2 * m, 1)
+
+
+def test_chain_whose_mass_underflows_takes_the_structural_pass(monkeypatch):
+    # The sinking ladder's stationary mass falls below the float range from
+    # state 1325 of 2002 on, so the solve cannot certify the chain.
+    setting = validate_setting(4, *SINKING, 1.0, -1.0, 1.0 / 1000**2)
+    chain = build_joint_chain(setting, ladder(setting, 1000, 1.0 / 1000))
+    searched = []
+    monkeypatch.setattr(markov_exact, "reach_gaps",
+                        lambda S, w: searched.append(w) or reach_gaps(S, w))
+    dist = stationary(chain)
+    assert searched == [3]
+    assert (dist.mu == 0.0).any()
+    # Frozen: the payoff's bits do not depend on how irreducibility is checked.
+    assert chain_payoff(chain, dist) == 0.001240662004217527
+
+
+def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
+    # Rescaling the back-substitution flushes the lowest rungs to exactly 0;
+    # each entry is read as it was computed, so the solve still certifies.
+    setting = validate_setting(4, *SEED_31, 1.0, -1.0, 1.0 / 2000**2)
+    chain = build_joint_chain(setting, ladder(setting, 2000, 1.0 / 2000))
+
+    def refuse(S, w):
+        raise AssertionError("a certified chain was searched")
+
+    monkeypatch.setattr(markov_exact, "reach_gaps", refuse)
+    dist = stationary(chain)
+    assert (dist.mu == 0.0).any()
+    assert chain_payoff(chain, dist) == -8.326672684688674e-17

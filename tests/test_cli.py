@@ -172,6 +172,14 @@ class TestLimitCurve:
         assert run_cli(["limit-curve", "--config", config]) == 1
         assert "a > 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n_list, rule", [
+        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "a positive integer, got 0"),
+    ])
+    def test_bad_schedule_point_exits_one(self, tmp_path, capsys, n_list, rule):
+        err = one_error_line(tmp_path, capsys, "limit-curve", {
+            "setting": PAPER_SETTING, "schedule": {**SCHEDULE, "n_list": n_list}})
+        assert err == f"error: n_list entry must be {rule}\n"
+
 
 class TestStaticDemo:
     STICKY = {

@@ -1,4 +1,3 @@
-import json
 
 import pytest
 
@@ -7,7 +6,6 @@ from bounded_agents.dynamic_env import (
     load_setting,
     oracle_upper_bound,
     setting_from_dict,
-    setting_to_dict,
     validate_setting,
 )
 from bounded_agents.errors import (
@@ -90,11 +88,10 @@ def test_oracle_upper_bound(xG, expected):
     assert oracle_upper_bound(s) == pytest.approx(expected, abs=0)
 
 
-def test_json_round_trip(tmp_path, paper_setting):
-    doc = setting_to_dict(paper_setting)
-    assert set(doc) == {"k", "pG", "pB", "xG", "xB", "pi"}
+def test_load_setting_reads_a_json_document(tmp_path, paper_setting):
     path = tmp_path / "setting.json"
-    path.write_text(json.dumps(doc))
+    path.write_text('{"k": 4, "pG": [0.4, 0.3, 0.2, 0.1], "pB": [0.1, 0.2, 0.3, 0.4],'
+                    ' "xG": 1.0, "xB": -1.0, "pi": 0.001}')
     assert load_setting(path) == paper_setting
 
 

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bounded_agents.errors import (
     BadEtaError,
     DimensionMismatchError,
     ReducibleChainError,
+    SolveFailedError,
 )
 from oracles import (
     chain_of_matrix,
@@ -30,10 +32,11 @@ from oracles import (
 )
 from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
-    CLOSURE_MAX_DIM,
+    _solve,
     agent_step_matrix,
     build_joint_chain,
     chain_csv,
+    check_irreducible,
     dense_matrix,
     evaluate_stack,
     exact_average_payoff,
@@ -142,16 +145,38 @@ class TestStationary:
         assert "(B, q=0)" in str(err.value)
         assert err.value.unreachable
 
+    def test_coupling_that_underflows_cuts_the_chain(self):
+        # pi times each agent entry 1/3 rounds to 0, so the stored chain never
+        # leaves the nature it starts in.
+        third = {str(q): 1 / 3 for q in range(3)}
+        policy = dict_policy((RISKY,) * 3, {(q, s): third for q in range(3) for s in (1, 2)}, 2)
+        setting = validate_setting(2, (0.6, 0.4), (0.4, 0.6), 1.0, -1.0, 5e-324)
+        message = "joint chain is not irreducible; cut-off states: (B, q=0), (B, q=1), (B, q=2)"
+        with pytest.raises(ReducibleChainError) as err:
+            stationary(build_joint_chain(setting, policy))
+        assert str(err.value) == message
+        assert str(TestStackedKernel.stack(setting, [policy]).error(0)) == message
+
+    def test_solve_outside_tolerance_is_a_typed_failure(self, paper_setting, ladder_policy_5,
+                                                        monkeypatch):
+        monkeypatch.setattr(markov_exact, "STATIONARY_TOL", 0.0)
+        with pytest.raises(SolveFailedError) as err:
+            stationary(build_joint_chain(paper_setting, ladder_policy_5))
+        assert re.fullmatch(r"stationary residual \S+ / mass [0-9.]+ out of tolerance",
+                            str(err.value))
+        ev = TestStackedKernel.stack(paper_setting, [ladder_policy_5])
+        assert not ev.ok[0] and str(ev.error(0)) == str(err.value)
+
     def test_mass_nonnegative_and_normalized(self, paper_setting, ladder_policy_5):
         dist = stationary(build_joint_chain(paper_setting, ladder_policy_5))
         assert dist.mu.min() >= 0.0
         assert dist.mu.sum() == pytest.approx(1.0, abs=1e-10)
 
-    def test_dense_chain_above_closure_threshold(self, paper_setting):
+    def test_chain_stored_whole_matches_power_iteration(self, paper_setting):
         # No band narrower than the matrix holds a chain whose agent can
         # reach every state from every state, so it is stored whole and
-        # searched over all of its entries.
-        m = (CLOSURE_MAX_DIM + 16) // 2
+        # solved over all of its entries.
+        m = 40
         rng = np.random.default_rng(7)
         prob = rng.random((m, 4, m))
         prob /= prob.sum(axis=-1, keepdims=True)
@@ -271,8 +296,6 @@ class TestExactAveragePayoff:
     def test_irreducibility_property_of_ladder(self, paper_setting, seed):
         # Positive rates plus pos/neg signals that occur under both states
         # guarantee a strongly connected joint chain.
-        from bounded_agents.markov_exact import check_irreducible
-
         rng = random.Random(seed)
         signals = [1, 2, 3, 4]
         rng.shuffle(signals)
@@ -285,7 +308,8 @@ class TestExactAveragePayoff:
             r_d=rng.uniform(1e-3, 1.0),
         )
         chain = build_joint_chain(paper_setting, build_a_family(4, params))
-        check_irreducible(chain)  # must not raise
+        assert _solve(chain.band, chain.w)[3].all()
+        check_irreducible(chain, False)  # the structural pass must not raise
 
 
 PAPER_SIDES = dict(pos=frozenset({1}), neg=frozenset({4}))
@@ -316,30 +340,36 @@ def random_patterns(rng, count, dim):
 
 
 class TestStackedKernel:
-    @pytest.mark.parametrize("dim", [2, 4, 10, CLOSURE_MAX_DIM, CLOSURE_MAX_DIM + 2, 130])
-    def test_reachability_agrees_with_graph_search(self, dim, monkeypatch):
+    @pytest.mark.parametrize("dim", [2, 4, 10, 64, 66, 130])
+    def test_reachability_agrees_with_graph_search(self, dim):
         P = random_patterns(np.random.default_rng(dim), 16, dim)
         expected = np.array([connectivity_gaps(chain) for chain in P])
         assert expected.any(axis=1).any() and not expected.any(axis=1).all()
         S, w = dense_band(P)
-        assert np.array_equal(reach_gaps(S, w, P), expected)
-        # Both routines on both sides of the threshold.
-        monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
-        assert np.array_equal(reach_gaps(S, w, P), expected)
-        monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 0)
-        assert np.array_equal(reach_gaps(S, w, P), expected)
+        assert np.array_equal(reach_gaps(S, w), expected)
+        # As chains (a self-loop on each empty row cuts nothing): a chain the
+        # solve certifies has no gaps, and the single path names the gaps.
+        P[:, np.arange(dim), np.arange(dim)] += P.sum(axis=2) == 0.0
+        chains = P / P.sum(axis=2, keepdims=True)
+        assert not (_solve(dense_band(chains)[0], w)[3] & expected.any(axis=1)).any()
+        m = dim // 2
+        for chain, gaps in zip(chains, expected):
+            labels = [f"({'GB'[row // m]}, q={row % m})" for row in np.flatnonzero(gaps)]
+            if labels:
+                with pytest.raises(ReducibleChainError) as err:
+                    stationary(chain_of_matrix(chain))
+                assert list(err.value.unreachable) == labels
+            else:
+                stationary(chain_of_matrix(chain))
 
     @pytest.mark.parametrize("n", [64, 250])
-    def test_banded_reachability_agrees_with_graph_search(self, paper_setting, n, monkeypatch):
+    def test_banded_reachability_agrees_with_graph_search(self, paper_setting, n):
         P = ladder_patterns(paper_setting, n)
-        assert P.shape[1] > CLOSURE_MAX_DIM
         expected = np.array([connectivity_gaps(chain) for chain in P])
         assert expected.any(axis=1).tolist() == [False, True, True]
         S, w = dense_band(P)
         assert w == 3
-        assert np.array_equal(reach_gaps(S, w, P), expected)
-        monkeypatch.setattr(markov_exact, "CLOSURE_MAX_DIM", 10**6)
-        assert np.array_equal(reach_gaps(S, w, P), expected)
+        assert np.array_equal(reach_gaps(S, w), expected)
 
     @staticmethod
     def stack(setting, policies):

@@ -20,7 +20,7 @@ from bounded_agents.automaton import (
 from bounded_agents.automaton import policy_from_dict, policy_to_dict
 from bounded_agents.bias_reader import ReaderProblem
 from bounded_agents.costly_comp import CompProblem, problem_from_dict
-from bounded_agents.dynamic_env import setting_from_dict, setting_to_dict, validate_setting
+from bounded_agents.dynamic_env import setting_from_dict, validate_setting
 from bounded_agents.errors import (
     PROB_SUM_TOL,
     DimensionMismatchError,
