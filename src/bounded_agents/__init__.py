@@ -27,7 +27,6 @@ from .costly_comp import (
     conversation_value,
     expected_utility,
     make_primality_instance,
-    value_of_refinement,
 )
 from .dynamic_env import (
     DynamicSetting,

@@ -182,11 +182,6 @@ def best_machine(problem: CompProblem) -> tuple[int, float]:
     return best_of([expected_utility(problem, i) for i in range(len(problem.machines))])
 
 
-def value_of_refinement(problem_before: CompProblem, problem_after: CompProblem) -> float:
-    """EU gain of the refined problem's best machine over the original's."""
-    return best_machine(problem_after)[1] - best_machine(problem_before)[1]
-
-
 # ---------------------------------------------------------------------------
 # Primality instance
 
@@ -316,33 +311,12 @@ def conversation_value(spec: ConversationSpec) -> float:
 # Serialization
 
 
-def problem_to_dict(problem: CompProblem) -> dict:
-    """JSON form: labels, then the prior and each machine's tables as rows
-    [state, type, value] in cell order. The utility callable is not
-    serialized; ``problem_from_dict`` takes it as rows."""
-    cells = [(s, t) for s in problem.states for t in problem.types]
-
-    def rows(values):
-        return [[s, t, v] for (s, t), v in zip(cells, values)]
-
-    return {
-        "states": list(problem.states),
-        "types": list(problem.types),
-        "actions": list(problem.actions),
-        "prior": rows(problem.prior.tolist()),
-        "machines": [
-            {"name": machine.name,
-             "out": rows(problem.actions[a] for a in machine.out.tolist()),
-             "complexity": rows(machine.complexity.tolist())}
-            for machine in problem.machines
-        ],
-    }
-
-
 def problem_from_dict(doc: dict) -> CompProblem:
-    """Inverse of ``problem_to_dict``, with the utility as rows [state, type,
-    action, complexity, utility] under the key "utility". A cell has at most
-    one prior row (none means zero mass), one out row and one complexity row.
+    """A problem from its JSON form: labels, then the prior and each
+    machine's out and complexity tables as rows [state, type, value], and
+    the utility as rows [state, type, action, complexity, utility] under the
+    key "utility". A cell has at most one prior row (none means zero mass),
+    one out row and one complexity row.
     """
     check_keys(doc, "problem", ("states", "types", "actions", "prior", "machines", "utility"))
     states, types, actions = (tuple(doc[key]) for key in ("states", "types", "actions"))

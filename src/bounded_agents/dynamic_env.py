@@ -11,6 +11,7 @@ in G, so no strategy can average more than ``xG / 2``.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,8 +61,13 @@ def validate_setting(
     check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
     if not (xG > 0.0 > xB):
         raise BadPayoffSignError(f"need xG > 0 > xB, got xG={xG}, xB={xB}")
-    if not (0.0 < pi <= 0.5):
-        raise BadFlipProbError(f"flip probability must be in (0, 0.5], got {pi}")
+    # Products with a subnormal pi keep fewer than 53 bits, and the solve
+    # divides by pivots that small: at pi = 5e-324 the paper's 4-rung ladder
+    # pays 4% off its exact value.
+    if not (sys.float_info.min <= pi <= 0.5):
+        raise BadFlipProbError(
+            f"flip probability pi must be in [{sys.float_info.min!r}, 0.5] "
+            f"(the smallest normal float to 1/2), got {pi!r}")
     return DynamicSetting(k=k, pG=pG, pB=pB, xG=float(xG), xB=float(xB), pi=float(pi))
 
 

@@ -30,7 +30,7 @@ class BadPayoffSignError(ValidationError):
 
 
 class BadFlipProbError(ValidationError):
-    """Nature flip probability must lie in (0, 0.5]."""
+    """Nature flip probability must lie in [sys.float_info.min, 0.5]."""
 
 
 class SignalOutOfRangeError(ValidationError):

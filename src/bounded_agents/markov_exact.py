@@ -123,7 +123,7 @@ def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
 
 def dense_matrix(band: np.ndarray) -> np.ndarray:
     """(m, m) matrix of an agent's (m, 2W + 1) band."""
-    return _dense(band[:, :, None], band.shape[1] // 2, np.arange(len(band)))[:, :, 0]
+    return _whole_rows(band[:, :, None], band.shape[1] // 2)[:, :, 0]
 
 
 def agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):
@@ -141,9 +141,10 @@ def joint_reward(setting: DynamicSetting, actions) -> np.ndarray:
 def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.ndarray, int]:
     """(d, L, B) interleaved-order storage of the joint chains of (B, m, 2W + 1)
     agent bands in G and B, and its half-bandwidth w: row i holds (i, j) at column
-    j - i + w, w the least that holds every nonzero; or whole rows (w = d - 1) if no
-    width 3, 7, 15, ... that holds them is narrower than the matrix. The stack axis
-    is last, so each elimination step runs over contiguous runs of B values."""
+    j - i + w, w the least that holds every nonzero; or whole rows (w = d - 1),
+    masked from a strided view of the band, if no width 3, 7, 15, ... that holds
+    them is narrower than the matrix. The stack axis is last, so each elimination
+    step runs over contiguous runs of B values."""
     b, m, wide = a_good.shape
     # (q, theta) -> (q', theta') is held at column 2(q' - q + W) + theta' - theta + 2W + 1.
     S = np.zeros((m, 2, 2 * wide + 1, b))
@@ -159,7 +160,7 @@ def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.nda
         if tight <= w:
             return np.ascontiguousarray(S[:, wide - tight:wide + tight + 1]), tight
         w = 2 * w + 1
-    return _dense(S, wide, np.arange(d)), d - 1
+    return _whole_rows(S, wide), d - 1
 
 
 def build_joint_chain(setting: DynamicSetting, policy: AutomatonPolicy) -> JointChainModel:
@@ -175,25 +176,6 @@ def _interleaved(d: int) -> np.ndarray:
     return np.arange(d).reshape(2, d // 2).T.ravel()
 
 
-def _cells(S: np.ndarray, w: int):
-    """Row, column and (n * L)-row index of each in-matrix cell of an (n, L, B) storage."""
-    n, L = S.shape[:2]
-    i, c = np.divmod(np.arange(n * L), L)
-    j = i + c - w if L == 2 * w + 1 else c
-    cells = np.flatnonzero((j >= 0) & (j < n))
-    return i[cells], j[cells], cells
-
-
-def _dense(S: np.ndarray, w: int, order: np.ndarray | None = None) -> np.ndarray:
-    """(n, n, B) matrices of a storage, (i, j) at [order[i], order[j]]; nature-major if None."""
-    n, L, b = S.shape
-    order = _interleaved(n) if order is None else order
-    i, j, cells = _cells(S, w)
-    out = np.zeros((n, n, b))
-    out[order[i], order[j]] = S.reshape(n * L, b)[cells]
-    return out
-
-
 def _square_view(S: np.ndarray, w: int) -> np.ndarray:
     """(d, d, B) view of a storage, (i, j) at row 2w*i + j + w of its (d*L, B) rows
     (whole rows as stored); outside |i - j| <= w entries alias others: keep out."""
@@ -203,6 +185,25 @@ def _square_view(S: np.ndarray, w: int) -> np.ndarray:
     rows = S.reshape(d * L, b)
     step = rows.strides[0]
     return as_strided(rows[w:], shape=(d, d, b), strides=((L - 1) * step, step, rows.strides[1]))
+
+
+def _whole_rows(S: np.ndarray, w: int) -> np.ndarray:
+    """(n, n, B) whole-row storage of an (n, L, B) storage of half-width w."""
+    near = np.tri(len(S), k=w, dtype=bool)
+    near = near & near.T  # |i - j| <= w
+    return np.where(near[:, :, None], _square_view(S, w), 0.0)
+
+
+def _dense(S: np.ndarray, w: int) -> np.ndarray:
+    """(n, n, B) nature-major matrices of an interleaved-order storage."""
+    n, L, b = S.shape
+    i, c = np.divmod(np.arange(n * L), L)
+    j = i + c - w if L == 2 * w + 1 else c
+    cells = np.flatnonzero((j >= 0) & (j < n))
+    order = _interleaved(n)
+    out = np.zeros((n, n, b))
+    out[order[i[cells]], order[j[cells]]] = S.reshape(n * L, b)[cells]
+    return out
 
 
 def _state_label(row: int, m: int) -> str:
@@ -307,7 +308,9 @@ def check_irreducible(chain: JointChainModel, certified: bool) -> None:
 
 def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Stationary rows, residuals, pivots and irreducibility certificates (see
-    _gth) of a stack of chains from their storage S."""
+    _gth) of a stack of chains from their storage S. The residual
+    max_j |(xP)_j - x_j| is summed on the storage itself: one vector step per
+    band diagonal, or per row of whole-row storage."""
     d, L, b = S.shape
     mu = np.empty((b, d))
     # A zero pivot (from underflow, or a reducible chain) gives inf and NaN,
@@ -315,10 +318,18 @@ def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     with np.errstate(divide="ignore", invalid="ignore"):
         x, pivot, certified = _gth(S.copy(), w)
         mu[:, _interleaved(d)] = x
-        i, j, cells = _cells(S, w)
+        # Each (xP)[j] adds x[i] * P[i, j] to 0.0 with i ascending: a band's
+        # diagonals from its highest column, which holds each j's least i.
+        xt = np.ascontiguousarray(x.T)
         xP = np.zeros((d, b))
-        np.add.at(xP, j, x.T[i] * S.reshape(d * L, b)[cells])
-        residual = np.abs(xP.T - x).max(axis=1)
+        if L == 2 * w + 1:
+            for c in range(L - 1, -1, -1):
+                lo, hi = max(0, w - c), min(d, d + w - c)
+                xP[lo + c - w:hi + c - w] += xt[lo:hi] * S[lo:hi, c]
+        else:
+            for i in range(d):
+                xP += xt[i] * S[i]
+        residual = np.abs(xP - xt).max(axis=0)
     return mu, residual, pivot, certified
 
 

@@ -317,6 +317,39 @@ def _row_options(q: int, m: int, grid: Sequence[float]) -> np.ndarray:
     return np.unique(rows[stochastic_rows(rows)], axis=0)
 
 
+def _state_tables(options, acts, pG: np.ndarray, pB: np.ndarray) -> list[np.ndarray]:
+    """Per state q, q's (2, 2W + 1) rows of the agent bands in G and in B
+    (W = m - 1, the row at columns W - q onward) for every combination of
+    q's digits in mixed-radix order: a Safe state's one row, or a Risky
+    state's k rows summed from zeros in signal order."""
+    m = len(options)
+    tables = []
+    for q, rows in enumerate(options):
+        band = np.zeros((len(rows), 2 * m - 1))
+        band[:, m - 1 - q:2 * m - 1 - q] = rows
+        if acts[q] == SAFE:
+            tables.append(np.stack([band, band], axis=1))
+            continue
+        digits = np.unravel_index(np.arange(len(rows) ** len(pG)), (len(rows),) * len(pG))
+        table = np.zeros((len(digits[0]), 2, 2 * m - 1))
+        for s, choice in enumerate(digits):
+            table[:, 0] += pG[s] * band[choice]
+            table[:, 1] += pB[s] * band[choice]
+        tables.append(table)
+    return tables
+
+
+def _candidate_bands(tables: list[np.ndarray], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(len(index), m, 2W + 1) agent bands in G and in B of one labeling's
+    candidates ``index``. A state's digits are contiguous in the candidate's
+    mixed radix, so the index unravels over the table sizes into one row of
+    each state's table."""
+    sizes = [len(t) for t in tables]
+    at = np.stack(np.unravel_index(index, sizes), axis=-1) + np.cumsum([0] + sizes[:-1])
+    bands = np.concatenate(tables)[at]
+    return bands[:, :, 0], bands[:, :, 1]
+
+
 def brute_force_policy_search(
     setting: DynamicSetting,
     num_states: int,
@@ -356,26 +389,17 @@ def brute_force_policy_search(
 
     pG = np.asarray(setting.pG)
     pB = np.asarray(setting.pB)
-    # Every row may reach every state: agent bands of half-width W = m - 1,
-    # with state q's row at columns W - q onward.
-    W = m - 1
-    chunk = stack_len(m, W)
+    chunk = stack_len(m, m - 1)
     best_val, best = -np.inf, None
     for acts, digits, radixes in labelings:
+        # A state's table has R_q or R_q**k rows, and the all-risky labeling,
+        # always enumerated, has prod_q R_q**k <= BRUTE_FORCE_CAP candidates:
+        # the cap bounds every table.
+        tables = _state_tables(options, acts, pG, pB)
         reward = joint_reward(setting, acts)
         n_cand = math.prod(radixes)
         for lo in range(0, n_cand, chunk):
-            choices = np.unravel_index(np.arange(lo, min(lo + chunk, n_cand)), radixes)
-            a_good = np.zeros((len(choices[0]), m, 2 * W + 1))
-            a_bad = np.zeros_like(a_good)
-            for (q, s), choice in zip(digits, choices):
-                rows = options[q][choice]  # (chunk, m)
-                band = np.s_[:, q, W - q:W - q + m]
-                if s is None:
-                    a_good[band] = a_bad[band] = rows
-                else:
-                    a_good[band] += pG[s] * rows
-                    a_bad[band] += pB[s] * rows
+            a_good, a_bad = _candidate_bands(tables, np.arange(lo, min(lo + chunk, n_cand)))
             ev = evaluate_stack(a_good, a_bad, setting.pi, reward)
             vals = np.where(ev.ok, ev.payoff, -np.inf)
             local = int(np.argmax(vals))

@@ -13,7 +13,12 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage.
+and gathered afterwards, instead of assembled in band storage. Three
+oracles keep the package's earlier kernels, which its current ones must
+match bit for bit: brute-force candidates assembled digit by digit
+instead of gathered from per-state tables, residuals scattered by
+np.add.at instead of swept column by column, and whole-row storage
+scattered cell by cell instead of masked from a strided view.
 """
 
 import math
@@ -225,6 +230,65 @@ def exact_residual(P, mu):
     return max(map(abs, acc))
 
 
+def add_at_residual(S, w, x):
+    """max_j |(x P)_j - x_j| per chain of an (n, L, B) storage and (B, n)
+    interleaved-order rows x, with every product x[i] * P[i, j] formed first,
+    then scattered into (x P)[j] by one np.add.at over the in-matrix cells
+    in row-major order."""
+    n, L, b = S.shape
+    i, c = np.divmod(np.arange(n * L), L)
+    j = i + c - w if L == 2 * w + 1 else c
+    cells = np.flatnonzero((j >= 0) & (j < n))
+    xP = np.zeros((n, b))
+    np.add.at(xP, j[cells], x.T[i[cells]] * S.reshape(n * L, b)[cells])
+    return np.abs(xP.T - x).max(axis=1)
+
+
+def scatter_joint_rows(a_good, a_bad, pi):
+    """(d, d, B) whole-row interleaved storage of the joint chains of
+    (B, m, 2W + 1) agent bands: the products are written into a band
+    storage of half-width 2W + 1, and each of its in-matrix cells is then
+    scattered to its row and column."""
+    b, m, wide = a_good.shape
+    S = np.zeros((m, 2, 2 * wide + 1, b))
+    good, bad = a_good.transpose(1, 2, 0), a_bad.transpose(1, 2, 0)
+    np.multiply(good, 1.0 - pi, out=S[:, 0, 1:-1:2])
+    np.multiply(good, pi, out=S[:, 0, 2::2])
+    np.multiply(bad, pi, out=S[:, 1, :-2:2])
+    np.multiply(bad, 1.0 - pi, out=S[:, 1, 1:-1:2])
+    d, L = 2 * m, 2 * wide + 1
+    i, c = np.divmod(np.arange(d * L), L)
+    j = i + c - wide
+    cells = np.flatnonzero((j >= 0) & (j < d))
+    out = np.zeros((d, d, b))
+    out[i[cells], j[cells]] = S.reshape(d * L, b)[cells]
+    return out
+
+
+def digit_candidate_bands(options, acts, pG, pB, index):
+    """(len(index), m, 2W + 1) agent bands in G and B of brute-force
+    candidates ``index`` of one action labeling, W = m - 1, assembled digit
+    by digit: a candidate is a mixed-radix index over one digit per Safe
+    state and k per Risky state, signal-major; a Safe digit writes its row,
+    and each Risky digit adds its row weighted by the signal's probability,
+    in signal order."""
+    m, k = len(options), len(pG)
+    W = m - 1
+    digits = [(q, s) for q in range(m) for s in ((None,) if acts[q] == SAFE else range(k))]
+    choices = np.unravel_index(index, [len(options[q]) for q, _ in digits])
+    a_good = np.zeros((len(index), m, 2 * W + 1))
+    a_bad = np.zeros_like(a_good)
+    for (q, s), choice in zip(digits, choices):
+        rows = options[q][choice]
+        band = np.s_[:, q, W - q:W - q + m]
+        if s is None:
+            a_good[band] = a_bad[band] = rows
+        else:
+            a_good[band] += pG[s] * rows
+            a_bad[band] += pB[s] * rows
+    return a_good, a_bad
+
+
 def enumerated_joint_matrix(setting, policy):
     """Joint matrix entry by entry from (theta, q, signal, flip) outcomes."""
     m = policy.num_states
@@ -416,3 +480,26 @@ def division_probes(t):
             return d - 1, False
         d += 1
     return max(root - 1, 0), True
+
+
+def problem_to_dict(problem):
+    """JSON form of a CompProblem, as problem_from_dict reads it: labels,
+    then the prior and each machine's tables as rows [state, type, value] in
+    cell order; the utility is left for the caller to add as rows."""
+    cells = [(s, t) for s in problem.states for t in problem.types]
+
+    def rows(values):
+        return [[s, t, v] for (s, t), v in zip(cells, values)]
+
+    return {
+        "states": list(problem.states),
+        "types": list(problem.types),
+        "actions": list(problem.actions),
+        "prior": rows(problem.prior.tolist()),
+        "machines": [
+            {"name": machine.name,
+             "out": rows(problem.actions[a] for a in machine.out.tolist()),
+             "complexity": rows(machine.complexity.tolist())}
+            for machine in problem.machines
+        ],
+    }

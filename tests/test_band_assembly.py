@@ -6,8 +6,14 @@ assembles the band storage straight from the agents' bands. Both must give
 the same storage and half-bandwidth, and the same stationary rows and
 payoffs, bit for bit. The residual the package reports must be the exact
 residual of its stationary row to within rounding.
+
+The package's brute-force candidate gather, column-sweep residual and
+masked whole-row storage must also match, bit for bit, the kernels they
+replaced, kept as oracles: digit-by-digit assembly, the np.add.at
+residual and the cell-by-cell scatter.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -21,11 +27,18 @@ from bounded_agents.markov_exact import (
     build_joint_chain,
     chain_payoff,
     dense_matrix,
+    joint_band,
     reach_gaps,
     stationary,
 )
-from bounded_agents.optimize import brute_force_policy_search, default_partition
-from oracles import dense_route, dense_step_matrix, dict_policy, exact_residual
+from bounded_agents.optimize import (
+    _candidate_bands, _row_options, _state_tables, brute_force_policy_search,
+    default_partition,
+)
+from oracles import (
+    add_at_residual, dense_route, dense_step_matrix, dict_policy, digit_candidate_bands,
+    exact_residual, scatter_joint_rows,
+)
 
 # perfbench's ladder_scaling draws: seed 31's climbing signals, and the
 # fixed setting whose ladder sinks in G.
@@ -148,3 +161,61 @@ def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
     dist = stationary(chain)
     assert (dist.mu == 0.0).any()
     assert chain_payoff(chain, dist) == -8.326672684688674e-17
+
+
+def random_stochastic(rng, shape):
+    """Random rows that sum to 1, with about a third of the entries 0."""
+    x = rng.random(shape) * (rng.random(shape) < 0.7)
+    x[..., 0] += 0.01
+    return x / x.sum(axis=-1, keepdims=True)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k", [2, 4])
+def test_brute_force_gather_matches_digit_assembly(m, k):
+    rng = np.random.default_rng(10 * m + k)
+    pG, pB = random_stochastic(rng, (2, k))
+    pG[1] = 0.0  # a signal that never occurs in G still adds its (zero) rows
+    options = [_row_options(q, m, (0.0, 0.25, 0.5, 0.75, 1.0)) for q in range(m)]
+    for acts in itertools.product((SAFE, RISKY), repeat=m):
+        tables = _state_tables(options, acts, pG, pB)
+        count = np.prod([len(t) for t in tables])
+        for index in (np.arange(min(count, 700)), np.arange(max(count - 700, 0), count),
+                      np.sort(rng.integers(0, count, 700))):
+            got = _candidate_bands(tables, index)
+            want = digit_candidate_bands(options, acts, pG, pB, index)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+def random_storage(rng, d, w, b):
+    """(d, L, b) interleaved storage of b random chains: a band of
+    half-width w, or whole rows if w = d - 1."""
+    L = d if w == d - 1 else 2 * w + 1
+    S = random_stochastic(rng, (b, d, L))
+    if L == 2 * w + 1:
+        j = np.arange(d)[:, None] + np.arange(-w, w + 1)
+        S[:, (j < 0) | (j >= d)] = 0.0
+        S /= S.sum(axis=-1, keepdims=True)
+    return np.ascontiguousarray(S.transpose(1, 2, 0))
+
+
+@pytest.mark.parametrize("d, w", [(40, 3), (40, 7), (10, 3), (4, 3), (6, 5), (66, 65)])
+@pytest.mark.parametrize("b", [1, 5])
+def test_column_sweep_residual_matches_add_at(d, w, b):
+    S = random_storage(np.random.default_rng(d * w + b), d, w, b)
+    x = markov_exact._gth(S.copy(), w)[0]
+    residual = markov_exact._solve(S, w)[1]
+    assert np.array_equal(residual, add_at_residual(S, w, x))
+    assert (residual > 0.0).any()
+
+
+@pytest.mark.parametrize("m", [2, 3, 33])
+def test_whole_rows_match_the_cell_scatter(m):
+    rng = np.random.default_rng(m)
+    W = m - 1
+    bands = np.zeros((2, 4, m, 2 * W + 1))
+    for q in range(m):
+        bands[:, :, q, W - q:W - q + m] = random_stochastic(rng, (2, 4, m))
+    S, w = joint_band(*bands, 0.01)
+    assert w == 2 * m - 1
+    assert np.array_equal(S, scatter_joint_rows(*bands, 0.01))

@@ -66,6 +66,13 @@ class TestEvalExact:
         assert run_cli(["eval-exact", "--config", config]) == 1
         assert "missing keys" in capsys.readouterr().err
 
+    def test_subnormal_pi_exits_one_naming_pi(self, tmp_path, capsys):
+        setting = {**PAPER_SETTING, "pi": 5e-324}
+        config = write_config(tmp_path, {"setting": setting, "automaton": LADDER})
+        assert run_cli(["eval-exact", "--config", config]) == 1
+        assert "flip probability pi must be in [2.2250738585072014e-308, 0.5]" in (
+            capsys.readouterr().err)
+
     def test_bad_json_exits_one(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from oracles import division_probes, kahan_reversed_expected_utility
+from oracles import division_probes, kahan_reversed_expected_utility, problem_to_dict
 
 from bounded_agents.costly_comp import (
     CompProblem,
@@ -16,9 +16,7 @@ from bounded_agents.costly_comp import (
     expected_utility,
     make_primality_instance,
     problem_from_dict,
-    problem_to_dict,
     utility_from_table,
-    value_of_refinement,
 )
 from bounded_agents.errors import (
     MissingUtilityEntryError,
@@ -299,42 +297,6 @@ class TestPrimalityInstance:
             PrimalityConfig(machines=("divide_and_hope",))
 
 
-class TestValueOfRefinement:
-    def guessing_problem(self, key_bits, payoff=1000.0):
-        types = tuple(range(2**key_bits))
-        machine = constant_machine("guess_zero", 0, len(types))
-        return CompProblem(
-            states=(0,), types=types, actions=types,
-            prior=np.full(len(types), 1.0 / len(types)), machines=(machine,),
-            utility=lambda s, t, a, c: np.where(a == t, payoff, 0.0) - c,
-        )
-
-    def test_identity_refinement_is_zero(self):
-        problem = random_problem(7)
-        assert value_of_refinement(problem, problem) == 0.0
-
-    def test_added_dominating_machine_never_hurts(self):
-        problem = random_problem(8)
-        best_existing = best_machine(problem)[1]
-        dominating = MachineSpec(
-            "dom", problem.machines[0].out, np.zeros_like(problem.machines[0].complexity)
-        )
-        richer = CompProblem(
-            states=problem.states, types=problem.types, actions=problem.actions,
-            prior=problem.prior, machines=problem.machines + (dominating,),
-            utility=problem.utility,
-        )
-        assert value_of_refinement(problem, richer) >= 0.0
-        assert best_machine(richer)[1] >= best_existing
-
-    def test_learning_half_the_key(self):
-        v = 1000.0
-        before = self.guessing_problem(10, v)
-        after = self.guessing_problem(5, v)
-        value = value_of_refinement(before, after)
-        assert value == pytest.approx(v * (1 / 32 - 1 / 1024), rel=1e-12)
-
-
 class TestConversationValue:
     def test_seven_questions_for_a_hundred(self):
         assert conversation_value(ConversationSpec(100, 7, 100.0)) == 99.0
@@ -403,7 +365,7 @@ def test_serialization_shape():
     assert set(doc) == {"states", "types", "actions", "prior", "machines"}
     assert doc["machines"][0].keys() == {"name", "out", "complexity"}
     assert sum(p for _, _, p in doc["prior"]) == pytest.approx(1.0, abs=1e-12)
-    # problem_from_dict inverts problem_to_dict, utility rows added.
+    # problem_from_dict reads back the oracle's JSON form, utility rows added.
     for seed in range(12):
         problem, rows = random_problem_and_rows(seed)
         back = problem_from_dict({**problem_to_dict(problem), "utility": rows})

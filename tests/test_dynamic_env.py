@@ -1,6 +1,10 @@
 
+import sys
+import warnings
+
 import pytest
 
+from bounded_agents.automaton import AFamilyParams, build_a_family
 from bounded_agents.dynamic_env import (
     is_nontrivial,
     load_setting,
@@ -14,6 +18,8 @@ from bounded_agents.errors import (
     NonStochasticError,
     ValidationError,
 )
+from bounded_agents.markov_exact import exact_average_payoff
+from oracles import exact_average_payoff_fraction
 
 
 def test_paper_experiment_setting_is_valid():
@@ -54,6 +60,25 @@ def test_bad_flip_prob_rejected(pi):
 def test_pi_boundary_half_allowed():
     s = validate_setting(2, (0.5, 0.5), (0.5, 0.5), 1.0, -1.0, 0.5)
     assert s.pi == 0.5
+
+
+@pytest.mark.parametrize("pi", [5e-324, 1e-310, sys.float_info.min / 2])
+def test_subnormal_pi_rejected_naming_pi_and_range(pi):
+    # At 5e-324 the paper's 4-rung ladder evaluated 4.1% off its exact value.
+    with pytest.raises(BadFlipProbError, match=r"pi must be in \[2\.2250738585072014e-308, 0\.5\]"):
+        validate_setting(4, (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 1.0, -1.0, pi)
+
+
+def test_smallest_normal_pi_matches_the_rational_oracle():
+    setting = validate_setting(4, (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 1.0, -1.0,
+                               sys.float_info.min)
+    ladder = build_a_family(4, AFamilyParams(n=4, p_exp=0.0273668, pos=frozenset({1}),
+                                             neg=frozenset({4})))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        payoff = exact_average_payoff(setting, ladder)
+    exact = float(exact_average_payoff_fraction(setting, ladder))
+    assert payoff == pytest.approx(exact, rel=1e-14)
 
 
 def test_length_mismatch_rejected():

@@ -13,7 +13,7 @@ from bounded_agents.automaton import (
     build_a_family,
     build_linear_sticky,
 )
-from bounded_agents.dynamic_env import oracle_upper_bound, validate_setting
+from bounded_agents.dynamic_env import DynamicSetting, oracle_upper_bound, validate_setting
 from bounded_agents.errors import (
     BadEtaError,
     DimensionMismatchError,
@@ -147,10 +147,11 @@ class TestStationary:
 
     def test_coupling_that_underflows_cuts_the_chain(self):
         # pi times each agent entry 1/3 rounds to 0, so the stored chain never
-        # leaves the nature it starts in.
+        # leaves the nature it starts in. validate_setting refuses so small a
+        # pi; the kernel still names the cut when a chain is built with one.
         third = {str(q): 1 / 3 for q in range(3)}
         policy = dict_policy((RISKY,) * 3, {(q, s): third for q in range(3) for s in (1, 2)}, 2)
-        setting = validate_setting(2, (0.6, 0.4), (0.4, 0.6), 1.0, -1.0, 5e-324)
+        setting = DynamicSetting(k=2, pG=(0.6, 0.4), pB=(0.4, 0.6), xG=1.0, xB=-1.0, pi=5e-324)
         message = "joint chain is not irreducible; cut-off states: (B, q=0), (B, q=1), (B, q=2)"
         with pytest.raises(ReducibleChainError) as err:
             stationary(build_joint_chain(setting, policy))

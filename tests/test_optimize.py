@@ -348,6 +348,14 @@ class TestBruteForce:
         # ordinary exact evaluator.
         assert exact_average_payoff(paper_setting, policy) == pytest.approx(value, abs=1e-12)
 
+    def test_two_state_winner_bits(self, paper_setting):
+        policy, value = brute_force_policy_search(paper_setting, num_states=2)
+        # Frozen: the winner's bits do not depend on how candidates are assembled.
+        assert value == 0.1641123462474513
+        assert policy.actions == (SAFE, RISKY) and policy.initial_state == 0
+        assert policy.prob.tolist() == [[[0.75, 0.25]] * 4, [[0.0, 1.0]] * 3 + [[1.0, 0.0]]]
+        assert policy.next_state.tolist() == [[[0, 1]] * 4] * 2
+
     def test_trivial_setting_best_is_zero(self, trivial_setting):
         _, value = brute_force_policy_search(
             trivial_setting, num_states=2, prob_grid=(0.0, 0.5, 1.0)
