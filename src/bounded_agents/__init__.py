@@ -31,7 +31,6 @@ from .costly_comp import (
 from .dynamic_env import (
     DynamicSetting,
     is_nontrivial,
-    load_setting,
     oracle_upper_bound,
     validate_setting,
 )

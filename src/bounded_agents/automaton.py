@@ -41,6 +41,7 @@ from .errors import (
     check_integer,
     check_keys,
     check_object,
+    check_real,
 )
 
 SAFE = "Safe"
@@ -82,8 +83,7 @@ def check_policy(policy: AutomatonPolicy, k: int) -> None:
     1..k, each targeting a state, and a Safe state's row is the same in every
     slot; arrays not shaped (num_states, k, r) raise DimensionMismatchError."""
     m = policy.num_states
-    if not (0 <= policy.initial_state < m):
-        raise ValidationError(f"initial state {policy.initial_state} out of range")
+    check_integer(policy.initial_state, "initial_state", f"[0, {m})")
     if len(policy.actions) != m:
         raise ValidationError("one action label required per state")
     nxt, prob = policy.next_state, policy.prob
@@ -126,14 +126,9 @@ class AFamilyParams:
     r_d: float = 1.0
 
     def __post_init__(self):
-        check_integer(self.n, "n")
-        if self.n < 1:
-            raise ValidationError(f"n must be a positive integer, got {self.n}")
-        if not (0.0 < self.p_exp <= 1.0):
-            raise BadProbabilityError(f"p_exp must be in (0, 1], got {self.p_exp}")
-        for name, r in (("r_u", self.r_u), ("r_d", self.r_d)):
-            if not (0.0 < r <= 1.0):
-                raise BadProbabilityError(f"{name} must be in (0, 1], got {r}")
+        check_integer(self.n, "n", "[1, inf)")
+        for name in ("p_exp", "r_u", "r_d"):
+            check_real(getattr(self, name), name, "(0, 1]", BadProbabilityError)
         pos, neg = frozenset(self.pos), frozenset(self.neg)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
@@ -159,9 +154,10 @@ def _move_or_stay(actions: tuple[str, ...], target: np.ndarray, move: np.ndarray
 
 def build_a_family(k: int, params: AFamilyParams) -> AutomatonPolicy:
     """Construct the (n+1)-state ladder policy for a k-signal environment."""
-    for s in params.pos | params.neg:
-        if not (1 <= s <= k):
-            raise SignalOutOfRangeError(f"signal {s} outside 1..{k}")
+    check_integer(k, "k", "[1, inf)")
+    for name, side in (("pos", params.pos), ("neg", params.neg)):
+        for s in side:
+            check_integer(s, f"{name} signal", f"[1, {k}]", SignalOutOfRangeError)
     n = params.n
     signals = range(1, k + 1)
     pos, neg = (np.array([s in side for s in signals]) for side in (params.pos, params.neg))
@@ -189,19 +185,16 @@ def build_linear_sticky(
     signal (the last state stays). All other signals are ignored. Decisions
     are applied by the caller; every state carries the opaque HOLD action.
     """
-    if num_states < 1:
-        raise ValidationError("need at least one state")
-    if not (0 <= initial_state < num_states):
-        raise ValidationError(f"initial state {initial_state} out of range")
+    check_integer(k, "k", "[1, inf)")
+    check_integer(num_states, "num_states", "[1, inf)")
+    check_integer(initial_state, "initial_state", f"[0, {num_states})")
     if len(left_prob) != num_states or len(right_prob) != num_states:
         raise ValidationError("left_prob and right_prob must have one entry per state")
     for name, probs in (("left_prob", left_prob), ("right_prob", right_prob)):
         for p in probs:
-            if not (0.0 <= p <= 1.0):
-                raise BadProbabilityError(f"{name} entry {p} outside [0, 1]")
+            check_real(p, f"{name} entry", "[0, 1]", BadProbabilityError)
     for name, s in (("good_signal", good_signal), ("bad_signal", bad_signal)):
-        if not (1 <= s <= k):
-            raise SignalOutOfRangeError(f"{name} {s} outside 1..{k}")
+        check_integer(s, name, f"[1, {k}]", SignalOutOfRangeError)
     if good_signal == bad_signal:
         raise ValidationError("good and bad signals must differ")
 
@@ -229,19 +222,8 @@ def _parse_row(key, row) -> tuple[tuple[int, int | None], dict[int, float]]:
                               f"probability, got {row!r}") from None
 
 
-def policy_to_dict(policy: AutomatonPolicy) -> dict:
-    """JSON-ready form: kernel keyed "state:obs" with sparse rows."""
-    return {
-        "num_states": policy.num_states, "initial_state": policy.initial_state,
-        "actions": list(policy.actions),
-        "kernel": {f"{q}:{'NoSignal' if obs is NO_SIGNAL else obs}":
-                   {str(nxt): p for nxt, p in sorted(row.items())}
-                   for (q, obs), row in policy.kernel.items()},
-    }
-
-
 def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
-    """Policy from its JSON form (see policy_to_dict), one state per action
+    """Policy from its JSON form, one state per action
     label. The kernel needs one row "q:NoSignal" per Safe state and "q:s" per
     other state and signal 1..k, else DimensionMismatchError names the extra
     and missing keys; check_policy checks the rest."""
@@ -249,6 +231,7 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
     check_object(doc["kernel"], "kernel")
     for name in ("num_states", "initial_state"):
         check_integer(doc[name], f"policy {name}")
+    check_integer(k, "k", "[1, inf)")
     actions = tuple(doc["actions"])
     m = len(actions)
     rows = dict(_parse_row(key, row) for key, row in doc["kernel"].items())

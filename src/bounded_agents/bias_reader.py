@@ -30,6 +30,7 @@ from .errors import (
     MismatchedProblemsError,
     ValidationError,
     check_integer,
+    check_real,
 )
 
 
@@ -41,15 +42,10 @@ class ReaderProblem:
     prior1: float = 0.5
 
     def __post_init__(self):
-        check_integer(self.n, "n")
-        if self.n < 1:
-            raise ValidationError(f"n must be positive, got {self.n}")
-        if not (0.5 < self.rho < 1.0):
-            raise ValidationError(f"rho must be in (0.5, 1), got {self.rho}")
-        if self.c < 0.0:
-            raise ValidationError(f"cost must be nonnegative, got {self.c}")
-        if not (0.0 < self.prior1 < 1.0):
-            raise ValidationError(f"prior1 must be in (0, 1), got {self.prior1}")
+        check_integer(self.n, "n", "[1, inf)")
+        check_real(self.rho, "rho", "(0.5, 1)")
+        check_real(self.c, "c", "[0, inf)")
+        check_real(self.prior1, "prior1", "(0, 1)")
 
 
 def posterior(problem: ReaderProblem, d: int) -> float:

@@ -376,8 +376,10 @@ def run_cli(argv=None) -> int:
     except (BoundedAgentsError, ValueError, TypeError) as exc:
         # Malformed configs surface as one diagnostic line, not a traceback.
         # Keys are checked before they are read, so a KeyError is a bug and
-        # propagates. TypeError stays caught while numeric validators still
-        # compare raw JSON values, as "n": "4" does.
+        # propagates. Numbers are checked by type before they are compared,
+        # but TypeError stays caught because a scalar where a list belongs
+        # still fails inside frozenset() or list(), as "pos": 1 or
+        # "sequence": 5 does.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

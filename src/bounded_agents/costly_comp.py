@@ -36,7 +36,9 @@ from .errors import (
     NoMachinesError,
     ValidationError,
     check_distribution,
+    check_integer,
     check_keys,
+    check_real,
 )
 
 Label = Hashable
@@ -130,9 +132,10 @@ def utility_from_table(rows, states, types, actions) -> UtilityFn:
     """Utility over index arrays from label rows [state, type, action,
     complexity, utility], no key twice; a lookup with no row raises
     MissingUtilityEntryError."""
-    charges = np.unique([row[3] for row in rows if len(row) == 5])  # _keys rejects the rest
-    if charges.size and charges.dtype.kind not in "iu":
-        raise ValidationError(f"utility complexities must be integers, got {charges.tolist()}")
+    charges = [row[3] for row in rows if len(row) == 5]  # _keys rejects the rest
+    for charge in charges:
+        check_integer(charge, "utility complexity")
+    charges = np.unique(charges)
     # The last complexity label, None, stands for every charge no row names.
     axes = ((states, "state"), (types, "type"), (actions, "action"),
             (tuple(charges.tolist()) + (None,), "complexity"))
@@ -207,10 +210,8 @@ class PrimalityConfig:
     )
 
     def __post_init__(self):
-        if self.type_bound < 2:
-            raise ValidationError(f"type_bound must be >= 2, got {self.type_bound}")
-        if self.step_cap < 0:
-            raise ValidationError("step_cap must be nonnegative")
+        check_integer(self.type_bound, "type_bound", "[2, inf)")
+        check_integer(self.step_cap, "step_cap", "[0, inf)")
         if not self.machines:
             raise NoMachinesError("primality config lists no machines")
         for spec in self.machines:
@@ -220,12 +221,14 @@ class PrimalityConfig:
 def _parse_machine_spec(spec: str) -> tuple[str, int | None]:
     if spec in ("always_pass", "always_prime", "always_composite", "trial_division_full"):
         return spec, None
-    if spec.startswith("trial_division_budget:"):
+    if not (isinstance(spec, str) and spec.startswith("trial_division_budget:")):
+        raise ValidationError(f"unknown machine spec {spec!r}")
+    try:
         budget = int(spec.split(":", 1)[1])
-        if budget < 0:
-            raise ValidationError(f"budget must be nonnegative in {spec!r}")
-        return "trial_division_budget", budget
-    raise ValidationError(f"unknown machine spec {spec!r}")
+    except ValueError:
+        raise ValidationError(f"budget in {spec!r} must be an integer") from None
+    check_integer(budget, f"budget in {spec!r}", "[0, inf)")
+    return "trial_division_budget", budget
 
 
 def _probe_table(bound: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,10 +292,9 @@ class ConversationSpec:
     payoff: float
 
     def __post_init__(self):
-        if self.domain_size < 1:
-            raise ValidationError("domain_size must be >= 1")
-        if self.questions < 0:
-            raise ValidationError("questions must be >= 0")
+        check_integer(self.domain_size, "domain_size", "[1, inf)")
+        check_integer(self.questions, "questions", "[0, inf)")
+        check_real(self.payoff, "payoff", "(-inf, inf)")
 
 
 def conversation_value(spec: ConversationSpec) -> float:

@@ -10,7 +10,6 @@ in G, so no strategy can average more than ``xG / 2``.
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -20,7 +19,9 @@ from .errors import (
     BadPayoffSignError,
     ValidationError,
     check_distribution,
+    check_integer,
     check_keys,
+    check_real,
 )
 
 
@@ -49,8 +50,10 @@ def validate_setting(
     Never normalizes: a signal vector that does not already sum to 1
     within errors.PROB_SUM_TOL is rejected.
     """
-    if k < 1 or int(k) != k:
-        raise ValidationError(f"signal count must be a positive integer, got {k}")
+    check_integer(k, "k", "[1, inf)")
+    for name, probs in (("pG", pG), ("pB", pB)):
+        for p in probs:
+            check_real(p, f"{name} entry")
     k = int(k)
     pG = tuple(float(p) for p in pG)
     pB = tuple(float(p) for p in pB)
@@ -59,15 +62,12 @@ def validate_setting(
             f"signal vectors must have length k={k}, got {len(pG)} and {len(pB)}"
         )
     check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
-    if not (xG > 0.0 > xB):
-        raise BadPayoffSignError(f"need xG > 0 > xB, got xG={xG}, xB={xB}")
+    check_real(xG, "xG", "(0, inf)", BadPayoffSignError)
+    check_real(xB, "xB", "(-inf, 0)", BadPayoffSignError)
     # Products with a subnormal pi keep fewer than 53 bits, and the solve
     # divides by pivots that small: at pi = 5e-324 the paper's 4-rung ladder
-    # pays 4% off its exact value.
-    if not (sys.float_info.min <= pi <= 0.5):
-        raise BadFlipProbError(
-            f"flip probability pi must be in [{sys.float_info.min!r}, 0.5] "
-            f"(the smallest normal float to 1/2), got {pi!r}")
+    # pays 4% off its exact value. The lower end is the smallest normal float.
+    check_real(pi, "flip probability pi", f"[{sys.float_info.min!r}, 0.5]", BadFlipProbError)
     return DynamicSetting(k=k, pG=pG, pB=pB, xG=float(xG), xB=float(xB), pi=float(pi))
 
 
@@ -86,7 +86,3 @@ def setting_from_dict(doc: dict) -> DynamicSetting:
     check_keys(doc, "setting", ("k", "pG", "pB", "xG", "xB", "pi"))
     return validate_setting(**doc)
 
-
-def load_setting(path) -> DynamicSetting:
-    with open(path, encoding="utf-8") as fh:
-        return setting_from_dict(json.load(fh))

@@ -1,10 +1,11 @@
-"""Exception types shared across the package, and the probability, integer and key rules.
+"""Exception types shared across the package, and the probability, number and key rules.
 
 Validation errors subclass ValueError so callers can catch either the
 specific class or the built-in.
 """
 
-from numbers import Integral
+from functools import lru_cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -124,11 +125,36 @@ def check_distribution(probs, label) -> None:
     raise NonStochasticError(f"{name} sums to {float(_sum(row))!r}, not 1")
 
 
-def check_integer(value, name) -> None:
-    """Raise ValidationError, naming ``name``, unless ``value`` is an integer:
-    an Integral, and not a bool."""
+def check_real(value, name, interval=None, error=ValidationError) -> None:
+    """Raise ``error``, naming ``name``, unless ``value`` is a number (a Real,
+    and not a bool) that lies in ``interval``, if one is given."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise error(f"{name} must be a number, got {value!r}")
+    _check_interval(value, name, interval, error)
+
+
+def check_integer(value, name, interval=None, error=ValidationError) -> None:
+    """Raise ``error``, naming ``name``, unless ``value`` is an integer (an
+    Integral, and not a bool) that lies in ``interval``, if one is given."""
     if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
+    _check_interval(value, name, interval, error)
+
+
+def _check_interval(value, name, interval, error) -> None:
+    """``interval`` is written as the message shows it, such as "(0, 1]" or
+    "[0, inf)". NaN lies in no interval, and an infinity only at a closed end."""
+    if interval is None:
+        return
+    lo, hi, lo_open, hi_open = _bounds(interval)
+    if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+        raise error(f"{name} must be in {interval}, got {value}")
+
+
+@lru_cache(maxsize=256)
+def _bounds(interval: str) -> tuple[float, float, bool, bool]:
+    lo, hi = interval[1:-1].split(",")
+    return float(lo), float(hi), interval[0] == "(", interval[-1] == ")"
 
 
 def check_object(doc, what) -> None:

@@ -40,6 +40,7 @@ from .errors import (
     DimensionMismatchError,
     ReducibleChainError,
     SolveFailedError,
+    check_real,
 )
 
 NATURE_STATES = ("G", "B")
@@ -71,7 +72,8 @@ class JointChainModel:
 
     @cached_property
     def P(self) -> np.ndarray:
-        return _dense(self.band, self.w)[:, :, 0]
+        nature_major = np.argsort(_interleaved(self.dim))
+        return _whole_rows(self.band, self.w)[np.ix_(nature_major, nature_major)][:, :, 0]
 
     def index_of(self, nature: str, agent_state: int) -> int:
         return NATURE_STATES.index(nature) * self.num_agent_states + agent_state
@@ -189,21 +191,8 @@ def _square_view(S: np.ndarray, w: int) -> np.ndarray:
 
 def _whole_rows(S: np.ndarray, w: int) -> np.ndarray:
     """(n, n, B) whole-row storage of an (n, L, B) storage of half-width w."""
-    near = np.tri(len(S), k=w, dtype=bool)
-    near = near & near.T  # |i - j| <= w
+    near = np.tri(len(S), k=w, dtype=bool) & ~np.tri(len(S), k=-w - 1, dtype=bool)  # |i - j| <= w
     return np.where(near[:, :, None], _square_view(S, w), 0.0)
-
-
-def _dense(S: np.ndarray, w: int) -> np.ndarray:
-    """(n, n, B) nature-major matrices of an interleaved-order storage."""
-    n, L, b = S.shape
-    i, c = np.divmod(np.arange(n * L), L)
-    j = i + c - w if L == 2 * w + 1 else c
-    cells = np.flatnonzero((j >= 0) & (j < n))
-    order = _interleaved(n)
-    out = np.zeros((n, n, b))
-    out[order[i[cells]], order[j[cells]]] = S.reshape(n * L, b)[cells]
-    return out
 
 
 def _state_label(row: int, m: int) -> str:
@@ -297,13 +286,15 @@ def reach_gaps(S: np.ndarray, w: int) -> np.ndarray:
     return ~(reaches & reached).T[:, np.argsort(_interleaved(d))]
 
 
-def check_irreducible(chain: JointChainModel, certified: bool) -> None:
-    """Raise ReducibleChainError naming the cut-off states, if any. Only a
-    chain that its solve has not ``certified`` irreducible is searched."""
-    if not certified:
-        cut_off = reach_gaps(chain.band, chain.w)[0]
-        if cut_off.any():
-            raise _reducible_error(cut_off, chain.num_agent_states)
+def check_irreducible(S: np.ndarray, w: int, certified: np.ndarray) -> np.ndarray:
+    """(B, d) nature-major mask of the states each stored chain cuts off
+    (see reach_gaps); only the chains that their solve has not ``certified``
+    irreducible are searched."""
+    cut_off = np.zeros((S.shape[2], len(S)), dtype=bool)
+    doubt = np.flatnonzero(~certified)
+    if doubt.size:
+        cut_off[doubt] = reach_gaps(np.take(S, doubt, axis=2), w)
+    return cut_off
 
 
 def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -357,14 +348,25 @@ def _failures(mu: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
     return errors
 
 
+def _evaluate(S: np.ndarray, w: int, reward: np.ndarray) -> StackEval:
+    """Solve and check a stack of joint chains from their storage S, all
+    sharing ``reward``."""
+    mu, residual, pivot, certified = _solve(S, w)
+    cut_off = check_irreducible(S, w, certified)
+    ok = ~cut_off.any(axis=1)
+    errors = _failures(mu, residual, pivot, np.flatnonzero(ok))
+    ok[list(errors)] = False
+    mu[~ok] = residual[~ok] = np.nan
+    return StackEval(mu=mu, residual=residual, payoff=_payoffs(mu, reward), ok=ok,
+                     cut_off=cut_off, solve_errors=errors)
+
+
 def stationary(chain: JointChainModel) -> StationaryDist:
     """Unique stationary distribution of an irreducible chain."""
-    mu, residual, pivot, certified = _solve(chain.band, chain.w)
-    check_irreducible(chain, bool(certified[0]))
-    errors = _failures(mu, residual, pivot, np.arange(1))
-    if errors:
-        raise SolveFailedError(errors[0])
-    return StationaryDist(mu=mu[0], residual=float(residual[0]))
+    ev = _evaluate(chain.band, chain.w, chain.reward)
+    if not ev.ok[0]:
+        raise ev.error(0)
+    return StationaryDist(mu=ev.mu[0], residual=float(ev.residual[0]))
 
 
 def _payoffs(mu: np.ndarray, reward: np.ndarray) -> np.ndarray:
@@ -386,20 +388,8 @@ def exact_average_payoff(setting: DynamicSetting, policy: AutomatonPolicy) -> fl
 def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
                    reward: np.ndarray) -> StackEval:
     """Assemble, solve and check a stack of joint chains from (B, m, 2W + 1)
-    agent bands, all sharing ``reward``; only the chains that their solve
-    does not certify irreducible are searched for cut-off states."""
-    S, w = joint_band(a_good, a_bad, pi)
-    mu, residual, pivot, certified = _solve(S, w)
-    cut_off = np.zeros(mu.shape, dtype=bool)
-    doubt = np.flatnonzero(~certified)
-    if doubt.size:
-        cut_off[doubt] = reach_gaps(np.take(S, doubt, axis=2), w)
-    ok = ~cut_off.any(axis=1)
-    errors = _failures(mu, residual, pivot, np.flatnonzero(ok))
-    ok[list(errors)] = False
-    mu[~ok] = residual[~ok] = np.nan
-    return StackEval(mu=mu, residual=residual, payoff=_payoffs(mu, reward), ok=ok,
-                     cut_off=cut_off, solve_errors=errors)
+    agent bands, all sharing ``reward``."""
+    return _evaluate(*joint_band(a_good, a_bad, pi), reward)
 
 
 def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.ndarray:
@@ -410,8 +400,7 @@ def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.
     The inverse exists for eta in (0, 1] because I - (1-eta)P is strictly
     diagonally dominant in the induced norm.
     """
-    if not (0.0 < eta <= 1.0):
-        raise BadEtaError(f"eta must be in (0, 1], got {eta}")
+    check_real(eta, "eta", "(0, 1]", BadEtaError)
     P = np.asarray(P, dtype=float)
     d0 = np.asarray(d0, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or d0.shape != (P.shape[0],):

@@ -60,19 +60,12 @@ class SimConfig:
     batches: int = 20
 
     def __post_init__(self):
-        for name in ("rounds", "seed", "burn_in", "batches"):
-            if not (name == "burn_in" and self.burn_in is None):
-                check_integer(getattr(self, name), name)
-        if self.rounds < 1:
-            raise ValidationError(f"rounds must be positive, got {self.rounds}")
-        if self.batches < 2:
-            raise ValidationError(f"need at least 2 batches, got {self.batches}")
+        check_integer(self.rounds, "rounds", "[1, inf)")
+        check_integer(self.seed, "seed")
+        check_integer(self.batches, "batches", "[2, inf)")
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", self.rounds // 100)
-        if not (0 <= self.burn_in < self.rounds):
-            raise ValidationError(
-                f"burn_in must be in [0, rounds), got {self.burn_in}"
-            )
+        check_integer(self.burn_in, "burn_in", f"[0, {self.rounds})")
         if (self.rounds - self.burn_in) < self.batches:
             raise ValidationError("not enough post-burn-in rounds for the batches")
 

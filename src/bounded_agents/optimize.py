@@ -30,6 +30,7 @@ from .errors import (
     TrivialSettingError,
     ValidationError,
     check_integer,
+    check_real,
     stochastic_rows,
 )
 from .markov_exact import (
@@ -110,6 +111,8 @@ def optimize_pexp(
     grid = tuple(grid) if grid is not None else DEFAULT_PEXP_GRID
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
+    for p in grid:
+        check_real(p, "p_exp grid entry")
 
     base = AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
     ladder = build_a_family(setting.k, base)
@@ -203,8 +206,7 @@ def optimize_rates(
     higher rates so the default corner wins when it is not beaten.
     """
     for r in rate_grid:
-        if not (0.0 < r <= 1.0):
-            raise ValidationError(f"rate {r} outside (0, 1]")
+        check_real(r, "rate_grid entry", "(0, 1]")
     best: RateSearchResult | None = None
     descending = sorted(set(float(r) for r in rate_grid), reverse=True)
     for r_u in descending:
@@ -233,20 +235,16 @@ class ScheduleSpec:
     n_list: tuple[int, ...]
 
     def __post_init__(self):
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValidationError("schedule constants must be positive")
-        if self.a <= 1:
-            raise ValidationError(f"need a > 1 so that n*pi(n) shrinks, got a={self.a}")
-        if self.b <= 0:
-            raise ValidationError(f"need b > 0, got b={self.b}")
+        # a > 1 makes n*pi(n) shrink.
+        for name, interval in (("c1", "(0, inf)"), ("a", "(1, inf)"), ("c2", "(0, inf)"),
+                               ("b", "(0, inf)")):
+            check_real(getattr(self, name), name, interval)
         for n in self.n_list:
-            check_integer(n, "n_list entry")
-            if n < 1:
-                raise ValidationError(f"n_list entry must be a positive integer, got {n}")
+            check_integer(n, "n_list entry", "[1, inf)")
         ns = tuple(self.n_list)
         object.__setattr__(self, "n_list", ns)
         if len(ns) < 2 or any(x >= y for x, y in zip(ns, ns[1:])):
-            raise ValidationError("n_list must be increasing with at least 2 entries")
+            raise ValidationError("n_list needs at least 2 entries, in increasing order")
         n_pi = [n * self.pi_of_n(n) for n in ns]
         ratio = [self.pi_of_n(n) / self.pexp_of_n(n) for n in ns]
         if any(x <= y for x, y in zip(n_pi, n_pi[1:])):
@@ -364,11 +362,10 @@ def brute_force_policy_search(
     whose stationary solve fails its checks. Candidates are solved in
     stacks by the same kernel as the exact solver.
     """
-    if not (1 <= num_states <= 3):
-        raise ValidationError(f"brute force supports 1..3 states, got {num_states}")
+    check_integer(num_states, "num_states", "[1, 3]")
+    for g in prob_grid:
+        check_real(g, "prob_grid entry", "[0, 1]")
     grid = sorted(set(float(g) for g in prob_grid))
-    if any(g < 0.0 or g > 1.0 for g in grid):
-        raise ValidationError("prob_grid entries must lie in [0, 1]")
     m = num_states
     k = setting.k
     options = [_row_options(q, m, grid) for q in range(m)]

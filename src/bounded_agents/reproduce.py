@@ -319,7 +319,7 @@ def _round_floats(obj):
     return obj
 
 
-def run_reproduce(out_dir: Path, echo=print) -> int:
+def run_reproduce(out_dir: Path) -> int:
     numbers = compute_paper_numbers()
     failures: list[str] = []
     goldens = load_goldens()
@@ -335,11 +335,11 @@ def run_reproduce(out_dir: Path, echo=print) -> int:
     ok = True
     for name, passed, detail in claim_checks:
         tag = "PASS" if passed else "FAIL"
-        echo(f"{tag} {name}" + (f" ({detail})" if detail else ""))
+        print(f"{tag} {name}" + (f" ({detail})" if detail else ""))
         ok = ok and passed
     for failure in failures:
-        echo(f"FAIL golden-diff {failure}")
+        print(f"FAIL golden-diff {failure}")
     if failures:
         ok = False
-    echo(f"report written to {out_dir / 'report.json'}")
+    print(f"report written to {out_dir / 'report.json'}")
     return 0 if ok else 2

@@ -17,7 +17,14 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import AutomatonPolicy, check_policy
-from .errors import BadEtaError, SignalOutOfRangeError, ValidationError, check_distribution
+from .errors import (
+    BadEtaError,
+    SignalOutOfRangeError,
+    ValidationError,
+    check_distribution,
+    check_integer,
+    check_real,
+)
 from .markov_exact import agent_step_matrix, dense_matrix, stopped_state_distribution
 
 DECISIONS = ("G", "B")
@@ -39,6 +46,10 @@ class StaticSetting:
     prior_G: float = 0.5
 
     def __post_init__(self):
+        check_integer(self.k, "k", "[1, inf)")
+        for name in ("pG", "pB"):
+            for p in getattr(self, name):
+                check_real(p, f"{name} entry")
         pG = tuple(float(p) for p in self.pG)
         pB = tuple(float(p) for p in self.pB)
         object.__setattr__(self, "pG", pG)
@@ -46,14 +57,15 @@ class StaticSetting:
         if len(pG) != self.k or len(pB) != self.k:
             raise ValidationError("signal vectors must have length k")
         check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
-        if not (0.0 < self.eta <= 1.0):
-            raise BadEtaError(f"eta must be in (0, 1], got {self.eta}")
-        if not (0.0 <= self.prior_G <= 1.0):
-            raise ValidationError(f"prior_G must be in [0, 1], got {self.prior_G}")
-        util = tuple(tuple(float(u) for u in row) for row in self.utility)
+        check_real(self.eta, "eta", "(0, 1]", BadEtaError)
+        check_real(self.prior_G, "prior_G", "[0, 1]")
+        util = tuple(map(tuple, self.utility))
         if len(util) != 2 or any(len(row) != 2 for row in util):
             raise ValidationError("utility must be 2x2")
-        object.__setattr__(self, "utility", util)
+        for row in util:
+            for u in row:
+                check_real(u, "utility entry", "(-inf, inf)")
+        object.__setattr__(self, "utility", tuple(tuple(map(float, row)) for row in util))
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ class DecisionRule:
 
     def __post_init__(self):
         if any(d not in DECISIONS for d in self.decide):
-            raise ValidationError(f"decisions must be in {DECISIONS}")
+            raise ValidationError(f"decisions must be one of {DECISIONS}")
 
 
 def check_rule(rule: DecisionRule, policy: AutomatonPolicy) -> None:
@@ -113,8 +125,7 @@ def propagate_sequence(
     entries and starts with the point mass at ``start``. A signal outside
     1..k raises SignalOutOfRangeError whichever states hold the mass.
     """
-    if not (0 <= start < policy.num_states):
-        raise ValidationError(f"start state {start} out of range")
+    check_integer(start, "start", f"[0, {policy.num_states})")
     k = policy.prob.shape[1]
     dist = np.zeros(policy.num_states)
     dist[start] = 1.0

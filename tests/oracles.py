@@ -40,6 +40,18 @@ def dict_policy(actions, kernel, k, initial_state=0):
     }, k)
 
 
+def policy_to_dict(policy):
+    """JSON form of a policy, as policy_from_dict reads it: the kernel keyed
+    "state:obs", with sparse rows."""
+    return {
+        "num_states": policy.num_states, "initial_state": policy.initial_state,
+        "actions": list(policy.actions),
+        "kernel": {f"{q}:{'NoSignal' if obs is NO_SIGNAL else obs}":
+                   {str(nxt): p for nxt, p in sorted(row.items())}
+                   for (q, obs), row in policy.kernel.items()},
+    }
+
+
 def two_safe_states_policy(initial_state=0):
     """A 3-signal JSON policy with two Safe states, and three-entry rows keyed
     out of next-state order beside a four-entry row, so they carry a pad;

@@ -12,7 +12,6 @@ from bounded_agents.automaton import (
     build_linear_sticky,
     check_policy,
     policy_from_dict,
-    policy_to_dict,
 )
 from bounded_agents.errors import (
     BadProbabilityError,
@@ -20,6 +19,7 @@ from bounded_agents.errors import (
     SignalOutOfRangeError,
     ValidationError,
 )
+from oracles import policy_to_dict
 
 
 def row_sums(policy):

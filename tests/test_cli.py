@@ -177,10 +177,10 @@ class TestLimitCurve:
             "schedule": {"c1": 1.0, "a": 0.5, "c2": 1.0, "b": 1.0, "n_list": [5, 10]},
         })
         assert run_cli(["limit-curve", "--config", config]) == 1
-        assert "a > 1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: a must be in (1, inf), got 0.5\n"
 
     @pytest.mark.parametrize("n_list, rule", [
-        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "a positive integer, got 0"),
+        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "in [1, inf), got 0"),
     ])
     def test_bad_schedule_point_exits_one(self, tmp_path, capsys, n_list, rule):
         err = one_error_line(tmp_path, capsys, "limit-curve", {
@@ -313,6 +313,13 @@ class TestMachine:
         assert out["best_machine"] == "trial_division_full"
         assert out["conversation_value"] == 99.0
 
+    @pytest.mark.parametrize("spec", [5, ["always_pass"], "trial_division_budget:x",
+                                      "trial_division_budget:1.5", "trial_division_budget:-1"])
+    def test_bad_machine_spec_exits_one_naming_it(self, tmp_path, capsys, spec):
+        err = one_error_line(tmp_path, capsys, "machine",
+                             {"primality": {"type_bound": 64, "machines": [spec]}})
+        assert repr(spec) in err
+
     def test_inline_problem_tables(self, tmp_path, capsys):
         problem = {
             "states": ["s"], "types": ["t"], "actions": ["go", "stay"],
@@ -378,7 +385,7 @@ class TestMachine:
          "utility has 2 rows for ('s', 't2', 'b', 0)"),
         ({"utility": [["s", "t1", "a", 0, 1.0], ["s", "t2", "b", 0, 3.0],
                       ["s", "t2", "b", 0.5, 5.0]]},
-         "utility complexities must be integers"),
+         "utility complexity must be an integer, got 0.5"),
         ({"utility": [["s", "t1", "a"], ["s", "t2", "b", 0, 3.0]]},
          "utility row ['s', 't1', 'a'] needs 5 entries"),
     ], ids=["valid", "no prior row, no utility row", "prior on undeclared type",

@@ -7,7 +7,6 @@ import pytest
 from bounded_agents.automaton import AFamilyParams, build_a_family
 from bounded_agents.dynamic_env import (
     is_nontrivial,
-    load_setting,
     oracle_upper_bound,
     setting_from_dict,
     validate_setting,
@@ -111,13 +110,6 @@ def test_nontrivial_symmetric_in_pg_pb(paper_setting):
 def test_oracle_upper_bound(xG, expected):
     s = validate_setting(2, (0.6, 0.4), (0.4, 0.6), xG, -1.0, 0.01)
     assert oracle_upper_bound(s) == pytest.approx(expected, abs=0)
-
-
-def test_load_setting_reads_a_json_document(tmp_path, paper_setting):
-    path = tmp_path / "setting.json"
-    path.write_text('{"k": 4, "pG": [0.4, 0.3, 0.2, 0.1], "pB": [0.1, 0.2, 0.3, 0.4],'
-                    ' "xG": 1.0, "xB": -1.0, "pi": 0.001}')
-    assert load_setting(path) == paper_setting
 
 
 def test_missing_key_rejected():

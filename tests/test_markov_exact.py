@@ -310,7 +310,8 @@ class TestExactAveragePayoff:
         )
         chain = build_joint_chain(paper_setting, build_a_family(4, params))
         assert _solve(chain.band, chain.w)[3].all()
-        check_irreducible(chain, False)  # the structural pass must not raise
+        # The structural pass, run as if the solve had not certified it, finds no gap.
+        assert not check_irreducible(chain.band, chain.w, np.zeros(1, dtype=bool)).any()
 
 
 PAPER_SIDES = dict(pos=frozenset({1}), neg=frozenset({4}))

@@ -4,6 +4,10 @@ A rule lives in one helper, so every entry point must raise the same type
 for the same fault.
 """
 
+import copy
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -17,8 +21,9 @@ from bounded_agents.automaton import (
     build_linear_sticky,
     check_policy,
 )
-from bounded_agents.automaton import policy_from_dict, policy_to_dict
+from bounded_agents.automaton import policy_from_dict
 from bounded_agents.bias_reader import ReaderProblem
+from bounded_agents.cli import run_cli
 from bounded_agents.costly_comp import CompProblem, problem_from_dict
 from bounded_agents.dynamic_env import setting_from_dict, validate_setting
 from bounded_agents.errors import (
@@ -29,10 +34,16 @@ from bounded_agents.errors import (
     check_distribution,
     check_integer,
     check_keys,
+    check_real,
     stochastic_rows,
 )
-from bounded_agents.markov_exact import build_joint_chain, exact_average_payoff
+from bounded_agents.markov_exact import (
+    build_joint_chain,
+    exact_average_payoff,
+    stopped_state_distribution,
+)
 from bounded_agents.montecarlo import SimConfig, simulate_run
+from bounded_agents.optimize import brute_force_policy_search
 from bounded_agents.static_model import (
     DecisionRule,
     StaticSetting,
@@ -41,7 +52,7 @@ from bounded_agents.static_model import (
     propagation_csv,
     static_expected_utility,
 )
-from oracles import dict_policy
+from oracles import dict_policy, policy_to_dict
 
 # Each vector breaks exactly one clause of the distribution rule.
 NOT_DISTRIBUTIONS = {
@@ -244,3 +255,132 @@ def test_rule_length_rule_at_each_static_entry_point():
             with pytest.raises(ValidationError, match=rf"^rule must have one label per policy "
                                                       rf"state \(3\), got {labels}$"):
                 call()
+
+
+def test_number_rule():
+    check_real(0.5, "p", "(0, 1]")
+    check_real(np.float64(1.0), "p", "(0, 1]")
+    check_real(float("inf"), "x")
+    check_integer(3, "n", "[1, 3]")
+    for value, message in ((0.0, r"^p must be in \(0, 1\], got 0.0$"),
+                           (float("nan"), r"^p must be in \(0, 1\], got nan$"),
+                           ("0.5", r"^p must be a number, got '0.5'$"),
+                           (True, r"^p must be a number, got True$"),
+                           (None, r"^p must be a number, got None$")):
+        with pytest.raises(ValidationError, match=message):
+            check_real(value, "p", "(0, 1]")
+    with pytest.raises(ValidationError, match=r"^c must be in \[0, inf\), got inf$"):
+        check_real(float("inf"), "c", "[0, inf)")
+    with pytest.raises(NonStochasticError, match=r"^n must be in \[1, 3\], got 4$"):
+        check_integer(4, "n", "[1, 3]", NonStochasticError)
+
+
+SETTING = {"k": 4, "pG": [0.4, 0.3, 0.2, 0.1], "pB": [0.1, 0.2, 0.3, 0.4],
+           "xG": 1.0, "xB": -1.0, "pi": 0.001}
+LADDER = {"type": "a_family", "n": 2, "p_exp": 0.1, "pos": [1], "neg": [4],
+          "r_u": 1.0, "r_d": 1.0}
+STICKY = {"type": "linear_sticky", "k": 2, "num_states": 3, "initial_state": 0,
+          "left_prob": [1, 1, 1], "right_prob": [1, 1, 1], "good_signal": 1, "bad_signal": 2}
+STATIC = {"k": 2, "pG": [0.6, 0.4], "pB": [0.4, 0.6], "eta": 0.1, "prior_G": 0.5,
+          "utility": [[1, 0], [0, 1]]}
+
+# A config of each command that runs, and the numeric fields it sets: the
+# field's path in the config, the name its error gives, and whether it is a count.
+NUMERIC_CONFIGS = [
+    ("eval-exact", {"setting": SETTING, "automaton": LADDER}, [
+        (("setting", "k"), "k", int), (("setting", "pG", 0), "pG", float),
+        (("setting", "pB", 0), "pB", float), (("setting", "xG"), "xG", float),
+        (("setting", "xB"), "xB", float), (("setting", "pi"), "pi", float),
+        (("automaton", "n"), "n", int), (("automaton", "p_exp"), "p_exp", float),
+        (("automaton", "r_u"), "r_u", float), (("automaton", "r_d"), "r_d", float),
+        (("automaton", "pos", 0), "pos", int), (("automaton", "neg", 0), "neg", int),
+    ]),
+    ("simulate", {"setting": SETTING, "automaton": LADDER, "rounds": 400, "seed": 1,
+                  "burn_in": 4, "batches": 4}, [
+        (("rounds",), "rounds", int), (("seed",), "seed", int),
+        (("burn_in",), "burn_in", int), (("batches",), "batches", int),
+    ]),
+    ("optimize", {"setting": SETTING, "n": 1, "mode": "rates", "rate_grid": [1.0],
+                  "grid": [0.5]}, [
+        (("n",), "n", int), (("rate_grid", 0), "rate_grid", float),
+        (("grid", 0), "p_exp", float),
+    ]),
+    ("limit-curve", {"setting": SETTING, "schedule": {"c1": 1.0, "a": 2.0, "c2": 1.0,
+                                                      "b": 1.0, "n_list": [5, 10]}}, [
+        (("schedule", "c1"), "c1", float), (("schedule", "a"), "a", float),
+        (("schedule", "c2"), "c2", float), (("schedule", "b"), "b", float),
+        (("schedule", "n_list", 0), "n_list", int),
+    ]),
+    ("static-demo", {"policy": STICKY, "demo": "expected_utility", "setting": STATIC}, [
+        (("policy", "k"), "k", int), (("policy", "num_states"), "num_states", int),
+        (("policy", "initial_state"), "initial_state", int),
+        (("policy", "left_prob", 0), "left_prob", float),
+        (("policy", "right_prob", 0), "right_prob", float),
+        (("policy", "good_signal"), "good_signal", int),
+        (("policy", "bad_signal"), "bad_signal", int),
+        (("setting", "k"), "k", int), (("setting", "pG", 0), "pG", float),
+        (("setting", "pB", 0), "pB", float), (("setting", "eta"), "eta", float),
+        (("setting", "prior_G"), "prior_G", float),
+        (("setting", "utility", 0, 0), "utility", float),
+    ]),
+    ("static-demo", {"policy": STICKY, "demo": "first_impression", "start": 1,
+                     "sequence": [1, 2]}, [(("start",), "start", int)]),
+    ("reader", {"problem": {"n": 4, "rho": 0.75, "c": 0.01, "prior1": 0.5}}, [
+        (("problem", "n"), "n", int), (("problem", "rho"), "rho", float),
+        (("problem", "c"), "c", float), (("problem", "prior1"), "prior1", float),
+    ]),
+    ("machine", {"primality": {"type_bound": 64, "step_cap": 4},
+                 "conversation": {"domain_size": 100, "questions": 3, "payoff": 10.0}}, [
+        (("primality", "type_bound"), "type_bound", int),
+        (("primality", "step_cap"), "step_cap", int),
+        (("conversation", "domain_size"), "domain_size", int),
+        (("conversation", "questions"), "questions", int),
+        (("conversation", "payoff"), "payoff", float),
+    ]),
+]
+NUMERIC_FIELDS = {f"{command} {'.'.join(map(str, path))}": (command, doc, path, name, kind)
+                  for command, doc, fields in NUMERIC_CONFIGS for path, name, kind in fields}
+
+
+def _run(tmp_path, capsys, command, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = run_cli([command, "--config", str(path)])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("command,doc,path,name,kind", NUMERIC_FIELDS.values(),
+                         ids=NUMERIC_FIELDS)
+def test_number_rule_at_every_numeric_config_field(tmp_path, capsys, command, doc, path,
+                                                   name, kind):
+    assert _run(tmp_path, capsys, command, doc)[0] == 0
+    *parents, key = path
+    valid = doc
+    for step in path:
+        valid = valid[step]
+    # A numeric string, NaN and a bool; a count also refuses a fraction and
+    # an integer-valued float.
+    bad = [str(valid), float("nan"), True]
+    if kind is int:
+        bad += [2.5, float(valid)]
+    for value in bad:
+        changed = copy.deepcopy(doc)
+        section = changed
+        for step in parents:
+            section = section[step]
+        section[key] = value
+        code, captured = _run(tmp_path, capsys, command, changed)
+        assert code == 1, value
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.match(rf"error: .*\b{name}\b", captured.err), captured.err
+
+
+@pytest.mark.parametrize("call,name", [
+    (lambda s, v: brute_force_policy_search(s, v), "num_states"),
+    (lambda s, v: brute_force_policy_search(s, 1, prob_grid=(0.0, v, 1.0)), "prob_grid entry"),
+    (lambda s, v: stopped_state_distribution(np.eye(2), np.array([1.0, 0.0]), v), "eta"),
+], ids=["brute force num_states", "brute force prob_grid", "stopped eta"])
+def test_number_rule_at_each_library_only_field(paper_setting, call, name):
+    for value in ("0.5", float("nan"), True):
+        with pytest.raises(ValidationError, match=rf"^{name} must be"):
+            call(paper_setting, value)
