@@ -40,6 +40,7 @@ from .errors import (
     check_distribution,
     check_integer,
     check_keys,
+    check_list,
     check_object,
     check_real,
 )
@@ -84,8 +85,7 @@ def check_policy(policy: AutomatonPolicy, k: int) -> None:
     slot; arrays not shaped (num_states, k, r) raise DimensionMismatchError."""
     m = policy.num_states
     check_integer(policy.initial_state, "initial_state", f"[0, {m})")
-    if len(policy.actions) != m:
-        raise ValidationError("one action label required per state")
+    check_list(policy.actions, "actions", m)
     nxt, prob = policy.next_state, policy.prob
     if nxt.shape != prob.shape or prob.ndim != 3 or prob.shape[:2] != (m, k):
         raise DimensionMismatchError(f"rows shaped {nxt.shape} and {prob.shape} do not "
@@ -106,11 +106,9 @@ def check_dynamic_policy(policy: AutomatonPolicy, k: int) -> None:
     """Raise unless ``policy`` can act in the k-signal dynamic environment:
     Safe/Risky action labels (else DimensionMismatchError), then
     ``check_policy``."""
-    if not all(a in (SAFE, RISKY) for a in policy.actions):
+    if other := [a for a in policy.actions if a not in (SAFE, RISKY)]:
         raise DimensionMismatchError(
-            "the dynamic model needs Safe/Risky action labels, got "
-            f"{sorted(set(policy.actions))}"
-        )
+            f"the dynamic model needs Safe/Risky action labels, got {other[0]!r}")
     check_policy(policy, k)
 
 
@@ -129,7 +127,8 @@ class AFamilyParams:
         check_integer(self.n, "n", "[1, inf)")
         for name in ("p_exp", "r_u", "r_d"):
             check_real(getattr(self, name), name, "(0, 1]", BadProbabilityError)
-        pos, neg = frozenset(self.pos), frozenset(self.neg)
+        pos, neg = (frozenset(check_list(getattr(self, name), name, each=check_integer))
+                    for name in ("pos", "neg"))
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
         if not pos or not neg:
@@ -155,9 +154,10 @@ def _move_or_stay(actions: tuple[str, ...], target: np.ndarray, move: np.ndarray
 def build_a_family(k: int, params: AFamilyParams) -> AutomatonPolicy:
     """Construct the (n+1)-state ladder policy for a k-signal environment."""
     check_integer(k, "k", "[1, inf)")
-    for name, side in (("pos", params.pos), ("neg", params.neg)):
-        for s in side:
-            check_integer(s, f"{name} signal", f"[1, {k}]", SignalOutOfRangeError)
+    check_list(params.pos, "pos", each=check_integer, interval=f"[1, {k}]",
+               error=SignalOutOfRangeError)
+    check_list(params.neg, "neg", each=check_integer, interval=f"[1, {k}]",
+               error=SignalOutOfRangeError)
     n = params.n
     signals = range(1, k + 1)
     pos, neg = (np.array([s in side for s in signals]) for side in (params.pos, params.neg))
@@ -188,11 +188,9 @@ def build_linear_sticky(
     check_integer(k, "k", "[1, inf)")
     check_integer(num_states, "num_states", "[1, inf)")
     check_integer(initial_state, "initial_state", f"[0, {num_states})")
-    if len(left_prob) != num_states or len(right_prob) != num_states:
-        raise ValidationError("left_prob and right_prob must have one entry per state")
-    for name, probs in (("left_prob", left_prob), ("right_prob", right_prob)):
-        for p in probs:
-            check_real(p, f"{name} entry", "[0, 1]", BadProbabilityError)
+    left_prob, right_prob = (
+        check_list(probs, name, num_states, check_real, "[0, 1]", BadProbabilityError)
+        for name, probs in (("left_prob", left_prob), ("right_prob", right_prob)))
     for name, s in (("good_signal", good_signal), ("bad_signal", bad_signal)):
         check_integer(s, name, f"[1, {k}]", SignalOutOfRangeError)
     if good_signal == bad_signal:
@@ -232,7 +230,7 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
     for name in ("num_states", "initial_state"):
         check_integer(doc[name], f"policy {name}")
     check_integer(k, "k", "[1, inf)")
-    actions = tuple(doc["actions"])
+    actions = check_list(doc["actions"], "policy actions")
     m = len(actions)
     rows = dict(_parse_row(key, row) for key, row in doc["kernel"].items())
     expected = {(q, obs) for q, a in enumerate(actions)

@@ -26,10 +26,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import (
-    LengthMismatchError,
     MismatchedProblemsError,
     ValidationError,
     check_integer,
+    check_list,
     check_real,
 )
 
@@ -134,13 +134,7 @@ def simulate_reader(
     problem: ReaderProblem, table: ReaderDPTable, sequence: Sequence[int]
 ) -> ReaderRun:
     """Walk an explicit bit sequence, stopping at the first stop state."""
-    seq = list(sequence)
-    if len(seq) != problem.n:
-        raise LengthMismatchError(
-            f"sequence length {len(seq)} != n = {problem.n}"
-        )
-    if any(b not in (0, 1) for b in seq):
-        raise ValidationError("sequence entries must be bits")
+    seq = check_list(sequence, "sequence", problem.n, check_integer, "[0, 1]")
     i = 0
     d = 0
     trajectory = []

@@ -44,7 +44,14 @@ from .costly_comp import (
     problem_from_dict,
 )
 from .dynamic_env import setting_from_dict
-from .errors import BoundedAgentsError, ValidationError, check_keys, check_object
+from .errors import (
+    BoundedAgentsError,
+    ValidationError,
+    check_keys,
+    check_list,
+    check_object,
+    check_real,
+)
 from .markov_exact import build_joint_chain, chain_csv, chain_payoff, stationary
 from .montecarlo import SimConfig, run_seed_sweep, sim_result_csv, simulate_run
 from .optimize import (
@@ -149,7 +156,7 @@ def cmd_simulate(args) -> int:
     policy = _policy_from_config(config["automaton"], "automaton", setting.k)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     sim_config = SimConfig(seed=seed, **_given(config, ("rounds", "burn_in", "batches")))
-    seeds = config.get("seeds")
+    seeds = check_list(config.get("seeds", ()), "seeds")
     if seeds:
         results = run_seed_sweep(setting, policy, sim_config, seeds)
         lines = ["seed,mean,std_error"]
@@ -175,7 +182,7 @@ _OPTIMIZE_KEYS = {
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
     mode = config.get("mode", "pexp")
-    if mode not in _OPTIMIZE_KEYS:
+    if not isinstance(mode, str) or mode not in _OPTIMIZE_KEYS:
         raise ValidationError(f"unknown optimize mode {mode!r}")
     check_keys(config, f"{mode} mode config", ("setting", "n"), ("mode", *_OPTIMIZE_KEYS[mode]))
     setting = setting_from_dict(config["setting"])
@@ -226,17 +233,13 @@ _DEMO_KEYS = {
 def cmd_static_demo(args) -> int:
     config = _load_config(args.config)
     demo = config.get("demo")
-    if "demo" in config and demo not in _DEMO_KEYS:
+    if "demo" in config and (not isinstance(demo, str) or demo not in _DEMO_KEYS):
         raise ValidationError(f"unknown static demo {demo!r}")
     # "start" and "sequence" also feed --propagation-csv, under any demo.
     check_keys(config, "config", ("policy", "demo", *_DEMO_KEYS.get(demo, ())),
                ("k", "rule", "start", "sequence"))
     policy = _policy_from_config(config["policy"], "policy", config.get("k"), "linear_sticky")
-    rule = (
-        DecisionRule(decide=tuple(config["rule"]))
-        if "rule" in config
-        else threshold_rule(policy.num_states)
-    )
+    rule = DecisionRule(config["rule"]) if "rule" in config else threshold_rule(policy.num_states)
     if demo == "polarization":
         result = polarization_demo(
             policy, config["start_a"], config["start_b"], config["sequence"], rule
@@ -287,6 +290,7 @@ def cmd_reader(args) -> int:
     if "polarization" in config:
         pol = config["polarization"]
         check_keys(pol, "polarization", ("prior_b", "sequence"))
+        check_real(pol["prior_b"], "prior_b", "(0, 1)")
         other = replace(problem, prior1=pol["prior_b"])
         guess_a, guess_b, diverged = polarization_reader(problem, other, pol["sequence"])
         out["polarization"] = {
@@ -373,13 +377,10 @@ def run_cli(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (BoundedAgentsError, ValueError, TypeError) as exc:
+    except (BoundedAgentsError, ValueError) as exc:
         # Malformed configs surface as one diagnostic line, not a traceback.
-        # Keys are checked before they are read, so a KeyError is a bug and
-        # propagates. Numbers are checked by type before they are compared,
-        # but TypeError stays caught because a scalar where a list belongs
-        # still fails inside frozenset() or list(), as "pos": 1 or
-        # "sequence": 5 does.
+        # Keys, numbers and lists are checked before they are used, so a
+        # KeyError or TypeError is a bug and propagates.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -38,6 +38,7 @@ from .errors import (
     check_distribution,
     check_integer,
     check_keys,
+    check_list,
     check_real,
 )
 
@@ -60,8 +61,10 @@ class MachineSpec:
 
 
 def _check_labels(states, types, actions) -> None:
-    """Raise ValidationError naming the first axis that repeats a label, and the label."""
+    """Raise ValidationError naming the first axis with a list, object or repeated label."""
     for axis, labels in (("state", states), ("type", types), ("action", actions)):
+        if unhashable := [label for label in labels if not isinstance(label, Hashable)]:
+            raise ValidationError(f"{axis} label {unhashable[0]!r} must not be a list or object")
         if len(set(labels)) < len(labels):
             label, count = Counter(labels).most_common(1)[0]
             raise ValidationError(f"{axis} label {label!r} is declared {count} times")
@@ -101,17 +104,21 @@ class CompProblem:
                 )
 
 
-def _keys(rows, axes, what: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _rows(rows, what: str, width: int) -> list[list]:
+    """``rows`` as lists, once it is a list of lists ``width`` long."""
+    return [list(check_list(row, f"{what} row {r}", width))
+            for r, row in enumerate(check_list(rows, what))]
+
+
+def _keys(rows, axes, what: str) -> tuple[np.ndarray, np.ndarray]:
     """Flat index over ``axes`` (pairs of declared labels and their kind) of
-    each row's leading labels, and the row count at each index. Rows not
-    ``width`` long, naming undeclared labels or repeating an index raise."""
+    each row's leading labels, and the row count at each index. Rows naming
+    undeclared labels or repeating an index raise."""
     indexes = [{label: i for i, label in enumerate(labels)} for labels, _ in axes]
     keys = np.zeros(len(rows), dtype=np.int64)
     for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError(f"{what} row {row!r} needs {width} entries")
         for (labels, kind), index, label in zip(axes, indexes, row):
-            if label not in index:
+            if not (isinstance(label, Hashable) and label in index):
                 raise ValidationError(f"{what} row {row!r} names undeclared {kind} {label!r}")
             keys[r] = keys[r] * len(labels) + index[label]
     count = np.bincount(keys, minlength=math.prod(len(labels) for labels, _ in axes))
@@ -132,16 +139,15 @@ def utility_from_table(rows, states, types, actions) -> UtilityFn:
     """Utility over index arrays from label rows [state, type, action,
     complexity, utility], no key twice; a lookup with no row raises
     MissingUtilityEntryError."""
-    charges = [row[3] for row in rows if len(row) == 5]  # _keys rejects the rest
-    for charge in charges:
-        check_integer(charge, "utility complexity")
-    charges = np.unique(charges)
+    rows = _rows(rows, "utility", 5)
+    charges = np.unique(check_list([r[3] for r in rows], "utility complexity", each=check_integer))
     # The last complexity label, None, stands for every charge no row names.
     axes = ((states, "state"), (types, "type"), (actions, "action"),
             (tuple(charges.tolist()) + (None,), "complexity"))
-    keys, count = _keys(rows, axes, "utility", 5)
+    keys, count = _keys(rows, axes, "utility")
     table = np.zeros(len(count))
-    table[keys] = [row[4] for row in rows]
+    table[keys] = check_list([row[4] for row in rows], "utility", each=check_real,
+                             interval="(-inf, inf)")
 
     def u(s, t, a, c):
         j = np.where(np.isin(c, charges), np.searchsorted(charges, c), len(charges))
@@ -212,10 +218,12 @@ class PrimalityConfig:
     def __post_init__(self):
         check_integer(self.type_bound, "type_bound", "[2, inf)")
         check_integer(self.step_cap, "step_cap", "[0, inf)")
-        if not self.machines:
+        machines = check_list(self.machines, "machines")
+        if not machines:
             raise NoMachinesError("primality config lists no machines")
-        for spec in self.machines:
+        for spec in machines:
             _parse_machine_spec(spec)
+        object.__setattr__(self, "machines", machines)
 
 
 def _parse_machine_spec(spec: str) -> tuple[str, int | None]:
@@ -305,7 +313,8 @@ def conversation_value(spec: ConversationSpec) -> float:
     against 1/n for guessing blind.
     """
     n, q, v = spec.domain_size, spec.questions, spec.payoff
-    success = 1.0 if (1 << q) >= n else (1 << q) / n
+    # 2^q >= n exactly when q >= bit_length(n - 1); below that 2^q < n, so it is small.
+    success = 1.0 if q >= int(n - 1).bit_length() else (1 << q) / n
     return v * success - v / n
 
 
@@ -321,25 +330,32 @@ def problem_from_dict(doc: dict) -> CompProblem:
     one out row and one complexity row.
     """
     check_keys(doc, "problem", ("states", "types", "actions", "prior", "machines", "utility"))
-    states, types, actions = (tuple(doc[key]) for key in ("states", "types", "actions"))
+    states, types, actions = (check_list(doc[key], key) for key in ("states", "types", "actions"))
     # Rows name cells by label, so repeats must be refused before any row is read.
     _check_labels(states, types, actions)
     cell_axes = ((states, "state"), (types, "type"))
-    cells, count = _keys(doc["prior"], cell_axes, "prior", 3)
+    rows = _rows(doc["prior"], "prior", 3)
+    cells, count = _keys(rows, cell_axes, "prior")
     prior = np.zeros(len(count))
-    prior[cells] = [row[2] for row in doc["prior"]]
+    prior[cells] = check_list([row[2] for row in rows], "prior", each=check_real,
+                              interval="[0, 1]")
     machines = []
-    for i, m in enumerate(doc["machines"]):
+    for i, m in enumerate(check_list(doc["machines"], "machines")):
         check_keys(m, f"machines entry {i}", ("name", "out", "complexity"))
+        if not isinstance(m["name"], str):
+            raise ValidationError(f"machines entry {i} name must be a string, got {m['name']!r}")
         what = f"machine {m['name']!r}"
-        keys, count = _keys(m["out"], cell_axes + ((actions, "action"),), f"{what} out", 3)
+        rows = _rows(m["out"], f"{what} out", 3)
+        keys, count = _keys(rows, cell_axes + ((actions, "action"),), f"{what} out")
         per_cell = count.reshape(-1, len(actions)).sum(axis=1)
         _one_row_each(per_cell, per_cell != 1, cell_axes, f"{what} out")
         out = np.empty(len(per_cell), dtype=np.int64)
         out[keys // len(actions)] = keys % len(actions)
-        cells, count = _keys(m["complexity"], cell_axes, f"{what} complexity", 3)
+        rows = _rows(m["complexity"], f"{what} complexity", 3)
+        cells, count = _keys(rows, cell_axes, f"{what} complexity")
         _one_row_each(count, count == 0, cell_axes, f"{what} complexity")
-        values = np.asarray([row[2] for row in m["complexity"]])
+        values = np.asarray(check_list([row[2] for row in rows], f"{what} complexity",
+                                       each=check_integer))
         complexity = np.empty(len(count), dtype=values.dtype)
         complexity[cells] = values
         machines.append(MachineSpec(m["name"], out, complexity))

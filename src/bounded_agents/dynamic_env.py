@@ -17,10 +17,10 @@ from typing import Sequence
 from .errors import (
     BadFlipProbError,
     BadPayoffSignError,
-    ValidationError,
     check_distribution,
     check_integer,
     check_keys,
+    check_list,
     check_real,
 )
 
@@ -50,25 +50,24 @@ def validate_setting(
     Never normalizes: a signal vector that does not already sum to 1
     within errors.PROB_SUM_TOL is rejected.
     """
-    check_integer(k, "k", "[1, inf)")
-    for name, probs in (("pG", pG), ("pB", pB)):
-        for p in probs:
-            check_real(p, f"{name} entry")
-    k = int(k)
-    pG = tuple(float(p) for p in pG)
-    pB = tuple(float(p) for p in pB)
-    if len(pG) != k or len(pB) != k:
-        raise ValidationError(
-            f"signal vectors must have length k={k}, got {len(pG)} and {len(pB)}"
-        )
-    check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
+    pG, pB = check_signals(k, pG, pB)
     check_real(xG, "xG", "(0, inf)", BadPayoffSignError)
     check_real(xB, "xB", "(-inf, 0)", BadPayoffSignError)
     # Products with a subnormal pi keep fewer than 53 bits, and the solve
     # divides by pivots that small: at pi = 5e-324 the paper's 4-rung ladder
     # pays 4% off its exact value. The lower end is the smallest normal float.
     check_real(pi, "flip probability pi", f"[{sys.float_info.min!r}, 0.5]", BadFlipProbError)
-    return DynamicSetting(k=k, pG=pG, pB=pB, xG=float(xG), xB=float(xB), pi=float(pi))
+    return DynamicSetting(k=int(k), pG=pG, pB=pB, xG=float(xG), xB=float(xB), pi=float(pi))
+
+
+def check_signals(k, pG, pB) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """pG and pB as tuples of floats, once k is a count and each is a
+    distribution over the k signals."""
+    check_integer(k, "k", "[1, inf)")
+    pG, pB = (tuple(map(float, check_list(probs, name, k, check_real)))
+              for name, probs in (("pG", pG), ("pB", pB)))
+    check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
+    return pG, pB
 
 
 def is_nontrivial(setting: DynamicSetting) -> bool:

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the probability, number and key rules.
+"""Exception types shared across the package, and the probability, number, list and key rules.
 
 Validation errors subclass ValueError so callers can catch either the
 specific class or the built-in.
 """
 
+from collections.abc import Iterable, Mapping
 from functools import lru_cache
 from numbers import Integral, Real
 
@@ -60,10 +61,6 @@ class TooManySignalsError(ValidationError):
 
 class GridTooLargeError(ValidationError):
     """Brute-force enumeration exceeds the candidate cap."""
-
-
-class LengthMismatchError(ValidationError):
-    """A supplied sequence has the wrong length."""
 
 
 class MismatchedProblemsError(ValidationError):
@@ -155,6 +152,21 @@ def _check_interval(value, name, interval, error) -> None:
 def _bounds(interval: str) -> tuple[float, float, bool, bool]:
     lo, hi = interval[1:-1].split(",")
     return float(lo), float(hi), interval[0] == "(", interval[-1] == ")"
+
+
+def check_list(value, name, length=None, each=None, interval=None, error=ValidationError) -> tuple:
+    """``value`` as a tuple, once it is a list (any iterable but a string, bytes or a
+    mapping) of ``length`` entries, if given, each passing ``each`` (check_real or
+    check_integer) with ``interval``; else raise ``error``, naming ``name``."""
+    if isinstance(value, (str, bytes, Mapping)) or not isinstance(value, Iterable):
+        raise error(f"{name} must be a list, got {value!r}")
+    items = tuple(value)
+    if length is not None and len(items) != length:
+        raise error(f"{name} must have {length} entries, got {len(items)}")
+    if each is not None:
+        for item in items:
+            each(item, f"{name} entry", interval, error)
+    return items
 
 
 def check_object(doc, what) -> None:

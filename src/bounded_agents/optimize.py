@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -24,12 +24,14 @@ import numpy as np
 from .automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
 from .dynamic_env import DynamicSetting, is_nontrivial, validate_setting
 from .errors import (
+    BadProbabilityError,
     GridTooLargeError,
     ReducibleChainError,
     TooManySignalsError,
     TrivialSettingError,
     ValidationError,
     check_integer,
+    check_list,
     check_real,
     stochastic_rows,
 )
@@ -85,16 +87,12 @@ def default_partition(setting: DynamicSetting) -> tuple[frozenset[int], frozense
     return frozenset({pos + 1}), frozenset({neg + 1})
 
 
-def _sides(setting: DynamicSetting, partition) -> tuple[frozenset[int], frozenset[int]]:
-    """``partition`` as a (pos, neg) pair of signal sets, default_partition if
-    None; ValidationError names any other value."""
+def _sides(setting: DynamicSetting, partition) -> tuple:
+    """``partition`` as a (pos, neg) pair, default_partition if None; each
+    side is checked where a ladder is built from it."""
     if partition is None:
         return default_partition(setting)
-    try:
-        pos, neg = partition
-        return frozenset(pos), frozenset(neg)
-    except (TypeError, ValueError):
-        raise ValidationError(f"partition must be a (pos, neg) pair, got {partition!r}") from None
+    return check_list(partition, "partition", 2)
 
 
 def optimize_pexp(
@@ -108,11 +106,10 @@ def optimize_pexp(
 ) -> OptResult:
     """Best exploration probability on a grid, with local linear refinement."""
     pos, neg = _sides(setting, partition)
-    grid = tuple(grid) if grid is not None else DEFAULT_PEXP_GRID
+    grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
+                      each=check_real, interval="(0, 1]", error=BadProbabilityError)
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
-    for p in grid:
-        check_real(p, "p_exp grid entry")
 
     base = AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
     ladder = build_a_family(setting.k, base)
@@ -125,10 +122,6 @@ def optimize_pexp(
     def evaluate(points):
         fresh = [p for p in dict.fromkeys(points) if p not in trace]
         p_exp = np.array(fresh, dtype=float)
-        # Validate every point before any solve: the rule is a range, so the ends decide
-        # it; a NaN reaches both, and the valid base.p_exp gives an empty batch ends.
-        for end in (np.min(p_exp, initial=base.p_exp), np.max(p_exp, initial=base.p_exp)):
-            replace(base, p_exp=end)
         for lo in range(0, len(fresh), step):
             ps = p_exp[lo:lo + step]
             stack = np.repeat(agent[:, None], len(ps), axis=1)
@@ -150,7 +143,7 @@ def optimize_pexp(
 
     best_p, best_v = max(trace.items(), key=lambda t: (t[1], -t[0]))
     return OptResult(best_pexp=best_p, best_payoff=best_v, grid_trace=tuple(trace.items()),
-                     partition=(pos, neg))
+                     partition=(base.pos, base.neg))
 
 
 def legal_partitions(k: int):
@@ -169,7 +162,9 @@ def exhaustive_partition_search(
     r_d: float = 1.0,
     grid: Sequence[float] | None = None,
 ) -> OptResult:
-    """Best OptResult over every legal signal partition. Needs k <= 6."""
+    """Best OptResult over every legal signal partition. Needs 2 <= k <= 6."""
+    if setting.k < 2:
+        raise ValidationError(f"partition search needs k >= 2 signals, got k={setting.k}")
     if setting.k > 6:
         raise TooManySignalsError(
             f"partition search enumerates 3^k assignments; k={setting.k} > 6"
@@ -205,10 +200,11 @@ def optimize_rates(
     check that nothing better hides at other rates. Ties break toward
     higher rates so the default corner wins when it is not beaten.
     """
-    for r in rate_grid:
-        check_real(r, "rate_grid entry", "(0, 1]")
+    rate_grid = check_list(rate_grid, "rate_grid", each=check_real, interval="(0, 1]")
+    if not rate_grid:
+        raise ValidationError("rate_grid must be nonempty")
     best: RateSearchResult | None = None
-    descending = sorted(set(float(r) for r in rate_grid), reverse=True)
+    descending = sorted(set(map(float, rate_grid)), reverse=True)
     for r_u in descending:
         for r_d in descending:
             result = optimize_pexp(setting, n, partition, r_u=r_u, r_d=r_d, grid=grid)
@@ -239,9 +235,7 @@ class ScheduleSpec:
         for name, interval in (("c1", "(0, inf)"), ("a", "(1, inf)"), ("c2", "(0, inf)"),
                                ("b", "(0, inf)")):
             check_real(getattr(self, name), name, interval)
-        for n in self.n_list:
-            check_integer(n, "n_list entry", "[1, inf)")
-        ns = tuple(self.n_list)
+        ns = check_list(self.n_list, "n_list", each=check_integer, interval="[1, inf)")
         object.__setattr__(self, "n_list", ns)
         if len(ns) < 2 or any(x >= y for x, y in zip(ns, ns[1:])):
             raise ValidationError("n_list needs at least 2 entries, in increasing order")
@@ -363,9 +357,8 @@ def brute_force_policy_search(
     stacks by the same kernel as the exact solver.
     """
     check_integer(num_states, "num_states", "[1, 3]")
-    for g in prob_grid:
-        check_real(g, "prob_grid entry", "[0, 1]")
-    grid = sorted(set(float(g) for g in prob_grid))
+    grid = sorted(set(map(float, check_list(prob_grid, "prob_grid", each=check_real,
+                                            interval="[0, 1]"))))
     m = num_states
     k = setting.k
     options = [_row_options(q, m, grid) for q in range(m)]
@@ -379,6 +372,8 @@ def brute_force_policy_search(
                   for s in ((None,) if acts[q] == SAFE else range(k))]
         labelings.append((acts, digits, [len(options[q]) for q, _ in digits]))
     total = sum(math.prod(radixes) for _, _, radixes in labelings)
+    if total == 0:
+        raise ValidationError(f"prob_grid {grid} has no three weights that sum to 1")
     if total > BRUTE_FORCE_CAP:
         raise GridTooLargeError(
             f"{total} candidates exceed the cap of {BRUTE_FORCE_CAP}"

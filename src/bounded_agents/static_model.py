@@ -21,10 +21,11 @@ from .errors import (
     BadEtaError,
     SignalOutOfRangeError,
     ValidationError,
-    check_distribution,
     check_integer,
+    check_list,
     check_real,
 )
+from .dynamic_env import check_signals
 from .markov_exact import agent_step_matrix, dense_matrix, stopped_state_distribution
 
 DECISIONS = ("G", "B")
@@ -46,26 +47,15 @@ class StaticSetting:
     prior_G: float = 0.5
 
     def __post_init__(self):
-        check_integer(self.k, "k", "[1, inf)")
-        for name in ("pG", "pB"):
-            for p in getattr(self, name):
-                check_real(p, f"{name} entry")
-        pG = tuple(float(p) for p in self.pG)
-        pB = tuple(float(p) for p in self.pB)
+        pG, pB = check_signals(self.k, self.pG, self.pB)
         object.__setattr__(self, "pG", pG)
         object.__setattr__(self, "pB", pB)
-        if len(pG) != self.k or len(pB) != self.k:
-            raise ValidationError("signal vectors must have length k")
-        check_distribution((pG, pB), lambda i: ("pG", "pB")[i])
         check_real(self.eta, "eta", "(0, 1]", BadEtaError)
         check_real(self.prior_G, "prior_G", "[0, 1]")
-        util = tuple(map(tuple, self.utility))
-        if len(util) != 2 or any(len(row) != 2 for row in util):
-            raise ValidationError("utility must be 2x2")
-        for row in util:
-            for u in row:
-                check_real(u, "utility entry", "(-inf, inf)")
-        object.__setattr__(self, "utility", tuple(tuple(map(float, row)) for row in util))
+        rows = check_list(self.utility, "utility", 2)
+        object.__setattr__(self, "utility", tuple(
+            tuple(map(float, check_list(row, "utility row", 2, check_real, "(-inf, inf)")))
+            for row in rows))
 
 
 @dataclass(frozen=True)
@@ -75,16 +65,10 @@ class DecisionRule:
     decide: tuple[str, ...]
 
     def __post_init__(self):
-        if any(d not in DECISIONS for d in self.decide):
-            raise ValidationError(f"decisions must be one of {DECISIONS}")
-
-
-def check_rule(rule: DecisionRule, policy: AutomatonPolicy) -> None:
-    """Raise ValidationError, naming both counts, unless ``rule`` has one
-    label per state of ``policy``."""
-    if len(rule.decide) != policy.num_states:
-        raise ValidationError(f"rule must have one label per policy state "
-                              f"({policy.num_states}), got {len(rule.decide)}")
+        decide = check_list(self.decide, "rule")
+        if other := [d for d in decide if d not in DECISIONS]:
+            raise ValidationError(f"rule entry must be one of {DECISIONS}, got {other[0]!r}")
+        object.__setattr__(self, "decide", decide)
 
 
 def threshold_rule(num_states: int) -> DecisionRule:
@@ -99,7 +83,7 @@ def static_expected_utility(
 ) -> float:
     """Exact expected utility of (policy, rule) under the geometric deadline."""
     check_policy(policy, setting.k)
-    check_rule(rule, policy)
+    check_list(rule.decide, "rule", policy.num_states)
     d0 = np.zeros(policy.num_states)
     d0[policy.initial_state] = 1.0
     total = 0.0
@@ -123,20 +107,18 @@ def propagate_sequence(
 
     The empty prefix is included, so the result has len(sequence) + 1
     entries and starts with the point mass at ``start``. A signal outside
-    1..k raises SignalOutOfRangeError whichever states hold the mass.
+    1..k raises SignalOutOfRangeError before any signal is read.
     """
     check_integer(start, "start", f"[0, {policy.num_states})")
     k = policy.prob.shape[1]
+    sequence = check_list(sequence, "sequence", each=check_integer, interval=f"[1, {k}]",
+                          error=SignalOutOfRangeError)
     dist = np.zeros(policy.num_states)
     dist[start] = 1.0
     out = [dist]
     for s in sequence:
-        if s not in range(1, k + 1):
-            raise SignalOutOfRangeError(
-                f"state {np.flatnonzero(dist)[0]} has no row for signal {s} (signals are 1..{k})")
-        j = int(s) - 1
         dist = np.zeros_like(dist)
-        np.add.at(dist, policy.next_state[:, j], out[-1][:, None] * policy.prob[:, j])
+        np.add.at(dist, policy.next_state[:, s - 1], out[-1][:, None] * policy.prob[:, s - 1])
         out.append(dist)
     return out
 
@@ -174,7 +156,9 @@ def polarization_demo(
     Identical starts are allowed as a negative control and trivially never
     diverge.
     """
-    check_rule(rule, policy)
+    check_list(rule.decide, "rule", policy.num_states)
+    check_integer(start_a, "start_a", f"[0, {policy.num_states})")
+    check_integer(start_b, "start_b", f"[0, {policy.num_states})")
     final_a = propagate_sequence(policy, start_a, sequence)[-1]
     final_b = propagate_sequence(policy, start_b, sequence)[-1]
     dist_a = decision_distribution(final_a, rule)
@@ -203,8 +187,8 @@ def first_impression_demo(
     rule: DecisionRule,
 ) -> FirstImpressionResult:
     """Same evidence in both orders; does the modal decision change?"""
-    check_rule(rule, policy)
-    seq = list(sequence)
+    check_list(rule.decide, "rule", policy.num_states)
+    seq = check_list(sequence, "sequence")
     if not seq:
         raise ValidationError("sequence must be nonempty")
     fwd = propagate_sequence(policy, start, seq)[-1]
@@ -222,7 +206,7 @@ def propagation_csv(
     policy: AutomatonPolicy, start: int, sequence: Sequence[int], rule: DecisionRule
 ) -> str:
     """One row per step: step, state masses, modal decision."""
-    check_rule(rule, policy)
+    check_list(rule.decide, "rule", policy.num_states)
     cols = ",".join(f"state_{q}" for q in range(policy.num_states))
     buf = io.StringIO()
     buf.write(f"step,{cols},modal_decision\n")

@@ -15,7 +15,6 @@ from bounded_agents.bias_reader import (
     solve_reader_dp,
 )
 from bounded_agents.errors import (
-    LengthMismatchError,
     MismatchedProblemsError,
     ValidationError,
 )
@@ -152,7 +151,7 @@ class TestSimulateReader:
     def test_length_mismatch(self):
         problem = ReaderProblem(n=5, rho=0.75, c=0.01)
         table = solve_reader_dp(problem)
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(ValidationError, match=r"^sequence must have 5 entries, got 2$"):
             simulate_reader(problem, table, [1, 0])
 
     def test_non_bits_rejected(self):

@@ -385,9 +385,9 @@ class TestMachine:
          "utility has 2 rows for ('s', 't2', 'b', 0)"),
         ({"utility": [["s", "t1", "a", 0, 1.0], ["s", "t2", "b", 0, 3.0],
                       ["s", "t2", "b", 0.5, 5.0]]},
-         "utility complexity must be an integer, got 0.5"),
+         "utility complexity entry must be an integer, got 0.5"),
         ({"utility": [["s", "t1", "a"], ["s", "t2", "b", 0, 3.0]]},
-         "utility row ['s', 't1', 'a'] needs 5 entries"),
+         "utility row 0 must have 5 entries, got 3"),
     ], ids=["valid", "no prior row, no utility row", "prior on undeclared type",
             "prior cell twice", "out cell twice", "complexity on undeclared state",
             "utility on undeclared type", "utility entry twice", "utility charge 0.5",
@@ -554,7 +554,7 @@ def test_rule_of_the_wrong_length_exits_one_and_names_both_counts(tmp_path, caps
                                                                   labels):
     doc = {"policy": STICKY, "rule": ["G"] * labels, **demo}
     err = one_error_line(tmp_path, capsys, "static-demo", doc)
-    assert err == f"error: rule must have one label per policy state (5), got {labels}\n"
+    assert err == f"error: rule must have 5 entries, got {labels}\n"
 
 
 # A count that JSON gives as a float, a string or a bool, and the field it names.
@@ -589,7 +589,7 @@ def test_machines_entry_without_name_names_the_key(tmp_path, capsys):
 ], ids=["optimize one side", "optimize three sides", "rates one side", "limit-curve one side"])
 def test_malformed_partition_exits_one_and_names_it(tmp_path, capsys, command, doc):
     err = one_error_line(tmp_path, capsys, command, doc)
-    assert err == f"error: partition must be a (pos, neg) pair, got {doc['partition']!r}\n"
+    assert err == f"error: partition must have 2 entries, got {len(doc['partition'])}\n"
 
 
 def test_section_keys_reach_the_builder(tmp_path, capsys):
@@ -615,6 +615,26 @@ def test_key_error_is_a_bug_not_invalid_input(tmp_path, monkeypatch):
     config = write_config(tmp_path, {"problem": {"n": 2, "rho": 0.75, "c": 0.01}})
     with pytest.raises(KeyError, match="internal"):
         run_cli(["reader", "--config", config])
+
+
+def test_type_error_is_a_bug_not_invalid_input(tmp_path, monkeypatch):
+    def broken(problem):
+        raise TypeError("internal")
+
+    monkeypatch.setattr(cli, "solve_reader_dp", broken)
+    config = write_config(tmp_path, {"problem": {"n": 2, "rho": 0.75, "c": 0.01}})
+    with pytest.raises(TypeError, match="internal"):
+        run_cli(["reader", "--config", config])
+
+
+@pytest.mark.parametrize("doc,message", [
+    ({"setting": PAPER_SETTING, "n": 1, "mode": "rates", "rate_grid": []},
+     "rate_grid must be nonempty"),
+    ({"setting": {"k": 1, "pG": [1.0], "pB": [1.0], "xG": 1.0, "xB": -1.0, "pi": 0.1},
+      "n": 1, "mode": "partition"}, "partition search needs k >= 2 signals, got k=1"),
+], ids=["empty rate grid", "one signal"])
+def test_search_with_nothing_to_search_exits_one_and_says_why(tmp_path, capsys, doc, message):
+    assert one_error_line(tmp_path, capsys, "optimize", doc) == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("argv", [

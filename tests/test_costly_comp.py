@@ -320,6 +320,13 @@ class TestConversationValue:
                 saturated, abs=0
             )
 
+    def test_huge_question_budget_builds_no_huge_integer(self):
+        # 2^q would need about q / 8 bytes; the value only needs q against log2 n.
+        for q in (10**12, 2**70):
+            assert conversation_value(ConversationSpec(100, q, 10.0)) == 10.0 - 10.0 / 100
+        n = 2**80 + 1  # one answer short of saturating at q = 80
+        assert conversation_value(ConversationSpec(n, 80, 1.0)) == 2**80 / n - 1 / n
+
     def test_bad_spec(self):
         with pytest.raises(ValidationError):
             ConversationSpec(0, 1, 1.0)

@@ -1,7 +1,6 @@
 import itertools
 import re
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -112,31 +111,21 @@ class TestOptimizePexp:
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, 0.0, 1.5, float("inf")])
     def test_bad_point_anywhere_rejected_before_any_solve(self, paper_setting, monkeypatch, bad):
         monkeypatch.setattr(optimize, "evaluate_stack", lambda *a: pytest.fail("solved"))
-        with pytest.raises(BadProbabilityError, match="p_exp must be in"):
+        with pytest.raises(BadProbabilityError, match=r"^p_exp grid entry must be in \(0, 1\]"):
             optimize_pexp(paper_setting, n=2, grid=(0.5, 0.25, bad, 0.75))
-
-    def test_each_batch_is_validated_by_two_constructions(self, paper_setting, monkeypatch):
-        calls = []
-
-        def counting(params, **changes):
-            calls.append(changes["p_exp"])
-            return replace(params, **changes)
-
-        monkeypatch.setattr(optimize, "replace", counting)
-        result = optimize_pexp(paper_setting, n=4, grid=(0.5, 0.01, 0.2))
-        assert len(result.grid_trace) > 3
-        # One batch for the grid, one per refinement round.
-        assert len(calls) == 2 * 3
-        assert calls[:2] == [0.01, 0.5]
 
     def test_single_point_grid_refines_to_nothing(self, paper_setting):
         result = optimize_pexp(paper_setting, n=2, grid=(0.1,))
         assert result.best_pexp == 0.1 and len(result.grid_trace) == 1
 
-    @pytest.mark.parametrize("partition", [[[1]], [[1], [4], [2]], [1, 4], 5],
-                             ids=["one side", "three sides", "flat", "scalar"])
-    def test_malformed_partition_is_named(self, paper_setting, partition):
-        message = rf"^partition must be a \(pos, neg\) pair, got {re.escape(repr(partition))}$"
+    @pytest.mark.parametrize("partition,message", [
+        ([[1]], "partition must have 2 entries, got 1"),
+        ([[1], [4], [2]], "partition must have 2 entries, got 3"),
+        ([1, 4], "pos must be a list, got 1"),
+        (5, "partition must be a list, got 5"),
+    ], ids=["one side", "three sides", "flat", "scalar"])
+    def test_malformed_partition_is_named(self, paper_setting, partition, message):
+        message = f"^{re.escape(message)}$"
         with pytest.raises(ValidationError, match=message):
             optimize_pexp(paper_setting, n=2, partition=partition, grid=(0.5,))
         schedule = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(5, 10))
@@ -223,6 +212,11 @@ class TestExhaustivePartitionSearch:
         bound = max(0.0, (trivial_setting.xG + trivial_setting.xB) / 2.0)
         assert result.best_payoff <= bound + 1e-9
 
+    def test_one_signal_has_no_partition(self):
+        s = validate_setting(1, (1.0,), (1.0,), 1.0, -1.0, 0.01)
+        with pytest.raises(ValidationError, match=r"^partition search needs k >= 2 .*got k=1$"):
+            exhaustive_partition_search(s, n=1)
+
     def test_too_many_signals(self):
         s = validate_setting(7, (1.0,) + (0.0,) * 6, (0.0,) * 6 + (1.0,), 1.0, -1.0, 0.01)
         with pytest.raises(TooManySignalsError):
@@ -248,6 +242,10 @@ class TestRateSearch:
 
         with pytest.raises(ValidationError):
             optimize_rates(paper_setting, n=1, rate_grid=(0.0, 1.0))
+
+    def test_empty_rate_grid_is_named(self, paper_setting):
+        with pytest.raises(ValidationError, match=r"^rate_grid must be nonempty$"):
+            optimize.optimize_rates(paper_setting, n=1, rate_grid=())
 
 
 class TestLimitScheduleCurve:
@@ -416,6 +414,12 @@ class TestBruteForce:
     def test_grid_too_large(self, paper_setting):
         with pytest.raises(GridTooLargeError):
             brute_force_policy_search(paper_setting, num_states=3)
+
+    @pytest.mark.parametrize("prob_grid", [(), (0.5,), (0.0, 0.75)])
+    def test_grid_without_a_distribution_row_is_named(self, paper_setting, prob_grid):
+        message = r"^prob_grid \[.*\] has no three weights that sum to 1$"
+        with pytest.raises(ValidationError, match=message):
+            brute_force_policy_search(paper_setting, num_states=2, prob_grid=prob_grid)
 
     def test_more_than_three_states_rejected(self, paper_setting):
         with pytest.raises(ValidationError):

@@ -60,7 +60,8 @@ class TestThresholdRule:
         assert threshold_rule(4).decide == ("G", "G", "B", "B")
 
     def test_labels_validated(self):
-        with pytest.raises(ValidationError):
+        message = r"^rule entry must be one of \('G', 'B'\), got 'X'$"
+        with pytest.raises(ValidationError, match=message):
             DecisionRule(decide=("G", "X"))
 
 
@@ -172,13 +173,15 @@ class TestPropagateSequence:
         assert dists[2] == pytest.approx([0.75, 0.25, 0], abs=0)
 
     def test_missing_signal_row_raises(self):
-        with pytest.raises(SignalOutOfRangeError, match="state 1 has no row for signal 5"):
+        with pytest.raises(SignalOutOfRangeError,
+                           match=r"^sequence entry must be in \[1, 4\], got 5$"):
             propagate_sequence(sticky_policy(), 2, [1, 5])
 
     @pytest.mark.parametrize("sequence", [[7], [1, 7], [0]])
     def test_out_of_range_signal_raises_from_a_safe_start(self, sequence):
         ladder = build_a_family(4, AFamilyParams(n=2, p_exp=0.5, pos={1}, neg={4}))
-        with pytest.raises(SignalOutOfRangeError, match=f"signal {sequence[-1]} "):
+        with pytest.raises(SignalOutOfRangeError, match=f"^sequence entry must be in .*, "
+                                                        f"got {sequence[-1]}$"):
             propagate_sequence(ladder, 0, sequence)
 
     def test_sticky_zero_row_dominates_escape(self):

@@ -4,13 +4,16 @@ A rule lives in one helper, so every entry point must raise the same type
 for the same fault.
 """
 
+import ast
 import copy
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bounded_agents
 from bounded_agents.automaton import (
     HOLD,
     NO_SIGNAL,
@@ -34,6 +37,7 @@ from bounded_agents.errors import (
     check_distribution,
     check_integer,
     check_keys,
+    check_list,
     check_real,
     stochastic_rows,
 )
@@ -252,8 +256,8 @@ def test_rule_length_rule_at_each_static_entry_point():
                      lambda: polarization_demo(policy, 0, 1, [1], rule),
                      lambda: first_impression_demo(policy, 0, [1, 2], rule),
                      lambda: propagation_csv(policy, 0, [1], rule)):
-            with pytest.raises(ValidationError, match=rf"^rule must have one label per policy "
-                                                      rf"state \(3\), got {labels}$"):
+            with pytest.raises(ValidationError,
+                               match=rf"^rule must have 3 entries, got {labels}$"):
                 call()
 
 
@@ -281,6 +285,9 @@ LADDER = {"type": "a_family", "n": 2, "p_exp": 0.1, "pos": [1], "neg": [4],
           "r_u": 1.0, "r_d": 1.0}
 STICKY = {"type": "linear_sticky", "k": 2, "num_states": 3, "initial_state": 0,
           "left_prob": [1, 1, 1], "right_prob": [1, 1, 1], "good_signal": 1, "bad_signal": 2}
+PROBLEM = {"states": ["s"], "types": ["t"], "actions": ["a"], "prior": [["s", "t", 1.0]],
+           "machines": [{"name": "m", "out": [["s", "t", "a"]], "complexity": [["s", "t", 0]]}],
+           "utility": [["s", "t", "a", 0, 1.0]]}
 STATIC = {"k": 2, "pG": [0.6, 0.4], "pB": [0.4, 0.6], "eta": 0.1, "prior_G": 0.5,
           "utility": [[1, 0], [0, 1]]}
 
@@ -325,9 +332,14 @@ NUMERIC_CONFIGS = [
     ]),
     ("static-demo", {"policy": STICKY, "demo": "first_impression", "start": 1,
                      "sequence": [1, 2]}, [(("start",), "start", int)]),
-    ("reader", {"problem": {"n": 4, "rho": 0.75, "c": 0.01, "prior1": 0.5}}, [
+    ("static-demo", {"policy": STICKY, "demo": "polarization", "start_a": 1, "start_b": 2,
+                     "sequence": [1, 2]}, [(("start_a",), "start_a", int),
+                                           (("start_b",), "start_b", int)]),
+    ("reader", {"problem": {"n": 4, "rho": 0.75, "c": 0.01, "prior1": 0.5},
+                "polarization": {"prior_b": 0.25, "sequence": [1, 0, 0, 0]}}, [
         (("problem", "n"), "n", int), (("problem", "rho"), "rho", float),
         (("problem", "c"), "c", float), (("problem", "prior1"), "prior1", float),
+        (("polarization", "prior_b"), "prior_b", float),
     ]),
     ("machine", {"primality": {"type_bound": 64, "step_cap": 4},
                  "conversation": {"domain_size": 100, "questions": 3, "payoff": 10.0}}, [
@@ -336,6 +348,12 @@ NUMERIC_CONFIGS = [
         (("conversation", "domain_size"), "domain_size", int),
         (("conversation", "questions"), "questions", int),
         (("conversation", "payoff"), "payoff", float),
+    ]),
+    ("machine", {"problem": PROBLEM}, [
+        (("problem", "prior", 0, 2), "prior", float),
+        (("problem", "machines", 0, "complexity", 0, 2), "complexity", int),
+        (("problem", "utility", 0, 3), "utility complexity", int),
+        (("problem", "utility", 0, 4), "utility", float),
     ]),
 ]
 NUMERIC_FIELDS = {f"{command} {'.'.join(map(str, path))}": (command, doc, path, name, kind)
@@ -349,12 +367,22 @@ def _run(tmp_path, capsys, command, doc):
     return code, capsys.readouterr()
 
 
+def _with(doc, path, value):
+    """A copy of ``doc`` with ``value`` at ``path``."""
+    changed = copy.deepcopy(doc)
+    *parents, key = path
+    section = changed
+    for step in parents:
+        section = section[step]
+    section[key] = value
+    return changed
+
+
 @pytest.mark.parametrize("command,doc,path,name,kind", NUMERIC_FIELDS.values(),
                          ids=NUMERIC_FIELDS)
 def test_number_rule_at_every_numeric_config_field(tmp_path, capsys, command, doc, path,
                                                    name, kind):
     assert _run(tmp_path, capsys, command, doc)[0] == 0
-    *parents, key = path
     valid = doc
     for step in path:
         valid = valid[step]
@@ -364,15 +392,109 @@ def test_number_rule_at_every_numeric_config_field(tmp_path, capsys, command, do
     if kind is int:
         bad += [2.5, float(valid)]
     for value in bad:
-        changed = copy.deepcopy(doc)
-        section = changed
-        for step in parents:
-            section = section[step]
-        section[key] = value
-        code, captured = _run(tmp_path, capsys, command, changed)
+        code, captured = _run(tmp_path, capsys, command, _with(doc, path, value))
         assert code == 1, value
         assert captured.out == "" and captured.err.count("\n") == 1
         assert re.match(rf"error: .*\b{name}\b", captured.err), captured.err
+
+
+POLICY = {"type": "policy", "num_states": 2, "initial_state": 0, "actions": ["Safe", "Risky"],
+          "kernel": {"0:NoSignal": {"0": 0.5, "1": 0.5}, "1:1": {"1": 1.0}, "1:2": {"1": 1.0},
+                     "1:3": {"0": 1.0}, "1:4": {"0": 1.0}}}
+
+# A config of each command that runs, and the array-shaped fields it sets: the
+# field's path in the config and the name its error gives.
+LIST_CONFIGS = [
+    ("eval-exact", {"setting": SETTING, "automaton": LADDER}, [
+        (("setting", "pG"), "pG"), (("setting", "pB"), "pB"),
+        (("automaton", "pos"), "pos"), (("automaton", "neg"), "neg"),
+    ]),
+    ("eval-exact", {"setting": SETTING, "automaton": POLICY}, [
+        (("automaton", "actions"), "actions"),
+    ]),
+    ("simulate", {"setting": SETTING, "automaton": LADDER, "rounds": 400, "seeds": [1, 2]}, [
+        (("seeds",), "seeds"),
+    ]),
+    ("optimize", {"setting": SETTING, "n": 1, "mode": "rates", "rate_grid": [1.0],
+                  "grid": [0.5], "partition": [[1], [4]]}, [
+        (("rate_grid",), "rate_grid"), (("grid",), "grid"), (("partition",), "partition"),
+        (("partition", 0), "pos"), (("partition", 1), "neg"),
+    ]),
+    ("limit-curve", {"setting": SETTING, "partition": [[1], [4]], "schedule": {
+        "c1": 1.0, "a": 2.0, "c2": 1.0, "b": 1.0, "n_list": [5, 10]}}, [
+        (("schedule", "n_list"), "n_list"), (("partition",), "partition"),
+    ]),
+    ("static-demo", {"policy": STICKY, "demo": "expected_utility", "setting": STATIC,
+                     "rule": ["G", "G", "B"]}, [
+        (("policy", "left_prob"), "left_prob"), (("policy", "right_prob"), "right_prob"),
+        (("rule",), "rule"), (("setting", "pG"), "pG"), (("setting", "pB"), "pB"),
+        (("setting", "utility"), "utility"), (("setting", "utility", 0), "utility"),
+    ]),
+    ("static-demo", {"policy": STICKY, "demo": "first_impression", "start": 1,
+                     "sequence": [1, 2]}, [(("sequence",), "sequence")]),
+    ("static-demo", {"policy": STICKY, "demo": "polarization", "start_a": 1, "start_b": 2,
+                     "sequence": [1, 2]}, [(("sequence",), "sequence")]),
+    ("reader", {"problem": {"n": 4, "rho": 0.75, "c": 0.01}, "sequence": [1, 0, 1, 1],
+                "polarization": {"prior_b": 0.25, "sequence": [1, 0, 0, 0]}}, [
+        (("sequence",), "sequence"), (("polarization", "sequence"), "sequence"),
+    ]),
+    ("machine", {"primality": {"type_bound": 64, "machines": ["always_pass"]}}, [
+        (("primality", "machines"), "machines"),
+    ]),
+    ("machine", {"problem": PROBLEM}, [
+        *((("problem", key), key) for key in ("states", "types", "actions", "prior",
+                                               "machines", "utility")),
+        (("problem", "prior", 0), "prior"), (("problem", "utility", 0), "utility"),
+        (("problem", "machines", 0, "out"), "out"),
+        (("problem", "machines", 0, "out", 0), "out"),
+        (("problem", "machines", 0, "complexity"), "complexity"),
+        (("problem", "machines", 0, "complexity", 0), "complexity"),
+    ]),
+]
+LIST_FIELDS = {f"{command} {'.'.join(map(str, path))}": (command, doc, path, name)
+               for command, doc, fields in LIST_CONFIGS for path, name in fields}
+
+
+@pytest.mark.parametrize("command,doc,path,name", LIST_FIELDS.values(), ids=LIST_FIELDS)
+def test_list_rule_at_every_array_config_field(tmp_path, capsys, command, doc, path, name):
+    assert _run(tmp_path, capsys, command, doc)[0] == 0
+    # A scalar, a string (never read one character at a time) and an object.
+    for value in (5, "1", {}):
+        code, captured = _run(tmp_path, capsys, command, _with(doc, path, value))
+        assert code == 1, value
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert re.match(rf"error: .*\b{name}\b", captured.err), captured.err
+
+
+def test_list_rule():
+    assert check_list(iter([1, 2]), "x", 2, check_integer, "[1, 2]") == (1, 2)
+    assert check_list(frozenset({3}), "pos") == (3,)
+    assert check_list(np.array([0.5, 0.5]), "pG", 2, check_real) == (0.5, 0.5)
+    for value in (5, "ab", b"ab", {"a": 1}, None):
+        message = rf"^x must be a list, got {re.escape(repr(value))}$"
+        with pytest.raises(ValidationError, match=message):
+            check_list(value, "x")
+    with pytest.raises(ValidationError, match=r"^x must have 3 entries, got 2$"):
+        check_list([1, 2], "x", 3)
+    with pytest.raises(NonStochasticError, match=r"^x entry must be in \[0, 1\], got 2$"):
+        check_list([1, 2], "x", each=check_integer, interval="[0, 1]", error=NonStochasticError)
+
+
+def test_no_loop_checks_list_entries_by_hand():
+    """Entries of a list field are checked by check_list's ``each``: no loop over a
+    value (a loop over a literal tuple of fields is fine) has a body that is one
+    check_real or check_integer call."""
+    found = []
+    for path in sorted(Path(bounded_agents.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.For) or isinstance(node.iter, (ast.Tuple, ast.List)):
+                continue
+            body = node.body[0]
+            if (len(node.body) == 1 and isinstance(body, ast.Expr)
+                    and isinstance(body.value, ast.Call)
+                    and getattr(body.value.func, "id", None) in ("check_real", "check_integer")):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 @pytest.mark.parametrize("call,name", [
