@@ -136,10 +136,6 @@ class AFamilyParams:
         if pos & neg:
             raise ValidationError(f"pos and neg overlap: {sorted(pos & neg)}")
 
-    def ignored(self, k: int) -> frozenset[int]:
-        """The ignore set is derived, never stored."""
-        return frozenset(range(1, k + 1)) - self.pos - self.neg
-
 
 def _move_or_stay(actions: tuple[str, ...], target: np.ndarray, move: np.ndarray,
                   initial_state: int = 0) -> AutomatonPolicy:
@@ -207,17 +203,20 @@ def build_linear_sticky(
 
 
 def _parse_row(key, row) -> tuple[tuple[int, int | None], dict[int, float]]:
-    """(state, observation) of a "state:obs" kernel key, and its row as {next: p}."""
+    """(state, observation) of a "state:obs" kernel key, and its row as {next: p},
+    each p a number."""
     try:
         q, obs = key.split(":")
         state_obs = int(q), NO_SIGNAL if obs == "NoSignal" else int(obs)
     except (AttributeError, ValueError):
         raise ValidationError(f"kernel key {key!r} is not state:obs") from None
     try:
-        return state_obs, {int(nxt): float(p) for nxt, p in row.items()}
+        parsed = {int(nxt): p for nxt, p in row.items()}
+        check_list(parsed.values(), "kernel row", each=check_real)
     except (AttributeError, TypeError, ValueError):
         raise ValidationError(f"kernel row {key!r} is not an object of next state: "
                               f"probability, got {row!r}") from None
+    return state_obs, parsed
 
 
 def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:

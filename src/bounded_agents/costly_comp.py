@@ -60,9 +60,10 @@ class MachineSpec:
         object.__setattr__(self, "complexity", np.asarray(self.complexity))
 
 
-def _check_labels(states, types, actions) -> None:
+def _check_labels(states, types, actions, machines=()) -> None:
     """Raise ValidationError naming the first axis with a list, object or repeated label."""
-    for axis, labels in (("state", states), ("type", types), ("action", actions)):
+    for axis, labels in (("state", states), ("type", types), ("action", actions),
+                         ("machine", machines)):
         if unhashable := [label for label in labels if not isinstance(label, Hashable)]:
             raise ValidationError(f"{axis} label {unhashable[0]!r} must not be a list or object")
         if len(set(labels)) < len(labels):
@@ -82,7 +83,7 @@ class CompProblem:
     utility: UtilityFn
 
     def __post_init__(self):
-        _check_labels(self.states, self.types, self.actions)
+        _check_labels(self.states, self.types, self.actions, [m.name for m in self.machines])
         shape = (len(self.states) * len(self.types),)
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != shape:

@@ -5,7 +5,6 @@ specific class or the built-in.
 """
 
 from collections.abc import Iterable, Mapping
-from functools import lru_cache
 from numbers import Integral, Real
 
 import numpy as np
@@ -124,9 +123,14 @@ def check_distribution(probs, label) -> None:
 
 def check_real(value, name, interval=None, error=ValidationError) -> None:
     """Raise ``error``, naming ``name``, unless ``value`` is a number (a Real,
-    and not a bool) that lies in ``interval``, if one is given."""
+    and not a bool) that a float can hold and that lies in ``interval``, if
+    one is given."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise error(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise error(f"{name} is beyond the float range") from None
     _check_interval(value, name, interval, error)
 
 
@@ -148,7 +152,6 @@ def _check_interval(value, name, interval, error) -> None:
         raise error(f"{name} must be in {interval}, got {value}")
 
 
-@lru_cache(maxsize=256)
 def _bounds(interval: str) -> tuple[float, float, bool, bool]:
     lo, hi = interval[1:-1].split(",")
     return float(lo), float(hi), interval[0] == "(", interval[-1] == ")"

@@ -75,9 +75,6 @@ class JointChainModel:
         nature_major = np.argsort(_interleaved(self.dim))
         return _whole_rows(self.band, self.w)[np.ix_(nature_major, nature_major)][:, :, 0]
 
-    def index_of(self, nature: str, agent_state: int) -> int:
-        return NATURE_STATES.index(nature) * self.num_agent_states + agent_state
-
     def state_of(self, row: int) -> tuple[str, int]:
         return NATURE_STATES[row // self.num_agent_states], row % self.num_agent_states
 
@@ -411,12 +408,11 @@ def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.
     return eta * np.linalg.solve(resolvent.T, (d0 @ P))
 
 
-def chain_csv(chain: JointChainModel, dist: StationaryDist | None = None) -> str:
+def chain_csv(chain: JointChainModel, dist: StationaryDist) -> str:
     """CSV with one row per joint state: nature, q, reward, stationary mass."""
     buf = io.StringIO()
     buf.write("nature,agent_state,reward,stationary_mass\n")
     for row in range(chain.dim):
         nature, q = chain.state_of(row)
-        mass = "" if dist is None else f"{dist.mu[row]:.12g}"
-        buf.write(f"{nature},{q},{chain.reward[row]:.12g},{mass}\n")
+        buf.write(f"{nature},{q},{chain.reward[row]:.12g},{dist.mu[row]:.12g}\n")
     return buf.getvalue()

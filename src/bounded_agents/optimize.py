@@ -6,7 +6,8 @@ with local refinement, exhausting all signal partitions for small k, and
 tracing payoff along a schedule that shrinks the flip probability faster
 than 1/n while the ladder grows. A vectorized brute-force search over all
 tiny policies (at most 3 states, grid-valued rows) serves as an
-independent near-optimality oracle. Searches solve their chains in stacks.
+independent near-optimality oracle. Each search solves all its chains,
+every ladder's at once, in stacks that fill markov_exact.STACK_BYTES.
 
 No unimodality in p_exp is assumed anywhere: searches are coarse-grid plus
 refinement, never golden-section.
@@ -43,7 +44,8 @@ DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
 
 BRUTE_FORCE_CAP = 10**7
 
-# p_exp points per refinement round, spanning the best point's neighbours.
+# Refinement rounds of p_exp points, each spanning the best point's neighbours.
+REFINE_ROUNDS = 2
 REFINE_POINTS = 10
 
 
@@ -95,6 +97,57 @@ def _sides(setting: DynamicSetting, partition) -> tuple:
     return check_list(partition, "partition", 2)
 
 
+def _search(setting: DynamicSetting, n: int, ladders, grid) -> list[OptResult]:
+    """optimize_pexp's result for each (pos, neg, r_u, r_d) ladder of n + 1
+    states, in one pass: each round solves every ladder's fresh points in
+    shared stacks, and the first failing chain raises."""
+    grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
+                      each=check_real, interval="(0, 1]", error=BadProbabilityError)
+    if not grid:
+        raise ValidationError("p_exp grid must be nonempty")
+
+    params = [AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
+              for pos, neg, r_u, r_d in ladders]
+    built = [build_a_family(setting.k, p) for p in params]
+    # A ladder moves at most one rung, so every band is (n + 1, 3): (2, ladders, n + 1, 3).
+    agents = np.stack([agent_matrices(setting, ladder) for ladder in built], axis=1)
+    W = agents.shape[-1] // 2
+    reward = joint_reward(setting, built[0].actions)
+    step = stack_len(n + 1, W)
+    traces: list[dict[float, float]] = [{} for _ in params]
+
+    def evaluate(points):
+        fresh = [(i, p) for i, ps in enumerate(points) for p in dict.fromkeys(ps)
+                 if p not in traces[i]]
+        for lo in range(0, len(fresh), step):
+            chunk = fresh[lo:lo + step]
+            which, ps = (np.array(column) for column in zip(*chunk))
+            stack = agents[:, which]
+            # p_exp is only the Safe row [1 - p, p, 0, ...], the same in G and B:
+            # band columns W and W + 1 of row 0.
+            stack[:, :, 0, W], stack[:, :, 0, W + 1] = 1.0 - ps, ps
+            ev = evaluate_stack(*stack, setting.pi, reward)
+            if not ev.ok.all():
+                raise ev.error(int(np.argmin(ev.ok)))
+            for (i, p), value in zip(chunk, ev.payoff.tolist()):
+                traces[i][p] = value
+
+    def best(trace):
+        return max(trace.items(), key=lambda t: (t[1], -t[0]))
+
+    def neighbours(trace):
+        xs = sorted(trace)
+        i = xs.index(best(trace)[0])
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        return [float(p) for p in np.linspace(lo, hi, REFINE_POINTS)]
+
+    evaluate([grid] * len(params))
+    for _ in range(REFINE_ROUNDS):
+        evaluate([neighbours(trace) for trace in traces])
+    return [OptResult(*best(trace), grid_trace=tuple(trace.items()), partition=(p.pos, p.neg))
+            for p, trace in zip(params, traces)]
+
+
 def optimize_pexp(
     setting: DynamicSetting,
     n: int,
@@ -102,48 +155,10 @@ def optimize_pexp(
     r_u: float = 1.0,
     r_d: float = 1.0,
     grid: Sequence[float] | None = None,
-    refine_rounds: int = 2,
 ) -> OptResult:
     """Best exploration probability on a grid, with local linear refinement."""
     pos, neg = _sides(setting, partition)
-    grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
-                      each=check_real, interval="(0, 1]", error=BadProbabilityError)
-    if not grid:
-        raise ValidationError("p_exp grid must be nonempty")
-
-    base = AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
-    ladder = build_a_family(setting.k, base)
-    agent = np.array(agent_matrices(setting, ladder))
-    W = agent.shape[-1] // 2
-    reward = joint_reward(setting, ladder.actions)
-    step = stack_len(ladder.num_states, W)
-    trace: dict[float, float] = {}
-
-    def evaluate(points):
-        fresh = [p for p in dict.fromkeys(points) if p not in trace]
-        p_exp = np.array(fresh, dtype=float)
-        for lo in range(0, len(fresh), step):
-            ps = p_exp[lo:lo + step]
-            stack = np.repeat(agent[:, None], len(ps), axis=1)
-            # p_exp is only the Safe row [1 - p, p, 0, ...], the same in G and B:
-            # band columns W and W + 1 of row 0.
-            stack[:, :, 0, W], stack[:, :, 0, W + 1] = 1.0 - ps, ps
-            ev = evaluate_stack(*stack, setting.pi, reward)
-            if not ev.ok.all():
-                raise ev.error(int(np.argmin(ev.ok)))
-            trace.update(zip(fresh[lo:lo + step], ev.payoff.tolist()))
-
-    evaluate(grid)
-    for _ in range(refine_rounds):
-        best_p, _ = max(trace.items(), key=lambda t: (t[1], -t[0]))
-        xs = sorted(trace)
-        i = xs.index(best_p)
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        evaluate([float(p) for p in np.linspace(lo, hi, REFINE_POINTS)])
-
-    best_p, best_v = max(trace.items(), key=lambda t: (t[1], -t[0]))
-    return OptResult(best_pexp=best_p, best_payoff=best_v, grid_trace=tuple(trace.items()),
-                     partition=(base.pos, base.neg))
+    return _search(setting, n, [(pos, neg, r_u, r_d)], grid)[0]
 
 
 def legal_partitions(k: int):
@@ -162,19 +177,16 @@ def exhaustive_partition_search(
     r_d: float = 1.0,
     grid: Sequence[float] | None = None,
 ) -> OptResult:
-    """Best OptResult over every legal signal partition. Needs 2 <= k <= 6."""
+    """Best OptResult over every legal signal partition, the first on ties.
+    Needs 2 <= k <= 6."""
     if setting.k < 2:
         raise ValidationError(f"partition search needs k >= 2 signals, got k={setting.k}")
     if setting.k > 6:
         raise TooManySignalsError(
             f"partition search enumerates 3^k assignments; k={setting.k} > 6"
         )
-    best: OptResult | None = None
-    for pos, neg in legal_partitions(setting.k):
-        result = optimize_pexp(setting, n, (pos, neg), r_u=r_u, r_d=r_d, grid=grid)
-        if best is None or result.best_payoff > best.best_payoff:
-            best = result
-    return best
+    ladders = [(pos, neg, r_u, r_d) for pos, neg in legal_partitions(setting.k)]
+    return max(_search(setting, n, ladders, grid), key=lambda result: result.best_payoff)
 
 
 DEFAULT_RATE_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -203,16 +215,14 @@ def optimize_rates(
     rate_grid = check_list(rate_grid, "rate_grid", each=check_real, interval="(0, 1]")
     if not rate_grid:
         raise ValidationError("rate_grid must be nonempty")
-    best: RateSearchResult | None = None
+    pos, neg = _sides(setting, partition)
     descending = sorted(set(map(float, rate_grid)), reverse=True)
-    for r_u in descending:
-        for r_d in descending:
-            result = optimize_pexp(setting, n, partition, r_u=r_u, r_d=r_d, grid=grid)
-            if (
-                best is None
-                or result.best_payoff > best.result.best_payoff + 1e-15
-            ):
-                best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
+    rates = list(itertools.product(descending, repeat=2))
+    best: RateSearchResult | None = None
+    for (r_u, r_d), result in zip(rates, _search(setting, n, [(pos, neg, *r) for r in rates],
+                                                 grid)):
+        if best is None or result.best_payoff > best.result.best_payoff + 1e-15:
+            best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
     return best
 
 
@@ -359,57 +369,48 @@ def brute_force_policy_search(
     check_integer(num_states, "num_states", "[1, 3]")
     grid = sorted(set(map(float, check_list(prob_grid, "prob_grid", each=check_real,
                                             interval="[0, 1]"))))
-    m = num_states
-    k = setting.k
+    m, k = num_states, setting.k
     options = [_row_options(q, m, grid) for q in range(m)]
 
     # Per state: SAFE picks one row; RISKY picks one row per signal. A
-    # candidate is a mixed-radix index over these digits, signal-major
-    # within a risky state.
-    labelings = []
-    for acts in itertools.product((SAFE, RISKY), repeat=m):
-        digits = [(q, s) for q in range(m)
-                  for s in ((None,) if acts[q] == SAFE else range(k))]
-        labelings.append((acts, digits, [len(options[q]) for q, _ in digits]))
-    total = sum(math.prod(radixes) for _, _, radixes in labelings)
+    # candidate is a mixed-radix index over the states' table sizes.
+    labelings = {acts: [len(options[q]) ** (1 if a == SAFE else k) for q, a in enumerate(acts)]
+                 for acts in itertools.product((SAFE, RISKY), repeat=m)}
+    total = sum(map(math.prod, labelings.values()))
     if total == 0:
         raise ValidationError(f"prob_grid {grid} has no three weights that sum to 1")
     if total > BRUTE_FORCE_CAP:
-        raise GridTooLargeError(
-            f"{total} candidates exceed the cap of {BRUTE_FORCE_CAP}"
-        )
+        raise GridTooLargeError(f"{total} candidates exceed the cap of {BRUTE_FORCE_CAP}")
 
-    pG = np.asarray(setting.pG)
-    pB = np.asarray(setting.pB)
+    pG, pB = np.asarray(setting.pG), np.asarray(setting.pB)
     chunk = stack_len(m, m - 1)
     best_val, best = -np.inf, None
-    for acts, digits, radixes in labelings:
+    for acts, sizes in labelings.items():
         # A state's table has R_q or R_q**k rows, and the all-risky labeling,
         # always enumerated, has prod_q R_q**k <= BRUTE_FORCE_CAP candidates:
         # the cap bounds every table.
         tables = _state_tables(options, acts, pG, pB)
         reward = joint_reward(setting, acts)
-        n_cand = math.prod(radixes)
+        n_cand = math.prod(sizes)
         for lo in range(0, n_cand, chunk):
             a_good, a_bad = _candidate_bands(tables, np.arange(lo, min(lo + chunk, n_cand)))
             ev = evaluate_stack(a_good, a_bad, setting.pi, reward)
             vals = np.where(ev.ok, ev.payoff, -np.inf)
             local = int(np.argmax(vals))
             if vals[local] > best_val:
-                best_val, best = float(vals[local]), (acts, digits, radixes, lo + local)
+                best_val, best = float(vals[local]), (acts, lo + local)
 
     if best is None:
         raise ReducibleChainError(
             "every enumerated candidate was reducible or failed the stationary checks"
         )
 
-    # Decode the winning candidate: the digits of state q are its one Safe
-    # row, broadcast to every signal slot, or its k Risky rows.
-    acts, digits, radixes, index = best
-    choice = np.array(np.unravel_index(index, radixes))
-    owner = np.array([q for q, _ in digits])
+    # Decode the winner: its row of state q's table is one Safe row, broadcast
+    # to every signal slot, or k Risky rows in signal order.
+    acts, index = best
     prob = np.empty((m, k, m))
-    for q in range(m):
-        prob[q] = options[q][choice[owner == q]]
+    for q, row in enumerate(np.unravel_index(index, labelings[acts])):
+        digits = (len(options[q]),) * (1 if acts[q] == SAFE else k)
+        prob[q] = options[q][list(np.unravel_index(row, digits))]
     next_state = np.broadcast_to(np.arange(m), prob.shape)
     return AutomatonPolicy(m, 0, acts, next_state, prob), best_val

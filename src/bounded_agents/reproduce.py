@@ -33,7 +33,7 @@ from .costly_comp import (
     make_primality_instance,
 )
 from .dynamic_env import validate_setting
-from .markov_exact import build_joint_chain, stationary
+from .markov_exact import build_joint_chain, exact_average_payoff, stationary
 from .montecarlo import SimConfig, compare_exact_mc
 from .optimize import CurvePoint, ScheduleSpec, curve_csv, limit_schedule_curve, optimize_pexp
 from .static_model import (
@@ -100,9 +100,8 @@ def compute_paper_numbers() -> dict:
     robustness = {}
     for n in range(4, 10):
         own = searches[n].best_payoff
-        fixed = optimize_pexp(
-            setting, n, PARTITION, grid=(pexp_five,), refine_rounds=0
-        ).best_payoff
+        fixed = exact_average_payoff(setting, build_a_family(
+            4, AFamilyParams(n=n, p_exp=pexp_five, pos=PARTITION[0], neg=PARTITION[1])))
         robustness[str(n + 1)] = {"own_optimum": own, "fixed_pexp": fixed}
     numbers["robustness"] = robustness
 

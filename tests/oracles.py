@@ -13,12 +13,14 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage. Three
+and gathered afterwards, instead of assembled in band storage. Five
 oracles keep the package's earlier kernels, which its current ones must
 match bit for bit: brute-force candidates assembled digit by digit
 instead of gathered from per-state tables, residuals scattered by
-np.add.at instead of swept column by column, and whole-row storage
-scattered cell by cell instead of masked from a strided view.
+np.add.at instead of swept column by column, whole-row storage
+scattered cell by cell instead of masked from a strided view, and the
+partition and rate searches as loops of one-ladder p_exp searches instead
+of one search over all their ladders.
 """
 
 import math
@@ -27,6 +29,9 @@ from fractions import Fraction
 import numpy as np
 
 from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, policy_from_dict
+from bounded_agents.optimize import (
+    DEFAULT_RATE_GRID, RateSearchResult, legal_partitions, optimize_pexp,
+)
 
 
 def dict_policy(actions, kernel, k, initial_state=0):
@@ -299,6 +304,30 @@ def digit_candidate_bands(options, acts, pG, pB, index):
             a_good[band] += pG[s] * rows
             a_bad[band] += pB[s] * rows
     return a_good, a_bad
+
+
+def per_ladder_partition_search(setting, n, r_u=1.0, r_d=1.0, grid=None):
+    """exhaustive_partition_search as one optimize_pexp call per partition,
+    keeping the first best."""
+    best = None
+    for pos, neg in legal_partitions(setting.k):
+        result = optimize_pexp(setting, n, (pos, neg), r_u=r_u, r_d=r_d, grid=grid)
+        if best is None or result.best_payoff > best.best_payoff:
+            best = result
+    return best
+
+
+def per_ladder_rate_search(setting, n, partition=None, rate_grid=DEFAULT_RATE_GRID, grid=None):
+    """optimize_rates as one optimize_pexp call per (r_u, r_d) pair, rates
+    descending, keeping the first best by more than 1e-15."""
+    best = None
+    descending = sorted(set(map(float, rate_grid)), reverse=True)
+    for r_u in descending:
+        for r_d in descending:
+            result = optimize_pexp(setting, n, partition, r_u=r_u, r_d=r_d, grid=grid)
+            if best is None or result.best_payoff > best.result.best_payoff + 1e-15:
+                best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
+    return best
 
 
 def enumerated_joint_matrix(setting, policy):

@@ -113,10 +113,6 @@ class TestAFamily:
         with pytest.raises(ValidationError):
             AFamilyParams(n=2, p_exp=0.1, pos=frozenset(), neg=frozenset({1}))
 
-    def test_ignored_set_is_derived(self):
-        params = AFamilyParams(n=2, p_exp=0.1, pos=frozenset({1}), neg=frozenset({4}))
-        assert params.ignored(4) == frozenset({2, 3})
-
     @pytest.mark.parametrize("p_exp", [0.0, 1.5, -0.1])
     def test_bad_p_exp(self, p_exp):
         with pytest.raises(BadProbabilityError):

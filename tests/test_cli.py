@@ -581,6 +581,36 @@ def test_machines_entry_without_name_names_the_key(tmp_path, capsys):
     assert err == "error: machines entry 0 missing keys: ['name']\n"
 
 
+def one_state_policy(row):
+    """A one-state Risky policy for PAPER_SETTING whose row on signal 1 is ``row``."""
+    return {"type": "policy", "num_states": 1, "initial_state": 0, "actions": ["Risky"],
+            "kernel": {"0:1": row, "0:2": {"0": 1.0}, "0:3": {"0": 1.0}, "0:4": {"0": 1.0}}}
+
+
+# Values that ended in a traceback or were accepted, and the one error line each gives.
+REFUSED_VALUES = {
+    "xG past float range": ("eval-exact", {"setting": {**PAPER_SETTING, "xG": 10 ** 400},
+                                           "automaton": LADDER},
+                            "xG is beyond the float range"),
+    "machine name twice": ("machine", {"problem": {**INLINE_PROBLEM,
+                                                   "machines": INLINE_PROBLEM["machines"] * 2}},
+                           "machine label 'go' is declared 2 times"),
+    "kernel probability string": ("eval-exact", {"setting": PAPER_SETTING,
+                                                 "automaton": one_state_policy({"0": "1"})},
+                                  "kernel row '0:1' is not an object of next state: "
+                                  "probability, got {'0': '1'}"),
+    "kernel probability bool": ("eval-exact", {"setting": PAPER_SETTING,
+                                               "automaton": one_state_policy({"0": True})},
+                                "kernel row '0:1' is not an object of next state: "
+                                "probability, got {'0': True}"),
+}
+
+
+@pytest.mark.parametrize("command,doc,message", REFUSED_VALUES.values(), ids=REFUSED_VALUES)
+def test_refused_value_exits_one_and_names_its_field(tmp_path, capsys, command, doc, message):
+    assert one_error_line(tmp_path, capsys, command, doc) == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("command,doc", [
     ("optimize", {"setting": PAPER_SETTING, "n": 1, "partition": [[1]]}),
     ("optimize", {"setting": PAPER_SETTING, "n": 1, "partition": [[1], [4], [2]]}),

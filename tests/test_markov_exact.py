@@ -63,11 +63,11 @@ class TestBuildJointChain:
     def test_reward_layout(self, paper_setting, ladder_policy_5):
         chain = build_joint_chain(paper_setting, ladder_policy_5)
         m = ladder_policy_5.num_states
-        assert chain.reward[chain.index_of("G", 0)] == 0.0
-        assert chain.reward[chain.index_of("B", 0)] == 0.0
+        # Rows are nature-major: (G, q) is row q and (B, q) is row m + q.
+        assert chain.reward[0] == chain.reward[m] == 0.0
         for q in range(1, m):
-            assert chain.reward[chain.index_of("G", q)] == paper_setting.xG
-            assert chain.reward[chain.index_of("B", q)] == paper_setting.xB
+            assert chain.reward[q] == paper_setting.xG
+            assert chain.reward[m + q] == paper_setting.xB
 
     def test_trivial_setting_factors_as_kronecker(self, trivial_setting, ladder_policy_5):
         chain = build_joint_chain(trivial_setting, ladder_policy_5)
@@ -84,9 +84,9 @@ class TestBuildJointChain:
 
     def test_index_map_round_trips(self, paper_setting, ladder_policy_5):
         chain = build_joint_chain(paper_setting, ladder_policy_5)
-        for row in range(chain.dim):
-            nature, q = chain.state_of(row)
-            assert chain.index_of(nature, q) == row
+        m = ladder_policy_5.num_states
+        assert [chain.state_of(row) for row in range(chain.dim)] == [
+            (nature, q) for nature in ("G", "B") for q in range(m)]
 
     def test_hold_actions_rejected(self, paper_setting):
         policy = build_linear_sticky(3, [1, 1, 1], [1, 1, 1], 1, 4, k=4)

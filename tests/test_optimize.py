@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import tracemalloc
 
@@ -21,8 +22,13 @@ from bounded_agents.errors import (
     TrivialSettingError,
     ValidationError,
 )
-from bounded_agents.markov_exact import exact_average_payoff
-from oracles import dict_policy, exact_average_payoff_fraction
+from bounded_agents.markov_exact import evaluate_stack, exact_average_payoff
+from oracles import (
+    dict_policy,
+    exact_average_payoff_fraction,
+    per_ladder_partition_search,
+    per_ladder_rate_search,
+)
 from bounded_agents.optimize import (
     DEFAULT_PEXP_GRID,
     ScheduleSpec,
@@ -82,9 +88,13 @@ class TestOptimizePexp:
         assert result.best_payoff == pytest.approx(0.165836806888, abs=1e-6)
 
     def test_refinement_never_loses_to_coarse_grid(self, paper_setting):
-        coarse = optimize_pexp(paper_setting, n=4, grid=COARSE_GRID, refine_rounds=0)
         refined = optimize_pexp(paper_setting, n=4, grid=COARSE_GRID)
-        assert refined.best_payoff >= coarse.best_payoff
+        coarse = max(
+            exact_average_payoff(paper_setting, build_a_family(4, AFamilyParams(
+                n=4, p_exp=p, pos=frozenset({1}), neg=frozenset({4}))))
+            for p in COARSE_GRID
+        )
+        assert refined.best_payoff >= coarse
 
     def test_best_is_max_of_trace(self, paper_setting):
         result = optimize_pexp(paper_setting, n=2, grid=COARSE_GRID)
@@ -246,6 +256,76 @@ class TestRateSearch:
     def test_empty_rate_grid_is_named(self, paper_setting):
         with pytest.raises(ValidationError, match=r"^rate_grid must be nonempty$"):
             optimize.optimize_rates(paper_setting, n=1, rate_grid=())
+
+
+def policy_search_setting(seed):
+    """A four-signal setting drawn as the policy_search benchmark draws its
+    own: every signal at least 0.05 / 4.2 likely, pi in [1e-3, 1e-2]."""
+    rng = random.Random(seed)
+
+    def signals():
+        w = [0.05 + rng.random() for _ in range(4)]
+        head = [x / sum(w) for x in w[:-1]]
+        return head + [1.0 - sum(head)]
+
+    pG, pB = signals(), signals()
+    pi = 10.0 ** rng.uniform(-3.0, -2.0)
+    return validate_setting(4, pG, pB, rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0), pi)
+
+
+SEARCH_SETTINGS = {
+    "paper": lambda: validate_setting(4, (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4),
+                                      1.0, -1.0, 0.001),
+    "k2": lambda: validate_setting(2, (0.7, 0.3), (0.3, 0.7), 1.0, -1.0, 0.01),
+    "k3": lambda: validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.5, -1.0, 0.005),
+    **{f"draw{seed}": (lambda seed=seed: policy_search_setting(seed)) for seed in range(3)},
+}
+
+
+class TestStackedSearches:
+    """The partition and rate searches solve all their ladders in one search;
+    each must return what one optimize_pexp call per ladder returns."""
+
+    @pytest.mark.parametrize("name", SEARCH_SETTINGS)
+    def test_partition_search_matches_per_ladder_oracle(self, name):
+        s = SEARCH_SETTINGS[name]()
+        assert exhaustive_partition_search(s, 4) == per_ladder_partition_search(s, 4)
+
+    @pytest.mark.parametrize("name", SEARCH_SETTINGS)
+    def test_rate_search_matches_per_ladder_oracle(self, name):
+        s = SEARCH_SETTINGS[name]()
+        assert optimize.optimize_rates(s, 4) == per_ladder_rate_search(s, 4)
+
+    def test_chunks_that_cut_across_ladders(self, monkeypatch):
+        s = policy_search_setting(0)
+        whole = exhaustive_partition_search(s, 4), optimize.optimize_rates(s, 4)
+        # 7 divides neither a ladder's 40 grid points nor its refinements.
+        monkeypatch.setattr(optimize, "stack_len", lambda m, W: 7)
+        cut = exhaustive_partition_search(s, 4), optimize.optimize_rates(s, 4)
+        assert cut == whole
+        assert cut == (per_ladder_partition_search(s, 4), per_ladder_rate_search(s, 4))
+
+    def test_one_stack_per_round(self, paper_setting, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(len(args[0]))
+            return evaluate_stack(*args)
+
+        monkeypatch.setattr(optimize, "evaluate_stack", counting)
+        exhaustive_partition_search(paper_setting, 4)
+        # The grid, then two refinement rounds, each for all 50 partitions.
+        assert len(calls) == 3
+        assert calls[0] == 50 * len(DEFAULT_PEXP_GRID)
+
+    def test_failing_ladder_raises_the_per_ladder_error(self):
+        # Signal 1 never occurs, so a ladder that climbs only on it is reducible.
+        s = validate_setting(4, (0.0, 0.5, 0.3, 0.2), (0.0, 0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
+        with pytest.raises(ReducibleChainError) as stacked:
+            exhaustive_partition_search(s, 2, grid=COARSE_GRID)
+        with pytest.raises(ReducibleChainError) as oracle:
+            per_ladder_partition_search(s, 2, grid=COARSE_GRID)
+        assert str(stacked.value) == str(oracle.value)
 
 
 class TestLimitScheduleCurve:
