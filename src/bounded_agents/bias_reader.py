@@ -20,7 +20,6 @@ same evidence can exit at different boundary points.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -204,14 +203,3 @@ def disregard_index(table: ReaderDPTable) -> int:
         if all(table.should_stop(i, d) for d in range(-i, i + 1, 2)):
             return i
     raise AssertionError("unreachable: terminal row always stops")
-
-
-def dp_table_csv(table: ReaderDPTable) -> str:
-    buf = io.StringIO()
-    buf.write("i,d,W,stop\n")
-    for i in range(table.problem.n + 1):
-        for d in range(-i, i + 1):
-            buf.write(
-                f"{i},{d},{table.value(i, d):.12g},{int(table.should_stop(i, d))}\n"
-            )
-    return buf.getvalue()

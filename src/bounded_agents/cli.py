@@ -1,7 +1,8 @@
 """Command-line front end: JSON configs in, CSV/JSON results out.
 
-Every subcommand is deterministic given its config and seed; all floats
-are printed with 12 significant digits so outputs diff cleanly. Exit
+Every subcommand is deterministic given its config and seed. Every float
+in a result, JSON or CSV, is rounded to 12 significant digits so outputs
+diff cleanly; the simulate --sidecar echoes the config as given. Exit
 codes: 0 success, 1 invalid input or usage, 2 reproduction mismatch.
 
 Each config section holds exactly the keyword arguments of what it builds
@@ -28,7 +29,6 @@ from .automaton import (
 from .bias_reader import (
     ReaderProblem,
     disregard_index,
-    dp_table_csv,
     first_impression_reader,
     polarization_reader,
     simulate_reader,
@@ -52,24 +52,24 @@ from .errors import (
     check_object,
     check_real,
 )
-from .markov_exact import build_joint_chain, chain_csv, chain_payoff, stationary
-from .montecarlo import SimConfig, run_seed_sweep, sim_result_csv, simulate_run
+from .markov_exact import build_joint_chain, stationary
+from .montecarlo import SimConfig, run_seed_sweep, simulate_run
 from .optimize import (
     ScheduleSpec,
-    curve_csv,
     exhaustive_partition_search,
     optimize_pexp,
     optimize_rates,
     limit_schedule_curve,
-    trace_csv,
 )
-from .reproduce import fmt, run_reproduce
+from .reproduce import CURVE_HEADER, csv_text, json_text, round_floats, run_reproduce
 from .static_model import (
     DecisionRule,
     StaticSetting,
+    decision_distribution,
     first_impression_demo,
+    modal_decision,
     polarization_demo,
-    propagation_csv,
+    propagate_sequence,
     static_expected_utility,
     threshold_rule,
 )
@@ -128,7 +128,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
-    _write(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(path, json_text(round_floats(doc)))
 
 
 def cmd_eval_exact(args) -> int:
@@ -138,13 +138,12 @@ def cmd_eval_exact(args) -> int:
     policy = _policy_from_config(config["automaton"], "automaton", setting.k)
     chain = build_joint_chain(setting, policy)
     dist = stationary(chain)
-    payoff = chain_payoff(chain, dist)
-    _emit_json(
-        {"payoff": float(fmt(payoff)), "residual": float(fmt(dist.residual))},
-        args.out,
-    )
+    _emit_json({"payoff": dist.payoff, "residual": dist.residual}, args.out)
     if args.chain_csv:
-        _write(args.chain_csv, chain_csv(chain, dist))
+        rows = [(*chain.state_of(row), chain.reward[row], dist.mu[row])
+                for row in range(chain.dim)]
+        _write(args.chain_csv,
+               csv_text(("nature", "agent_state", "reward", "stationary_mass"), rows))
     return 0
 
 
@@ -159,15 +158,15 @@ def cmd_simulate(args) -> int:
     seeds = check_list(config.get("seeds", ()), "seeds")
     if seeds:
         results = run_seed_sweep(setting, policy, sim_config, seeds)
-        lines = ["seed,mean,std_error"]
-        for s, result in zip(seeds, results):
-            lines.append(f"{s},{fmt(result.mean)},{fmt(result.std_error)}")
-        _write(args.out, "\n".join(lines) + "\n")
+        _write(args.out, csv_text(("seed", "mean", "std_error"),
+                                  [(s, r.mean, r.std_error) for s, r in zip(seeds, results)]))
     else:
         result = simulate_run(setting, policy, sim_config)
-        _write(args.out, sim_result_csv(result))
+        _write(args.out, csv_text(("batch_index", "batch_mean"),
+                                  [*enumerate(result.batch_means), ("mean", result.mean),
+                                   ("std_error", result.std_error)]))
     if args.sidecar:
-        _emit_json({"config": config, "seed": seed}, args.sidecar)
+        _write(args.sidecar, json_text({"config": config, "seed": seed}))
     return 0
 
 
@@ -198,8 +197,8 @@ def cmd_optimize(args) -> int:
         result = optimize_pexp(setting, config["n"], **search)
     _emit_json(
         {
-            "best_pexp": float(fmt(result.best_pexp)),
-            "best_payoff": float(fmt(result.best_payoff)),
+            "best_pexp": result.best_pexp,
+            "best_payoff": result.best_payoff,
             "pos": sorted(result.partition[0]),
             "neg": sorted(result.partition[1]),
             **extra,
@@ -207,7 +206,7 @@ def cmd_optimize(args) -> int:
         args.out,
     )
     if args.trace_csv:
-        _write(args.trace_csv, trace_csv(result))
+        _write(args.trace_csv, csv_text(("p_exp", "payoff"), result.grid_trace))
     return 0
 
 
@@ -218,7 +217,8 @@ def cmd_limit_curve(args) -> int:
     setting = setting_from_dict(config["setting"])
     schedule = _section(ScheduleSpec, config["schedule"], "schedule")
     curve = limit_schedule_curve(setting, schedule, **_given(config, options))
-    _write(args.out, curve_csv(curve))
+    _write(args.out, csv_text(CURVE_HEADER, [(pt.n, pt.pi, pt.p_exp, pt.payoff)
+                                             for pt in curve]))
     return 0
 
 
@@ -248,8 +248,8 @@ def cmd_static_demo(args) -> int:
             "modal_a": result.modal_a,
             "modal_b": result.modal_b,
             "diverged": result.diverged,
-            "decision_dist_a": {k2: float(fmt(v)) for k2, v in result.decision_dist_a.items()},
-            "decision_dist_b": {k2: float(fmt(v)) for k2, v in result.decision_dist_b.items()},
+            "decision_dist_a": result.decision_dist_a,
+            "decision_dist_b": result.decision_dist_b,
         }
     elif demo == "first_impression":
         result = first_impression_demo(policy, config["start"], config["sequence"], rule)
@@ -260,11 +260,16 @@ def cmd_static_demo(args) -> int:
         }
     else:
         setting = _section(StaticSetting, config["setting"], "setting")
-        out = {"expected_utility": float(fmt(static_expected_utility(setting, policy, rule)))}
+        out = {"expected_utility": static_expected_utility(setting, policy, rule)}
     _emit_json(out, args.out)
     if args.propagation_csv and "sequence" in config:
+        # Each demo has checked the rule against the policy by now.
         start = config.get("start", config.get("start_a", policy.initial_state))
-        _write(args.propagation_csv, propagation_csv(policy, start, config["sequence"], rule))
+        dists = propagate_sequence(policy, start, config["sequence"])
+        header = ("step", *(f"state_{q}" for q in range(policy.num_states)), "modal_decision")
+        _write(args.propagation_csv, csv_text(header, [
+            (step, *dist, modal_decision(decision_distribution(dist, rule)))
+            for step, dist in enumerate(dists)]))
     return 0
 
 
@@ -274,7 +279,7 @@ def cmd_reader(args) -> int:
     problem = _section(ReaderProblem, config["problem"], "problem")
     table = solve_reader_dp(problem)
     out: dict = {
-        "value": float(fmt(table.value(0, 0))),
+        "value": table.value(0, 0),
         "disregard_index": disregard_index(table),
     }
     if "sequence" in config:
@@ -298,7 +303,9 @@ def cmd_reader(args) -> int:
         }
     _emit_json(out, args.out)
     if args.table_csv:
-        _write(args.table_csv, dp_table_csv(table))
+        rows = [(i, d, table.value(i, d), int(table.should_stop(i, d)))
+                for i in range(problem.n + 1) for d in range(-i, i + 1)]
+        _write(args.table_csv, csv_text(("i", "d", "W", "stop"), rows))
     return 0
 
 
@@ -315,15 +322,12 @@ def cmd_machine(args) -> int:
     else:
         raise ValidationError("config needs a 'primality' or 'problem' section")
     eus = [expected_utility(problem, i) for i in range(len(problem.machines))]
-    out["expected_utility"] = {
-        machine.name: float(fmt(eu)) for machine, eu in zip(problem.machines, eus)
-    }
-    idx, eu = best_of(eus)
+    out["expected_utility"] = {machine.name: eu for machine, eu in zip(problem.machines, eus)}
+    idx, out["best_eu"] = best_of(eus)
     out["best_machine"] = problem.machines[idx].name
-    out["best_eu"] = float(fmt(eu))
     if "conversation" in config:
         spec = _section(ConversationSpec, config["conversation"], "conversation")
-        out["conversation_value"] = float(fmt(conversation_value(spec)))
+        out["conversation_value"] = conversation_value(spec)
     _emit_json(out, args.out)
     return 0
 

@@ -268,6 +268,9 @@ def make_primality_instance(config: PrimalityConfig) -> CompProblem:
         if kind == "trial_division_full":
             out, probes = answer, probes_full
         elif kind == "trial_division_budget":
+            # A budget past the longest division gives the full machine; the
+            # clamp keeps a huge one inside int64.
+            budget = min(budget, int(probes_full.max()))
             done = probes_full <= budget
             out, probes = np.where(done, answer, _PASS), np.where(done, probes_full, budget)
         else:

@@ -25,7 +25,6 @@ functions are its B = 1 case, so a chain gets the same bits alone or in a stack.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -83,6 +82,7 @@ class JointChainModel:
 class StationaryDist:
     mu: np.ndarray
     residual: float
+    payoff: float
 
 
 @dataclass(frozen=True)
@@ -363,7 +363,8 @@ def stationary(chain: JointChainModel) -> StationaryDist:
     ev = _evaluate(chain.band, chain.w, chain.reward)
     if not ev.ok[0]:
         raise ev.error(0)
-    return StationaryDist(mu=ev.mu[0], residual=float(ev.residual[0]))
+    return StationaryDist(mu=ev.mu[0], residual=float(ev.residual[0]),
+                          payoff=float(ev.payoff[0]))
 
 
 def _payoffs(mu: np.ndarray, reward: np.ndarray) -> np.ndarray:
@@ -371,15 +372,9 @@ def _payoffs(mu: np.ndarray, reward: np.ndarray) -> np.ndarray:
     return (mu[:, None, :] @ reward[:, None])[:, 0, 0]
 
 
-def chain_payoff(chain: JointChainModel, dist: StationaryDist) -> float:
-    """Long-run expected per-round payoff of a solved chain."""
-    return float(_payoffs(dist.mu[None], chain.reward)[0])
-
-
 def exact_average_payoff(setting: DynamicSetting, policy: AutomatonPolicy) -> float:
     """Long-run expected per-round payoff of ``policy`` in ``setting``."""
-    chain = build_joint_chain(setting, policy)
-    return chain_payoff(chain, stationary(chain))
+    return stationary(build_joint_chain(setting, policy)).payoff
 
 
 def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
@@ -406,13 +401,3 @@ def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.
         )
     resolvent = np.eye(P.shape[0]) - (1.0 - eta) * P
     return eta * np.linalg.solve(resolvent.T, (d0 @ P))
-
-
-def chain_csv(chain: JointChainModel, dist: StationaryDist) -> str:
-    """CSV with one row per joint state: nature, q, reward, stationary mass."""
-    buf = io.StringIO()
-    buf.write("nature,agent_state,reward,stationary_mass\n")
-    for row in range(chain.dim):
-        nature, q = chain.state_of(row)
-        buf.write(f"{nature},{q},{chain.reward[row]:.12g},{dist.mu[row]:.12g}\n")
-    return buf.getvalue()

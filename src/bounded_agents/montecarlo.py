@@ -162,13 +162,3 @@ def run_seed_sweep(setting: DynamicSetting, policy: AutomatonPolicy, config: Sim
                    seeds: Sequence[int]) -> list[SimResult]:
     """One run per seed, in seed-list order."""
     return [simulate_run(setting, policy, replace(config, seed=seed)) for seed in seeds]
-
-
-def sim_result_csv(result: SimResult) -> str:
-    """Per-batch rows then labeled summary rows; fixed column order."""
-    lines = ["batch_index,batch_mean"]
-    for i, bm in enumerate(result.batch_means):
-        lines.append(f"{i},{bm:.12g}")
-    lines.append(f"mean,{result.mean:.12g}")
-    lines.append(f"std_error,{result.std_error:.12g}")
-    return "\n".join(lines) + "\n"

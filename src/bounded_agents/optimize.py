@@ -103,6 +103,7 @@ def _search(setting: DynamicSetting, n: int, ladders, grid) -> list[OptResult]:
     shared stacks, and the first failing chain raises."""
     grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
                       each=check_real, interval="(0, 1]", error=BadProbabilityError)
+    grid = list(map(float, grid))
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
 
@@ -289,20 +290,6 @@ def limit_schedule_curve(
                        payoff=exact_average_payoff(setting, policy))
         )
     return curve
-
-
-def curve_csv(curve: Sequence[CurvePoint]) -> str:
-    lines = ["n,pi,p_exp,payoff"]
-    for pt in curve:
-        lines.append(f"{pt.n},{pt.pi:.12g},{pt.p_exp:.12g},{pt.payoff:.12g}")
-    return "\n".join(lines) + "\n"
-
-
-def trace_csv(result: OptResult) -> str:
-    lines = ["p_exp,payoff"]
-    for p, v in result.grid_trace:
-        lines.append(f"{p:.12g},{v:.12g}")
-    return "\n".join(lines) + "\n"
 
 
 def _row_options(q: int, m: int, grid: Sequence[float]) -> np.ndarray:

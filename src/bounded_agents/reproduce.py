@@ -2,9 +2,12 @@
 
 Each check recomputes a quantity from scratch, compares it with the value
 stored in goldens/paper_numbers.json, and verifies the headline claims
-(payoff thresholds, bound, curve shape, demo flags). Output files are
-written with fixed 12-significant-digit formatting and sorted JSON keys,
-so two runs of the same build produce byte-identical files.
+(payoff thresholds, bound, curve shape, demo flags).
+
+This module also holds the one text format of every output file, here and
+in the CLI: floats with 12 significant digits (fmt, round_floats), CSV
+through csv_text and JSON through json_text, so two runs of the same build
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .costly_comp import (
 from .dynamic_env import validate_setting
 from .markov_exact import build_joint_chain, exact_average_payoff, stationary
 from .montecarlo import SimConfig, compare_exact_mc
-from .optimize import CurvePoint, ScheduleSpec, curve_csv, limit_schedule_curve, optimize_pexp
+from .optimize import ScheduleSpec, limit_schedule_curve, optimize_pexp
 from .static_model import (
     StaticSetting,
     first_impression_demo,
@@ -53,10 +56,34 @@ PAPER_SETTING = dict(
 PARTITION = (frozenset({1}), frozenset({4}))
 SCHEDULE = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(5, 10, 20, 40, 80))
 MC_SEEDS = (1, 2, 3)
+CURVE_HEADER = ("n", "pi", "p_exp", "payoff")
 
 
 def fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def round_floats(obj):
+    """Stable 12-significant-digit view of a JSON document's floats."""
+    if isinstance(obj, dict):
+        return {k: round_floats(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [round_floats(v) for v in obj]
+    if isinstance(obj, float):
+        return float(fmt(obj))
+    return obj
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(header, rows) -> str:
+    """Comma-separated lines: float cells through fmt, every other cell through str."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(x) if isinstance(x, float) else str(x) for x in row)
+                 for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def load_goldens() -> dict:
@@ -294,28 +321,12 @@ def run_claim_checks(numbers: dict) -> list[tuple[str, bool, str]]:
 def write_outputs(out_dir: Path, numbers: dict, demo_results: dict) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     payoffs = numbers["limit_schedule_curve"]
-    curve = [CurvePoint(n, SCHEDULE.pi_of_n(n), SCHEDULE.pexp_of_n(n), payoffs[str(n)])
-             for n in SCHEDULE.n_list]
-    (out_dir / "limit_schedule_curve.csv").write_text(curve_csv(curve), encoding="utf-8")
-
-    report = {
-        "numbers": _round_floats(numbers),
-        "demos": demo_results,
-    }
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-
-
-def _round_floats(obj):
-    """Stable 12-significant-digit view for diffable output files."""
-    if isinstance(obj, dict):
-        return {k: _round_floats(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_round_floats(v) for v in obj]
-    if isinstance(obj, float):
-        return float(fmt(obj))
-    return obj
+    rows = [(n, SCHEDULE.pi_of_n(n), SCHEDULE.pexp_of_n(n), payoffs[str(n)])
+            for n in SCHEDULE.n_list]
+    (out_dir / "limit_schedule_curve.csv").write_text(csv_text(CURVE_HEADER, rows),
+                                                      encoding="utf-8")
+    report = {"numbers": round_floats(numbers), "demos": demo_results}
+    (out_dir / "report.json").write_text(json_text(report), encoding="utf-8")
 
 
 def run_reproduce(out_dir: Path) -> int:

@@ -10,7 +10,6 @@ sampling, so their outputs are deterministic.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -200,17 +199,3 @@ def first_impression_demo(
         decision_reversed=d_rev,
         order_sensitive=d_fwd != d_rev,
     )
-
-
-def propagation_csv(
-    policy: AutomatonPolicy, start: int, sequence: Sequence[int], rule: DecisionRule
-) -> str:
-    """One row per step: step, state masses, modal decision."""
-    check_list(rule.decide, "rule", policy.num_states)
-    cols = ",".join(f"state_{q}" for q in range(policy.num_states))
-    buf = io.StringIO()
-    buf.write(f"step,{cols},modal_decision\n")
-    for step, dist in enumerate(propagate_sequence(policy, start, sequence)):
-        masses = ",".join(f"{x:.12g}" for x in dist)
-        buf.write(f"{step},{masses},{modal_decision(decision_distribution(dist, rule))}\n")
-    return buf.getvalue()

@@ -25,7 +25,6 @@ from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
     agent_step_matrix,
     build_joint_chain,
-    chain_payoff,
     dense_matrix,
     joint_band,
     reach_gaps,
@@ -54,7 +53,7 @@ def assert_matches_dense_route(setting, policy):
     assert np.array_equal(chain.band, band)
     dist = stationary(chain)
     assert np.array_equal(dist.mu, mu)
-    assert chain_payoff(chain, dist) == payoff
+    assert dist.payoff == payoff
     # Each sum behind the residual adds at most 2w + 1 products whose total
     # is about mu_j <= max(mu), then takes mu_j off: at most 2w + 3
     # roundings of 2**-53 * max(mu) each.
@@ -120,7 +119,7 @@ def test_brute_force_winners(m):
     policy, value = brute_force_policy_search(setting, m, prob_grid=(0.0, 0.5, 1.0))
     chain = assert_matches_dense_route(setting, policy)
     assert chain.band.shape == (2 * m, 2 * m, 1)
-    assert value == chain_payoff(chain, stationary(chain))
+    assert value == stationary(chain).payoff
 
 
 def test_chain_of_66_states_stored_whole(paper_setting):
@@ -145,7 +144,7 @@ def test_chain_whose_mass_underflows_takes_the_structural_pass(monkeypatch):
     assert searched == [3]
     assert (dist.mu == 0.0).any()
     # Frozen: the payoff's bits do not depend on how irreducibility is checked.
-    assert chain_payoff(chain, dist) == 0.001240662004217527
+    assert dist.payoff == 0.001240662004217527
 
 
 def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
@@ -160,7 +159,7 @@ def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
     monkeypatch.setattr(markov_exact, "reach_gaps", refuse)
     dist = stationary(chain)
     assert (dist.mu == 0.0).any()
-    assert chain_payoff(chain, dist) == -8.326672684688674e-17
+    assert dist.payoff == -8.326672684688674e-17
 
 
 def random_stochastic(rng, shape):

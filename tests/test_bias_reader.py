@@ -7,7 +7,6 @@ from oracles import reader_full_information_value, reader_policy_value_by_paths
 from bounded_agents.bias_reader import (
     ReaderProblem,
     disregard_index,
-    dp_table_csv,
     first_impression_reader,
     polarization_reader,
     posterior,
@@ -231,11 +230,3 @@ class TestPolarization:
         plus_two = [1, 1, 1, 1, 1, 0, 0, 0]
         _, _, diverged = polarization_reader(low, high, plus_two)
         assert not diverged
-
-
-def test_csv_covers_full_grid():
-    problem = ReaderProblem(n=4, rho=0.75, c=0.01)
-    table = solve_reader_dp(problem)
-    lines = dp_table_csv(table).strip().splitlines()
-    assert lines[0] == "i,d,W,stop"
-    assert len(lines) == 1 + sum(2 * i + 1 for i in range(5))

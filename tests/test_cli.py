@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -43,6 +44,17 @@ class TestEvalExact:
             "--out", str(out_path), "--chain-csv", str(csv_path),
         ]) == 0
         assert csv_path.read_text().startswith("nature,agent_state,reward,stationary_mass")
+
+    def test_chain_csv_layout(self, tmp_path):
+        config = write_config(tmp_path, {"setting": PAPER_SETTING, "automaton": LADDER})
+        csv_path = tmp_path / "chain.csv"
+        assert run_cli(["eval-exact", "--config", config, "--out", str(tmp_path / "out.json"),
+                        "--chain-csv", str(csv_path)]) == 0
+        lines = csv_path.read_text().strip().splitlines()
+        assert lines[0] == "nature,agent_state,reward,stationary_mass"
+        assert len(lines) == 1 + 2 * 5  # a G and a B row per ladder state
+        assert lines[1].startswith("G,0,0,")
+        assert lines[6].startswith("B,0,0,")
 
     def test_reducible_chain_exits_one_and_names_states(self, tmp_path, capsys):
         policy = {
@@ -96,7 +108,9 @@ class TestSimulate:
         assert out_a.read_bytes() == out_b.read_bytes()
 
     def test_sidecar_echoes_seed(self, tmp_path):
-        config = self.config(tmp_path)
+        # The config is echoed as given: its floats are not rounded.
+        automaton = {**LADDER, "p_exp": 0.027366800000000002}
+        config = self.config(tmp_path, {"automaton": automaton})
         sidecar = tmp_path / "meta.json"
         assert run_cli([
             "simulate", "--config", config, "--seed", "11",
@@ -104,6 +118,17 @@ class TestSimulate:
         ]) == 0
         assert json.loads(sidecar.read_text()).keys() == {"config", "seed"}
         assert json.loads(sidecar.read_text())["seed"] == 11
+        assert json.loads(sidecar.read_text())["config"]["automaton"] == automaton
+
+    def test_csv_layout(self, tmp_path):
+        config = self.config(tmp_path, {"rounds": 5_000, "seed": 1, "batches": 4})
+        out = tmp_path / "run.csv"
+        assert run_cli(["simulate", "--config", config, "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "batch_index,batch_mean"
+        assert len(lines) == 1 + 4 + 2
+        assert lines[-2].startswith("mean,")
+        assert lines[-1].startswith("std_error,")
 
     def test_seed_sweep_csv(self, tmp_path):
         config = self.config(tmp_path, {"seeds": [5, 6, 7]})
@@ -170,6 +195,17 @@ class TestLimitCurve:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "n,pi,p_exp,payoff"
         assert lines[1].startswith("5,0.04,0.2,")
+
+    def test_csv_columns(self, tmp_path):
+        config = write_config(tmp_path, {
+            "setting": PAPER_SETTING, "partition": [[1], [4]],
+            "schedule": {**SCHEDULE, "n_list": [5, 10, 20, 40, 80]},
+        })
+        out = tmp_path / "curve.csv"
+        assert run_cli(["limit-curve", "--config", config, "--out", str(out)]) == 0
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "n,pi,p_exp,payoff"
+        assert len(lines) == 6
 
     def test_bad_schedule_exits_one(self, tmp_path, capsys):
         config = write_config(tmp_path, {
@@ -285,6 +321,18 @@ class TestStaticDemo:
         assert json.loads(capsys.readouterr().out)["forward"] == "G"
         assert prop.read_text().splitlines()[-1] == "2,0.75,0.25,0,G"
 
+    def test_propagation_csv_layout(self, tmp_path):
+        config = write_config(tmp_path, {
+            "policy": self.STICKY, "demo": "first_impression", "start": 2, "sequence": [1, 4],
+        })
+        prop = tmp_path / "prop.csv"
+        assert run_cli(["static-demo", "--config", config, "--out", str(tmp_path / "out.json"),
+                        "--propagation-csv", str(prop)]) == 0
+        lines = prop.read_text().strip().splitlines()
+        assert lines[0] == "step,state_0,state_1,state_2,state_3,state_4,modal_decision"
+        assert len(lines) == 4  # start row plus two steps
+        assert lines[1].startswith("0,0,0,1,0,0,")
+
 
 class TestReader:
     def test_solve_and_demos(self, tmp_path, capsys):
@@ -301,6 +349,15 @@ class TestReader:
         assert 0 <= out["disregard_index"] <= 7
         assert table.read_text().startswith("i,d,W,stop")
 
+    def test_csv_covers_full_grid(self, tmp_path):
+        config = write_config(tmp_path, {"problem": {"n": 4, "rho": 0.75, "c": 0.01}})
+        table = tmp_path / "table.csv"
+        assert run_cli(["reader", "--config", config, "--out", str(tmp_path / "out.json"),
+                        "--table-csv", str(table)]) == 0
+        lines = table.read_text().strip().splitlines()
+        assert lines[0] == "i,d,W,stop"
+        assert len(lines) == 1 + sum(2 * i + 1 for i in range(5))
+
 
 class TestMachine:
     def test_primality_and_conversation(self, tmp_path, capsys):
@@ -312,6 +369,14 @@ class TestMachine:
         out = json.loads(capsys.readouterr().out)
         assert out["best_machine"] == "trial_division_full"
         assert out["conversation_value"] == 99.0
+
+    def test_budget_past_int64_gives_the_full_machine(self, tmp_path, capsys):
+        huge = "trial_division_budget:1" + "0" * 30
+        config = write_config(tmp_path, {
+            "primality": {"type_bound": 4096, "machines": ["trial_division_full", huge]}})
+        assert run_cli(["machine", "--config", config]) == 0
+        eus = json.loads(capsys.readouterr().out)["expected_utility"]
+        assert eus[huge] == eus["trial_division_full"]
 
     @pytest.mark.parametrize("spec", [5, ["always_pass"], "trial_division_budget:x",
                                       "trial_division_budget:1.5", "trial_division_budget:-1"])
@@ -579,6 +644,72 @@ def test_machines_entry_without_name_names_the_key(tmp_path, capsys):
                                                "complexity": [["s", "t", 0]]}]}
     err = one_error_line(tmp_path, capsys, "machine", {"problem": problem})
     assert err == "error: machines entry 0 missing keys: ['name']\n"
+
+
+# Every subcommand, optimize mode and static demo, with every CSV flag it takes.
+# rate_grid has 17 significant digits and grid [1] is an int: the JSON must
+# still print them rounded, as floats.
+EVERY_OUTPUT = {
+    "eval-exact": ("eval-exact", {"setting": PAPER_SETTING, "automaton": LADDER},
+                   ["--chain-csv"]),
+    "simulate": ("simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 20000}, []),
+    "simulate seeds": ("simulate", {"setting": PAPER_SETTING, "automaton": LADDER,
+                                    "rounds": 20000, "seeds": [5, 6]}, []),
+    "optimize pexp": ("optimize", {"setting": PAPER_SETTING, "n": 1, "grid": [1]},
+                      ["--trace-csv"]),
+    "optimize partition": ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "partition",
+                                        "grid": [0.1, 0.3]}, ["--trace-csv"]),
+    "optimize rates": ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "rates",
+                                    "rate_grid": [0.30000000000000004, 0.7000000000000001],
+                                    "grid": [0.1, 0.2]}, ["--trace-csv"]),
+    "limit-curve": ("limit-curve", {"setting": PAPER_SETTING, "schedule": SCHEDULE}, []),
+    "static polarization": ("static-demo", {"policy": STICKY, "demo": "polarization",
+                                            "start_a": 1, "start_b": 2,
+                                            "sequence": [1, 4, 4, 4, 4]}, ["--propagation-csv"]),
+    "static first_impression": ("static-demo", {"policy": STICKY, "demo": "first_impression",
+                                                "start": 1, "sequence": [1, 4, 4]},
+                                ["--propagation-csv"]),
+    "static expected_utility": ("static-demo", {"policy": STICKY, "demo": "expected_utility",
+                                                "setting": STATIC_SETTING, "start": 1,
+                                                "sequence": [1, 4]}, ["--propagation-csv"]),
+    "reader": ("reader", {"problem": {"n": 7, "rho": 0.9, "c": 0.02},
+                          "sequence": [1, 1, 1, 0, 0, 0, 0],
+                          "polarization": {"prior_b": 0.55, "sequence": [1, 1, 0, 0, 0, 0, 0]}},
+               ["--table-csv"]),
+    "machine": ("machine", {"primality": {"type_bound": 4096},
+                            "conversation": {"domain_size": 3, "questions": 1, "payoff": 1.0}},
+                []),
+}
+
+
+def significant_digits(number: str) -> int:
+    mantissa = re.split("[eE]", number.lstrip("-"))[0]
+    return len(mantissa.replace(".", "").strip("0"))
+
+
+@pytest.mark.parametrize("command,doc,flags", EVERY_OUTPUT.values(), ids=EVERY_OUTPUT)
+def test_every_output_float_has_at_most_12_significant_digits(tmp_path, capsys, command, doc,
+                                                              flags):
+    csv_files = [tmp_path / f"{flag[2:]}.csv" for flag in flags]
+    argv = [command, "--config", write_config(tmp_path, doc)]
+    for flag, path in zip(flags, csv_files):
+        argv += [flag, str(path)]
+    assert run_cli(argv) == 0
+    out = capsys.readouterr().out
+    csv_texts = [path.read_text() for path in csv_files]
+    if command in ("simulate", "limit-curve"):
+        csv_texts.append(out)
+    else:
+        floats = []
+        result = json.loads(out, parse_float=lambda text: floats.append(text) or float(text))
+        assert [x for x in floats if significant_digits(x) > 12] == []
+        if command == "optimize":
+            assert isinstance(result["best_pexp"], float)
+    for text in csv_texts:
+        cells = [cell for line in text.splitlines()[1:] for cell in line.split(",")]
+        floats = [cell for cell in cells if re.fullmatch(r"-?[\d.]+(e[-+]\d+)?", cell)
+                  and not cell.isdigit()]
+        assert floats and [x for x in floats if significant_digits(x) > 12] == []
 
 
 def one_state_policy(row):

@@ -35,7 +35,6 @@ from bounded_agents.markov_exact import (
     _solve,
     agent_step_matrix,
     build_joint_chain,
-    chain_csv,
     check_irreducible,
     dense_matrix,
     evaluate_stack,
@@ -459,14 +458,3 @@ class TestStoppedStateDistribution:
     def test_bad_eta(self, eta):
         with pytest.raises(BadEtaError):
             stopped_state_distribution(np.eye(2), np.array([1.0, 0.0]), eta)
-
-
-def test_chain_csv_layout(paper_setting, ladder_policy_5):
-    chain = build_joint_chain(paper_setting, ladder_policy_5)
-    dist = stationary(chain)
-    text = chain_csv(chain, dist)
-    lines = text.strip().splitlines()
-    assert lines[0] == "nature,agent_state,reward,stationary_mass"
-    assert len(lines) == 1 + chain.dim
-    assert lines[1].startswith("G,0,0,")
-    assert lines[6].startswith("B,0,0,")

@@ -11,7 +11,6 @@ from bounded_agents.montecarlo import (
     SimConfig,
     compare_exact_mc,
     run_seed_sweep,
-    sim_result_csv,
     simulate_run,
     uniform_stream,
 )
@@ -240,16 +239,6 @@ class TestSeedSweep:
         config = SimConfig(rounds=100, seed=0)
         with pytest.raises(ValidationError, match="seed must be an integer"):
             run_seed_sweep(paper_setting, ladder_policy_5, config, [1, seed])
-
-
-def test_csv_layout(paper_setting, ladder_policy_5):
-    result = simulate_run(paper_setting, ladder_policy_5,
-                          SimConfig(rounds=5_000, seed=1, batches=4))
-    lines = sim_result_csv(result).strip().splitlines()
-    assert lines[0] == "batch_index,batch_mean"
-    assert len(lines) == 1 + 4 + 2
-    assert lines[-2].startswith("mean,")
-    assert lines[-1].startswith("std_error,")
 
 
 def test_initial_nature_state_is_uniform(paper_setting):

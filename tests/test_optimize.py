@@ -33,7 +33,6 @@ from bounded_agents.optimize import (
     DEFAULT_PEXP_GRID,
     ScheduleSpec,
     brute_force_policy_search,
-    curve_csv,
     default_partition,
     exhaustive_partition_search,
     legal_partitions,
@@ -406,14 +405,6 @@ class TestLimitScheduleCurve:
         # A point is an a-family ladder length, so it is never rounded to one.
         with pytest.raises(ValidationError, match=f"^{re.escape(f'n_list entry must be {bad}')}$"):
             ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=n_list)
-
-    def test_csv_columns(self, paper_setting):
-        curve = limit_schedule_curve(
-            paper_setting, self.schedule(), (frozenset({1}), frozenset({4}))
-        )
-        lines = curve_csv(curve).strip().splitlines()
-        assert lines[0] == "n,pi,p_exp,payoff"
-        assert len(lines) == 6
 
 
 class TestBruteForce:

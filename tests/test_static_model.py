@@ -22,7 +22,6 @@ from bounded_agents.static_model import (
     modal_decision,
     polarization_demo,
     propagate_sequence,
-    propagation_csv,
     static_expected_utility,
     threshold_rule,
 )
@@ -268,11 +267,3 @@ def test_decision_distribution_masses():
     masses = decision_distribution(np.array([0.2, 0.3, 0.1, 0.25, 0.15]), threshold_rule(5))
     assert masses["G"] == pytest.approx(0.6)
     assert masses["B"] == pytest.approx(0.4)
-
-
-def test_propagation_csv_layout():
-    text = propagation_csv(sticky_policy(), 2, [1, 4], threshold_rule(5))
-    lines = text.strip().splitlines()
-    assert lines[0] == "step,state_0,state_1,state_2,state_3,state_4,modal_decision"
-    assert len(lines) == 4  # start row plus two steps
-    assert lines[1].startswith("0,0,0,1,0,0,")

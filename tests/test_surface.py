@@ -1,4 +1,5 @@
-"""No name in the package lives only for its own tests.
+"""No name in the package lives only for its own tests, and the output
+format lives in one module.
 
 Every function, class, method or property defined under ``src/`` is read
 somewhere in ``src/`` outside its own definition, read by the benchmark in
@@ -60,3 +61,12 @@ def unused_definitions() -> list[str]:
 
 def test_every_definition_is_used_outside_its_tests():
     assert unused_definitions() == []
+
+
+def test_only_reproduce_writes_the_text_format():
+    """12-digit floats, CSV and JSON text are made by reproduce's helpers alone."""
+    found = [f"{path.name}: {marker}" for path in sorted(SRC.glob("*.py"))
+             if path.name != "reproduce.py"
+             for marker in (".12g", "io.StringIO", "json.dumps")
+             if marker in path.read_text(encoding="utf-8")]
+    assert found == []

@@ -53,7 +53,6 @@ from bounded_agents.static_model import (
     StaticSetting,
     first_impression_demo,
     polarization_demo,
-    propagation_csv,
     static_expected_utility,
 )
 from oracles import dict_policy, policy_to_dict
@@ -254,8 +253,7 @@ def test_rule_length_rule_at_each_static_entry_point():
         rule = DecisionRule(decide=("G",) * labels)
         for call in (lambda: static_expected_utility(setting, policy, rule),
                      lambda: polarization_demo(policy, 0, 1, [1], rule),
-                     lambda: first_impression_demo(policy, 0, [1, 2], rule),
-                     lambda: propagation_csv(policy, 0, [1], rule)):
+                     lambda: first_impression_demo(policy, 0, [1, 2], rule)):
             with pytest.raises(ValidationError,
                                match=rf"^rule must have 3 entries, got {labels}$"):
                 call()
