@@ -238,6 +238,8 @@ def cmd_static_demo(args) -> int:
     # "start" and "sequence" also feed --propagation-csv, under any demo.
     check_keys(config, "config", ("policy", "demo", *_DEMO_KEYS.get(demo, ())),
                ("k", "rule", "start", "sequence"))
+    if args.propagation_csv and "sequence" not in config:
+        raise ValidationError('--propagation-csv needs a "sequence" in the config')
     policy = _policy_from_config(config["policy"], "policy", config.get("k"), "linear_sticky")
     rule = DecisionRule(config["rule"]) if "rule" in config else threshold_rule(policy.num_states)
     if demo == "polarization":
@@ -262,7 +264,7 @@ def cmd_static_demo(args) -> int:
         setting = _section(StaticSetting, config["setting"], "setting")
         out = {"expected_utility": static_expected_utility(setting, policy, rule)}
     _emit_json(out, args.out)
-    if args.propagation_csv and "sequence" in config:
+    if args.propagation_csv:
         # Each demo has checked the rule against the policy by now.
         start = config.get("start", config.get("start_a", policy.initial_state))
         dists = propagate_sequence(policy, start, config["sequence"])

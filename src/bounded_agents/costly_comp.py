@@ -64,9 +64,17 @@ def _check_labels(states, types, actions, machines=()) -> None:
     """Raise ValidationError naming the first axis with a list, object or repeated label."""
     for axis, labels in (("state", states), ("type", types), ("action", actions),
                          ("machine", machines)):
-        if unhashable := [label for label in labels if not isinstance(label, Hashable)]:
-            raise ValidationError(f"{axis} label {unhashable[0]!r} must not be a list or object")
-        if len(set(labels)) < len(labels):
+        try:
+            unique = set(labels)
+        except TypeError:
+            for label in labels:
+                try:
+                    hash(label)
+                except TypeError:
+                    raise ValidationError(
+                        f"{axis} label {label!r} must not be a list or object") from None
+            raise
+        if len(unique) < len(labels):
             label, count = Counter(labels).most_common(1)[0]
             raise ValidationError(f"{axis} label {label!r} is declared {count} times")
 

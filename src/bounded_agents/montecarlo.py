@@ -12,9 +12,15 @@ sampled by inverse CDF in index order; the sampling path contains no
 transcendental calls.
 
 Nature, signals and payoffs do not depend on the agent, so they are arrays;
-only the agent is walked round by round. The rounds run as a burn-in segment
-and one segment per batch (later rounds are not simulated), each drawn in
-slabs of SLAB rounds, so memory is one batch's payoffs plus one slab.
+only the agent is walked round by round. Each round's signal slot s and
+kernel uniform become one event s * E + v, v being the uniform's rank among
+the E - 1 distinct kernel cumulative sums below 1, so a step is one lookup in
+a next-state table of m * k * E entries. A ladder's rows have at most three
+such sums (1 - p_exp, 1 - r_u and r_d), so E <= 4; a dense policy with
+distinct probabilities everywhere makes E, and the table, grow with m * k * r.
+The rounds run as a burn-in segment and one segment per batch (later rounds
+are not simulated), each drawn in slabs of SLAB rounds, so memory is the
+table, one batch's payoffs and one slab.
 
 Per-round payoffs are autocorrelated when pi is small, so the standard
 error uses batch means rather than an i.i.d. formula.
@@ -41,13 +47,18 @@ SLAB = 1 << 16  # rounds drawn per uniform_stream call
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
     """splitmix64 uniforms in [0, 1) at counter positions start..start+count-1."""
-    idx = np.arange(start, start + count, dtype=np.uint64)
+    z = np.arange(start, start + count, dtype=np.uint64)
+    shifted = np.empty_like(z)  # scratch for the xor-shifts, then the result
     with np.errstate(over="ignore"):
-        z = np.uint64(seed & 0xFFFFFFFFFFFFFFFF) + idx * _GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        z *= _GOLDEN
+        z += np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
+        z ^= np.right_shift(z, np.uint64(30), out=shifted)
+        z *= _MIX1
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= _MIX2
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+    z >>= np.uint64(11)
+    return np.multiply(z, 2.0**-53, out=shifted.view(np.float64))  # exact: z < 2**53
 
 
 @dataclass(frozen=True)
@@ -87,18 +98,28 @@ class ComparisonReport:
 
 
 def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
-    """Lookup tables: the signal slot is the count of ``cdf_g`` or ``cdf_b``
-    (the first k - 1 cumulative sums) at or below the uniform. ``rows[q][s - 1]``
-    holds the cumulative sums and next states of row (q, s), its positive entries
-    in next-state order (the last sum set to 1.0), then zero entries never drawn."""
+    """Lookup tables of the walk. The signal slot is the count of ``cdf_g`` or
+    ``cdf_b`` (the first k - 1 cumulative sums) at or below the signal uniform,
+    and the kernel draw v the count of ``cuts`` (every distinct kernel
+    cumulative sum below 1) at or below the kernel uniform. Row (q, s) lists its
+    positive entries in next-state order, the last sum set to 1.0, and a draw
+    takes the first entry whose sum lies above the uniform: the first whose
+    sum's rank among the cuts (len(cuts) from 1.0 up) is at least v.
+    ``step[q][s * E + v]``, E = len(cuts) + 1, is that entry's next state."""
     cdf_g, cdf_b = (np.cumsum(p)[:-1] for p in (setting.pG, setting.pB))
     zero = policy.prob == 0.0
     order = np.argsort(policy.next_state + policy.num_states * zero, axis=-1, kind="stable")
     cums = np.cumsum(np.take_along_axis(policy.prob, order, -1), axis=-1)
     cums[np.arange(cums.shape[-1]) >= (~zero).sum(axis=-1, keepdims=True) - 1] = 1.0
-    nexts = np.take_along_axis(policy.next_state, order, -1)
-    rows = [list(zip(*per_state)) for per_state in zip(cums.tolist(), nexts.tolist())]
-    return cdf_g, cdf_b, rows
+    cuts = np.unique(cums[cums < 1.0])
+    width = len(cuts) + 1
+    # Ranks rise along each row, so offsetting row i's by i * E sorts them all
+    # and one search finds every (row, v) entry without an (m, k, E, r) array.
+    base = np.arange(cums.shape[0] * cums.shape[1])[:, None] * width
+    ranks = np.searchsorted(cuts, cums, "left").reshape(base.shape[0], -1) + base
+    entry = np.searchsorted(ranks.ravel(), (base + np.arange(width)).ravel(), "left")
+    nexts = np.take_along_axis(policy.next_state, order, -1).ravel()
+    return cdf_g, cdf_b, cuts, nexts[entry].reshape(policy.num_states, -1).tolist()
 
 
 def simulate_run(
@@ -106,7 +127,8 @@ def simulate_run(
 ) -> SimResult:
     """Simulate one seeded run; a deterministic function of its inputs."""
     check_dynamic_policy(policy, setting.k)
-    cdf_g, cdf_b, rows = _compiled_tables(setting, policy)
+    cdf_g, cdf_b, cuts, step = _compiled_tables(setting, policy)
+    width = len(cuts) + 1
     risky = np.array([a == RISKY for a in policy.actions])
     q = policy.initial_state
     theta = uniform_stream(config.seed, 0, 1)[0] >= 0.5  # True = B; nature starts stationary
@@ -122,20 +144,19 @@ def simulate_run(
             flips = u[:, 2] < setting.pi
             nature = np.bitwise_xor.accumulate(flips) ^ flips ^ theta  # before each flip
             theta = nature[-1] ^ flips[-1]
-            slots = np.where(nature, np.searchsorted(cdf_b, u[:, 0], "right"),
-                             np.searchsorted(cdf_g, u[:, 0], "right"))
+            events = np.where(nature, np.searchsorted(cdf_b, u[:, 0], "right"),
+                              np.searchsorted(cdf_g, u[:, 0], "right"))
+            events *= width
+            events += np.searchsorted(cuts, u[:, 1], "right")
             path = []
             record = path.append
-            for s, um in zip(slots.tolist(), u[:, 1].tolist()):
+            for e in events.tolist():
                 record(q)
-                cums, nexts = rows[q][s]
-                j = 0
-                while um >= cums[j]:
-                    j += 1
-                q = nexts[j]
+                q = step[q][e]
             if seg:
                 payoffs[t0 - start : t0 - start + n] = np.where(
-                    risky[path], np.where(nature, setting.xB, setting.xG), 0.0)
+                    risky[np.fromiter(path, np.intp, n)],
+                    np.where(nature, setting.xB, setting.xG), 0.0)
         if seg:
             bm[seg - 1] = payoffs.mean()
     return SimResult(

@@ -278,6 +278,21 @@ class TestStaticDemo:
         assert "expected_utility" in json.loads(capsys.readouterr().out)
         assert prop.read_text().splitlines()[1] == "0,0,1,0,0,0,G"
 
+    def test_propagation_csv_without_sequence_exits_one(self, tmp_path, capsys):
+        config = write_config(tmp_path, {
+            "policy": {**self.STICKY, "initial_state": 2}, "demo": "expected_utility",
+            "setting": {"k": 4, "pG": [0.4, 0.3, 0.2, 0.1],
+                        "pB": [0.1, 0.2, 0.3, 0.4], "eta": 0.01},
+        })
+        prop = tmp_path / "prop.csv"
+        assert run_cli([
+            "static-demo", "--config", config, "--propagation-csv", str(prop),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == 'error: --propagation-csv needs a "sequence" in the config\n'
+        assert not prop.exists()
+
     def test_non_stochastic_policy_exits_one_and_names_row(self, tmp_path, capsys):
         policy = {
             "type": "policy", "num_states": 1, "initial_state": 0, "actions": ["hold"],

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -408,3 +409,12 @@ def test_repeated_label_is_refused_naming_axis_and_label(entry, axis):
     labels[axis] = (labels[axis][0],) * 2
     with pytest.raises(ValidationError, match=f"{axis} label '{labels[axis][0]}' "):
         _problem_with_labels(entry, *labels.values())
+
+
+@pytest.mark.parametrize("entry", ["CompProblem", "problem_from_dict"])
+@pytest.mark.parametrize("label", [["x"], {"x": 1}, ("a", [1])])
+def test_unhashable_label_is_refused_naming_axis_and_label(entry, label):
+    # A tuple holding a list passes an isinstance(Hashable) test but cannot be hashed.
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"type label {label!r} must not be a list or object")):
+        _problem_with_labels(entry, ("s1", "s2"), ("t1", label), ("a", "b"))

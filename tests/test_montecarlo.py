@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bounded_agents import montecarlo
-from bounded_agents.automaton import AFamilyParams, build_a_family
+from bounded_agents.automaton import RISKY, SAFE, AFamilyParams, build_a_family
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import ValidationError
 from bounded_agents.markov_exact import exact_average_payoff
@@ -15,7 +17,7 @@ from bounded_agents.montecarlo import (
     uniform_stream,
 )
 from bounded_agents.optimize import brute_force_policy_search
-from oracles import scalar_simulate_run, two_safe_states_policy
+from oracles import dict_policy, scalar_simulate_run, two_safe_states_policy
 
 PG, PB = (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)
 
@@ -127,6 +129,22 @@ def _brute_force_case():
     return setting, brute_force_policy_search(setting, 2, prob_grid=(0.0, 0.5, 1.0))[0]
 
 
+def _hand_written_case():
+    # Three-entry rows with distinct probabilities give 15 distinct cumulative
+    # sums below 1 (E = 16), and each Risky state's rows differ by signal.
+    setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.5, -1.0, 0.01)
+    return setting, dict_policy((RISKY, SAFE, RISKY, SAFE), {
+        (0, 1): {0: 0.15, 1: 0.35, 2: 0.5},
+        (0, 2): {1: 0.05, 2: 0.6, 3: 0.35},
+        (0, 3): {0: 0.7, 2: 0.1, 3: 0.2},
+        (1, None): {0: 0.45, 2: 0.25, 3: 0.3},
+        (2, 1): {1: 0.55, 2: 0.15, 3: 0.3},
+        (2, 2): {0: 0.4, 1: 0.35, 3: 0.25},
+        (2, 3): {0: 0.2, 1: 0.65, 2: 0.15},
+        (3, None): {1: 0.8, 2: 0.12, 3: 0.08},
+    }, 3, initial_state=1)
+
+
 ORACLE_CASES = {
     **{f"ladder n={n} pi={pi}": (lambda n=n, pi=pi: _ladder_case(n, pi))
        for n in (1, 4, 30) for pi in (1e-3, 0.5)},
@@ -134,6 +152,7 @@ ORACLE_CASES = {
     "two Safe states": lambda: (
         validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 2.0, -1.0, 0.02),
         two_safe_states_policy(initial_state=3)),
+    "hand-written, long cuts": _hand_written_case,
 }
 
 # (config, slab): a default run; no burn-in with rounds not divisible by the
@@ -155,6 +174,10 @@ class TestAgainstScalarOracle:
         monkeypatch.setattr(montecarlo, "SLAB", slab)
         assert simulate_run(setting, policy, config) == scalar_simulate_run(
             setting, policy, config)
+
+    def test_hand_written_case_has_more_than_four_kernel_draws(self):
+        setting, policy = _hand_written_case()
+        assert len(montecarlo._compiled_tables(setting, policy)[2]) + 1 > 4
 
     def test_batches_longer_than_a_slab(self):
         # Two batches of 75,000 rounds, each drawn as two default slabs.
@@ -195,6 +218,18 @@ def test_uniform_requests_stay_within_one_slab(monkeypatch, paper_setting, ladde
     ends = [start + count for start, count in requests]
     assert starts == [0] + ends[:-1]
     assert ends[-1] == 1 + 3 * (config.burn_in + result.rounds_used)
+
+
+def test_peak_memory_on_a_long_ladder():
+    # A 10,001-state ladder's table holds m * k * E = 160,016 next states.
+    setting, policy = _ladder_case(10_000, 1e-3)
+    tracemalloc.start()
+    try:
+        simulate_run(setting, policy, SimConfig(rounds=2 * SLAB, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
 
 
 class TestCompareExactMc:

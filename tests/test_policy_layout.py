@@ -108,14 +108,21 @@ def test_json_policy_matches_dict_walk():
 
 
 def _assert_sim_rows_match(policy, setting):
-    rows = _compiled_tables(setting, policy)[2]
-    for got, want in zip(rows, dict_walk_sim_rows(policy, setting.k)):
-        for (cums, nexts), (ref_cums, ref_nexts) in zip(got, want):
-            used = len(ref_cums)
-            assert cums[:used] == [float(c) for c in ref_cums]
-            assert nexts[:used] == ref_nexts
-            # Entries past the last positive one are never drawn.
-            assert all(c == 1.0 for c in cums[used - 1:])
+    # Kernel event v covers the uniforms in [cuts[v - 1], cuts[v]). The scalar
+    # loop over the dict-walk rows, run at each interval's lower end (a tie),
+    # must stop at the table's next state.
+    _, _, cuts, step = _compiled_tables(setting, policy)
+    ref = dict_walk_sim_rows(policy, setting.k)
+    assert cuts.tolist() == sorted({float(c) for per_signal in ref
+                                    for cums, _ in per_signal for c in cums if c < 1.0})
+    width = len(cuts) + 1
+    for q, per_signal in enumerate(ref):
+        for s, (cums, nexts) in enumerate(per_signal):
+            for v, um in enumerate([0.0, *cuts.tolist()]):
+                j = 0
+                while um >= cums[j]:
+                    j += 1
+                assert step[q][s * width + v] == nexts[j]
 
 
 @pytest.mark.parametrize("seed", range(6))
