@@ -16,11 +16,14 @@ only the agent is walked round by round. Each round's signal slot s and
 kernel uniform become one event s * E + v, v being the uniform's rank among
 the E - 1 distinct kernel cumulative sums below 1, so a step is one lookup in
 a next-state table of m * k * E entries. A ladder's rows have at most three
-such sums (1 - p_exp, 1 - r_u and r_d), so E <= 4; a dense policy with
-distinct probabilities everywhere makes E, and the table, grow with m * k * r.
-The rounds run as a burn-in segment and one segment per batch (later rounds
-are not simulated), each drawn in slabs of SLAB rounds, so memory is the
-table, one batch's payoffs and one slab.
+such sums (1 - p_exp, 1 - r_u and r_d), so E <= 4. A policy with distinct
+probabilities everywhere makes E grow with m * k * r, and the table with m
+squared; so once E passes TABLE_FACTOR * r, the walk keeps the m * k rows of r
+cumulative sums instead and bisects each round's kernel uniform in its row.
+Either way the tables hold O(m * k * r) entries. The rounds run as a burn-in
+segment and one segment per batch (later rounds are not simulated), each
+drawn in slabs of SLAB rounds, so memory is the tables, one batch's payoffs
+and one slab.
 
 Per-round payoffs are autocorrelated when pi is small, so the standard
 error uses batch means rather than an i.i.d. formula.
@@ -28,6 +31,7 @@ error uses batch means rather than an i.i.d. formula.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -43,6 +47,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 
 SLAB = 1 << 16  # rounds drawn per uniform_stream call
+TABLE_FACTOR = 4  # the step table's largest size, in multiples of the rows' size
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -99,27 +104,32 @@ class ComparisonReport:
 
 def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
     """Lookup tables of the walk. The signal slot is the count of ``cdf_g`` or
-    ``cdf_b`` (the first k - 1 cumulative sums) at or below the signal uniform,
-    and the kernel draw v the count of ``cuts`` (every distinct kernel
-    cumulative sum below 1) at or below the kernel uniform. Row (q, s) lists its
-    positive entries in next-state order, the last sum set to 1.0, and a draw
-    takes the first entry whose sum lies above the uniform: the first whose
-    sum's rank among the cuts (len(cuts) from 1.0 up) is at least v.
-    ``step[q][s * E + v]``, E = len(cuts) + 1, is that entry's next state."""
+    ``cdf_b`` (the first k - 1 cumulative sums) at or below the signal uniform.
+    Row (q, s) lists its positive entries in next-state order, the last sum set
+    to 1.0, and a draw takes the first entry whose sum lies above the kernel
+    uniform. ``cuts`` holds every distinct kernel cumulative sum below 1, and
+    kernel draw v counts the cuts at or below the kernel uniform: the entry
+    taken is the first whose sum's rank among the cuts (len(cuts) from 1.0 up)
+    is at least v, and ``step[q][s * E + v]``, E = len(cuts) + 1, is its next
+    state. Past E = TABLE_FACTOR * r, ``cuts`` is None and ``step[q][s]`` is
+    row (q, s) itself: its cumulative sums and its next states."""
     cdf_g, cdf_b = (np.cumsum(p)[:-1] for p in (setting.pG, setting.pB))
     zero = policy.prob == 0.0
     order = np.argsort(policy.next_state + policy.num_states * zero, axis=-1, kind="stable")
     cums = np.cumsum(np.take_along_axis(policy.prob, order, -1), axis=-1)
     cums[np.arange(cums.shape[-1]) >= (~zero).sum(axis=-1, keepdims=True) - 1] = 1.0
+    nexts = np.take_along_axis(policy.next_state, order, -1)
     cuts = np.unique(cums[cums < 1.0])
     width = len(cuts) + 1
+    if width > TABLE_FACTOR * cums.shape[-1]:
+        return cdf_g, cdf_b, None, [list(zip(*per_state))
+                                    for per_state in zip(cums.tolist(), nexts.tolist())]
     # Ranks rise along each row, so offsetting row i's by i * E sorts them all
     # and one search finds every (row, v) entry without an (m, k, E, r) array.
     base = np.arange(cums.shape[0] * cums.shape[1])[:, None] * width
     ranks = np.searchsorted(cuts, cums, "left").reshape(base.shape[0], -1) + base
     entry = np.searchsorted(ranks.ravel(), (base + np.arange(width)).ravel(), "left")
-    nexts = np.take_along_axis(policy.next_state, order, -1).ravel()
-    return cdf_g, cdf_b, cuts, nexts[entry].reshape(policy.num_states, -1).tolist()
+    return cdf_g, cdf_b, cuts, nexts.ravel()[entry].reshape(policy.num_states, -1).tolist()
 
 
 def simulate_run(
@@ -128,7 +138,6 @@ def simulate_run(
     """Simulate one seeded run; a deterministic function of its inputs."""
     check_dynamic_policy(policy, setting.k)
     cdf_g, cdf_b, cuts, step = _compiled_tables(setting, policy)
-    width = len(cuts) + 1
     risky = np.array([a == RISKY for a in policy.actions])
     q = policy.initial_state
     theta = uniform_stream(config.seed, 0, 1)[0] >= 0.5  # True = B; nature starts stationary
@@ -144,15 +153,21 @@ def simulate_run(
             flips = u[:, 2] < setting.pi
             nature = np.bitwise_xor.accumulate(flips) ^ flips ^ theta  # before each flip
             theta = nature[-1] ^ flips[-1]
-            events = np.where(nature, np.searchsorted(cdf_b, u[:, 0], "right"),
-                              np.searchsorted(cdf_g, u[:, 0], "right"))
-            events *= width
-            events += np.searchsorted(cuts, u[:, 1], "right")
+            slots = np.where(nature, np.searchsorted(cdf_b, u[:, 0], "right"),
+                             np.searchsorted(cdf_g, u[:, 0], "right"))
             path = []
             record = path.append
-            for e in events.tolist():
-                record(q)
-                q = step[q][e]
+            if cuts is None:
+                for s, um in zip(slots.tolist(), u[:, 1].tolist()):
+                    record(q)
+                    cums, nexts = step[q][s]
+                    q = nexts[bisect_right(cums, um)]
+            else:
+                slots *= len(cuts) + 1
+                slots += np.searchsorted(cuts, u[:, 1], "right")
+                for e in slots.tolist():
+                    record(q)
+                    q = step[q][e]
             if seg:
                 payoffs[t0 - start : t0 - start + n] = np.where(
                     risky[np.fromiter(path, np.intp, n)],

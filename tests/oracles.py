@@ -73,6 +73,20 @@ def two_safe_states_policy(initial_state=0):
     }, 3, initial_state)
 
 
+def dense_policy(m, k, seed=0):
+    """A JSON policy on m >= 3 states, every third one Safe, whose rows each
+    move to three random states with random probabilities, so nearly every
+    row adds two distinct kernel cumulative sums of its own."""
+    rng = np.random.default_rng(seed)
+    actions = tuple(SAFE if q % 3 == 0 else RISKY for q in range(m))
+    kernel = {}
+    for q, action in enumerate(actions):
+        for s in [None] if action == SAFE else range(1, k + 1):
+            nexts = rng.choice(m, 3, replace=False).tolist()
+            kernel[(q, s)] = dict(zip(nexts, rng.dirichlet((1.0, 1.0, 1.0)).tolist()))
+    return dict_policy(actions, kernel, k)
+
+
 def dict_walk_step_matrix(policy, signal_probs):
     """Agent step matrix by walking the dict view: each state adds its
     signal rows weighted by ``signal_probs`` in signal order, skipping

@@ -17,7 +17,7 @@ from bounded_agents.montecarlo import (
     uniform_stream,
 )
 from bounded_agents.optimize import brute_force_policy_search
-from oracles import dict_policy, scalar_simulate_run, two_safe_states_policy
+from oracles import dense_policy, dict_policy, scalar_simulate_run, two_safe_states_policy
 
 PG, PB = (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4)
 
@@ -131,9 +131,10 @@ def _brute_force_case():
 
 def _hand_written_case():
     # Three-entry rows with distinct probabilities give 15 distinct cumulative
-    # sums below 1 (E = 16), and each Risky state's rows differ by signal.
+    # sums below 1 (E = 16 > TABLE_FACTOR * 3), so the walk bisects its rows;
+    # each Risky state's rows differ by signal.
     setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.5, -1.0, 0.01)
-    return setting, dict_policy((RISKY, SAFE, RISKY, SAFE), {
+    policy = dict_policy((RISKY, SAFE, RISKY, SAFE), {
         (0, 1): {0: 0.15, 1: 0.35, 2: 0.5},
         (0, 2): {1: 0.05, 2: 0.6, 3: 0.35},
         (0, 3): {0: 0.7, 2: 0.1, 3: 0.2},
@@ -143,16 +144,22 @@ def _hand_written_case():
         (2, 3): {0: 0.2, 1: 0.65, 2: 0.15},
         (3, None): {1: 0.8, 2: 0.12, 3: 0.08},
     }, 3, initial_state=1)
+    assert montecarlo._compiled_tables(setting, policy)[2] is None
+    return setting, policy
 
 
 ORACLE_CASES = {
     **{f"ladder n={n} pi={pi}": (lambda n=n, pi=pi: _ladder_case(n, pi))
        for n in (1, 4, 30) for pi in (1e-3, 0.5)},
     "brute-force winner": _brute_force_case,
+    # E = 12 <= TABLE_FACTOR * 4: the longest cuts that still take the table.
     "two Safe states": lambda: (
         validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 2.0, -1.0, 0.02),
         two_safe_states_policy(initial_state=3)),
     "hand-written, long cuts": _hand_written_case,
+    "dense, 12 states": lambda: (
+        validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.5, -1.0, 0.05),
+        dense_policy(12, 3, seed=7)),
 }
 
 # (config, slab): a default run; no burn-in with rounds not divisible by the
@@ -175,10 +182,6 @@ class TestAgainstScalarOracle:
         assert simulate_run(setting, policy, config) == scalar_simulate_run(
             setting, policy, config)
 
-    def test_hand_written_case_has_more_than_four_kernel_draws(self):
-        setting, policy = _hand_written_case()
-        assert len(montecarlo._compiled_tables(setting, policy)[2]) + 1 > 4
-
     def test_batches_longer_than_a_slab(self):
         # Two batches of 75,000 rounds, each drawn as two default slabs.
         setting, policy = _ladder_case(4, 1e-3)
@@ -194,6 +197,25 @@ class TestAgainstScalarOracle:
         setting = validate_setting(3, (0.25, 0.25, 0.5), (0.5, 0.25, 0.25), 1.0, -1.0, 0.25)
         policy = build_a_family(3, AFamilyParams(n=3, p_exp=0.5, pos=frozenset({1}),
                                                  neg=frozenset({3}), r_u=0.5, r_d=0.75))
+        config = SimConfig(rounds=5_000, seed=6, batches=4)
+        assert simulate_run(setting, policy, config) == scalar_simulate_run(
+            setting, policy, config)
+
+    def test_uniforms_on_cumulative_sums_of_bisected_rows(self, monkeypatch):
+        # Rows in sixteenths whose sums are all fifteen sixteenths below 1
+        # (E = 16 > TABLE_FACTOR * 3), under uniforms rounded down to sixteenths.
+        monkeypatch.setattr(montecarlo, "uniform_stream", lambda seed, start, count: np.floor(
+            uniform_stream(seed, start, count) * 16.0) / 16.0)
+        setting = validate_setting(3, (0.25, 0.25, 0.5), (0.5, 0.25, 0.25), 1.0, -1.0, 0.25)
+        sixteenths = {
+            (0, 1): (1, 2, 13), (0, 2): (2, 3, 11), (0, 3): (4, 2, 10), (1, None): (7, 1, 8),
+            (2, 1): (9, 1, 6), (2, 2): (11, 1, 4), (2, 3): (13, 1, 2), (3, None): (8, 7, 1),
+        }
+        targets = {0: (0, 1, 2), 1: (1, 2, 3), 2: (0, 2, 3), 3: (0, 1, 3)}
+        policy = dict_policy((RISKY, SAFE, RISKY, SAFE), {
+            (q, s): {nxt: w / 16.0 for nxt, w in zip(targets[(q + (s or 0)) % 4], ws)}
+            for (q, s), ws in sixteenths.items()}, 3)
+        assert montecarlo._compiled_tables(setting, policy)[2] is None
         config = SimConfig(rounds=5_000, seed=6, batches=4)
         assert simulate_run(setting, policy, config) == scalar_simulate_run(
             setting, policy, config)
@@ -220,16 +242,28 @@ def test_uniform_requests_stay_within_one_slab(monkeypatch, paper_setting, ladde
     assert ends[-1] == 1 + 3 * (config.burn_in + result.rounds_used)
 
 
-def test_peak_memory_on_a_long_ladder():
-    # A 10,001-state ladder's table holds m * k * E = 160,016 next states.
-    setting, policy = _ladder_case(10_000, 1e-3)
+def _peak_bytes(setting, policy, config):
     tracemalloc.start()
     try:
-        simulate_run(setting, policy, SimConfig(rounds=2 * SLAB, seed=1))
-        peak = tracemalloc.get_traced_memory()[1]
+        simulate_run(setting, policy, config)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 12e6
+
+
+def test_peak_memory_on_a_long_ladder():
+    # A 10,001-state ladder's table holds m * k * E = 80,008 next states.
+    setting, policy = _ladder_case(10_000, 1e-3)
+    assert _peak_bytes(setting, policy, SimConfig(rounds=2 * SLAB, seed=1)) < 12e6
+
+
+def test_peak_memory_on_a_dense_policy():
+    # Distinct sums in the 3,070 distinct rows of 1,024 states: a next-state
+    # table would hold m * k * E, about 25 million entries, and the rows hold
+    # m * k * r = 12,288.
+    setting = validate_setting(4, PG, PB, 1.0, -1.0, 1e-3)
+    policy = dense_policy(1024, 4)
+    assert _peak_bytes(setting, policy, SimConfig(rounds=2 * SLAB, seed=1)) < 4e6
 
 
 class TestCompareExactMc:

@@ -18,9 +18,11 @@ from bounded_agents.automaton import (
 )
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.markov_exact import agent_step_matrix, dense_matrix
-from bounded_agents.montecarlo import _compiled_tables
+from bounded_agents.montecarlo import TABLE_FACTOR, _compiled_tables
 from bounded_agents.optimize import brute_force_policy_search
-from oracles import dict_walk_sim_rows, dict_walk_step_matrix, two_safe_states_policy
+from oracles import (
+    dense_policy, dict_walk_sim_rows, dict_walk_step_matrix, two_safe_states_policy,
+)
 
 
 def _random_setting(rng, k):
@@ -108,13 +110,25 @@ def test_json_policy_matches_dict_walk():
 
 
 def _assert_sim_rows_match(policy, setting):
+    _, _, cuts, step = _compiled_tables(setting, policy)
+    ref = dict_walk_sim_rows(policy, setting.k)
+    sums = sorted({float(c) for per_signal in ref for cums, _ in per_signal
+                   for c in cums if c < 1.0})
+    if cuts is None:
+        # Past TABLE_FACTOR * r kernel events the walk bisects the rows.
+        assert len(sums) + 1 > TABLE_FACTOR * policy.prob.shape[-1]
+        for got, want in zip(step, ref):
+            for (cums, nexts), (ref_cums, ref_nexts) in zip(got, want):
+                used = len(ref_cums)
+                assert cums[:used] == [float(c) for c in ref_cums]
+                assert nexts[:used] == ref_nexts
+                # Entries past the last positive one are never drawn.
+                assert all(c == 1.0 for c in cums[used - 1:])
+        return
     # Kernel event v covers the uniforms in [cuts[v - 1], cuts[v]). The scalar
     # loop over the dict-walk rows, run at each interval's lower end (a tie),
     # must stop at the table's next state.
-    _, _, cuts, step = _compiled_tables(setting, policy)
-    ref = dict_walk_sim_rows(policy, setting.k)
-    assert cuts.tolist() == sorted({float(c) for per_signal in ref
-                                    for cums, _ in per_signal for c in cums if c < 1.0})
+    assert cuts.tolist() == sums
     width = len(cuts) + 1
     for q, per_signal in enumerate(ref):
         for s, (cums, nexts) in enumerate(per_signal):
@@ -138,3 +152,5 @@ def test_simulator_tables_match_dict_walk(seed):
 def test_json_simulator_tables_match_dict_walk():
     setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
     _assert_sim_rows_match(two_safe_states_policy(), setting)
+    for m in (3, 8, 40):
+        _assert_sim_rows_match(dense_policy(m, 3, seed=m), setting)
