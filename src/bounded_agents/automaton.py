@@ -124,7 +124,8 @@ class AFamilyParams:
     r_d: float = 1.0
 
     def __post_init__(self):
-        check_integer(self.n, "n", "[1, inf)")
+        # The upper end keeps np.arange over the 2(n + 1) chain states index-sized.
+        check_integer(self.n, "n", "[1, 1e18]")
         for name in ("p_exp", "r_u", "r_d"):
             check_real(getattr(self, name), name, "(0, 1]", BadProbabilityError)
         pos, neg = (frozenset(check_list(getattr(self, name), name, each=check_integer))

@@ -24,6 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import (
     MismatchedProblemsError,
     ValidationError,
@@ -41,7 +43,8 @@ class ReaderProblem:
     prior1: float = 0.5
 
     def __post_init__(self):
-        check_integer(self.n, "n", "[1, inf)")
+        # The upper end keeps the table's (n + 1)(2n + 1) cells index-sized.
+        check_integer(self.n, "n", "[1, 2e9]")
         check_real(self.rho, "rho", "(0.5, 1)")
         check_real(self.c, "c", "[0, inf)")
         check_real(self.prior1, "prior1", "(0, 1)")
@@ -63,59 +66,49 @@ def posterior(problem: ReaderProblem, d: int) -> float:
 
 @dataclass(frozen=True)
 class ReaderDPTable:
-    """Tables over the full grid |d| <= i, indexed [i][d + i].
+    """Tables over the full grid |d| <= i, as (n + 1, 2n + 1) arrays indexed [i, d + n].
 
-    Row i covers d = -i..i in steps of 1. Walks only visit d with the
-    parity of i, but the recursion is parity-independent, so the whole
-    rectangle is computed; that makes boundary statements checkable at
-    every (i, d), not just reachable ones.
+    Row i covers d = -i..i in steps of 1; cells with |d| > i hold NaN in W
+    and False in stop. Walks only visit d with the parity of i, but the
+    recursion is parity-independent, so the whole triangle is computed; that
+    makes boundary statements checkable at every (i, d), not just reachable ones.
     """
 
     problem: ReaderProblem
-    W: tuple[tuple[float, ...], ...]
-    stop: tuple[tuple[bool, ...], ...]
+    W: np.ndarray
+    stop: np.ndarray
 
     def value(self, i: int, d: int) -> float:
-        return self.W[i][self._offset(i, d)]
+        return float(self.W[self._cell(i, d)])
 
     def should_stop(self, i: int, d: int) -> bool:
-        return self.stop[i][self._offset(i, d)]
+        return bool(self.stop[self._cell(i, d)])
 
-    def _offset(self, i: int, d: int) -> int:
+    def _cell(self, i: int, d: int) -> tuple[int, int]:
         if abs(d) > i or not (0 <= i <= self.problem.n):
             raise ValidationError(f"(i={i}, d={d}) is outside the table")
-        return d + i
+        return i, d + self.problem.n
 
 
 def solve_reader_dp(problem: ReaderProblem) -> ReaderDPTable:
-    """Backward induction over (reads, count difference)."""
+    """Backward induction over (reads, count difference), one row per step."""
     n, rho, c = problem.n, problem.rho, problem.c
-    W: list[tuple[float, ...]] = [()] * (n + 1)
-    stop: list[tuple[bool, ...]] = [()] * (n + 1)
-    last_w = []
-    for d in range(-n, n + 1):
-        p = posterior(problem, d)
-        last_w.append(max(p, 1.0 - p))
-    W[n] = tuple(last_w)
-    stop[n] = (True,) * (2 * n + 1)
+    W = np.full((n + 1, 2 * n + 1), np.nan)
+    stop = np.zeros((n + 1, 2 * n + 1), dtype=bool)
+    post = np.array([posterior(problem, d) for d in range(-n, n + 1)])
+    stop_value = np.maximum(post, 1.0 - post)
+    p_next_one = post * rho + (1.0 - post) * (1.0 - rho)
+    W[n] = stop_value
+    stop[n] = True
     for i in range(n - 1, -1, -1):
-        row_w, row_stop = [], []
-        for d in range(-i, i + 1):
-            p = posterior(problem, d)
-            stop_value = max(p, 1.0 - p)
-            p_next_one = p * rho + (1.0 - p) * (1.0 - rho)
-            up = W[i + 1][d + 1 + i + 1]
-            down = W[i + 1][d - 1 + i + 1]
-            cont = -c + p_next_one * up + (1.0 - p_next_one) * down
-            if cont > stop_value:
-                row_w.append(cont)
-                row_stop.append(False)
-            else:
-                row_w.append(stop_value)
-                row_stop.append(True)
-        W[i] = tuple(row_w)
-        stop[i] = tuple(row_stop)
-    return ReaderDPTable(problem=problem, W=tuple(W), stop=tuple(stop))
+        row = slice(n - i, n + i + 1)
+        up = W[i + 1, n - i + 1:n + i + 2]
+        down = W[i + 1, n - i - 1:n + i]
+        p1 = p_next_one[row]
+        cont = -c + p1 * up + (1.0 - p1) * down
+        stop[i, row] = ~(cont > stop_value[row])  # ties stop
+        W[i, row] = np.where(stop[i, row], stop_value[row], cont)
+    return ReaderDPTable(problem=problem, W=W, stop=stop)
 
 
 @dataclass(frozen=True)
@@ -129,10 +122,9 @@ def _guess_from_d(problem: ReaderProblem, d: int) -> int:
     return 1 if posterior(problem, d) >= 0.5 else 0
 
 
-def simulate_reader(
-    problem: ReaderProblem, table: ReaderDPTable, sequence: Sequence[int]
-) -> ReaderRun:
+def simulate_reader(table: ReaderDPTable, sequence: Sequence[int]) -> ReaderRun:
     """Walk an explicit bit sequence, stopping at the first stop state."""
+    problem = table.problem
     seq = check_list(sequence, "sequence", problem.n, check_integer, "[0, 1]")
     i = 0
     d = 0
@@ -155,39 +147,35 @@ class FirstImpressionReport:
 
 
 def first_impression_reader(
-    problem: ReaderProblem, sequence: Sequence[int]
+    table: ReaderDPTable, sequence: Sequence[int]
 ) -> FirstImpressionReport:
     """Run the optimal reader on a sequence and its reversal.
 
     full_info_guess uses all n bits and is order-free; a differing pair of
     guesses around it is pure order sensitivity.
     """
-    table = solve_reader_dp(problem)
-    fwd = simulate_reader(problem, table, sequence)
-    rev = simulate_reader(problem, table, list(sequence)[::-1])
+    fwd = simulate_reader(table, sequence)
+    rev = simulate_reader(table, list(sequence)[::-1])
     d_total = sum(1 if b else -1 for b in sequence)
     return FirstImpressionReport(
         guess_forward=fwd.guess,
         guess_reversed=rev.guess,
         differs=fwd.guess != rev.guess,
-        full_info_guess=_guess_from_d(problem, d_total),
+        full_info_guess=_guess_from_d(table.problem, d_total),
     )
 
 
 def polarization_reader(
-    problem_a: ReaderProblem, problem_b: ReaderProblem, sequence: Sequence[int]
+    table_a: ReaderDPTable, table_b: ReaderDPTable, sequence: Sequence[int]
 ) -> tuple[int, int, bool]:
     """Two readers differing only in prior see the same evidence."""
-    if (problem_a.n, problem_a.rho, problem_a.c) != (
-        problem_b.n,
-        problem_b.rho,
-        problem_b.c,
-    ):
+    a, b = table_a.problem, table_b.problem
+    if (a.n, a.rho, a.c) != (b.n, b.rho, b.c):
         raise MismatchedProblemsError(
             "problems must be identical except for the prior"
         )
-    guess_a = simulate_reader(problem_a, solve_reader_dp(problem_a), sequence).guess
-    guess_b = simulate_reader(problem_b, solve_reader_dp(problem_b), sequence).guess
+    guess_a = simulate_reader(table_a, sequence).guess
+    guess_b = simulate_reader(table_b, sequence).guess
     return guess_a, guess_b, guess_a != guess_b
 
 
@@ -200,6 +188,6 @@ def disregard_index(table: ReaderDPTable) -> int:
     """
     n = table.problem.n
     for i in range(n + 1):
-        if all(table.should_stop(i, d) for d in range(-i, i + 1, 2)):
+        if table.stop[i, n - i:n + i + 1:2].all():
             return i
     raise AssertionError("unreachable: terminal row always stops")

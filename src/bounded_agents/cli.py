@@ -285,8 +285,8 @@ def cmd_reader(args) -> int:
         "disregard_index": disregard_index(table),
     }
     if "sequence" in config:
-        run = simulate_reader(problem, table, config["sequence"])
-        report = first_impression_reader(problem, config["sequence"])
+        run = simulate_reader(table, config["sequence"])
+        report = first_impression_reader(table, config["sequence"])
         out["run"] = {"guess": run.guess, "reads": run.reads}
         out["first_impression"] = {
             "forward": report.guess_forward,
@@ -299,7 +299,8 @@ def cmd_reader(args) -> int:
         check_keys(pol, "polarization", ("prior_b", "sequence"))
         check_real(pol["prior_b"], "prior_b", "(0, 1)")
         other = replace(problem, prior1=pol["prior_b"])
-        guess_a, guess_b, diverged = polarization_reader(problem, other, pol["sequence"])
+        table_b = table if other == problem else solve_reader_dp(other)
+        guess_a, guess_b, diverged = polarization_reader(table, table_b, pol["sequence"])
         out["polarization"] = {
             "guess_a": guess_a, "guess_b": guess_b, "diverged": diverged,
         }

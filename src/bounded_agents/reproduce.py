@@ -157,12 +157,10 @@ def compute_paper_numbers() -> dict:
 
     # Reader dynamic program.
     reader = ReaderProblem(n=20, rho=0.75, c=0.01)
-    table = solve_reader_dp(reader)
-    numbers["reader_value"] = table.value(0, 0)
-    numbers["reader_disregard"] = {
-        fmt(c): disregard_index(solve_reader_dp(replace(reader, c=c)))
-        for c in (0.002, 0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.15, 0.2)
-    }
+    tables = {c: solve_reader_dp(replace(reader, c=c))
+              for c in (0.002, 0.005, 0.01, 0.02, 0.04, 0.06, 0.08, 0.1, 0.15, 0.2)}
+    numbers["reader_value"] = tables[reader.c].value(0, 0)
+    numbers["reader_disregard"] = {fmt(c): disregard_index(table) for c, table in tables.items()}
 
     # Static-model golden value.
     sticky = build_linear_sticky(
@@ -222,8 +220,8 @@ def run_demo_checks() -> tuple[dict, list[str]]:
     results: dict = {}
 
     spec = witnesses["reader_first_impression"]
-    problem = ReaderProblem(**spec["problem"])
-    report = first_impression_reader(problem, spec["sequence"])
+    report = first_impression_reader(solve_reader_dp(ReaderProblem(**spec["problem"])),
+                                     spec["sequence"])
     results["reader_first_impression"] = {
         "forward": report.guess_forward,
         "reversed": report.guess_reversed,
@@ -234,8 +232,9 @@ def run_demo_checks() -> tuple[dict, list[str]]:
           spec["expect"], failures)
 
     spec = witnesses["reader_polarization"]
-    low = ReaderProblem(n=spec["n"], rho=spec["rho"], c=spec["c"], prior1=spec["prior_a"])
-    high = ReaderProblem(n=spec["n"], rho=spec["rho"], c=spec["c"], prior1=spec["prior_b"])
+    shared = {name: spec[name] for name in ("n", "rho", "c")}
+    low = solve_reader_dp(ReaderProblem(**shared, prior1=spec["prior_a"]))
+    high = solve_reader_dp(ReaderProblem(**shared, prior1=spec["prior_b"]))
     guess_a, guess_b, diverged = polarization_reader(low, high, spec["sequence"])
     results["reader_polarization"] = {
         "guess_a": guess_a, "guess_b": guess_b, "diverged": diverged,

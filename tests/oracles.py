@@ -13,14 +13,15 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage. Five
+and gathered afterwards, instead of assembled in band storage. Six
 oracles keep the package's earlier kernels, which its current ones must
 match bit for bit: brute-force candidates assembled digit by digit
 instead of gathered from per-state tables, residuals scattered by
 np.add.at instead of swept column by column, whole-row storage
-scattered cell by cell instead of masked from a strided view, and the
+scattered cell by cell instead of masked from a strided view, the
 partition and rate searches as loops of one-ladder p_exp searches instead
-of one search over all their ladders.
+of one search over all their ladders, and the reader DP cell by cell in
+ragged tuples of Python floats instead of one array step per read count.
 """
 
 import math
@@ -482,6 +483,39 @@ def reader_policy_value_by_paths(problem, table):
 
     rec(0, 0, 1.0, 1.0)
     return total
+
+
+def tuple_reader_dp(problem):
+    """The reader DP cell by cell: W and stop as tuples of rows, indexed [i][d + i]."""
+    from bounded_agents.bias_reader import posterior
+
+    n, rho, c = problem.n, problem.rho, problem.c
+    W = [()] * (n + 1)
+    stop = [()] * (n + 1)
+    last_w = []
+    for d in range(-n, n + 1):
+        p = posterior(problem, d)
+        last_w.append(max(p, 1.0 - p))
+    W[n] = tuple(last_w)
+    stop[n] = (True,) * (2 * n + 1)
+    for i in range(n - 1, -1, -1):
+        row_w, row_stop = [], []
+        for d in range(-i, i + 1):
+            p = posterior(problem, d)
+            stop_value = max(p, 1.0 - p)
+            p_next_one = p * rho + (1.0 - p) * (1.0 - rho)
+            up = W[i + 1][d + 1 + i + 1]
+            down = W[i + 1][d - 1 + i + 1]
+            cont = -c + p_next_one * up + (1.0 - p_next_one) * down
+            if cont > stop_value:
+                row_w.append(cont)
+                row_stop.append(False)
+            else:
+                row_w.append(stop_value)
+                row_stop.append(True)
+        W[i] = tuple(row_w)
+        stop[i] = tuple(row_stop)
+    return tuple(W), tuple(stop)
 
 
 def reader_full_information_value(problem):

@@ -256,18 +256,17 @@ def test_criterion_08c_finite_disregard_index(reader_problem):
 
 def test_criterion_08d_order_sensitivity_witness_and_costless_control():
     witnesses = load_witnesses()["reader_first_impression"]
-    problem = ReaderProblem(**witnesses["problem"])
-    report = first_impression_reader(problem, witnesses["sequence"])
+    report = first_impression_reader(solve_reader_dp(ReaderProblem(**witnesses["problem"])),
+                                     witnesses["sequence"])
     witness_ok = report.differs and report.full_info_guess == 0
 
-    costless = ReaderProblem(n=7, rho=0.9, c=0.0)
-    table = solve_reader_dp(costless)
+    table = solve_reader_dp(ReaderProblem(n=7, rho=0.9, c=0.0))
     rng = random.Random(20260808)
     diverging = 0
     for _ in range(10_000):
         seq = [rng.randint(0, 1) for _ in range(7)]
-        fwd = simulate_reader(costless, table, seq).guess
-        rev = simulate_reader(costless, table, seq[::-1]).guess
+        fwd = simulate_reader(table, seq).guess
+        rev = simulate_reader(table, seq[::-1]).guess
         if fwd != rev:
             diverging += 1
     announce(
@@ -295,8 +294,9 @@ def test_criterion_09_polarization_witnesses_and_controls():
     )
 
     rp = witnesses["reader_polarization"]
-    low = ReaderProblem(n=rp["n"], rho=rp["rho"], c=rp["c"], prior1=rp["prior_a"])
-    high = ReaderProblem(n=rp["n"], rho=rp["rho"], c=rp["c"], prior1=rp["prior_b"])
+    shared = {name: rp[name] for name in ("n", "rho", "c")}
+    low = solve_reader_dp(ReaderProblem(**shared, prior1=rp["prior_a"]))
+    high = solve_reader_dp(ReaderProblem(**shared, prior1=rp["prior_b"]))
     guess_a, guess_b, reader_diverged = polarization_reader(low, high, rp["sequence"])
     _, _, reader_control = polarization_reader(low, low, rp["sequence"])
 

@@ -1,8 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 
-from oracles import reader_full_information_value, reader_policy_value_by_paths
+from oracles import (
+    reader_full_information_value,
+    reader_policy_value_by_paths,
+    tuple_reader_dp,
+)
 
 from bounded_agents.bias_reader import (
     ReaderProblem,
@@ -61,6 +66,28 @@ class TestPosterior:
 
 
 class TestSolveReaderDp:
+    # c = 0 and the even prior give cells where continuing ties stopping exactly.
+    ORACLE_GRID = [
+        ReaderProblem(n=n, rho=rho, c=c, prior1=prior1)
+        for n in (1, 2, 5, 14, 20)
+        for rho in (0.51, 0.6, 0.75, 0.9, 0.99)
+        for c in (0.0, 0.002, 0.01, 0.05, 0.2)
+        for prior1 in (0.2, 0.5, 0.55, 0.8)
+    ]
+
+    def test_every_cell_equals_the_tuple_oracle(self):
+        for problem in self.ORACLE_GRID:
+            n = problem.n
+            table = solve_reader_dp(problem)
+            W, stop = tuple_reader_dp(problem)
+            assert table.W.shape == table.stop.shape == (n + 1, 2 * n + 1)
+            for i in range(n + 1):
+                assert table.W[i, n - i:n + i + 1].tolist() == list(W[i])
+                assert table.stop[i, n - i:n + i + 1].tolist() == list(stop[i])
+            i, j = np.indices(table.W.shape)
+            outside = np.abs(j - n) > i
+            assert np.isnan(table.W[outside]).all() and not table.stop[outside].any()
+
     def test_golden_value_and_path_oracle(self):
         problem = ReaderProblem(n=20, rho=0.75, c=0.01)
         table = solve_reader_dp(problem)
@@ -81,7 +108,7 @@ class TestSolveReaderDp:
         problem = ReaderProblem(n=10, rho=0.75, c=0.25)
         table = solve_reader_dp(problem)
         assert table.should_stop(0, 0)
-        run = simulate_reader(problem, table, [1] * 10)
+        run = simulate_reader(table, [1] * 10)
         assert run.reads == 0
         assert run.guess == 1  # tie at the prior resolves to 1
 
@@ -118,7 +145,7 @@ class TestSolveReaderDp:
             assert 0 <= index <= problem.n
             for _ in range(50):
                 seq = [rng.randint(0, 1) for _ in range(problem.n)]
-                assert simulate_reader(problem, table, seq).reads <= index
+                assert simulate_reader(table, seq).reads <= index
 
     def test_disregard_golden_values(self):
         golden = {0.002: 19, 0.01: 19, 0.08: 1, 0.2: 1}
@@ -131,7 +158,7 @@ class TestSimulateReader:
     def test_all_ones_stops_at_upper_boundary(self):
         problem = ReaderProblem(n=20, rho=0.75, c=0.01)
         table = solve_reader_dp(problem)
-        run = simulate_reader(problem, table, [1] * 20)
+        run = simulate_reader(table, [1] * 20)
         # Oracle: first stop along the all-ones path read off the table.
         i = d = 0
         while i < problem.n and not table.should_stop(i, d):
@@ -145,27 +172,27 @@ class TestSimulateReader:
         problem = ReaderProblem(n=10, rho=0.8, c=0.02)
         table = solve_reader_dp(problem)
         seq = [1, 0, 1, 1, 0, 0, 0, 1, 0, 1]
-        assert simulate_reader(problem, table, seq) == simulate_reader(problem, table, seq)
+        assert simulate_reader(table, seq) == simulate_reader(table, seq)
 
     def test_length_mismatch(self):
         problem = ReaderProblem(n=5, rho=0.75, c=0.01)
         table = solve_reader_dp(problem)
         with pytest.raises(ValidationError, match=r"^sequence must have 5 entries, got 2$"):
-            simulate_reader(problem, table, [1, 0])
+            simulate_reader(table, [1, 0])
 
     def test_non_bits_rejected(self):
         problem = ReaderProblem(n=3, rho=0.75, c=0.01)
         table = solve_reader_dp(problem)
         with pytest.raises(ValidationError):
-            simulate_reader(problem, table, [1, 2, 0])
+            simulate_reader(table, [1, 2, 0])
 
 
 class TestFirstImpression:
     WITNESS = [1, 1, 1, 0, 0, 0, 0]
 
     def test_committed_witness_is_order_sensitive(self):
-        problem = ReaderProblem(n=7, rho=0.9, c=0.02)
-        report = first_impression_reader(problem, self.WITNESS)
+        table = solve_reader_dp(ReaderProblem(n=7, rho=0.9, c=0.02))
+        report = first_impression_reader(table, self.WITNESS)
         assert report.guess_forward == 1
         assert report.guess_reversed == 0
         assert report.differs
@@ -173,59 +200,59 @@ class TestFirstImpression:
 
     def test_costless_reader_is_order_free(self):
         # Odd n: value ties cannot flip guesses, so order never matters.
-        problem = ReaderProblem(n=7, rho=0.9, c=0.0)
+        table = solve_reader_dp(ReaderProblem(n=7, rho=0.9, c=0.0))
         rng = random.Random(42)
         for _ in range(500):
             seq = [rng.randint(0, 1) for _ in range(7)]
-            assert not first_impression_reader(problem, seq).differs
+            assert not first_impression_reader(table, seq).differs
 
     def test_palindrome_never_differs(self):
-        problem = ReaderProblem(n=7, rho=0.9, c=0.02)
+        table = solve_reader_dp(ReaderProblem(n=7, rho=0.9, c=0.02))
         for seq in ([1, 0, 1, 1, 1, 0, 1], [0, 0, 1, 0, 1, 0, 0]):
-            assert not first_impression_reader(problem, seq).differs
+            assert not first_impression_reader(table, seq).differs
 
     def test_single_signal(self):
-        problem = ReaderProblem(n=1, rho=0.75, c=0.01)
-        assert not first_impression_reader(problem, [1]).differs
+        table = solve_reader_dp(ReaderProblem(n=1, rho=0.75, c=0.01))
+        assert not first_impression_reader(table, [1]).differs
 
 
 class TestPolarization:
     WITNESS = [1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]
 
-    def problems(self):
+    def tables(self):
         return (
-            ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.45),
-            ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.55),
+            solve_reader_dp(ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.45)),
+            solve_reader_dp(ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.55)),
         )
 
     def test_committed_witness_diverges(self):
-        low, high = self.problems()
+        low, high = self.tables()
         guess_low, guess_high, diverged = polarization_reader(low, high, self.WITNESS)
         assert (guess_low, guess_high) == (0, 1)
         assert diverged
 
     def test_identical_priors_never_diverge(self):
-        problem = ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.45)
+        table = solve_reader_dp(ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.45))
         rng = random.Random(9)
         for _ in range(50):
             seq = [rng.randint(0, 1) for _ in range(12)]
-            _, _, diverged = polarization_reader(problem, problem, seq)
+            _, _, diverged = polarization_reader(table, table, seq)
             assert not diverged
 
     def test_mismatched_problems_rejected(self):
-        low, _ = self.problems()
-        other = ReaderProblem(n=12, rho=0.85, c=0.02, prior1=0.55)
+        low, _ = self.tables()
+        other = solve_reader_dp(ReaderProblem(n=12, rho=0.85, c=0.02, prior1=0.55))
         with pytest.raises(MismatchedProblemsError):
             polarization_reader(low, other, self.WITNESS)
 
     def test_costless_divergence_iff_posteriors_straddle_half(self):
         # c = 0 readers follow the full posterior; priors 0.4 / 0.6 with
         # rho = 0.75 split exactly when the final count difference is 0.
-        low = ReaderProblem(n=8, rho=0.75, c=0.0, prior1=0.4)
-        high = ReaderProblem(n=8, rho=0.75, c=0.0, prior1=0.6)
+        low = solve_reader_dp(ReaderProblem(n=8, rho=0.75, c=0.0, prior1=0.4))
+        high = solve_reader_dp(ReaderProblem(n=8, rho=0.75, c=0.0, prior1=0.6))
         even = [1, 1, 1, 1, 0, 0, 0, 0]
         _, _, diverged = polarization_reader(low, high, even)
-        assert diverged == (posterior(low, 0) < 0.5 <= posterior(high, 0))
+        assert diverged == (posterior(low.problem, 0) < 0.5 <= posterior(high.problem, 0))
         assert diverged
         plus_two = [1, 1, 1, 1, 1, 0, 0, 0]
         _, _, diverged = polarization_reader(low, high, plus_two)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from bounded_agents import cli, reproduce as reproduce_mod
+from bounded_agents import bias_reader, cli, reproduce as reproduce_mod
 from bounded_agents.automaton import AFamilyParams, build_a_family
 from bounded_agents.bias_reader import ReaderProblem, disregard_index, solve_reader_dp
 from bounded_agents.cli import run_cli
@@ -364,6 +364,17 @@ class TestReader:
         assert 0 <= out["disregard_index"] <= 7
         assert table.read_text().startswith("i,d,W,stop")
 
+    def test_each_problem_is_solved_once(self, tmp_path, monkeypatch):
+        solved = count_reader_solves(monkeypatch)
+        config = write_config(tmp_path, {
+            "problem": {"n": 7, "rho": 0.9, "c": 0.02},
+            "sequence": [1, 1, 1, 0, 0, 0, 0],
+            "polarization": {"prior_b": 0.55, "sequence": [1, 1, 0, 0, 0, 0, 0]},
+        })
+        assert run_cli(["reader", "--config", config]) == 0
+        assert solved == [ReaderProblem(n=7, rho=0.9, c=0.02),
+                          ReaderProblem(n=7, rho=0.9, c=0.02, prior1=0.55)]
+
     def test_csv_covers_full_grid(self, tmp_path):
         config = write_config(tmp_path, {"problem": {"n": 4, "rho": 0.75, "c": 0.01}})
         table = tmp_path / "table.csv"
@@ -484,6 +495,19 @@ class TestMachine:
             assert expected in captured.err
 
 
+def count_reader_solves(monkeypatch):
+    """Route every reader DP solve through a recorder; returns the list of solved problems."""
+    solved = []
+
+    def counting(problem):
+        solved.append(problem)
+        return solve_reader_dp(problem)
+
+    for module in (bias_reader, cli, reproduce_mod):
+        monkeypatch.setattr(module, "solve_reader_dp", counting)
+    return solved
+
+
 class TestReproduce:
     def test_golden_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
         # Cheap path: feed perturbed numbers instead of recomputing.
@@ -512,6 +536,14 @@ class TestReproduce:
         numbers = reproduce_mod.compute_paper_numbers()
         assert sorted(searched) == [1, 4, 5, 6, 7, 8, 9]
         assert numbers["robustness"]["5"]["own_optimum"] == numbers["payoff_five_states"]
+
+    def test_each_reader_problem_is_solved_once(self, monkeypatch):
+        solved = count_reader_solves(monkeypatch)
+        monkeypatch.setattr(reproduce_mod, "compare_exact_mc", lambda *args: SimpleNamespace(
+            mc_mean=0.0, std_error=1.0, z_score=0.0))
+        reproduce_mod.compute_paper_numbers()
+        reproduce_mod.run_demo_checks()
+        assert len(solved) == len(set(solved)) == 13
 
     def test_goldens_have_expected_keys(self):
         goldens = reproduce_mod.load_goldens()
@@ -749,6 +781,11 @@ REFUSED_VALUES = {
                                                "automaton": one_state_policy({"0": True})},
                                 "kernel row '0:1' is not an object of next state: "
                                 "probability, got {'0': True}"),
+    "reader n past index size": ("reader", {"problem": {"n": 10 ** 30, "rho": 0.75, "c": 0.01}},
+                                 f"n must be in [1, 2e9], got {10 ** 30}"),
+    "ladder n past index size": ("eval-exact", {"setting": PAPER_SETTING,
+                                                "automaton": {**LADDER, "n": 10 ** 400}},
+                                 f"n must be in [1, 1e18], got {10 ** 400}"),
 }
 
 
