@@ -43,8 +43,9 @@ class ReaderProblem:
     prior1: float = 0.5
 
     def __post_init__(self):
-        # The upper end keeps the table's (n + 1)(2n + 1) cells index-sized.
-        check_integer(self.n, "n", "[1, 2e9]")
+        # The upper end keeps W and stop, 9 bytes a cell over (n + 1)(2n + 1)
+        # cells, under 300 MB, so every accepted n can be solved.
+        check_integer(self.n, "n", "[1, 4000]")
         check_real(self.rho, "rho", "(0.5, 1)")
         check_real(self.c, "c", "[0, inf)")
         check_real(self.prior1, "prior1", "(0, 1)")

@@ -12,18 +12,19 @@ sampled by inverse CDF in index order; the sampling path contains no
 transcendental calls.
 
 Nature, signals and payoffs do not depend on the agent, so they are arrays;
-only the agent is walked round by round. Each round's signal slot s and
-kernel uniform become one event s * E + v, v being the uniform's rank among
-the E - 1 distinct kernel cumulative sums below 1, so a step is one lookup in
-a next-state table of m * k * E entries. A ladder's rows have at most three
-such sums (1 - p_exp, 1 - r_u and r_d), so E <= 4. A policy with distinct
-probabilities everywhere makes E grow with m * k * r, and the table with m
-squared; so once E passes TABLE_FACTOR * r, the walk keeps the m * k rows of r
-cumulative sums instead and bisects each round's kernel uniform in its row.
-Either way the tables hold O(m * k * r) entries. The rounds run as a burn-in
-segment and one segment per batch (later rounds are not simulated), each
-drawn in slabs of SLAB rounds, so memory is the tables, one batch's payoffs
-and one slab.
+only the agent is walked, B rounds per Python step. Each round's signal slot s
+and kernel uniform become one event s * E + v, v being the uniform's rank
+among the E - 1 distinct kernel cumulative sums below 1 (at most three in a
+ladder's rows). Events whose next states agree in every state share one of K
+classes, and a table of m * K**B entries (at most STRIDE_ENTRIES unless B = 1)
+gives the state B rounds on; numpy fills in the states between and reads each
+payoff from an (m, 2) table by state and nature. Distinct probabilities
+everywhere make E grow with m * k * r, and the one-round table with m squared;
+so once E passes TABLE_FACTOR * r, the walk bisects each round's kernel
+uniform in its row's r cumulative sums instead. The rounds run as a burn-in
+segment and one segment per batch (later rounds are not simulated), each drawn
+in slabs of SLAB rounds, so memory is O(STRIDE_ENTRIES + m * k * r) for the
+tables, one batch's payoffs and one slab.
 
 Per-round payoffs are autocorrelated when pi is small, so the standard
 error uses batch means rather than an i.i.d. formula.
@@ -48,6 +49,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 SLAB = 1 << 16  # rounds drawn per uniform_stream call
 TABLE_FACTOR = 4  # the step table's largest size, in multiples of the rows' size
+STRIDE_ENTRIES = 1 << 16  # the B-round table's largest size, unless B = 1
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -110,9 +112,11 @@ def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
     uniform. ``cuts`` holds every distinct kernel cumulative sum below 1, and
     kernel draw v counts the cuts at or below the kernel uniform: the entry
     taken is the first whose sum's rank among the cuts (len(cuts) from 1.0 up)
-    is at least v, and ``step[q][s * E + v]``, E = len(cuts) + 1, is its next
-    state. Past E = TABLE_FACTOR * r, ``cuts`` is None and ``step[q][s]`` is
-    row (q, s) itself: its cumulative sums and its next states."""
+    is at least v, and event s * E + v, E = len(cuts) + 1, moves q to its next
+    state ``cols[q, cls[s * E + v]]``. ``step`` is (cls, cols, B, table), and
+    ``table[q][code]`` is the state B rounds on, code's base-K digits being the
+    rounds' classes, the first on top. Past E = TABLE_FACTOR * r, ``cuts`` is
+    None and ``step[q][s]`` is row (q, s) itself: its sums and next states."""
     cdf_g, cdf_b = (np.cumsum(p)[:-1] for p in (setting.pG, setting.pB))
     zero = policy.prob == 0.0
     order = np.argsort(policy.next_state + policy.num_states * zero, axis=-1, kind="stable")
@@ -129,7 +133,18 @@ def _compiled_tables(setting: DynamicSetting, policy: AutomatonPolicy):
     base = np.arange(cums.shape[0] * cums.shape[1])[:, None] * width
     ranks = np.searchsorted(cuts, cums, "left").reshape(base.shape[0], -1) + base
     entry = np.searchsorted(ranks.ravel(), (base + np.arange(width)).ravel(), "left")
-    return cdf_g, cdf_b, cuts, nexts.ravel()[entry].reshape(policy.num_states, -1).tolist()
+    m = policy.num_states
+    moves = nexts.ravel()[entry].reshape(m, -1)  # next state by state and event
+    # Columns as byte strings; np.unique(moves, axis=1) builds an m-field dtype, slow at large m.
+    keys = np.ascontiguousarray(moves.T).view(f"V{moves.itemsize * m}")[:, 0]
+    first, cls = np.unique(keys, return_index=True, return_inverse=True)[1:]
+    cols = moves[:, first]
+    # One class (K = 1) would allow any B; counting it as two caps B at 16.
+    blocks, table = 1, cols
+    while m * max(cols.shape[1], 2) ** (blocks + 1) <= STRIDE_ENTRIES:
+        blocks += 1
+        table = cols[table].reshape(m, -1)
+    return cdf_g, cdf_b, cuts, (cls, cols, blocks, table.tolist())
 
 
 def simulate_run(
@@ -138,12 +153,14 @@ def simulate_run(
     """Simulate one seeded run; a deterministic function of its inputs."""
     check_dynamic_policy(policy, setting.k)
     cdf_g, cdf_b, cuts, step = _compiled_tables(setting, policy)
-    risky = np.array([a == RISKY for a in policy.actions])
+    pay = np.where(np.array([a == RISKY for a in policy.actions])[:, None],
+                   [setting.xG, setting.xB], 0.0).ravel()  # (m, 2) by state and nature, G = 0
     q = policy.initial_state
     theta = uniform_stream(config.seed, 0, 1)[0] >= 0.5  # True = B; nature starts stationary
     per_batch = (config.rounds - config.burn_in) // config.batches
     payoffs = np.empty(per_batch)
     bm = np.empty(config.batches)
+    states = np.empty(min(SLAB, config.rounds), np.intp)  # each slab's state before each round
     # Segment 0 is the burn-in, then one per batch; later rounds never count.
     edges = [0] + [config.burn_in + b * per_batch for b in range(config.batches + 1)]
     for seg, (start, stop) in enumerate(zip(edges, edges[1:])):
@@ -162,16 +179,25 @@ def simulate_run(
                     record(q)
                     cums, nexts = step[q][s]
                     q = nexts[bisect_right(cums, um)]
+                states[:n] = path
             else:
+                cls, cols, b, table = step
                 slots *= len(cuts) + 1
                 slots += np.searchsorted(cuts, u[:, 1], "right")
-                for e in slots.tolist():
+                np.take(cls, slots, out=slots)
+                codes = slots[::b]
+                for j in range(1, b):  # Horner; a short last block pads with class 0
+                    codes = codes * cols.shape[1]
+                    codes[:len(slots[j::b])] += slots[j::b]
+                for code in codes.tolist():
                     record(q)
-                    q = step[q][e]
+                    q = table[q][code]
+                states[:n:b] = path
+                for j in range(1, b):
+                    states[j:n:b] = cols[states[j - 1:n - 1:b], slots[j - 1:n - 1:b]]
+                q = cols[states[n - 1], slots[n - 1]]
             if seg:
-                payoffs[t0 - start : t0 - start + n] = np.where(
-                    risky[np.fromiter(path, np.intp, n)],
-                    np.where(nature, setting.xB, setting.xG), 0.0)
+                payoffs[t0 - start : t0 - start + n] = pay[states[:n] * 2 + nature]
         if seg:
             bm[seg - 1] = payoffs.mean()
     return SimResult(

@@ -246,12 +246,16 @@ class ScheduleSpec:
         for name, interval in (("c1", "(0, inf)"), ("a", "(1, inf)"), ("c2", "(0, inf)"),
                                ("b", "(0, inf)")):
             check_real(getattr(self, name), name, interval)
-        ns = check_list(self.n_list, "n_list", each=check_integer, interval="[1, inf)")
+        ns = check_list(self.n_list, "n_list", each=check_integer, interval="[1, 1e18]")
         object.__setattr__(self, "n_list", ns)
         if len(ns) < 2 or any(x >= y for x, y in zip(ns, ns[1:])):
             raise ValidationError("n_list needs at least 2 entries, in increasing order")
-        n_pi = [n * self.pi_of_n(n) for n in ns]
-        ratio = [self.pi_of_n(n) / self.pexp_of_n(n) for n in ns]
+        try:
+            n_pi = [n * self.pi_of_n(n) for n in ns]
+            ratio = [self.pi_of_n(n) / self.pexp_of_n(n) for n in ns]
+        except OverflowError:
+            raise ValidationError(f"n**a or n**b on n_list exceeds the float range "
+                                  f"(a = {self.a}, b = {self.b})") from None
         if any(x <= y for x, y in zip(n_pi, n_pi[1:])):
             raise ValidationError("n*pi(n) is not strictly decreasing on n_list")
         if any(x <= y for x, y in zip(ratio, ratio[1:])):

@@ -216,12 +216,19 @@ class TestLimitCurve:
         assert capsys.readouterr().err == "error: a must be in (1, inf), got 0.5\n"
 
     @pytest.mark.parametrize("n_list, rule", [
-        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "in [1, inf), got 0"),
+        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "in [1, 1e18], got 0"),
     ])
     def test_bad_schedule_point_exits_one(self, tmp_path, capsys, n_list, rule):
         err = one_error_line(tmp_path, capsys, "limit-curve", {
             "setting": PAPER_SETTING, "schedule": {**SCHEDULE, "n_list": n_list}})
         assert err == f"error: n_list entry must be {rule}\n"
+
+    @pytest.mark.parametrize("schedule", [{"n_list": [5, 10**400]}, {"a": 400.0}],
+                             ids=["n past 1e18", "n**a past the float range"])
+    def test_schedule_past_the_float_range_exits_one(self, tmp_path, capsys, schedule):
+        err = one_error_line(tmp_path, capsys, "limit-curve", {
+            "setting": PAPER_SETTING, "schedule": {**SCHEDULE, **schedule}})
+        assert "n_list" in err
 
 
 class TestStaticDemo:
@@ -782,7 +789,11 @@ REFUSED_VALUES = {
                                 "kernel row '0:1' is not an object of next state: "
                                 "probability, got {'0': True}"),
     "reader n past index size": ("reader", {"problem": {"n": 10 ** 30, "rho": 0.75, "c": 0.01}},
-                                 f"n must be in [1, 2e9], got {10 ** 30}"),
+                                 f"n must be in [1, 4000], got {10 ** 30}"),
+    # One past n = 4000, where the two tables, 9 bytes a cell, reach 288 MB.
+    "reader n whose table would not fit": ("reader", {"problem": {"n": 4001, "rho": 0.75,
+                                                                  "c": 0.01}},
+                                           "n must be in [1, 4000], got 4001"),
     "ladder n past index size": ("eval-exact", {"setting": PAPER_SETTING,
                                                 "automaton": {**LADDER, "n": 10 ** 400}},
                                  f"n must be in [1, 1e18], got {10 ** 400}"),

@@ -10,6 +10,7 @@ from bounded_agents.errors import ValidationError
 from bounded_agents.markov_exact import exact_average_payoff
 from bounded_agents.montecarlo import (
     SLAB,
+    STRIDE_ENTRIES,
     SimConfig,
     compare_exact_mc,
     run_seed_sweep,
@@ -160,6 +161,12 @@ ORACLE_CASES = {
     "dense, 12 states": lambda: (
         validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.5, -1.0, 0.05),
         dense_policy(12, 3, seed=7)),
+    # m * K**2 = 2,001 * 36 > STRIDE_ENTRIES: the walk steps one round at a time.
+    "ladder n=2000, one round per step": lambda: _ladder_case(2_000, 1e-3),
+    # Every event stays put (K = 1), so B stops at the cap on the table's size.
+    "one state, one class": lambda: (
+        validate_setting(2, (0.7, 0.3), (0.2, 0.8), 1.0, -1.0, 0.05),
+        dict_policy((RISKY,), {(0, 1): {0: 1.0}, (0, 2): {0: 1.0}}, 2)),
 }
 
 # (config, slab): a default run; no burn-in with rounds not divisible by the
@@ -240,6 +247,18 @@ def test_uniform_requests_stay_within_one_slab(monkeypatch, paper_setting, ladde
     ends = [start + count for start, count in requests]
     assert starts == [0] + ends[:-1]
     assert ends[-1] == 1 + 3 * (config.burn_in + result.rounds_used)
+
+
+@pytest.mark.parametrize("n,blocks", [(4, 5), (2_000, 1), (10_000, 1)])
+def test_stride_table_stays_within_its_entry_bound(n, blocks):
+    # B is the largest with m * K**B <= STRIDE_ENTRIES, or 1 when m * K already
+    # passes it, so the tables hold at most max(STRIDE_ENTRIES, m * k * E) states.
+    cls, cols, b, table = montecarlo._compiled_tables(*_ladder_case(n, 1e-3))[3]
+    assert b == blocks
+    entries = len(table) * len(table[0])
+    assert entries == len(cols) * cols.shape[1] ** b
+    assert entries <= max(STRIDE_ENTRIES, len(cols) * len(cls))
+    assert len(cols) * cols.shape[1] ** (b + 1) > STRIDE_ENTRIES
 
 
 def _peak_bytes(setting, policy, config):

@@ -399,12 +399,17 @@ class TestLimitScheduleCurve:
     @pytest.mark.parametrize("n_list, bad", [
         ((5.7, 10, 20), "an integer, got 5.7"), ((5, 10, "20"), "an integer, got '20'"),
         ((5, 10.0), "an integer, got 10.0"), ((True, 5), "an integer, got True"),
-        ((0, 10), "in [1, inf), got 0"), ((-3, 10), "in [1, inf), got -3"),
+        ((0, 10), "in [1, 1e18], got 0"), ((-3, 10), "in [1, 1e18], got -3"),
     ])
     def test_schedule_points_must_be_positive_integers(self, n_list, bad):
         # A point is an a-family ladder length, so it is never rounded to one.
         with pytest.raises(ValidationError, match=f"^{re.escape(f'n_list entry must be {bad}')}$"):
             ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=n_list)
+
+    @pytest.mark.parametrize("a, b", [(400.0, 1.0), (2.0, 400.0)])
+    def test_schedule_past_the_float_range_is_refused(self, a, b):
+        with pytest.raises(ValidationError, match=r"^n\*\*a or n\*\*b on n_list exceeds"):
+            ScheduleSpec(c1=1.0, a=a, c2=1.0, b=b, n_list=(5, 10))
 
 
 class TestBruteForce:

@@ -127,16 +127,28 @@ def _assert_sim_rows_match(policy, setting):
         return
     # Kernel event v covers the uniforms in [cuts[v - 1], cuts[v]). The scalar
     # loop over the dict-walk rows, run at each interval's lower end (a tie),
-    # must stop at the table's next state.
+    # must stop at the next state of the event's class.
     assert cuts.tolist() == sums
+    cls, cols, blocks, table = step
     width = len(cuts) + 1
+    walked = np.empty((policy.num_states, setting.k * width), int)
     for q, per_signal in enumerate(ref):
         for s, (cums, nexts) in enumerate(per_signal):
             for v, um in enumerate([0.0, *cuts.tolist()]):
                 j = 0
                 while um >= cums[j]:
                     j += 1
-                assert step[q][s * width + v] == nexts[j]
+                walked[q, s * width + v] = nexts[j]
+    assert np.array_equal(cols[:, cls], walked)
+    # Each entry of the B-round table is B single dict-walk steps on one event
+    # of each class, the first round's class being the code's top base-K digit.
+    classes = cols.shape[1]
+    one_step = walked[:, [cls.tolist().index(c) for c in range(classes)]]
+    codes = np.arange(classes ** blocks)
+    want = np.repeat(np.arange(policy.num_states)[:, None], len(codes), axis=1)
+    for digit in reversed(range(blocks)):
+        want = one_step[want, codes // classes ** digit % classes]
+    assert np.array_equal(np.array(table), want)
 
 
 @pytest.mark.parametrize("seed", range(6))
