@@ -52,6 +52,9 @@ HOLD = "hold"
 # Observation key used by SAFE states; risky/hold states use signals 1..k.
 NO_SIGNAL = None
 
+# Most rungs of one ladder, and of all the ladders one search holds at once.
+MAX_RUNGS = 100_000
+
 
 @dataclass(frozen=True, eq=False)
 class AutomatonPolicy:
@@ -124,8 +127,9 @@ class AFamilyParams:
     r_d: float = 1.0
 
     def __post_init__(self):
-        # The upper end keeps np.arange over the 2(n + 1) chain states index-sized.
-        check_integer(self.n, "n", "[1, 1e18]")
+        # An exact solve peaks at about 400 bytes a rung and the Monte Carlo
+        # tables at about 940, so a ladder of MAX_RUNGS takes under 100 MB.
+        check_integer(self.n, "n", f"[1, {MAX_RUNGS}]")
         for name in ("p_exp", "r_u", "r_d"):
             check_real(getattr(self, name), name, "(0, 1]", BadProbabilityError)
         pos, neg = (frozenset(check_list(getattr(self, name), name, each=check_integer))

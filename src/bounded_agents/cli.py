@@ -43,7 +43,7 @@ from .costly_comp import (
     make_primality_instance,
     problem_from_dict,
 )
-from .dynamic_env import setting_from_dict
+from .dynamic_env import validate_setting
 from .errors import (
     BoundedAgentsError,
     ValidationError,
@@ -134,7 +134,7 @@ def _emit_json(doc: dict, path: str | None) -> None:
 def cmd_eval_exact(args) -> int:
     config = _load_config(args.config)
     check_keys(config, "config", ("setting", "automaton"))
-    setting = setting_from_dict(config["setting"])
+    setting = _section(validate_setting, config["setting"], "setting")
     policy = _policy_from_config(config["automaton"], "automaton", setting.k)
     chain = build_joint_chain(setting, policy)
     dist = stationary(chain)
@@ -151,7 +151,7 @@ def cmd_simulate(args) -> int:
     config = _load_config(args.config)
     check_keys(config, "config", ("setting", "automaton", "rounds"),
                ("seed", "seeds", "burn_in", "batches"))
-    setting = setting_from_dict(config["setting"])
+    setting = _section(validate_setting, config["setting"], "setting")
     policy = _policy_from_config(config["automaton"], "automaton", setting.k)
     seed = args.seed if args.seed is not None else config.get("seed", 0)
     sim_config = SimConfig(seed=seed, **_given(config, ("rounds", "burn_in", "batches")))
@@ -184,7 +184,7 @@ def cmd_optimize(args) -> int:
     if not isinstance(mode, str) or mode not in _OPTIMIZE_KEYS:
         raise ValidationError(f"unknown optimize mode {mode!r}")
     check_keys(config, f"{mode} mode config", ("setting", "n"), ("mode", *_OPTIMIZE_KEYS[mode]))
-    setting = setting_from_dict(config["setting"])
+    setting = _section(validate_setting, config["setting"], "setting")
     search = _given(config, _OPTIMIZE_KEYS[mode])
     extra = {}
     if mode == "partition":
@@ -214,7 +214,7 @@ def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
     options = ("partition", "r_u", "r_d")
     check_keys(config, "config", ("setting", "schedule"), options)
-    setting = setting_from_dict(config["setting"])
+    setting = _section(validate_setting, config["setting"], "setting")
     schedule = _section(ScheduleSpec, config["schedule"], "schedule")
     curve = limit_schedule_curve(setting, schedule, **_given(config, options))
     _write(args.out, csv_text(CURVE_HEADER, [(pt.n, pt.pi, pt.p_exp, pt.payoff)

@@ -19,7 +19,6 @@ from .errors import (
     BadPayoffSignError,
     check_distribution,
     check_integer,
-    check_keys,
     check_list,
     check_real,
 )
@@ -78,10 +77,3 @@ def is_nontrivial(setting: DynamicSetting) -> bool:
 def oracle_upper_bound(setting: DynamicSetting) -> float:
     """Expected average payoff of an agent told nature's state each round."""
     return setting.xG / 2.0
-
-
-def setting_from_dict(doc: dict) -> DynamicSetting:
-    """Build a setting from a JSON-style mapping with keys k, pG, pB, xG, xB, pi."""
-    check_keys(doc, "setting", ("k", "pG", "pB", "xG", "xB", "pi"))
-    return validate_setting(**doc)
-

@@ -26,7 +26,6 @@ functions are its B = 1 case, so a chain gets the same bits alone or in a stack.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -61,7 +60,7 @@ class JointChainModel:
     """Transition matrix and rewards over (nature, automaton-state) pairs, row
     nature_index * num_agent_states + agent_state with G = 0, B = 1. The
     matrix is held as joint_band's (d, L, 1) storage ``band`` of half-width
-    ``w``; the dense ``P`` is built from it on first read."""
+    ``w``; the dense ``P`` is built from it on each read."""
 
     dim: int
     band: np.ndarray
@@ -69,7 +68,7 @@ class JointChainModel:
     reward: np.ndarray
     num_agent_states: int
 
-    @cached_property
+    @property
     def P(self) -> np.ndarray:
         nature_major = np.argsort(_interleaved(self.dim))
         return _whole_rows(self.band, self.w)[np.ix_(nature_major, nature_major)][:, :, 0]
@@ -140,10 +139,10 @@ def joint_reward(setting: DynamicSetting, actions) -> np.ndarray:
 def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.ndarray, int]:
     """(d, L, B) interleaved-order storage of the joint chains of (B, m, 2W + 1)
     agent bands in G and B, and its half-bandwidth w: row i holds (i, j) at column
-    j - i + w, w the least that holds every nonzero; or whole rows (w = d - 1),
-    masked from a strided view of the band, if no width 3, 7, 15, ... that holds
-    them is narrower than the matrix. The stack axis is last, so each elimination
-    step runs over contiguous runs of B values."""
+    j - i + w, w the least that holds every nonzero, if that band is narrower than
+    the matrix (2w + 1 < d); else whole rows (w = d - 1), masked from a strided
+    view of the band. The stack axis is last, so each elimination step runs over
+    contiguous runs of B values."""
     b, m, wide = a_good.shape
     # (q, theta) -> (q', theta') is held at column 2(q' - q + W) + theta' - theta + 2W + 1.
     S = np.zeros((m, 2, 2 * wide + 1, b))
@@ -154,12 +153,9 @@ def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.nda
     np.multiply(bad, 1.0 - pi, out=S[:, 1, 1:-1:2])
     S = S.reshape(2 * m, 2 * wide + 1, b)
     tight = int(np.abs(np.flatnonzero(S.any(axis=(0, 2))) - wide).max(initial=1))
-    d, w = 2 * m, 3
-    while 2 * w + 1 < d:
-        if tight <= w:
-            return np.ascontiguousarray(S[:, wide - tight:wide + tight + 1]), tight
-        w = 2 * w + 1
-    return _whole_rows(S, wide), d - 1
+    if 2 * tight + 1 < 2 * m:
+        return np.ascontiguousarray(S[:, wide - tight:wide + tight + 1]), tight
+    return _whole_rows(S, wide), 2 * m - 1
 
 
 def build_joint_chain(setting: DynamicSetting, policy: AutomatonPolicy) -> JointChainModel:

@@ -50,6 +50,7 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 SLAB = 1 << 16  # rounds drawn per uniform_stream call
 TABLE_FACTOR = 4  # the step table's largest size, in multiples of the rows' size
 STRIDE_ENTRIES = 1 << 16  # the B-round table's largest size, unless B = 1
+BATCH_ROUNDS = 1 << 24  # most rounds a batch: the run keeps one batch's payoffs, 128 MiB
 
 
 def uniform_stream(seed: int, start: int, count: int) -> np.ndarray:
@@ -86,6 +87,9 @@ class SimConfig:
         check_integer(self.burn_in, "burn_in", f"[0, {self.rounds})")
         if (self.rounds - self.burn_in) < self.batches:
             raise ValidationError("not enough post-burn-in rounds for the batches")
+        if (per_batch := (self.rounds - self.burn_in) // self.batches) > BATCH_ROUNDS:
+            raise ValidationError(f"rounds leaves {per_batch} rounds a batch after burn_in; "
+                                  f"a batch holds at most {BATCH_ROUNDS}")
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
+from .automaton import RISKY, SAFE, MAX_RUNGS, AFamilyParams, AutomatonPolicy, build_a_family
 from .dynamic_env import DynamicSetting, is_nontrivial, validate_setting
 from .errors import (
     BadProbabilityError,
@@ -106,6 +106,9 @@ def _search(setting: DynamicSetting, n: int, ladders, grid) -> list[OptResult]:
     grid = list(map(float, grid))
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
+    # The ladders are held until the search ends, at about 530 bytes a rung
+    # (policy, agent bands and stacks), so together they get MAX_RUNGS.
+    check_integer(n, "n", f"[1, {MAX_RUNGS // len(ladders)}]")
 
     params = [AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
               for pos, neg, r_u, r_d in ladders]
@@ -246,7 +249,7 @@ class ScheduleSpec:
         for name, interval in (("c1", "(0, inf)"), ("a", "(1, inf)"), ("c2", "(0, inf)"),
                                ("b", "(0, inf)")):
             check_real(getattr(self, name), name, interval)
-        ns = check_list(self.n_list, "n_list", each=check_integer, interval="[1, 1e18]")
+        ns = check_list(self.n_list, "n_list", each=check_integer, interval=f"[1, {MAX_RUNGS}]")
         object.__setattr__(self, "n_list", ns)
         if len(ns) < 2 or any(x >= y for x, y in zip(ns, ns[1:])):
             raise ValidationError("n_list needs at least 2 entries, in increasing order")

@@ -123,19 +123,16 @@ def compute_paper_numbers() -> dict:
     numbers["max_payoff_seen"] = max(payoffs_seen)
 
     # Robustness: the five-state optimum reused for larger ladders.
-    pexp_five = numbers["pexp_five_states"]
-    robustness = {}
-    for n in range(4, 10):
-        own = searches[n].best_payoff
-        fixed = exact_average_payoff(setting, build_a_family(
-            4, AFamilyParams(n=n, p_exp=pexp_five, pos=PARTITION[0], neg=PARTITION[1])))
-        robustness[str(n + 1)] = {"own_optimum": own, "fixed_pexp": fixed}
-    numbers["robustness"] = robustness
+    ladders = {n: build_a_family(4, AFamilyParams(n=n, p_exp=numbers["pexp_five_states"],
+                                                  pos=PARTITION[0], neg=PARTITION[1]))
+               for n in range(4, 10)}
+    numbers["robustness"] = {
+        str(n + 1): {"own_optimum": searches[n].best_payoff,
+                     "fixed_pexp": exact_average_payoff(setting, ladder)}
+        for n, ladder in ladders.items()}
 
     # Stationary solve diagnostics on the ten-state joint chain.
-    policy5 = build_a_family(
-        4, AFamilyParams(n=4, p_exp=pexp_five, pos=PARTITION[0], neg=PARTITION[1])
-    )
+    policy5 = ladders[4]
     chain = build_joint_chain(setting, policy5)
     dist = stationary(chain)
     numbers["paper_chain_residual"] = dist.residual
@@ -163,15 +160,10 @@ def compute_paper_numbers() -> dict:
     numbers["reader_disregard"] = {fmt(c): disregard_index(table) for c, table in tables.items()}
 
     # Static-model golden value.
-    sticky = build_linear_sticky(
-        5, [1, 1, 1, 1, 1], [0.01, 1, 1, 1, 1],
-        good_signal=1, bad_signal=4, k=4, initial_state=2,
-    )
-    static_setting = StaticSetting(
-        k=4, pG=(0.4, 0.3, 0.2, 0.1), pB=(0.1, 0.2, 0.3, 0.4), eta=0.01
-    )
+    sticky = build_linear_sticky(**load_witnesses()["static_policy"])
+    static_setting = StaticSetting(k=setting.k, pG=setting.pG, pB=setting.pB, eta=0.01)
     numbers["static_expected_utility"] = static_expected_utility(
-        static_setting, sticky, threshold_rule(5)
+        static_setting, sticky, threshold_rule(sticky.num_states)
     )
 
     # Machine-choice instance.

@@ -207,20 +207,15 @@ def _gather(P, w):
 
 def dense_band(P):
     """(d, L, B) storage and half-bandwidth of a (B, d, d) stack, found from
-    the dense matrices: w doubles from 3 until a band of half-width w holds
-    every nonzero in the interleaved order 2q + theta, then shrinks to the
-    widest offset used; whole rows (w = d - 1) once 2w + 1 reaches d."""
+    the dense matrices: a band of the widest offset w of any nonzero in the
+    interleaved order 2q + theta if 2w + 1 < d, else whole rows (w = d - 1)."""
     d = P.shape[1]
-    nonzeros = np.count_nonzero(P != 0.0)
-    w = 3
-    while 2 * w + 1 < d:
-        S = _gather(P, w)
-        per_offset = (S != 0.0).sum(axis=(0, 2))
-        if per_offset.sum() == nonzeros:
-            tight = int(np.abs(np.flatnonzero(per_offset) - w).max(initial=1))
-            return np.ascontiguousarray(S[:, w - tight:w + tight + 1]), tight
-        w = 2 * w + 1
-    return _gather(P, d - 1), d - 1
+    S = _gather(P, d - 1)
+    rows, cols = np.nonzero(S.any(axis=2))
+    tight = int(np.abs(cols - rows).max(initial=1))
+    if 2 * tight + 1 < d:
+        return _gather(P, tight), tight
+    return S, d - 1
 
 
 def chain_of_matrix(P, reward=None, num_agent_states=None):

@@ -26,17 +26,18 @@ from bounded_agents.markov_exact import (
     agent_step_matrix,
     build_joint_chain,
     dense_matrix,
+    exact_average_payoff,
     joint_band,
     reach_gaps,
     stationary,
 )
 from bounded_agents.optimize import (
     _candidate_bands, _row_options, _state_tables, brute_force_policy_search,
-    default_partition,
+    default_partition, optimize_pexp,
 )
 from oracles import (
-    add_at_residual, dense_route, dense_step_matrix, dict_policy, digit_candidate_bands,
-    exact_residual, scatter_joint_rows,
+    add_at_residual, dense_band, dense_joint_matrices, dense_route, dense_step_matrix,
+    dict_policy, digit_candidate_bands, exact_residual, scatter_joint_rows,
 )
 
 # perfbench's ladder_scaling draws: seed 31's climbing signals, and the
@@ -102,8 +103,8 @@ def jump_policy(m, jump):
 
 
 @pytest.mark.parametrize("m, jump, w", [
-    (6, 2, 11),    # half-width 5, but the band of width 7 is no narrower: whole rows
-    (10, 2, 5),    # half-width 5 inside the band of width 7
+    (6, 2, 5),     # half-width 5: a band of 11 columns, one narrower than d = 12
+    (10, 2, 5),    # half-width 5 in d = 20
     (40, 3, 7),    # d = 80
 ])
 def test_policies_that_jump_two_or_more_states(m, jump, w):
@@ -130,6 +131,54 @@ def test_chain_of_66_states_stored_whole(paper_setting):
     policy = AutomatonPolicy(m, 0, (RISKY,) * m, np.broadcast_to(np.arange(m), prob.shape), prob)
     chain = assert_matches_dense_route(paper_setting, policy)
     assert chain.w == 2 * m - 1 and chain.band.shape == (2 * m, 2 * m, 1)
+
+
+def up_moves(m, W):
+    """(1, m, 2W + 1) band of an agent that stays or moves W states up, each
+    with probability 1/2 (stays surely where W up is past the top)."""
+    band = np.zeros((1, m, 2 * W + 1))
+    band[0, :, W] = np.where(np.arange(m) + W < m, 0.5, 1.0)
+    band[0, :m - W, 2 * W] = 0.5
+    return band
+
+
+@pytest.mark.parametrize("W", [1, 2, 3])
+def test_band_is_stored_while_narrower_than_the_matrix(W):
+    # An agent that moves W states up gives half-width tight = 2W + 1. At
+    # d = 2 tight + 2 the band's 2 tight + 1 = d - 1 columns are stored; at
+    # d = 2 tight it has d + 1 columns, so the rows are stored whole.
+    tight = 2 * W + 1
+    for m, L, w in ((tight + 1, 2 * tight + 1, tight), (tight, 2 * tight, 2 * tight - 1)):
+        band = up_moves(m, W)
+        S, got = joint_band(band, band, 0.01)
+        assert (S.shape, got) == ((2 * m, L, 1), w)
+        P = dense_joint_matrices(*(dense_matrix(b)[None] for b in (band[0], band[0])), 0.01)
+        want, want_w = dense_band(P)
+        assert want_w == w and np.array_equal(S, want)
+
+
+def test_benchmark_chains_keep_their_layout(monkeypatch, paper_setting):
+    # Ladders of n >= 3 rungs are bands of half-width 3; ladders of n <= 2
+    # and brute-force stacks, d <= 6, are stored whole.
+    layouts = []
+
+    def spy(a_good, a_bad, pi):
+        S, w = joint_band(a_good, a_bad, pi)
+        layouts.append((S.shape[1], w))
+        return S, w
+
+    monkeypatch.setattr(markov_exact, "joint_band", spy)
+    sides = (frozenset({1}), frozenset({4}))
+    for n, layout in ((1, (4, 3)), (2, (6, 5)), (3, (7, 3)), (4, (7, 3)), (125, (7, 3))):
+        layouts.clear()
+        optimize_pexp(paper_setting, n, sides, grid=(0.01, 0.1))
+        exact_average_payoff(paper_setting, ladder(paper_setting, n, 0.01, sides))
+        assert set(layouts) == {layout}
+    two_signals = validate_setting(2, (0.7, 0.3), (0.2, 0.8), 1.0, -0.5, 0.01)
+    for setting, m in ((paper_setting, 1), (paper_setting, 2), (two_signals, 3)):
+        layouts.clear()
+        brute_force_policy_search(setting, m)
+        assert set(layouts) == {(2 * m, 2 * m - 1)}
 
 
 def test_chain_whose_mass_underflows_takes_the_structural_pass(monkeypatch):

@@ -216,7 +216,7 @@ class TestLimitCurve:
         assert capsys.readouterr().err == "error: a must be in (1, inf), got 0.5\n"
 
     @pytest.mark.parametrize("n_list, rule", [
-        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "in [1, 1e18], got 0"),
+        ([5.5, 10], "an integer, got 5.5"), ([0, 10], "in [1, 100000], got 0"),
     ])
     def test_bad_schedule_point_exits_one(self, tmp_path, capsys, n_list, rule):
         err = one_error_line(tmp_path, capsys, "limit-curve", {
@@ -796,7 +796,36 @@ REFUSED_VALUES = {
                                            "n must be in [1, 4000], got 4001"),
     "ladder n past index size": ("eval-exact", {"setting": PAPER_SETTING,
                                                 "automaton": {**LADDER, "n": 10 ** 400}},
-                                 f"n must be in [1, 1e18], got {10 ** 400}"),
+                                 f"n must be in [1, 100000], got {10 ** 400}"),
+    # A ladder takes about 1 KB a rung; 10^18 rungs asked for 6.94 EiB.
+    "ladder n whose chain would not fit": (
+        "eval-exact", {"setting": PAPER_SETTING, "automaton": {**LADDER, "n": 10 ** 18}},
+        f"n must be in [1, 100000], got {10 ** 18}"),
+    "n_list entry whose chain would not fit": (
+        "limit-curve",
+        {"setting": PAPER_SETTING, "schedule": {**SCHEDULE, "n_list": [5, 10 ** 18]}},
+        f"n_list entry must be in [1, 100000], got {10 ** 18}"),
+    # A search holds all its ladders at once, so they share the rungs of one.
+    "optimize n whose ladder would not fit": (
+        "optimize", {"setting": PAPER_SETTING, "n": 10 ** 18},
+        f"n must be in [1, 100000], got {10 ** 18}"),
+    "rates n whose 25 ladders would not fit": (
+        "optimize", {"setting": PAPER_SETTING, "n": 10 ** 18, "mode": "rates"},
+        f"n must be in [1, 4000], got {10 ** 18}"),
+    "partition n whose 50 ladders would not fit": (
+        "optimize", {"setting": PAPER_SETTING, "n": 10 ** 18, "mode": "partition"},
+        f"n must be in [1, 2000], got {10 ** 18}"),
+    "type_bound whose table would not fit": (
+        "machine", {"primality": {"type_bound": 10 ** 18}},
+        f"type_bound must be in [2, 1048576], got {10 ** 18}"),
+    # A run keeps one batch's payoffs, 8 bytes a round: 3.6 TiB at 10^13 rounds.
+    "rounds whose batch would not fit": (
+        "simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 10 ** 13},
+        "rounds leaves 495000000000 rounds a batch after burn_in; a batch holds at most 16777216"),
+    "rounds past the array size": (
+        "simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 10 ** 30},
+        f"rounds leaves {99 * 10 ** 28 // 20} rounds a batch after burn_in; "
+        "a batch holds at most 16777216"),
 }
 
 

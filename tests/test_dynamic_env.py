@@ -8,7 +8,6 @@ from bounded_agents.automaton import AFamilyParams, build_a_family
 from bounded_agents.dynamic_env import (
     is_nontrivial,
     oracle_upper_bound,
-    setting_from_dict,
     validate_setting,
 )
 from bounded_agents.errors import (
@@ -110,8 +109,3 @@ def test_nontrivial_symmetric_in_pg_pb(paper_setting):
 def test_oracle_upper_bound(xG, expected):
     s = validate_setting(2, (0.6, 0.4), (0.4, 0.6), xG, -1.0, 0.01)
     assert oracle_upper_bound(s) == pytest.approx(expected, abs=0)
-
-
-def test_missing_key_rejected():
-    with pytest.raises(ValidationError, match="missing keys"):
-        setting_from_dict({"k": 2, "pG": [0.5, 0.5], "pB": [0.5, 0.5], "xG": 1.0})

@@ -399,7 +399,7 @@ class TestLimitScheduleCurve:
     @pytest.mark.parametrize("n_list, bad", [
         ((5.7, 10, 20), "an integer, got 5.7"), ((5, 10, "20"), "an integer, got '20'"),
         ((5, 10.0), "an integer, got 10.0"), ((True, 5), "an integer, got True"),
-        ((0, 10), "in [1, 1e18], got 0"), ((-3, 10), "in [1, 1e18], got -3"),
+        ((0, 10), "in [1, 100000], got 0"), ((-3, 10), "in [1, 100000], got -3"),
     ])
     def test_schedule_points_must_be_positive_integers(self, n_list, bad):
         # A point is an a-family ladder length, so it is never rounded to one.

@@ -26,9 +26,9 @@ from bounded_agents.automaton import (
 )
 from bounded_agents.automaton import policy_from_dict
 from bounded_agents.bias_reader import ReaderProblem
-from bounded_agents.cli import run_cli
+from bounded_agents.cli import _section, run_cli
 from bounded_agents.costly_comp import CompProblem, problem_from_dict
-from bounded_agents.dynamic_env import setting_from_dict, validate_setting
+from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import (
     PROB_SUM_TOL,
     DimensionMismatchError,
@@ -183,7 +183,7 @@ def test_key_rule():
 
 # Each JSON reader, with a document it accepts; the first key is required.
 KEY_ENTRY_POINTS = {
-    "setting_from_dict": (setting_from_dict, "setting", {
+    "setting_from_dict": (lambda doc: _section(validate_setting, doc, "setting"), "setting", {
         "k": 2, "pG": [0.6, 0.4], "pB": [0.4, 0.6], "xG": 1.0, "xB": -1.0, "pi": 0.1}),
     "policy_from_dict": (lambda doc: policy_from_dict(doc, 2), "policy", policy_to_dict(
         build_linear_sticky(2, [1, 1], [1, 1], 1, 2, k=2))),
