@@ -141,8 +141,8 @@ def simulate_reader(table: ReaderDPTable, sequence: Sequence[int]) -> ReaderRun:
 
 @dataclass(frozen=True)
 class FirstImpressionReport:
-    guess_forward: int
-    guess_reversed: int
+    forward: int
+    reversed: int
     differs: bool
     full_info_guess: int
 
@@ -159,16 +159,23 @@ def first_impression_reader(
     rev = simulate_reader(table, list(sequence)[::-1])
     d_total = sum(1 if b else -1 for b in sequence)
     return FirstImpressionReport(
-        guess_forward=fwd.guess,
-        guess_reversed=rev.guess,
+        forward=fwd.guess,
+        reversed=rev.guess,
         differs=fwd.guess != rev.guess,
         full_info_guess=_guess_from_d(table.problem, d_total),
     )
 
 
+@dataclass(frozen=True)
+class PolarizationReport:
+    guess_a: int
+    guess_b: int
+    diverged: bool
+
+
 def polarization_reader(
     table_a: ReaderDPTable, table_b: ReaderDPTable, sequence: Sequence[int]
-) -> tuple[int, int, bool]:
+) -> PolarizationReport:
     """Two readers differing only in prior see the same evidence."""
     a, b = table_a.problem, table_b.problem
     if (a.n, a.rho, a.c) != (b.n, b.rho, b.c):
@@ -177,7 +184,7 @@ def polarization_reader(
         )
     guess_a = simulate_reader(table_a, sequence).guess
     guess_b = simulate_reader(table_b, sequence).guess
-    return guess_a, guess_b, guess_a != guess_b
+    return PolarizationReport(guess_a=guess_a, guess_b=guess_b, diverged=guess_a != guess_b)
 
 
 def disregard_index(table: ReaderDPTable) -> int:

@@ -15,7 +15,7 @@ import argparse
 import inspect
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .automaton import (
@@ -243,23 +243,10 @@ def cmd_static_demo(args) -> int:
     policy = _policy_from_config(config["policy"], "policy", config.get("k"), "linear_sticky")
     rule = DecisionRule(config["rule"]) if "rule" in config else threshold_rule(policy.num_states)
     if demo == "polarization":
-        result = polarization_demo(
-            policy, config["start_a"], config["start_b"], config["sequence"], rule
-        )
-        out = {
-            "modal_a": result.modal_a,
-            "modal_b": result.modal_b,
-            "diverged": result.diverged,
-            "decision_dist_a": result.decision_dist_a,
-            "decision_dist_b": result.decision_dist_b,
-        }
+        out = asdict(polarization_demo(
+            policy, config["start_a"], config["start_b"], config["sequence"], rule))
     elif demo == "first_impression":
-        result = first_impression_demo(policy, config["start"], config["sequence"], rule)
-        out = {
-            "forward": result.decision_forward,
-            "reversed": result.decision_reversed,
-            "order_sensitive": result.order_sensitive,
-        }
+        out = asdict(first_impression_demo(policy, config["start"], config["sequence"], rule))
     else:
         setting = _section(StaticSetting, config["setting"], "setting")
         out = {"expected_utility": static_expected_utility(setting, policy, rule)}
@@ -286,24 +273,15 @@ def cmd_reader(args) -> int:
     }
     if "sequence" in config:
         run = simulate_reader(table, config["sequence"])
-        report = first_impression_reader(table, config["sequence"])
         out["run"] = {"guess": run.guess, "reads": run.reads}
-        out["first_impression"] = {
-            "forward": report.guess_forward,
-            "reversed": report.guess_reversed,
-            "differs": report.differs,
-            "full_info_guess": report.full_info_guess,
-        }
+        out["first_impression"] = asdict(first_impression_reader(table, config["sequence"]))
     if "polarization" in config:
         pol = config["polarization"]
         check_keys(pol, "polarization", ("prior_b", "sequence"))
         check_real(pol["prior_b"], "prior_b", "(0, 1)")
         other = replace(problem, prior1=pol["prior_b"])
         table_b = table if other == problem else solve_reader_dp(other)
-        guess_a, guess_b, diverged = polarization_reader(table, table_b, pol["sequence"])
-        out["polarization"] = {
-            "guess_a": guess_a, "guess_b": guess_b, "diverged": diverged,
-        }
+        out["polarization"] = asdict(polarization_reader(table, table_b, pol["sequence"]))
     _emit_json(out, args.out)
     if args.table_csv:
         rows = [(i, d, table.value(i, d), int(table.should_stop(i, d)))

@@ -294,25 +294,22 @@ def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
     """Stationary rows, residuals, pivots and irreducibility certificates (see
     _gth) of a stack of chains from their storage S. The residual
     max_j |(xP)_j - x_j| is summed on the storage itself: one vector step per
-    band diagonal, or per row of whole-row storage."""
-    d, L, b = S.shape
+    diagonal of its square view."""
+    d, _, b = S.shape
     mu = np.empty((b, d))
     # A zero pivot (from underflow, or a reducible chain) gives inf and NaN,
     # which fail the checks of _failures with a typed error.
     with np.errstate(divide="ignore", invalid="ignore"):
         x, pivot, certified = _gth(S.copy(), w)
         mu[:, _interleaved(d)] = x
-        # Each (xP)[j] adds x[i] * P[i, j] to 0.0 with i ascending: a band's
-        # diagonals from its highest column, which holds each j's least i.
+        # Each (xP)[j] adds x[i] * P[i, j] to 0.0 with i ascending: diagonals
+        # j - i = o from the highest, which holds each j's least i.
         xt = np.ascontiguousarray(x.T)
         xP = np.zeros((d, b))
-        if L == 2 * w + 1:
-            for c in range(L - 1, -1, -1):
-                lo, hi = max(0, w - c), min(d, d + w - c)
-                xP[lo + c - w:hi + c - w] += xt[lo:hi] * S[lo:hi, c]
-        else:
-            for i in range(d):
-                xP += xt[i] * S[i]
+        V = _square_view(S, w)
+        for o in range(w, -w - 1, -1):
+            lo, hi = max(0, -o), min(d, d - o)
+            xP[lo + o:hi + o] += xt[lo:hi] * np.diagonal(V, o).T
         residual = np.abs(xP - xt).max(axis=0)
     return mu, residual, pivot, certified
 

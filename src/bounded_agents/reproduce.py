@@ -13,7 +13,7 @@ produce byte-identical files.
 from __future__ import annotations
 
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -211,53 +211,36 @@ def run_demo_checks() -> tuple[dict, list[str]]:
     failures: list[str] = []
     results: dict = {}
 
+    def check(name: str, fields: dict) -> None:
+        expect = witnesses[name]["expect"]
+        results[name] = {key: fields[key] for key in expect}
+        _diff(name, results[name], expect, failures)
+
     spec = witnesses["reader_first_impression"]
     report = first_impression_reader(solve_reader_dp(ReaderProblem(**spec["problem"])),
                                      spec["sequence"])
-    results["reader_first_impression"] = {
-        "forward": report.guess_forward,
-        "reversed": report.guess_reversed,
-        "differs": report.differs,
-        "full_info": report.full_info_guess,
-    }
-    _diff("reader_first_impression", results["reader_first_impression"],
-          spec["expect"], failures)
+    check("reader_first_impression", {**asdict(report), "full_info": report.full_info_guess})
 
     spec = witnesses["reader_polarization"]
     shared = {name: spec[name] for name in ("n", "rho", "c")}
     low = solve_reader_dp(ReaderProblem(**shared, prior1=spec["prior_a"]))
     high = solve_reader_dp(ReaderProblem(**shared, prior1=spec["prior_b"]))
-    guess_a, guess_b, diverged = polarization_reader(low, high, spec["sequence"])
-    results["reader_polarization"] = {
-        "guess_a": guess_a, "guess_b": guess_b, "diverged": diverged,
-    }
-    _diff("reader_polarization", results["reader_polarization"], spec["expect"], failures)
+    check("reader_polarization", asdict(polarization_reader(low, high, spec["sequence"])))
     # Negative control: identical priors never diverge on the witness.
-    _, _, control = polarization_reader(low, low, spec["sequence"])
-    if control:
+    if polarization_reader(low, low, spec["sequence"]).diverged:
         failures.append("reader_polarization: identical-prior control diverged")
 
     pol = witnesses["static_polarization"]
     policy = build_linear_sticky(**witnesses["static_policy"])
     rule = threshold_rule(policy.num_states)
-    result = polarization_demo(policy, pol["start_a"], pol["start_b"], pol["sequence"], rule)
-    results["static_polarization"] = {
-        "modal_a": result.modal_a, "modal_b": result.modal_b, "diverged": result.diverged,
-    }
-    _diff("static_polarization", results["static_polarization"], pol["expect"], failures)
-    control = polarization_demo(policy, pol["start_a"], pol["start_a"], pol["sequence"], rule)
-    if control.diverged:
+    check("static_polarization", asdict(
+        polarization_demo(policy, pol["start_a"], pol["start_b"], pol["sequence"], rule)))
+    if polarization_demo(policy, pol["start_a"], pol["start_a"], pol["sequence"], rule).diverged:
         failures.append("static_polarization: identical-start control diverged")
 
     fi = witnesses["static_first_impression"]
-    result = first_impression_demo(policy, fi["start"], fi["sequence"], rule)
-    results["static_first_impression"] = {
-        "forward": result.decision_forward,
-        "reversed": result.decision_reversed,
-        "order_sensitive": result.order_sensitive,
-    }
-    _diff("static_first_impression", results["static_first_impression"],
-          fi["expect"], failures)
+    check("static_first_impression",
+          asdict(first_impression_demo(policy, fi["start"], fi["sequence"], rule)))
     return results, failures
 
 

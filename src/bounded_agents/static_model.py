@@ -82,6 +82,9 @@ def static_expected_utility(
 ) -> float:
     """Exact expected utility of (policy, rule) under the geometric deadline."""
     check_policy(policy, setting.k)
+    # The dense step and resolvent matrices peak at 24 bytes a pair of
+    # states (tracemalloc), so 2000 states stay under 100 MB.
+    check_integer(policy.num_states, "policy state count", "[1, 2000]")
     check_list(rule.decide, "rule", policy.num_states)
     d0 = np.zeros(policy.num_states)
     d0[policy.initial_state] = 1.0
@@ -174,8 +177,8 @@ def polarization_demo(
 
 @dataclass(frozen=True)
 class FirstImpressionResult:
-    decision_forward: str
-    decision_reversed: str
+    forward: str
+    reversed: str
     order_sensitive: bool
 
 
@@ -194,8 +197,4 @@ def first_impression_demo(
     rev = propagate_sequence(policy, start, seq[::-1])[-1]
     d_fwd = modal_decision(decision_distribution(fwd, rule))
     d_rev = modal_decision(decision_distribution(rev, rule))
-    return FirstImpressionResult(
-        decision_forward=d_fwd,
-        decision_reversed=d_rev,
-        order_sensitive=d_fwd != d_rev,
-    )
+    return FirstImpressionResult(forward=d_fwd, reversed=d_rev, order_sensitive=d_fwd != d_rev)

@@ -297,8 +297,8 @@ def test_criterion_09_polarization_witnesses_and_controls():
     shared = {name: rp[name] for name in ("n", "rho", "c")}
     low = solve_reader_dp(ReaderProblem(**shared, prior1=rp["prior_a"]))
     high = solve_reader_dp(ReaderProblem(**shared, prior1=rp["prior_b"]))
-    guess_a, guess_b, reader_diverged = polarization_reader(low, high, rp["sequence"])
-    _, _, reader_control = polarization_reader(low, low, rp["sequence"])
+    reader = polarization_reader(low, high, rp["sequence"])
+    reader_control = polarization_reader(low, low, rp["sequence"]).diverged
 
     rng = random.Random(7)
     control_clean = True
@@ -307,15 +307,15 @@ def test_criterion_09_polarization_witnesses_and_controls():
         if polarization_demo(policy, 2, 2, seq, rule).diverged:
             control_clean = False
         bits = [rng.randint(0, 1) for _ in range(rp["n"])]
-        if polarization_reader(high, high, bits)[2]:
+        if polarization_reader(high, high, bits).diverged:
             control_clean = False
 
     announce(
         9,
-        static_ok and reader_diverged and not static_control.diverged
+        static_ok and reader.diverged and not static_control.diverged
         and not reader_control and control_clean,
         f"static modal ({static_result.modal_a}, {static_result.modal_b}); "
-        f"reader guesses ({guess_a}, {guess_b}); controls clean: {control_clean}",
+        f"reader guesses ({reader.guess_a}, {reader.guess_b}); controls clean: {control_clean}",
     )
 
 

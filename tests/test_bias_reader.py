@@ -88,6 +88,15 @@ class TestSolveReaderDp:
             outside = np.abs(j - n) > i
             assert np.isnan(table.W[outside]).all() and not table.stop[outside].any()
 
+    @pytest.mark.parametrize("i,d", [(0, 1), (3, -4), (-1, 0), (6, 0)])
+    def test_cells_outside_the_table_rejected(self, i, d):
+        table = solve_reader_dp(ReaderProblem(n=5, rho=0.75, c=0.01))
+        message = rf"^\(i={i}, d={d}\) is outside the table$"
+        with pytest.raises(ValidationError, match=message):
+            table.value(i, d)
+        with pytest.raises(ValidationError, match=message):
+            table.should_stop(i, d)
+
     def test_golden_value_and_path_oracle(self):
         problem = ReaderProblem(n=20, rho=0.75, c=0.01)
         table = solve_reader_dp(problem)
@@ -193,8 +202,8 @@ class TestFirstImpression:
     def test_committed_witness_is_order_sensitive(self):
         table = solve_reader_dp(ReaderProblem(n=7, rho=0.9, c=0.02))
         report = first_impression_reader(table, self.WITNESS)
-        assert report.guess_forward == 1
-        assert report.guess_reversed == 0
+        assert report.forward == 1
+        assert report.reversed == 0
         assert report.differs
         assert report.full_info_guess == 0  # more zeros than ones, order-free
 
@@ -227,17 +236,16 @@ class TestPolarization:
 
     def test_committed_witness_diverges(self):
         low, high = self.tables()
-        guess_low, guess_high, diverged = polarization_reader(low, high, self.WITNESS)
-        assert (guess_low, guess_high) == (0, 1)
-        assert diverged
+        report = polarization_reader(low, high, self.WITNESS)
+        assert (report.guess_a, report.guess_b) == (0, 1)
+        assert report.diverged
 
     def test_identical_priors_never_diverge(self):
         table = solve_reader_dp(ReaderProblem(n=12, rho=0.8, c=0.02, prior1=0.45))
         rng = random.Random(9)
         for _ in range(50):
             seq = [rng.randint(0, 1) for _ in range(12)]
-            _, _, diverged = polarization_reader(table, table, seq)
-            assert not diverged
+            assert not polarization_reader(table, table, seq).diverged
 
     def test_mismatched_problems_rejected(self):
         low, _ = self.tables()
@@ -251,9 +259,8 @@ class TestPolarization:
         low = solve_reader_dp(ReaderProblem(n=8, rho=0.75, c=0.0, prior1=0.4))
         high = solve_reader_dp(ReaderProblem(n=8, rho=0.75, c=0.0, prior1=0.6))
         even = [1, 1, 1, 1, 0, 0, 0, 0]
-        _, _, diverged = polarization_reader(low, high, even)
+        diverged = polarization_reader(low, high, even).diverged
         assert diverged == (posterior(low.problem, 0) < 0.5 <= posterior(high.problem, 0))
         assert diverged
         plus_two = [1, 1, 1, 1, 1, 0, 0, 0]
-        _, _, diverged = polarization_reader(low, high, plus_two)
-        assert not diverged
+        assert not polarization_reader(low, high, plus_two).diverged

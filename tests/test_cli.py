@@ -91,6 +91,12 @@ class TestEvalExact:
         assert run_cli(["eval-exact", "--config", str(path)]) == 1
         assert "not valid JSON" in capsys.readouterr().err
 
+    def test_missing_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "absent.json"
+        assert run_cli(["eval-exact", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: config file not found: {path}\n")
+
 
 class TestSimulate:
     def config(self, tmp_path, extra=None):
@@ -515,19 +521,64 @@ def count_reader_solves(monkeypatch):
     return solved
 
 
+def fail_lines(tmp_path, capsys) -> list[str]:
+    """The FAIL lines of a reproduce run that must exit 2."""
+    assert run_cli(["reproduce", "--out", str(tmp_path / "rep")]) == 2
+    return [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+
+
+def replay_first_call(real):
+    """``real``, except that every call returns what the first call's arguments give."""
+    calls = []
+
+    def replayed(*args):
+        calls.append(args)
+        return real(*calls[0])
+    return replayed
+
+
 class TestReproduce:
-    def test_golden_mismatch_exits_two(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("key,value,lines", [
+        ("payoff_five_states", 0.399,
+         ["FAIL payoff_5_states_above_0.4 (0.399)",
+          "FAIL golden-diff payoff_five_states: 0.399 != golden 0.413796569301"]),
+        ("primality_best", "always_pass",
+         ["FAIL golden-diff primality_best: 'always_pass' != golden 'trial_division_budget:64'"]),
+        ("paper_chain_matrix", [[0.5] * 10] * 10,
+         ["FAIL golden-diff paper_chain_matrix: matrix differs from golden"]),
+    ], ids=["payoff_five_states", "primality_best", "paper_chain_matrix"])
+    def test_golden_mismatch_exits_two(self, tmp_path, monkeypatch, capsys, key, value, lines):
         # Cheap path: feed perturbed numbers instead of recomputing.
-        goldens = reproduce_mod.load_goldens()
-        fake = json.loads(json.dumps(goldens))
-        fake["payoff_five_states"] = 0.399
-        monkeypatch.setattr(
-            reproduce_mod, "compute_paper_numbers", lambda: fake
-        )
-        assert run_cli(["reproduce", "--out", str(tmp_path / "rep")]) == 2
-        out = capsys.readouterr().out
-        assert "FAIL payoff_5_states_above_0.4" in out
-        assert "FAIL golden-diff payoff_five_states" in out
+        fake = {**reproduce_mod.load_goldens(), key: value}
+        monkeypatch.setattr(reproduce_mod, "compute_paper_numbers", lambda: fake)
+        assert fail_lines(tmp_path, capsys) == lines
+
+    @pytest.mark.parametrize("demo,key,value,line", [
+        ("reader_first_impression", "full_info", 1,
+         "reader_first_impression.full_info: 0 != golden 1"),
+        ("reader_polarization", "diverged", False,
+         "reader_polarization.diverged: True != golden False"),
+        ("static_polarization", "modal_a", "B", "static_polarization.modal_a: 'G' != golden 'B'"),
+        ("static_first_impression", "order_sensitive", False,
+         "static_first_impression.order_sensitive: True != golden False"),
+    ])
+    def test_witness_mismatch_exits_two(self, tmp_path, monkeypatch, capsys, demo, key, value,
+                                        line):
+        witnesses = reproduce_mod.load_witnesses()
+        witnesses[demo]["expect"][key] = value
+        monkeypatch.setattr(reproduce_mod, "load_witnesses", lambda: witnesses)
+        monkeypatch.setattr(reproduce_mod, "compute_paper_numbers", reproduce_mod.load_goldens)
+        assert fail_lines(tmp_path, capsys) == [f"FAIL golden-diff {line}"]
+
+    @pytest.mark.parametrize("demo,line", [
+        ("polarization_reader", "reader_polarization: identical-prior control diverged"),
+        ("polarization_demo", "static_polarization: identical-start control diverged"),
+    ])
+    def test_diverging_control_exits_two(self, tmp_path, monkeypatch, capsys, demo, line):
+        # The control call gets the witness's result, which diverges.
+        monkeypatch.setattr(reproduce_mod, demo, replay_first_call(getattr(reproduce_mod, demo)))
+        monkeypatch.setattr(reproduce_mod, "compute_paper_numbers", reproduce_mod.load_goldens)
+        assert fail_lines(tmp_path, capsys) == [f"FAIL golden-diff {line}"]
 
     def test_each_ladder_size_is_searched_once(self, monkeypatch):
         searched = []
@@ -772,8 +823,40 @@ def one_state_policy(row):
             "kernel": {"0:1": row, "0:2": {"0": 1.0}, "0:3": {"0": 1.0}, "0:4": {"0": 1.0}}}
 
 
-# Values that ended in a traceback or were accepted, and the one error line each gives.
+# Values the CLI refuses, and the one error line each gives.
 REFUSED_VALUES = {
+    "unknown automaton type": ("eval-exact", {"setting": PAPER_SETTING,
+                                              "automaton": {**LADDER, "type": "ladder"}},
+                               "unknown automaton type 'ladder'"),
+    "unknown optimize mode": ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "grid"},
+                              "unknown optimize mode 'grid'"),
+    "unknown static demo": ("static-demo", {"policy": STICKY, "demo": "anchoring"},
+                            "unknown static demo 'anchoring'"),
+    "machine config with neither section": (
+        "machine", {"conversation": {"n": 100, "k": 7, "value": 100.0}},
+        "config needs a 'primality' or 'problem' section"),
+    "kernel row targets no state": ("eval-exact", {"setting": PAPER_SETTING,
+                                                   "automaton": one_state_policy({"1": 1.0})},
+                                    "row (0, 1) targets invalid state 1"),
+    "primality machines empty": ("machine", {"primality": {"machines": []}},
+                                 "primality config lists no machines"),
+    "machine name not a string": (
+        "machine", {"problem": {**INLINE_PROBLEM,
+                                "machines": [{**INLINE_PROBLEM["machines"][0], "name": 7}]}},
+        "machines entry 0 name must be a string, got 7"),
+    "rounds after burn_in fewer than batches": (
+        "simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 100,
+                     "burn_in": 90, "batches": 20},
+        "not enough post-burn-in rounds for the batches"),
+    "n_list out of order": ("limit-curve", {"setting": PAPER_SETTING,
+                                            "schedule": {**SCHEDULE, "n_list": [10, 5]}},
+                            "n_list needs at least 2 entries, in increasing order"),
+    # One state past 2000, where the static model's dense matrices, 24 bytes a pair
+    # of states, reach 96 MB; 50,001 states asked for 2.33 GiB in one matrix.
+    "static policy whose matrices would not fit": (
+        "static-demo", {"policy": {**LADDER, "n": 2000}, "demo": "expected_utility",
+                        "setting": STATIC_SETTING},
+        "policy state count must be in [1, 2000], got 2001"),
     "xG past float range": ("eval-exact", {"setting": {**PAPER_SETTING, "xG": 10 ** 400},
                                            "automaton": LADDER},
                             "xG is beyond the float range"),

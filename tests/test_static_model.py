@@ -114,6 +114,20 @@ class TestStaticExpectedUtility:
         value = static_expected_utility(setting, policy, rule)
         assert value == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("prior_G,truth", [(1.0, 0), (0.0, 1)])
+    def test_certain_prior_reads_one_truth(self, prior_G, truth):
+        setting = StaticSetting(eta=0.01, utility=((1.0, -2.0), (-0.5, 3.0)), prior_G=prior_G,
+                                **PAPER_SIGNALS)
+        policy = sticky_policy()
+        d0 = np.zeros(5)
+        d0[2] = 1.0
+        probs = (setting.pG, setting.pB)[truth]
+        stopped = geometric_series_stopped(dense_matrix(agent_step_matrix(policy, probs)), d0, 0.01)
+        expected = sum(stopped[q] * setting.utility["GB".index(d)][truth]
+                       for q, d in enumerate(threshold_rule(5).decide))
+        value = static_expected_utility(setting, policy, threshold_rule(5))
+        assert value == pytest.approx(expected, abs=1e-12)
+
     def test_invariant_under_signal_permutation(self):
         setting = StaticSetting(eta=0.02, **PAPER_SIGNALS)
         value = static_expected_utility(setting, sticky_policy(), threshold_rule(5))
@@ -230,7 +244,7 @@ class TestFirstImpressionDemo:
     def test_committed_witness(self):
         result = first_impression_demo(sticky_policy(1), 1, [1, 4, 4, 4], threshold_rule(5))
         assert result == FirstImpressionResult(
-            decision_forward="G", decision_reversed="B", order_sensitive=True
+            forward="G", reversed="B", order_sensitive=True
         )
 
     def test_exchangeable_policy_never_order_sensitive(self):
