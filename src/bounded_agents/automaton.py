@@ -249,7 +249,11 @@ def policy_from_dict(doc: dict, k: int) -> AutomatonPolicy:
     prob = np.zeros((m, k, r))
     for (q, obs), row in rows.items():
         slots = slice(None) if obs is NO_SIGNAL else obs - 1
-        next_state[q, slots, :len(row)] = list(row)
+        try:
+            next_state[q, slots, :len(row)] = list(row)
+        except OverflowError:  # a target past int64, and so past every state
+            raise ValidationError(f"row {(q, obs)} targets invalid state "
+                                  f"{max(row, key=abs)}") from None
         prob[q, slots, :len(row)] = list(row.values())
     return AutomatonPolicy(num_states=doc["num_states"], initial_state=doc["initial_state"],
                            actions=actions, next_state=next_state, prob=prob)

@@ -5,8 +5,9 @@ in a result, JSON or CSV, is rounded to 12 significant digits so outputs
 diff cleanly; the simulate --sidecar echoes the config as given. Exit
 codes: 0 success, 1 invalid input or usage, 2 reproduction mismatch.
 
-Each config section holds exactly the keyword arguments of what it builds
-(see _section), and a key that the subcommand and mode never read exits 1.
+Each config section holds exactly the keyword arguments of what it builds, and
+so do a config's other keys for the function its command calls (see _keywords);
+a key that the subcommand and mode never read exits 1.
 """
 
 from __future__ import annotations
@@ -87,12 +88,16 @@ def _load_config(path: str) -> dict:
     return config
 
 
+def _keywords(fn, skip=()) -> tuple[list[str], list[str]]:
+    """The parameters of ``fn`` outside ``skip``: those without a default, and all."""
+    params = [p for p in inspect.signature(fn).parameters.values() if p.name not in skip]
+    return [p.name for p in params if p.default is p.empty], [p.name for p in params]
+
+
 def _section(make, doc, what: str, **fixed):
     """``make(**doc, **fixed)``, once ``doc`` holds every parameter of ``make``
     outside ``fixed`` that has no default, and no key that is not one."""
-    params = [p for p in inspect.signature(make).parameters.values() if p.name not in fixed]
-    check_keys(doc, what, [p.name for p in params if p.default is p.empty],
-               [p.name for p in params])
+    check_keys(doc, what, *_keywords(make, fixed))
     return make(**doc, **fixed)
 
 
@@ -149,12 +154,12 @@ def cmd_eval_exact(args) -> int:
 
 def cmd_simulate(args) -> int:
     config = _load_config(args.config)
-    check_keys(config, "config", ("setting", "automaton", "rounds"),
-               ("seed", "seeds", "burn_in", "batches"))
+    required, allowed = _keywords(SimConfig)
+    check_keys(config, "config", ("setting", "automaton", *required), ("seeds", *allowed))
     setting = _section(validate_setting, config["setting"], "setting")
     policy = _policy_from_config(config["automaton"], "automaton", setting.k)
-    seed = args.seed if args.seed is not None else config.get("seed", 0)
-    sim_config = SimConfig(seed=seed, **_given(config, ("rounds", "burn_in", "batches")))
+    seed = {} if args.seed is None else {"seed": args.seed}
+    sim_config = SimConfig(**{**_given(config, allowed), **seed})
     seeds = check_list(config.get("seeds", ()), "seeds")
     if seeds:
         results = run_seed_sweep(setting, policy, sim_config, seeds)
@@ -166,35 +171,27 @@ def cmd_simulate(args) -> int:
                                   [*enumerate(result.batch_means), ("mean", result.mean),
                                    ("std_error", result.std_error)]))
     if args.sidecar:
-        _write(args.sidecar, json_text({"config": config, "seed": seed}))
+        _write(args.sidecar, json_text({"config": config, "seed": sim_config.seed}))
     return 0
 
 
-# The search keyword arguments that each optimize mode reads from its config.
-_OPTIMIZE_KEYS = {
-    "pexp": ("grid", "partition", "r_u", "r_d"),
-    "partition": ("grid", "r_u", "r_d"),
-    "rates": ("grid", "partition", "rate_grid"),
-}
+# The search each optimize mode runs; its config is the search's keyword arguments.
+_SEARCHES = {"pexp": optimize_pexp, "partition": exhaustive_partition_search,
+             "rates": optimize_rates}
 
 
 def cmd_optimize(args) -> int:
     config = _load_config(args.config)
     mode = config.get("mode", "pexp")
-    if not isinstance(mode, str) or mode not in _OPTIMIZE_KEYS:
+    if not isinstance(mode, str) or mode not in _SEARCHES:
         raise ValidationError(f"unknown optimize mode {mode!r}")
-    check_keys(config, f"{mode} mode config", ("setting", "n"), ("mode", *_OPTIMIZE_KEYS[mode]))
+    required, allowed = _keywords(_SEARCHES[mode], {"setting"})
+    check_keys(config, f"{mode} mode config", ("setting", *required), ("mode", *allowed))
     setting = _section(validate_setting, config["setting"], "setting")
-    search = _given(config, _OPTIMIZE_KEYS[mode])
+    result = _SEARCHES[mode](setting, **_given(config, allowed))
     extra = {}
-    if mode == "partition":
-        result = exhaustive_partition_search(setting, config["n"], **search)
-    elif mode == "rates":
-        rates = optimize_rates(setting, config["n"], **search)
-        result = rates.result
-        extra = {"r_u": rates.r_u, "r_d": rates.r_d}
-    else:
-        result = optimize_pexp(setting, config["n"], **search)
+    if mode == "rates":
+        result, extra = result.result, {"r_u": result.r_u, "r_d": result.r_d}
     _emit_json(
         {
             "best_pexp": result.best_pexp,
@@ -212,44 +209,37 @@ def cmd_optimize(args) -> int:
 
 def cmd_limit_curve(args) -> int:
     config = _load_config(args.config)
-    options = ("partition", "r_u", "r_d")
-    check_keys(config, "config", ("setting", "schedule"), options)
+    check_keys(config, "config", *_keywords(limit_schedule_curve))
     setting = _section(validate_setting, config["setting"], "setting")
     schedule = _section(ScheduleSpec, config["schedule"], "schedule")
-    curve = limit_schedule_curve(setting, schedule, **_given(config, options))
+    curve = limit_schedule_curve(**{**config, "setting": setting, "schedule": schedule})
     _write(args.out, csv_text(CURVE_HEADER, [(pt.n, pt.pi, pt.p_exp, pt.payoff)
                                              for pt in curve]))
     return 0
 
 
-# The keys each static demo needs besides "policy" and "demo".
-_DEMO_KEYS = {
-    "polarization": ("start_a", "start_b", "sequence"),
-    "first_impression": ("start", "sequence"),
-    "expected_utility": ("setting",),
-}
+# The function each static demo calls; its parameters are the config's keys.
+_DEMOS = {"polarization": polarization_demo, "first_impression": first_impression_demo,
+          "expected_utility": static_expected_utility}
 
 
 def cmd_static_demo(args) -> int:
     config = _load_config(args.config)
     demo = config.get("demo")
-    if "demo" in config and (not isinstance(demo, str) or demo not in _DEMO_KEYS):
+    if "demo" in config and (not isinstance(demo, str) or demo not in _DEMOS):
         raise ValidationError(f"unknown static demo {demo!r}")
+    required = _keywords(_DEMOS[demo], {"policy", "rule"})[0] if demo in _DEMOS else []
     # "start" and "sequence" also feed --propagation-csv, under any demo.
-    check_keys(config, "config", ("policy", "demo", *_DEMO_KEYS.get(demo, ())),
-               ("k", "rule", "start", "sequence"))
+    check_keys(config, "config", ("policy", "demo", *required), ("k", "rule", "start", "sequence"))
     if args.propagation_csv and "sequence" not in config:
         raise ValidationError('--propagation-csv needs a "sequence" in the config')
     policy = _policy_from_config(config["policy"], "policy", config.get("k"), "linear_sticky")
     rule = DecisionRule(config["rule"]) if "rule" in config else threshold_rule(policy.num_states)
-    if demo == "polarization":
-        out = asdict(polarization_demo(
-            policy, config["start_a"], config["start_b"], config["sequence"], rule))
-    elif demo == "first_impression":
-        out = asdict(first_impression_demo(policy, config["start"], config["sequence"], rule))
-    else:
+    if demo == "expected_utility":
         setting = _section(StaticSetting, config["setting"], "setting")
         out = {"expected_utility": static_expected_utility(setting, policy, rule)}
+    else:
+        out = asdict(_DEMOS[demo](policy, rule=rule, **_given(config, required)))
     _emit_json(out, args.out)
     if args.propagation_csv:
         # Each demo has checked the rule against the policy by now.

@@ -74,14 +74,16 @@ class SimConfig:
     """Run length, burn-in, seed, and batch count for one simulation."""
 
     rounds: int
-    seed: int
+    seed: int = 0
     burn_in: int | None = None  # default: 1% of rounds
     batches: int = 20
 
     def __post_init__(self):
         check_integer(self.rounds, "rounds", "[1, inf)")
         check_integer(self.seed, "seed")
-        check_integer(self.batches, "batches", "[2, inf)")
+        # About 200 bytes a batch by tracemalloc (its mean, the means' tuple and
+        # the CLI's CSV row), so 2^20 batches take about 200 MiB.
+        check_integer(self.batches, "batches", f"[2, {1 << 20}]")
         if self.burn_in is None:
             object.__setattr__(self, "burn_in", self.rounds // 100)
         check_integer(self.burn_in, "burn_in", f"[0, {self.rounds})")

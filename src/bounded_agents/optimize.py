@@ -221,6 +221,9 @@ def optimize_rates(
         raise ValidationError("rate_grid must be nonempty")
     pos, neg = _sides(setting, partition)
     descending = sorted(set(map(float, rate_grid)), reverse=True)
+    # R distinct rates make R**2 ladders, and _search gives each at least one rung.
+    check_integer(len(descending), "rate_grid distinct entry count",
+                  f"[1, {math.isqrt(MAX_RUNGS)}]")
     rates = list(itertools.product(descending, repeat=2))
     best: RateSearchResult | None = None
     for (r_u, r_d), result in zip(rates, _search(setting, n, [(pos, neg, *r) for r in rates],
@@ -272,29 +275,26 @@ class ScheduleSpec:
 
 
 def limit_schedule_curve(
-    setting_base: DynamicSetting,
+    setting: DynamicSetting,
     schedule: ScheduleSpec,
     partition: tuple[frozenset[int], frozenset[int]] | None = None,
     r_u: float = 1.0,
     r_d: float = 1.0,
 ) -> list[CurvePoint]:
-    """Exact payoff along the schedule; setting_base's pi is replaced per point."""
-    pos, neg = _sides(setting_base, partition)
+    """Exact payoff along the schedule; setting's pi is replaced per point."""
+    pos, neg = _sides(setting, partition)
     curve = []
     for n in schedule.n_list:
         pi_n = schedule.pi_of_n(n)
         pexp_n = schedule.pexp_of_n(n)
-        setting = validate_setting(
-            setting_base.k, setting_base.pG, setting_base.pB,
-            setting_base.xG, setting_base.xB, pi_n,
-        )
+        at_n = validate_setting(setting.k, setting.pG, setting.pB, setting.xG, setting.xB, pi_n)
         policy = build_a_family(
             setting.k,
             AFamilyParams(n=n, p_exp=pexp_n, pos=pos, neg=neg, r_u=r_u, r_d=r_d),
         )
         curve.append(
             CurvePoint(n=n, pi=pi_n, p_exp=pexp_n,
-                       payoff=exact_average_payoff(setting, policy))
+                       payoff=exact_average_payoff(at_n, policy))
         )
     return curve
 

@@ -1,3 +1,4 @@
+import inspect
 import json
 import re
 import subprocess
@@ -12,7 +13,18 @@ from bounded_agents.bias_reader import ReaderProblem, disregard_index, solve_rea
 from bounded_agents.cli import run_cli
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.markov_exact import exact_average_payoff
-from bounded_agents.optimize import optimize_pexp
+from bounded_agents.montecarlo import SimConfig
+from bounded_agents.optimize import (
+    exhaustive_partition_search,
+    limit_schedule_curve,
+    optimize_pexp,
+    optimize_rates,
+)
+from bounded_agents.static_model import (
+    first_impression_demo,
+    polarization_demo,
+    static_expected_utility,
+)
 
 PAPER_SETTING = {
     "k": 4, "pG": [0.4, 0.3, 0.2, 0.1], "pB": [0.1, 0.2, 0.3, 0.4],
@@ -909,6 +921,20 @@ REFUSED_VALUES = {
         "simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 10 ** 30},
         f"rounds leaves {99 * 10 ** 28 // 20} rounds a batch after burn_in; "
         "a batch holds at most 16777216"),
+    # A run keeps about 200 bytes a batch: 10^15 batch means asked for 7.1 PiB.
+    "batches whose means would not fit": (
+        "simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 10 ** 18,
+                     "batches": 10 ** 15},
+        f"batches must be in [2, 1048576], got {10 ** 15}"),
+    # 317**2 rate pairs are more ladders than MAX_RUNGS gives a rung each.
+    "rate_grid longer than the ladders allow": (
+        "optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "rates",
+                     "rate_grid": [i / 317 for i in range(1, 318)]},
+        "rate_grid distinct entry count must be in [1, 316], got 317"),
+    "kernel row targets a state past int64": (
+        "eval-exact", {"setting": PAPER_SETTING,
+                       "automaton": one_state_policy({"99999999999999999999": 1.0})},
+        "row (0, 1) targets invalid state 99999999999999999999"),
 }
 
 
@@ -926,6 +952,51 @@ def test_refused_value_exits_one_and_names_its_field(tmp_path, capsys, command, 
 def test_malformed_partition_exits_one_and_names_it(tmp_path, capsys, command, doc):
     err = one_error_line(tmp_path, capsys, command, doc)
     assert err == f"error: partition must have 2 entries, got {len(doc['partition'])}\n"
+
+
+# A config of each command whose keys are the keyword arguments of the function
+# it calls, with no optional keyword given.
+KEYWORD_CONFIGS = {
+    "optimize pexp": ("optimize", {"setting": PAPER_SETTING, "n": 1}, optimize_pexp),
+    "optimize partition": ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "partition"},
+                           exhaustive_partition_search),
+    "optimize rates": ("optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "rates"},
+                       optimize_rates),
+    "limit-curve": ("limit-curve", {"setting": PAPER_SETTING, "schedule": SCHEDULE},
+                    limit_schedule_curve),
+    "static polarization": ("static-demo", {"policy": STICKY, "demo": "polarization",
+                                            "start_a": 1, "start_b": 2, "sequence": [1, 4]},
+                            polarization_demo),
+    "static first_impression": ("static-demo", {"policy": STICKY, "demo": "first_impression",
+                                                "start": 1, "sequence": [1, 4]},
+                                first_impression_demo),
+    "static expected_utility": ("static-demo", {"policy": STICKY, "demo": "expected_utility",
+                                                "setting": STATIC_SETTING},
+                                static_expected_utility),
+    "simulate": ("simulate", {"setting": PAPER_SETTING, "automaton": LADDER, "rounds": 2000},
+                 SimConfig),
+}
+
+
+@pytest.mark.parametrize("command,doc,fn", KEYWORD_CONFIGS.values(), ids=KEYWORD_CONFIGS)
+def test_config_keys_are_the_keyword_arguments_of_the_callee(tmp_path, capsys, command, doc,
+                                                              fn):
+    def output(doc):
+        assert run_cli([command, "--config", write_config(tmp_path, doc)]) == 0
+        return capsys.readouterr().out
+
+    expected = output(doc)
+    # A static demo's rule has a CLI default (threshold_rule), not a keyword default.
+    for param in inspect.signature(fn).parameters.values():
+        if param.name == "rule":
+            continue
+        if param.default is param.empty:
+            less = {key: value for key, value in doc.items() if key != param.name}
+            assert one_error_line(tmp_path, capsys, command, less).endswith(
+                f" missing keys: ['{param.name}']\n")
+        else:
+            default = list(param.default) if isinstance(param.default, tuple) else param.default
+            assert output({**doc, param.name: default}) == expected, param.name
 
 
 def test_section_keys_reach_the_builder(tmp_path, capsys):

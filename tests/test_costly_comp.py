@@ -344,6 +344,15 @@ def test_prior_must_sum_to_one():
         )
 
 
+def test_prior_of_the_wrong_shape_is_refused_naming_both_shapes():
+    machine = constant_machine("m", 0, 2)
+    with pytest.raises(ValidationError, match=r"^prior has shape \(3,\), not \(2,\)$"):
+        CompProblem(
+            states=("s",), types=("t1", "t2"), actions=("x",),
+            prior=[0.5, 0.25, 0.25], machines=(machine,), utility=constant_utility(1.0),
+        )
+
+
 def test_machine_tables_must_be_total():
     machine = MachineSpec("m", [0], [0])
     with pytest.raises(ValidationError):

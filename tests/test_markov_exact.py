@@ -21,6 +21,7 @@ from bounded_agents.errors import (
     SolveFailedError,
 )
 from oracles import (
+    _interleaved,
     chain_of_matrix,
     connectivity_gaps,
     damped_power_iteration,
@@ -156,6 +157,22 @@ class TestStationary:
             stationary(build_joint_chain(setting, policy))
         assert str(err.value) == message
         assert str(TestStackedKernel.stack(setting, [policy]).error(0)) == message
+
+    def test_pivot_that_underflows_names_its_state(self):
+        # Interleaved order (G, 0), (B, 0), (G, 1), (B, 1). Every state reaches
+        # every other, but (B, 0) leaves only to (B, 1), at 1e-250, which steps
+        # down to (G, 0) at 1e-100: the pivot of (B, 0), its chance of reaching
+        # (G, 0) once the two higher states are censored, is about 1e-350 and
+        # rounds to 0.
+        M = np.array([[0.0, 0.5, 0.5, 0.0], [0.0, 1.0 - 1e-250, 0.0, 1e-250],
+                      [1e-100, 0.5, 0.5, 0.0], [1e-100, 0.0, 0.5, 0.5]])
+        order = _interleaved(4)
+        P = np.empty_like(M)
+        P[np.ix_(order, order)] = M
+        chain = chain_of_matrix(P)
+        assert not reach_gaps(chain.band, chain.w).any()
+        with pytest.raises(SolveFailedError, match=r"^GTH pivot of state \(B, q=0\) is 0\.0$"):
+            stationary(chain)
 
     def test_solve_outside_tolerance_is_a_typed_failure(self, paper_setting, ladder_policy_5,
                                                         monkeypatch):

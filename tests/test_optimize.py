@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import re
@@ -72,6 +73,12 @@ class TestDefaultPartition:
     def test_trivial_setting_rejected(self, trivial_setting):
         with pytest.raises(TrivialSettingError):
             default_partition(trivial_setting)
+
+    def test_signal_that_never_occurs_wins_neither_side(self):
+        # Signal 1 has pG = pB = 0: counted, its 0/0 ratio would tie every
+        # comparison and keep index 1 on both sides.
+        s = validate_setting(3, (0.0, 0.6, 0.4), (0.0, 0.3, 0.7), 1.0, -1.0, 0.01)
+        assert default_partition(s) == (frozenset({2}), frozenset({3}))
 
 
 class TestOptimizePexp:
@@ -486,6 +493,16 @@ class TestBruteForce:
             setting, num_states=2, prob_grid=(0.0, 0.5, 1.0)
         )
         assert exact_average_payoff(setting, policy) == pytest.approx(value, abs=1e-12)
+
+    def test_every_candidate_failing_is_refused(self, paper_setting, monkeypatch):
+        def failing(*args):
+            ev = evaluate_stack(*args)
+            return dataclasses.replace(ev, ok=np.zeros_like(ev.ok))
+
+        monkeypatch.setattr(optimize, "evaluate_stack", failing)
+        with pytest.raises(ReducibleChainError, match="^every enumerated candidate was "
+                           "reducible or failed the stationary checks$"):
+            brute_force_policy_search(paper_setting, num_states=1)
 
     def test_grid_too_large(self, paper_setting):
         with pytest.raises(GridTooLargeError):
