@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -170,12 +171,14 @@ ORACLE_CASES = {
 }
 
 # (config, slab): a default run; no burn-in with rounds not divisible by the
-# batches; and slabs so small that slab edges fall inside the burn-in and
-# every batch, apart from the segment edges.
+# batches; slabs so small that slab edges fall inside the burn-in and every
+# batch; and batches of 3 rounds, hundreds to a slab.
 ORACLE_RUNS = {
     "default": (SimConfig(rounds=20_000, seed=1), SLAB),
     "no burn-in, ragged": (SimConfig(rounds=20_011, seed=2, burn_in=0, batches=7), SLAB),
     "small slabs": (SimConfig(rounds=5_003, seed=3, burn_in=250, batches=3), 97),
+    "batches shorter than a slab": (
+        SimConfig(rounds=6_007, seed=7, burn_in=101, batches=1_500), SLAB),
 }
 
 
@@ -247,6 +250,8 @@ def test_uniform_requests_stay_within_one_slab(monkeypatch, paper_setting, ladde
     ends = [start + count for start, count in requests]
     assert starts == [0] + ends[:-1]
     assert ends[-1] == 1 + 3 * (config.burn_in + result.rounds_used)
+    # Counter 0, then slabs that run across the burn-in and batch edges.
+    assert len(requests) == 1 + math.ceil((config.burn_in + result.rounds_used) / slab)
 
 
 @pytest.mark.parametrize("n,blocks", [(4, 5), (2_000, 1), (10_000, 1)])
@@ -261,6 +266,18 @@ def test_stride_table_stays_within_its_entry_bound(n, blocks):
     assert len(cols) * cols.shape[1] ** (b + 1) > STRIDE_ENTRIES
 
 
+@pytest.mark.parametrize("count", [*range(41), 1_000])
+def test_rank_equals_searchsorted(count):
+    # Distinct cuts, and dyadic cuts with repeats; the uniforms hit each cut
+    # exactly, one ulp below it, 0.0, and points between.
+    rng = np.random.default_rng(count)
+    for cuts in (np.unique(rng.random(count * 2))[:count],
+                 np.sort(rng.integers(0, 16, count) / 16.0)):
+        assert len(cuts) == count
+        u = np.concatenate([cuts, np.nextafter(cuts, -1.0), [0.0], rng.random(500)])
+        assert np.array_equal(montecarlo._ranker(cuts)(u), np.searchsorted(cuts, u, "right"))
+
+
 def _peak_bytes(setting, policy, config):
     tracemalloc.start()
     try:
@@ -273,7 +290,7 @@ def _peak_bytes(setting, policy, config):
 def test_peak_memory_on_a_long_ladder():
     # A 10,001-state ladder's table holds m * k * E = 80,008 next states.
     setting, policy = _ladder_case(10_000, 1e-3)
-    assert _peak_bytes(setting, policy, SimConfig(rounds=2 * SLAB, seed=1)) < 12e6
+    assert _peak_bytes(setting, policy, SimConfig(rounds=2 * 65_536, seed=1)) < 12e6
 
 
 def test_peak_memory_on_a_dense_policy():
@@ -282,7 +299,7 @@ def test_peak_memory_on_a_dense_policy():
     # m * k * r = 12,288.
     setting = validate_setting(4, PG, PB, 1.0, -1.0, 1e-3)
     policy = dense_policy(1024, 4)
-    assert _peak_bytes(setting, policy, SimConfig(rounds=2 * SLAB, seed=1)) < 4e6
+    assert _peak_bytes(setting, policy, SimConfig(rounds=2 * 65_536, seed=1)) < 4e6
 
 
 class TestCompareExactMc:
