@@ -231,7 +231,8 @@ class TestAgainstScalarOracle:
             setting, policy, config)
 
 
-@pytest.mark.parametrize("slab", [SLAB, 1_000])
+# The default slab, a small one, and the former default of 2^16 rounds.
+@pytest.mark.parametrize("slab", [SLAB, 1_000, 65_536])
 def test_uniform_requests_stay_within_one_slab(monkeypatch, paper_setting, ladder_policy_5,
                                                slab):
     requests = []
