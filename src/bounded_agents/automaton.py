@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dynamic_env import LADDER_PROB_INTERVAL
 from .errors import (
     BadProbabilityError,
     DimensionMismatchError,
@@ -131,7 +132,7 @@ class AFamilyParams:
         # tables at about 940, so a ladder of MAX_RUNGS takes under 100 MB.
         check_integer(self.n, "n", f"[1, {MAX_RUNGS}]")
         for name in ("p_exp", "r_u", "r_d"):
-            check_real(getattr(self, name), name, "(0, 1]", BadProbabilityError)
+            check_real(getattr(self, name), name, LADDER_PROB_INTERVAL, BadProbabilityError)
         pos, neg = (frozenset(check_list(getattr(self, name), name, each=check_integer))
                     for name in ("pos", "neg"))
         object.__setattr__(self, "pos", pos)

@@ -136,8 +136,7 @@ def _emit_json(doc: dict, path: str | None) -> None:
     _write(path, json_text(round_floats(doc)))
 
 
-def cmd_eval_exact(args) -> int:
-    config = _load_config(args.config)
+def cmd_eval_exact(config: dict, args) -> int:
     check_keys(config, "config", ("setting", "automaton"))
     setting = _section(validate_setting, config["setting"], "setting")
     policy = _policy_from_config(config["automaton"], "automaton", setting.k)
@@ -152,8 +151,7 @@ def cmd_eval_exact(args) -> int:
     return 0
 
 
-def cmd_simulate(args) -> int:
-    config = _load_config(args.config)
+def cmd_simulate(config: dict, args) -> int:
     required, allowed = _keywords(SimConfig)
     check_keys(config, "config", ("setting", "automaton", *required), ("seeds", *allowed))
     setting = _section(validate_setting, config["setting"], "setting")
@@ -180,8 +178,7 @@ _SEARCHES = {"pexp": optimize_pexp, "partition": exhaustive_partition_search,
              "rates": optimize_rates}
 
 
-def cmd_optimize(args) -> int:
-    config = _load_config(args.config)
+def cmd_optimize(config: dict, args) -> int:
     mode = config.get("mode", "pexp")
     if not isinstance(mode, str) or mode not in _SEARCHES:
         raise ValidationError(f"unknown optimize mode {mode!r}")
@@ -207,8 +204,7 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def cmd_limit_curve(args) -> int:
-    config = _load_config(args.config)
+def cmd_limit_curve(config: dict, args) -> int:
     check_keys(config, "config", *_keywords(limit_schedule_curve))
     setting = _section(validate_setting, config["setting"], "setting")
     schedule = _section(ScheduleSpec, config["schedule"], "schedule")
@@ -223,8 +219,7 @@ _DEMOS = {"polarization": polarization_demo, "first_impression": first_impressio
           "expected_utility": static_expected_utility}
 
 
-def cmd_static_demo(args) -> int:
-    config = _load_config(args.config)
+def cmd_static_demo(config: dict, args) -> int:
     demo = config.get("demo")
     if "demo" in config and (not isinstance(demo, str) or demo not in _DEMOS):
         raise ValidationError(f"unknown static demo {demo!r}")
@@ -252,8 +247,7 @@ def cmd_static_demo(args) -> int:
     return 0
 
 
-def cmd_reader(args) -> int:
-    config = _load_config(args.config)
+def cmd_reader(config: dict, args) -> int:
     check_keys(config, "config", ("problem",), ("sequence", "polarization"))
     problem = _section(ReaderProblem, config["problem"], "problem")
     table = solve_reader_dp(problem)
@@ -280,8 +274,7 @@ def cmd_reader(args) -> int:
     return 0
 
 
-def cmd_machine(args) -> int:
-    config = _load_config(args.config)
+def cmd_machine(config: dict, args) -> int:
     out: dict = {}
     if "primality" in config:
         check_keys(config, "config", ("primality",), ("conversation",))
@@ -325,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (default stdout)")
         for flag, kwargs in extra_flags.items():
             p.add_argument(flag, **kwargs)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=lambda args: fn(_load_config(args.config), args))
         return p
 
     add("eval-exact", cmd_eval_exact,

@@ -23,6 +23,14 @@ from .errors import (
     check_real,
 )
 
+# Products with a subnormal probability keep fewer than 53 bits, and the solve
+# divides by pivots that small: at pi = 5e-324 the paper's 4-rung ladder pays 4%
+# off its exact value, and at r_u = 5e-324 the climbs underflow to 0 and an
+# irreducible chain reads as reducible. So pi and every ladder probability start
+# at the smallest normal float.
+PI_INTERVAL = f"[{sys.float_info.min!r}, 0.5]"
+LADDER_PROB_INTERVAL = f"[{sys.float_info.min!r}, 1]"
+
 
 @dataclass(frozen=True)
 class DynamicSetting:
@@ -52,10 +60,7 @@ def validate_setting(
     pG, pB = check_signals(k, pG, pB)
     check_real(xG, "xG", "(0, inf)", BadPayoffSignError)
     check_real(xB, "xB", "(-inf, 0)", BadPayoffSignError)
-    # Products with a subnormal pi keep fewer than 53 bits, and the solve
-    # divides by pivots that small: at pi = 5e-324 the paper's 4-rung ladder
-    # pays 4% off its exact value. The lower end is the smallest normal float.
-    check_real(pi, "flip probability pi", f"[{sys.float_info.min!r}, 0.5]", BadFlipProbError)
+    check_real(pi, "flip probability pi", PI_INTERVAL, BadFlipProbError)
     return DynamicSetting(k=int(k), pG=pG, pB=pB, xG=float(xG), xB=float(xB), pi=float(pi))
 
 

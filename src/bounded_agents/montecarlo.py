@@ -42,10 +42,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import RISKY, AutomatonPolicy, check_dynamic_policy
+from .automaton import AutomatonPolicy, check_dynamic_policy
 from .dynamic_env import DynamicSetting
-from .errors import ValidationError, check_integer
-from .markov_exact import exact_average_payoff
+from .errors import ValidationError, check_integer, check_real
+from .markov_exact import exact_average_payoff, joint_reward
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -191,10 +191,12 @@ def simulate_run(
 ) -> SimResult:
     """Simulate one seeded run; a deterministic function of its inputs."""
     check_dynamic_policy(policy, setting.k)
+    # Squared deviations of up to 2^20 batch means stay finite below about 6.5e150.
+    check_real(setting.xG, "xG", "(0, 1e150]")
+    check_real(setting.xB, "xB", "[-1e150, 0)")
     signal, slot, cuts, step = _compiled_tables(setting, policy)
     signal_rank = _ranker(signal)
-    pay = np.where(np.array([a == RISKY for a in policy.actions])[:, None],
-                   [setting.xG, setting.xB], 0.0).ravel()  # (m, 2) by state and nature, G = 0
+    pay = joint_reward(setting, policy.actions).reshape(2, -1).T.ravel()  # (m, 2), G = 0
     q = policy.initial_state
     theta = uniform_stream(config.seed, 0, 1)[0] >= 0.5  # True = B; nature starts stationary
     per_batch = (config.rounds - config.burn_in) // config.batches

@@ -23,7 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .automaton import RISKY, SAFE, MAX_RUNGS, AFamilyParams, AutomatonPolicy, build_a_family
-from .dynamic_env import DynamicSetting, is_nontrivial, validate_setting
+from .dynamic_env import (
+    LADDER_PROB_INTERVAL, PI_INTERVAL, DynamicSetting, is_nontrivial, validate_setting,
+)
 from .errors import (
     BadProbabilityError,
     GridTooLargeError,
@@ -102,7 +104,7 @@ def _search(setting: DynamicSetting, n: int, ladders, grid) -> list[OptResult]:
     states, in one pass: each round solves every ladder's fresh points in
     shared stacks, and the first failing chain raises."""
     grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
-                      each=check_real, interval="(0, 1]", error=BadProbabilityError)
+                      each=check_real, interval=LADDER_PROB_INTERVAL, error=BadProbabilityError)
     grid = list(map(float, grid))
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
@@ -216,7 +218,7 @@ def optimize_rates(
     check that nothing better hides at other rates. Ties break toward
     higher rates so the default corner wins when it is not beaten.
     """
-    rate_grid = check_list(rate_grid, "rate_grid", each=check_real, interval="(0, 1]")
+    rate_grid = check_list(rate_grid, "rate_grid", each=check_real, interval=LADDER_PROB_INTERVAL)
     if not rate_grid:
         raise ValidationError("rate_grid must be nonempty")
     pos, neg = _sides(setting, partition)
@@ -237,8 +239,9 @@ def optimize_rates(
 class ScheduleSpec:
     """Flip-probability and exploration schedules c1/n^a and c2/n^b.
 
-    Valid when n*pi(n) and pi(n)/pexp(n) are strictly decreasing along
-    n_list, checked numerically at the supplied values.
+    Valid when each pi(n) and pexp(n) is a flip and a ladder probability, and
+    n*pi(n) and pi(n)/pexp(n) are strictly decreasing along n_list, checked
+    numerically at the supplied values.
     """
 
     c1: float
@@ -248,15 +251,20 @@ class ScheduleSpec:
     n_list: tuple[int, ...]
 
     def __post_init__(self):
-        # a > 1 makes n*pi(n) shrink.
+        # a > 1 makes n*pi(n) shrink. A float a or b keeps n**a a float power,
+        # which overflows at once where an integer power would run for minutes.
         for name, interval in (("c1", "(0, inf)"), ("a", "(1, inf)"), ("c2", "(0, inf)"),
                                ("b", "(0, inf)")):
             check_real(getattr(self, name), name, interval)
+            object.__setattr__(self, name, float(getattr(self, name)))
         ns = check_list(self.n_list, "n_list", each=check_integer, interval=f"[1, {MAX_RUNGS}]")
         object.__setattr__(self, "n_list", ns)
         if len(ns) < 2 or any(x >= y for x, y in zip(ns, ns[1:])):
             raise ValidationError("n_list needs at least 2 entries, in increasing order")
         try:
+            for n in ns:
+                check_real(self.pi_of_n(n), f"c1 / n**a at n = {n}", PI_INTERVAL)
+                check_real(self.pexp_of_n(n), f"c2 / n**b at n = {n}", LADDER_PROB_INTERVAL)
             n_pi = [n * self.pi_of_n(n) for n in ns]
             ratio = [self.pi_of_n(n) / self.pexp_of_n(n) for n in ns]
         except OverflowError:

@@ -86,18 +86,17 @@ def csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _golden_file(name: str) -> dict:
+    with resources.files("bounded_agents").joinpath(f"goldens/{name}").open(encoding="utf-8") as f:
+        return json.load(f)
+
+
 def load_goldens() -> dict:
-    with resources.files("bounded_agents").joinpath(
-        "goldens/paper_numbers.json"
-    ).open(encoding="utf-8") as fh:
-        return json.load(fh)
+    return _golden_file("paper_numbers.json")
 
 
 def load_witnesses() -> dict:
-    with resources.files("bounded_agents").joinpath(
-        "goldens/witnesses.json"
-    ).open(encoding="utf-8") as fh:
-        return json.load(fh)
+    return _golden_file("witnesses.json")
 
 
 def compute_paper_numbers() -> dict:

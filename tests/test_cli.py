@@ -935,6 +935,38 @@ REFUSED_VALUES = {
         "eval-exact", {"setting": PAPER_SETTING,
                        "automaton": one_state_policy({"99999999999999999999": 1.0})},
         "row (0, 1) targets invalid state 99999999999999999999"),
+    # Ladder probabilities start at the smallest normal float, as pi does: a
+    # subnormal p_exp paid 0.5% off, and a subnormal r_u or r_d made a move
+    # underflow to 0, so an irreducible chain read as reducible.
+    **{f"subnormal {name}": (
+        "eval-exact", {"setting": PAPER_SETTING, "automaton": {**LADDER, name: 5e-324}},
+        f"{name} must be in [2.2250738585072014e-308, 1], got 5e-324")
+       for name in ("p_exp", "r_u", "r_d")},
+    "subnormal p_exp grid entry": (
+        "optimize", {"setting": PAPER_SETTING, "n": 1, "grid": [5e-324]},
+        "p_exp grid entry must be in [2.2250738585072014e-308, 1], got 5e-324"),
+    "subnormal rate_grid entry": (
+        "optimize", {"setting": PAPER_SETTING, "n": 1, "mode": "rates", "rate_grid": [5e-324]},
+        "rate_grid entry must be in [2.2250738585072014e-308, 1], got 5e-324"),
+    # An integer a made n**a a big-integer power, about 10 s before this refusal.
+    "integer schedule a past the float range": (
+        "limit-curve", {"setting": PAPER_SETTING, "schedule": {**SCHEDULE, "a": 2 ** 24}},
+        "n**a or n**b on n_list exceeds the float range (a = 16777216.0, b = 1.0)"),
+    "schedule c2 whose p_exp underflows": (
+        "limit-curve", {"setting": PAPER_SETTING, "schedule": {**SCHEDULE, "c2": 5e-324}},
+        "c2 / n**b at n = 5 must be in [2.2250738585072014e-308, 1], got 0.0"),
+    "schedule c1 whose pi passes 0.5": (
+        "limit-curve", {"setting": PAPER_SETTING, "schedule": {**SCHEDULE, "c1": 1e300}},
+        "c1 / n**a at n = 5 must be in [2.2250738585072014e-308, 0.5], "
+        "got 4.0000000000000003e+298"),
+    "schedule c2 whose p_exp passes 1": (
+        "limit-curve", {"setting": PAPER_SETTING, "schedule": {**SCHEDULE, "c2": 1e300}},
+        "c2 / n**b at n = 5 must be in [2.2250738585072014e-308, 1], got 2e+299"),
+    # Past 1e150, the squared deviations of 2^20 batch means can overflow.
+    "simulate xG whose batch statistics would overflow": (
+        "simulate", {"setting": {**PAPER_SETTING, "xG": 1e155}, "automaton": LADDER,
+                     "rounds": 2000},
+        "xG must be in (0, 1e150], got 1e+155"),
 }
 
 

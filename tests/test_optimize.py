@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -127,7 +128,8 @@ class TestOptimizePexp:
     @pytest.mark.parametrize("bad", [float("nan"), -0.5, 0.0, 1.5, float("inf")])
     def test_bad_point_anywhere_rejected_before_any_solve(self, paper_setting, monkeypatch, bad):
         monkeypatch.setattr(optimize, "evaluate_stack", lambda *a: pytest.fail("solved"))
-        with pytest.raises(BadProbabilityError, match=r"^p_exp grid entry must be in \(0, 1\]"):
+        with pytest.raises(BadProbabilityError,
+                           match=r"^p_exp grid entry must be in \[2\.2250738585072014e-308, 1\]"):
             optimize_pexp(paper_setting, n=2, grid=(0.5, 0.25, bad, 0.75))
 
     def test_single_point_grid_refines_to_nothing(self, paper_setting):
@@ -417,6 +419,15 @@ class TestLimitScheduleCurve:
     def test_schedule_past_the_float_range_is_refused(self, a, b):
         with pytest.raises(ValidationError, match=r"^n\*\*a or n\*\*b on n_list exceeds"):
             ScheduleSpec(c1=1.0, a=a, c2=1.0, b=b, n_list=(5, 10))
+
+    @pytest.mark.parametrize("a, b", [(2**24, 1), (2, 2**24)])
+    def test_integer_exponent_is_refused_at_once(self, a, b):
+        # Integer exponents are taken as floats, so n**a overflows at once
+        # instead of running a big-integer power first.
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match=r"^n\*\*a or n\*\*b on n_list exceeds"):
+            ScheduleSpec(c1=1.0, a=a, c2=1.0, b=b, n_list=(5, 10))
+        assert time.perf_counter() - start < 0.5
 
 
 class TestBruteForce:
