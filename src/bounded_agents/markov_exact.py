@@ -45,14 +45,15 @@ NATURE_STATES = ("G", "B")
 
 STATIONARY_TOL = 1e-10
 
-# Bytes of float64 joint storage in one stack.
-STACK_BYTES = 8 << 20
+# Bytes of float64 joint storage in one stack: one core's L2 cache, so that
+# each elimination step's runs of B values are read from cache.
+STACK_BYTES = 2 << 20
 
 
-def stack_len(m: int, W: int) -> int:
-    """Chains of m-state agents of band half-width W per stack, so that the
-    joint storage as assembled, 2m rows of 4W + 3 columns, fits STACK_BYTES."""
-    return max(1, STACK_BYTES // (16 * m * (4 * W + 3)))
+def stack_len(rows: int, cols: int) -> int:
+    """Chains per stack whose joint storage, ``rows`` x ``cols`` float64
+    entries each, fits STACK_BYTES."""
+    return max(1, STACK_BYTES // (8 * rows * cols))
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,9 @@ def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.nda
     j - i + w, w the least that holds every nonzero, if that band is narrower than
     the matrix (2w + 1 < d); else whole rows (w = d - 1), masked from a strided
     view of the band. The stack axis is last, so each elimination step runs over
-    contiguous runs of B values."""
+    contiguous runs of B values. Brute force, whose chains are whole rows, calls
+    this once per action labeling on its per-state tables and gathers each stack
+    from the rows it makes (see optimize._joint_rows), so no stack is masked."""
     b, m, wide = a_good.shape
     # (q, theta) -> (q', theta') is held at column 2(q' - q + W) + theta' - theta + 2W + 1.
     S = np.zeros((m, 2, 2 * wide + 1, b))
@@ -208,9 +211,9 @@ RESCALE_BITS = 1000
 
 def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(B, d) stationary rows of a stack of band storages in the interleaved
-    order, the pivot of each state, and whether the solve certifies each chain
-    irreducible, by GTH elimination (Grassmann, Taksar & Heyman 1985).
-    Overwrites S.
+    order, the (d, B) pivots of its states, and whether the solve certifies
+    each chain irreducible, by GTH elimination (Grassmann, Taksar & Heyman
+    1985). Overwrites S.
 
     Every sum runs term by term (``accumulate``), so a chain gets the same
     bits alone as in a stack of any size.
@@ -256,7 +259,7 @@ def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     certified &= (x[since:] > 0.0).all(axis=0)
     mu = np.ascontiguousarray(x.T)
     mu /= mu.sum(axis=1, keepdims=True)
-    return mu, pivot.T, certified
+    return mu, pivot, certified
 
 
 def reach_gaps(S: np.ndarray, w: int) -> np.ndarray:
@@ -291,45 +294,45 @@ def check_irreducible(S: np.ndarray, w: int, certified: np.ndarray) -> np.ndarra
 
 
 def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Stationary rows, residuals, pivots and irreducibility certificates (see
-    _gth) of a stack of chains from their storage S. The residual
-    max_j |(xP)_j - x_j| is summed on the storage itself: one vector step per
-    diagonal of its square view."""
-    d, _, b = S.shape
-    mu = np.empty((b, d))
+    """(d, B) stationary columns in the interleaved order, residuals, pivots
+    and irreducibility certificates (see _gth) of a stack of chains from their
+    storage S. The residual max_j |(xP)_j - x_j| is summed on the storage
+    itself: one vector step per diagonal of its square view."""
+    d = len(S)
     # A zero pivot (from underflow, or a reducible chain) gives inf and NaN,
     # which fail the checks of _failures with a typed error.
     with np.errstate(divide="ignore", invalid="ignore"):
         x, pivot, certified = _gth(S.copy(), w)
-        mu[:, _interleaved(d)] = x
         # Each (xP)[j] adds x[i] * P[i, j] to 0.0 with i ascending: diagonals
         # j - i = o from the highest, which holds each j's least i.
         xt = np.ascontiguousarray(x.T)
-        xP = np.zeros((d, b))
+        xP = np.zeros_like(xt)
         V = _square_view(S, w)
         for o in range(w, -w - 1, -1):
             lo, hi = max(0, -o), min(d, d - o)
             xP[lo + o:hi + o] += xt[lo:hi] * np.diagonal(V, o).T
         residual = np.abs(xP - xt).max(axis=0)
-    return mu, residual, pivot, certified
+    return xt, residual, pivot, certified
 
 
-def _failures(mu: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
+def _failures(xt: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
               rows: np.ndarray) -> dict[int, str]:
-    """Why each chain of ``rows`` in a solved stack fails the checks, if it does."""
-    d = mu.shape[1]
-    mass = mu.sum(axis=1)
-    least = mu.min(axis=1)
+    """Why each chain of ``rows`` in a solved stack fails the checks, if it
+    does, from _solve's (d, B) columns and pivots: each reduction runs over
+    the short axis d, in runs of B values."""
+    d = len(xt)
+    mass = xt.sum(axis=0)
+    least = xt.min(axis=0)
     # Written so that NaN fails too.
     within = ((residual <= STATIONARY_TOL) & (np.abs(mass - 1.0) <= STATIONARY_TOL)
               & (least >= 0.0))
-    failed = ~(pivot > 0.0).all(axis=1) | ~within
+    failed = ~(pivot > 0.0).all(axis=0) | ~within
     errors: dict[int, str] = {}
     for i in rows[failed[rows]].tolist():
-        low = np.flatnonzero(~(pivot[i] > 0.0))
+        low = np.flatnonzero(~(pivot[:, i] > 0.0))
         if low.size:
             state = _state_label(int(_interleaved(d)[low[-1]]), d // 2)
-            errors[i] = f"GTH pivot of state {state} is {float(pivot[i, low[-1]])!r}"
+            errors[i] = f"GTH pivot of state {state} is {float(pivot[low[-1], i])!r}"
         elif least[i] < 0.0:
             errors[i] = f"stationary solve produced mass {float(least[i])!r}"
         else:
@@ -338,14 +341,16 @@ def _failures(mu: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
     return errors
 
 
-def _evaluate(S: np.ndarray, w: int, reward: np.ndarray) -> StackEval:
-    """Solve and check a stack of joint chains from their storage S, all
-    sharing ``reward``."""
-    mu, residual, pivot, certified = _solve(S, w)
+def evaluate_storage(S: np.ndarray, w: int, reward: np.ndarray) -> StackEval:
+    """Solve and check a stack of joint chains from their (d, L, B) storage S
+    of half-width w (see joint_band), all sharing ``reward``."""
+    xt, residual, pivot, certified = _solve(S, w)
     cut_off = check_irreducible(S, w, certified)
     ok = ~cut_off.any(axis=1)
-    errors = _failures(mu, residual, pivot, np.flatnonzero(ok))
+    errors = _failures(xt, residual, pivot, np.flatnonzero(ok))
     ok[list(errors)] = False
+    mu = np.empty(xt.shape[::-1])
+    mu[:, _interleaved(len(xt))] = xt.T
     mu[~ok] = residual[~ok] = np.nan
     return StackEval(mu=mu, residual=residual, payoff=_payoffs(mu, reward), ok=ok,
                      cut_off=cut_off, solve_errors=errors)
@@ -353,7 +358,7 @@ def _evaluate(S: np.ndarray, w: int, reward: np.ndarray) -> StackEval:
 
 def stationary(chain: JointChainModel) -> StationaryDist:
     """Unique stationary distribution of an irreducible chain."""
-    ev = _evaluate(chain.band, chain.w, chain.reward)
+    ev = evaluate_storage(chain.band, chain.w, chain.reward)
     if not ev.ok[0]:
         raise ev.error(0)
     return StationaryDist(mu=ev.mu[0], residual=float(ev.residual[0]),
@@ -374,7 +379,7 @@ def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
                    reward: np.ndarray) -> StackEval:
     """Assemble, solve and check a stack of joint chains from (B, m, 2W + 1)
     agent bands, all sharing ``reward``."""
-    return _evaluate(*joint_band(a_good, a_bad, pi), reward)
+    return evaluate_storage(*joint_band(a_good, a_bad, pi), reward)
 
 
 def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.ndarray:

@@ -7,7 +7,10 @@ tracing payoff along a schedule that shrinks the flip probability faster
 than 1/n while the ladder grows. A vectorized brute-force search over all
 tiny policies (at most 3 states, grid-valued rows) serves as an
 independent near-optimality oracle. Each search solves all its chains,
-every ladder's at once, in stacks that fill markov_exact.STACK_BYTES.
+every ladder's at once, in stacks whose joint storage fills
+markov_exact.STACK_BYTES. Brute force stores its chains as whole rows,
+gathered for each stack from per-state joint rows that are assembled once
+per action labeling.
 
 No unimodality in p_exp is assumed anywhere: searches are coarse-grid plus
 refinement, never golden-section.
@@ -39,7 +42,8 @@ from .errors import (
     stochastic_rows,
 )
 from .markov_exact import (
-    agent_matrices, evaluate_stack, exact_average_payoff, joint_reward, stack_len,
+    agent_matrices, evaluate_stack, evaluate_storage, exact_average_payoff, joint_band,
+    joint_reward, stack_len,
 )
 
 DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
@@ -119,7 +123,8 @@ def _search(setting: DynamicSetting, n: int, ladders, grid) -> list[OptResult]:
     agents = np.stack([agent_matrices(setting, ladder) for ladder in built], axis=1)
     W = agents.shape[-1] // 2
     reward = joint_reward(setting, built[0].actions)
-    step = stack_len(n + 1, W)
+    # joint_band assembles 2(n + 1) rows of 4W + 3 columns before it cuts the band.
+    step = stack_len(2 * (n + 1), 4 * W + 3)
     traces: list[dict[float, float]] = [{} for _ in params]
 
     def evaluate(points):
@@ -343,15 +348,33 @@ def _state_tables(options, acts, pG: np.ndarray, pB: np.ndarray) -> list[np.ndar
     return tables
 
 
-def _candidate_bands(tables: list[np.ndarray], index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(len(index), m, 2W + 1) agent bands in G and in B of one labeling's
-    candidates ``index``. A state's digits are contiguous in the candidate's
+def _joint_rows(tables: list[np.ndarray], pi: float) -> tuple[list[np.ndarray], int]:
+    """Per state q, the joint rows 2q and 2q + 1 of every row of q's table,
+    (2, L, R_q), and their half-width: joint_band's storage of all the tables
+    at once, each in row q of a zero agent stack, so each entry is the
+    product joint_band makes for any stack of candidates that holds that row.
+    The states share one layout, whole rows (L = 2m) for every pi that
+    validate_setting accepts: each table holds a row that moves a rung."""
+    m = len(tables)
+    ends = np.cumsum([len(t) for t in tables]).tolist()
+    agents = np.zeros((2, ends[-1], m, 2 * m - 1))
+    for q, (table, end) in enumerate(zip(tables, ends)):
+        agents[:, end - len(table):end, q] = table.transpose(1, 0, 2)
+    S, w = joint_band(*agents, pi)
+    return [np.ascontiguousarray(S[2 * q:2 * q + 2, :, end - len(table):end])
+            for q, (table, end) in enumerate(zip(tables, ends))], w
+
+
+def _gather(rows: list[np.ndarray], index: np.ndarray) -> np.ndarray:
+    """(2m, L, len(index)) joint storage of one labeling's candidates ``index``,
+    from _joint_rows' rows. A state's digits are contiguous in the candidate's
     mixed radix, so the index unravels over the table sizes into one row of
     each state's table."""
-    sizes = [len(t) for t in tables]
-    at = np.stack(np.unravel_index(index, sizes), axis=-1) + np.cumsum([0] + sizes[:-1])
-    bands = np.concatenate(tables)[at]
-    return bands[:, :, 0], bands[:, :, 1]
+    digits = np.unravel_index(index, [r.shape[2] for r in rows])
+    S = np.empty((2 * len(rows), rows[0].shape[1], len(index)))
+    for q, (r, digit) in enumerate(zip(rows, digits)):
+        r.take(digit, axis=2, out=S[2 * q:2 * q + 2])
+    return S
 
 
 def brute_force_policy_search(
@@ -385,18 +408,18 @@ def brute_force_policy_search(
         raise GridTooLargeError(f"{total} candidates exceed the cap of {BRUTE_FORCE_CAP}")
 
     pG, pB = np.asarray(setting.pG), np.asarray(setting.pB)
-    chunk = stack_len(m, m - 1)
     best_val, best = -np.inf, None
     for acts, sizes in labelings.items():
         # A state's table has R_q or R_q**k rows, and the all-risky labeling,
         # always enumerated, has prod_q R_q**k <= BRUTE_FORCE_CAP candidates:
         # the cap bounds every table.
-        tables = _state_tables(options, acts, pG, pB)
+        rows, w = _joint_rows(_state_tables(options, acts, pG, pB), setting.pi)
+        chunk = stack_len(2 * m, rows[0].shape[1])
         reward = joint_reward(setting, acts)
         n_cand = math.prod(sizes)
         for lo in range(0, n_cand, chunk):
-            a_good, a_bad = _candidate_bands(tables, np.arange(lo, min(lo + chunk, n_cand)))
-            ev = evaluate_stack(a_good, a_bad, setting.pi, reward)
+            S = _gather(rows, np.arange(lo, min(lo + chunk, n_cand)))
+            ev = evaluate_storage(S, w, reward)
             vals = np.where(ev.ok, ev.payoff, -np.inf)
             local = int(np.argmax(vals))
             if vals[local] > best_val:

@@ -7,10 +7,10 @@ the same storage and half-bandwidth, and the same stationary rows and
 payoffs, bit for bit. The residual the package reports must be the exact
 residual of its stationary row to within rounding.
 
-The package's brute-force candidate gather, column-sweep residual and
-masked whole-row storage must also match, bit for bit, the kernels they
-replaced, kept as oracles: digit-by-digit assembly, the np.add.at
-residual and the cell-by-cell scatter.
+The package's brute-force gather of whole-row joint storage, column-sweep
+residual and masked whole-row storage must also match, bit for bit, the
+kernels they replaced, kept as oracles: digit-by-digit assembly of agent
+bands, the np.add.at residual and the cell-by-cell scatter.
 """
 
 import itertools
@@ -21,7 +21,7 @@ import pytest
 
 from bounded_agents.automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
 from bounded_agents.dynamic_env import validate_setting
-from bounded_agents import markov_exact
+from bounded_agents import markov_exact, optimize
 from bounded_agents.markov_exact import (
     agent_step_matrix,
     build_joint_chain,
@@ -32,7 +32,7 @@ from bounded_agents.markov_exact import (
     stationary,
 )
 from bounded_agents.optimize import (
-    _candidate_bands, _row_options, _state_tables, brute_force_policy_search,
+    _gather, _joint_rows, _row_options, _state_tables, brute_force_policy_search,
     default_partition, optimize_pexp,
 )
 from oracles import (
@@ -159,7 +159,7 @@ def test_band_is_stored_while_narrower_than_the_matrix(W):
 
 def test_benchmark_chains_keep_their_layout(monkeypatch, paper_setting):
     # Ladders of n >= 3 rungs are bands of half-width 3; ladders of n <= 2
-    # and brute-force stacks, d <= 6, are stored whole.
+    # and brute-force joint rows, d <= 6, are stored whole.
     layouts = []
 
     def spy(a_good, a_bad, pi):
@@ -168,6 +168,7 @@ def test_benchmark_chains_keep_their_layout(monkeypatch, paper_setting):
         return S, w
 
     monkeypatch.setattr(markov_exact, "joint_band", spy)
+    monkeypatch.setattr(optimize, "joint_band", spy)
     sides = (frozenset({1}), frozenset({4}))
     for n, layout in ((1, (4, 3)), (2, (6, 5)), (3, (7, 3)), (4, (7, 3)), (125, (7, 3))):
         layouts.clear()
@@ -226,13 +227,13 @@ def test_brute_force_gather_matches_digit_assembly(m, k):
     pG[1] = 0.0  # a signal that never occurs in G still adds its (zero) rows
     options = [_row_options(q, m, (0.0, 0.25, 0.5, 0.75, 1.0)) for q in range(m)]
     for acts in itertools.product((SAFE, RISKY), repeat=m):
-        tables = _state_tables(options, acts, pG, pB)
-        count = np.prod([len(t) for t in tables])
+        rows, w = _joint_rows(_state_tables(options, acts, pG, pB), 0.01)
+        assert w == 2 * m - 1
+        count = np.prod([r.shape[2] for r in rows])
         for index in (np.arange(min(count, 700)), np.arange(max(count - 700, 0), count),
                       np.sort(rng.integers(0, count, 700))):
-            got = _candidate_bands(tables, index)
-            want = digit_candidate_bands(options, acts, pG, pB, index)
-            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            S, w = joint_band(*digit_candidate_bands(options, acts, pG, pB, index), 0.01)
+            assert np.array_equal(_gather(rows, index), markov_exact._whole_rows(S, w))
 
 
 def random_storage(rng, d, w, b):

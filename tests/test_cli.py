@@ -400,6 +400,27 @@ class TestReader:
         assert solved == [ReaderProblem(n=7, rho=0.9, c=0.02),
                           ReaderProblem(n=7, rho=0.9, c=0.02, prior1=0.55)]
 
+    def test_each_sequence_is_walked_once(self, tmp_path, monkeypatch):
+        walked = []
+
+        def recording(table, sequence):
+            walked.append(list(sequence))
+            return simulate(table, sequence)
+
+        simulate = bias_reader.simulate_reader
+        for module in (bias_reader, cli):
+            monkeypatch.setattr(module, "simulate_reader", recording)
+        config = write_config(tmp_path, {
+            "problem": {"n": 7, "rho": 0.9, "c": 0.02},
+            "sequence": [1, 1, 1, 0, 0, 0, 0],
+            "polarization": {"prior_b": 0.55, "sequence": [1, 1, 0, 0, 0, 0, 0]},
+        })
+        assert run_cli(["reader", "--config", config]) == 0
+        # The run and the first impression share the forward walk; the two
+        # polarization readers each walk their sequence.
+        assert walked == [[1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1],
+                          [1, 1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0]]
+
     def test_csv_covers_full_grid(self, tmp_path):
         config = write_config(tmp_path, {"problem": {"n": 4, "rho": 0.75, "c": 0.01}})
         table = tmp_path / "table.csv"

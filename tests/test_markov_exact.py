@@ -409,6 +409,23 @@ class TestStackedKernel:
             assert ev.residual[i] == dist.residual
             assert ev.payoff[i] == exact_average_payoff(paper_setting, policy)
 
+    def test_failures_name_each_fault_of_a_mixed_stack(self):
+        # (d, B) columns of four-state chains in the interleaved order: one
+        # that passes, a zero pivot, negative mass, a residual and a mass out
+        # of tolerance, and a zero pivot in a chain outside the rows checked.
+        xt = np.ascontiguousarray(np.array(
+            [[0.25] * 4, [0.25] * 4, [0.5, 0.5, 0.25, -0.25], [0.25] * 4,
+             [0.25, 0.25, 0.25, 0.5], [0.25] * 4]).T)
+        residual = np.array([0.0, 0.0, 0.0, 1e-9, 0.0, 0.0])
+        pivot = np.ones((4, 6))
+        pivot[1:3, 1] = pivot[2, 5] = 0.0
+        assert markov_exact._failures(xt, residual, pivot, np.arange(5)) == {
+            1: "GTH pivot of state (G, q=1) is 0.0",
+            2: "stationary solve produced mass -0.25",
+            3: "stationary residual 1e-09 / mass 1.0 out of tolerance",
+            4: "stationary residual 0.0 / mass 1.25 out of tolerance",
+        }
+
     def test_reducible_member_is_flagged_with_the_single_path_error(self, paper_setting):
         stuck = {(0, NO_SIGNAL): {1: 1.0}, **{(1, s): {1: 1.0} for s in range(1, 5)}}
         policies = [

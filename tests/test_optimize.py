@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bounded_agents import optimize
+from bounded_agents import markov_exact, optimize
 from bounded_agents.automaton import (
     RISKY,
     SAFE,
@@ -24,7 +24,7 @@ from bounded_agents.errors import (
     TrivialSettingError,
     ValidationError,
 )
-from bounded_agents.markov_exact import evaluate_stack, exact_average_payoff
+from bounded_agents.markov_exact import evaluate_stack, evaluate_storage, exact_average_payoff
 from oracles import (
     dict_policy,
     exact_average_payoff_fraction,
@@ -308,7 +308,7 @@ class TestStackedSearches:
         s = policy_search_setting(0)
         whole = exhaustive_partition_search(s, 4), optimize.optimize_rates(s, 4)
         # 7 divides neither a ladder's 40 grid points nor its refinements.
-        monkeypatch.setattr(optimize, "stack_len", lambda m, W: 7)
+        monkeypatch.setattr(optimize, "stack_len", lambda rows, cols: 7)
         cut = exhaustive_partition_search(s, 4), optimize.optimize_rates(s, 4)
         assert cut == whole
         assert cut == (per_ladder_partition_search(s, 4), per_ladder_rate_search(s, 4))
@@ -440,6 +440,18 @@ class TestBruteForce:
         # ordinary exact evaluator.
         assert exact_average_payoff(paper_setting, policy) == pytest.approx(value, abs=1e-12)
 
+    def test_stack_size_never_changes_bits(self, paper_setting, monkeypatch):
+        # The default, the former 8 MB, and stacks of 24 (4, 4) chains, which
+        # split every labeling (the smallest, two Safe states, has 25).
+        found = []
+        for stack_bytes in (markov_exact.STACK_BYTES, 8 << 20, 24 * 8 * 4 * 4):
+            monkeypatch.setattr(markov_exact, "STACK_BYTES", stack_bytes)
+            found.append(brute_force_policy_search(paper_setting, num_states=2))
+        for policy, value in found[1:]:
+            assert value == found[0][1] and policy.actions == found[0][0].actions
+            assert np.array_equal(policy.next_state, found[0][0].next_state)
+            assert np.array_equal(policy.prob, found[0][0].prob)
+
     def test_two_state_winner_bits(self, paper_setting):
         policy, value = brute_force_policy_search(paper_setting, num_states=2)
         # Frozen: the winner's bits do not depend on how candidates are assembled.
@@ -507,10 +519,10 @@ class TestBruteForce:
 
     def test_every_candidate_failing_is_refused(self, paper_setting, monkeypatch):
         def failing(*args):
-            ev = evaluate_stack(*args)
+            ev = evaluate_storage(*args)
             return dataclasses.replace(ev, ok=np.zeros_like(ev.ok))
 
-        monkeypatch.setattr(optimize, "evaluate_stack", failing)
+        monkeypatch.setattr(optimize, "evaluate_storage", failing)
         with pytest.raises(ReducibleChainError, match="^every enumerated candidate was "
                            "reducible or failed the stationary checks$"):
             brute_force_policy_search(paper_setting, num_states=1)
