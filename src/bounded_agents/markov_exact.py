@@ -16,11 +16,17 @@ in the interleaved order 2q + theta, where agents that move at most W
 states give half-bandwidth at most 2W + 1 (3 for a ladder). Joint chains
 are assembled straight into that band, so a ladder is built, solved and
 checked in O(d), and the dense matrix is made only when read. The solve
-certifies irreducibility itself (see _gth); only a chain it cannot certify
-gets the structural pass, the same elimination on the chain's zero pattern.
+certifies irreducibility itself (see _gth), from its pivots and stationary
+entries or, where those underflow, from the eliminated columns; only a chain
+it cannot certify gets the structural pass, the same elimination on the
+chain's zero pattern.
 
 One stacked path assembles, solves and checks joint chains; the single-chain
 functions are its B = 1 case, so a chain gets the same bits alone or in a stack.
+A stack may be ragged: its chains, in descending dimension, are each stored
+from row 0 of one storage at a common half-width, with zero rows past their
+own dimension, and each elimination and back-substitution step runs over the
+chains that have its state. A uniform stack is the case of one dimension.
 """
 
 from __future__ import annotations
@@ -87,9 +93,11 @@ class StationaryDist:
 
 @dataclass(frozen=True)
 class StackEval:
-    """Stationary rows, residuals and payoffs of a stack of joint chains. Where
-    ``ok`` is False the entries are NaN and ``error(i)`` is the typed error
-    the single-chain path raises for that chain."""
+    """Stationary rows, residuals and payoffs of a stack of joint chains of
+    dimensions ``dims``; row i of ``mu`` and ``cut_off`` holds chain i's
+    nature-major states in its first dims[i] entries. Where ``ok`` is False
+    the entries are NaN and ``error(i)`` is the typed error the single-chain
+    path raises for that chain."""
 
     mu: np.ndarray
     residual: np.ndarray
@@ -97,10 +105,12 @@ class StackEval:
     ok: np.ndarray
     cut_off: np.ndarray
     solve_errors: dict[int, str]
+    dims: np.ndarray
 
     def error(self, i: int) -> BoundedAgentsError:
-        if self.cut_off[i].any():
-            return _reducible_error(self.cut_off[i], self.cut_off.shape[1] // 2)
+        d = int(self.dims[i])
+        if self.cut_off[i, :d].any():
+            return _reducible_error(self.cut_off[i, :d], d // 2)
         return SolveFailedError(self.solve_errors[i])
 
 
@@ -137,15 +147,18 @@ def joint_reward(setting: DynamicSetting, actions) -> np.ndarray:
     return np.concatenate([np.where(risky, setting.xG, 0.0), np.where(risky, setting.xB, 0.0)])
 
 
-def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi: float) -> tuple[np.ndarray, int]:
+def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi) -> tuple[np.ndarray, int]:
     """(d, L, B) interleaved-order storage of the joint chains of (B, m, 2W + 1)
-    agent bands in G and B, and its half-bandwidth w: row i holds (i, j) at column
+    agent bands in G and B under flip probability ``pi``, one for the stack or
+    one per chain, and its half-bandwidth w: row i holds (i, j) at column
     j - i + w, w the least that holds every nonzero, if that band is narrower than
     the matrix (2w + 1 < d); else whole rows (w = d - 1), masked from a strided
     view of the band. The stack axis is last, so each elimination step runs over
     contiguous runs of B values. Brute force, whose chains are whole rows, calls
     this once per action labeling on its per-state tables and gathers each stack
-    from the rows it makes (see optimize._joint_rows), so no stack is masked."""
+    from the rows it makes (see optimize._joint_rows), so no stack is masked.
+    Agent rows left at zero past a chain's own states give zero joint rows, so
+    bands of ladders of several lengths, longest first, make a ragged stack."""
     b, m, wide = a_good.shape
     # (q, theta) -> (q', theta') is held at column 2(q' - q + W) + theta' - theta + 2W + 1.
     S = np.zeros((m, 2, 2 * wide + 1, b))
@@ -209,57 +222,102 @@ def _reducible_error(cut_off: np.ndarray, m: int) -> ReducibleChainError:
 RESCALE_BITS = 1000
 
 
-def _gth(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(B, d) stationary rows of a stack of band storages in the interleaved
+def _runs(dims: np.ndarray) -> list[tuple[slice, int]]:
+    """(chains, d) of each run of equal dimension in a stack's descending dims."""
+    edges = [0, *(np.flatnonzero(dims[1:] != dims[:-1]) + 1).tolist(), len(dims)]
+    return [(slice(lo, hi), int(dims[lo])) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
+def _gth(S: np.ndarray, w: int, dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(d, B) stationary columns of a stack of band storages in the interleaved
     order, the (d, B) pivots of its states, and whether the solve certifies
     each chain irreducible, by GTH elimination (Grassmann, Taksar & Heyman
-    1985). Overwrites S.
+    1985). Chain i has dimension dims[i], in descending order; its column
+    past that is 0, and state 0 and the states past it have pivot inf.
+    Overwrites S.
 
-    Every sum runs term by term (``accumulate``), so a chain gets the same
-    bits alone as in a stack of any size.
+    Every sum runs term by term (``accumulate``) over the chains that have
+    the state it is for, and each chain is normalized with the chains of its
+    dimension, so a chain gets the same bits alone as in a stack of any size
+    or dimensions.
 
     GTH never subtracts, so an entry that comes out positive is positive in
     the chain's zero pattern too (see reach_gaps). A positive pivot says that
     state k reaches a lower state, and so, by induction, state 0; a positive
     x[k] says that a lower state, and so state 0, reaches k. A chain whose
-    every pivot and every x[k], as computed, is positive is irreducible."""
+    every pivot and every x[k], as computed, is positive is irreducible.
+    Where x underflows, the eliminated columns serve instead (see _reached)."""
     d, _, b = S.shape
     V = _square_view(S, w)
-    pivot = np.ones((d, b))
+    runs = _runs(dims)
+    # Chains that have state k lead the stack: have[k] of them.
+    have = np.zeros(d, dtype=int)
+    for chains, dim in runs:
+        have[:dim] = chains.stop
+    have = have.tolist()
+    pivot = np.full((d, b), np.inf)
     # Censor the chain onto states 0..k-1, last state first. The pivot is
     # the probability of leaving k downwards, a sum of nonnegative terms, so
     # nothing is subtracted; fill-in stays inside the band.
     for k in range(d - 1, 0, -1):
-        lo = max(0, k - w)
-        row = V[k, lo:k]
-        pivot[k] = s = np.add.accumulate(row, axis=0)[-1]
-        col = V[lo:k, k]
+        c, lo = have[k], max(0, k - w)
+        row = V[k, lo:k, :c]
+        pivot[k, :c] = s = np.add.accumulate(row, axis=0)[-1]
+        col = V[lo:k, k, :c]
         col /= s
-        block = V[lo:k, lo:k]
+        block = V[lo:k, lo:k, :c]
         block += col[:, None] * row
     # Each censored entry is at most 1, so x[k] is at most w / pivot[k]
     # times the largest entry before it: that bounds the growth in bits. A
     # zero pivot leaves its chain uncertified, so it sets no rescale.
     growth = np.log2(np.fmax(w / pivot, 1.0), where=pivot > 0.0, out=np.zeros((d, b)))
     growth = growth.max(axis=1, initial=0.0).tolist()
-    certified = (pivot > 0.0).all(axis=0)
+    positive = (pivot > 0.0).all(axis=0)
+    certified = positive.copy()
     x = np.zeros((d, b))
     x[0] = 1.0
+
+    def certify(lo, hi):
+        for chains, dim in runs:
+            certified[chains] &= (x[lo:min(hi, dim), chains] > 0.0).all(axis=0)
+
     bits, since = 0.0, 0
     for k in range(1, d):
+        c, lo = have[k], max(0, k - w)
         if bits + growth[k] > RESCALE_BITS:
             # A rescale may flush the least entries to 0, so the entries
-            # since the last one are read as they were computed.
-            certified &= (x[since:k] > 0.0).all(axis=0)
-            x[:k] = np.ldexp(x[:k], -np.frexp(x[:k].max(axis=0))[1])
+            # since the last one are read as they were computed. Chains
+            # that have no state k are done and keep their entries.
+            certify(since, k)
+            x[:k, :c] = np.ldexp(x[:k, :c], -np.frexp(x[:k, :c].max(axis=0))[1])
             bits, since = 0.0, k
         bits += growth[k]
+        x[k, :c] = np.add.accumulate(x[lo:k, :c] * V[lo:k, k, :c], axis=0)[-1]
+    certify(since, d)
+    doubt = np.flatnonzero(positive & ~certified)
+    if doubt.size:
+        certified[doubt] = _reached(np.take(S, doubt, axis=2), w, dims[doubt])
+    for chains, dim in runs:
+        part = np.ascontiguousarray(x[:dim, chains].T)
+        part /= part.sum(axis=1, keepdims=True)
+        x[:dim, chains] = part.T
+    return x, pivot, certified
+
+
+def _reached(S: np.ndarray, w: int, dims: np.ndarray) -> np.ndarray:
+    """Whether state 0 reaches every state of each chain, read off its storage
+    S as _gth leaves it: column k above the diagonal holds the lower states'
+    steps to k through higher states, and GTH never subtracts, so an entry
+    that is positive as computed is a positive path. Sound, not complete: an
+    entry that underflows to 0 leaves its chain to the structural pass."""
+    d = int(dims[0])
+    V = _square_view(S, w)
+    reached = np.zeros((d, S.shape[2]), dtype=bool)
+    reached[0] = True
+    for k in range(1, d):
         lo = max(0, k - w)
-        x[k] = np.add.accumulate(x[lo:k] * V[lo:k, k], axis=0)[-1]
-    certified &= (x[since:] > 0.0).all(axis=0)
-    mu = np.ascontiguousarray(x.T)
-    mu /= mu.sum(axis=1, keepdims=True)
-    return mu, pivot, certified
+        reached[k] = (reached[lo:k] & (V[lo:k, k] > 0.0)).any(axis=0)
+    return (reached | (np.arange(d)[:, None] >= dims)).all(axis=0)
 
 
 def reach_gaps(S: np.ndarray, w: int) -> np.ndarray:
@@ -282,30 +340,34 @@ def reach_gaps(S: np.ndarray, w: int) -> np.ndarray:
     return ~(reaches & reached).T[:, np.argsort(_interleaved(d))]
 
 
-def check_irreducible(S: np.ndarray, w: int, certified: np.ndarray) -> np.ndarray:
-    """(B, d) nature-major mask of the states each stored chain cuts off
-    (see reach_gaps); only the chains that their solve has not ``certified``
-    irreducible are searched."""
+def check_irreducible(S: np.ndarray, w: int, certified: np.ndarray,
+                      dims: np.ndarray) -> np.ndarray:
+    """(B, d) nature-major mask of the states each stored chain of dimension
+    dims[i] cuts off (see reach_gaps), in its first dims[i] entries; only the
+    chains that their solve has not ``certified`` irreducible are searched,
+    each run of one dimension on its own rows."""
     cut_off = np.zeros((S.shape[2], len(S)), dtype=bool)
     doubt = np.flatnonzero(~certified)
-    if doubt.size:
-        cut_off[doubt] = reach_gaps(np.take(S, doubt, axis=2), w)
+    for chains, dim in _runs(dims[doubt]):
+        which = doubt[chains]
+        cut_off[which, :dim] = reach_gaps(np.take(S[:dim], which, axis=2), w)
     return cut_off
 
 
-def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _solve(S: np.ndarray, w: int,
+           dims: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(d, B) stationary columns in the interleaved order, residuals, pivots
-    and irreducibility certificates (see _gth) of a stack of chains from their
-    storage S. The residual max_j |(xP)_j - x_j| is summed on the storage
-    itself: one vector step per diagonal of its square view."""
+    and irreducibility certificates (see _gth) of a stack of chains of
+    dimensions ``dims`` from their storage S. The residual
+    max_j |(xP)_j - x_j| is summed on the storage itself: one vector step per
+    diagonal of its square view; a chain's zero rows add exact zeros."""
     d = len(S)
     # A zero pivot (from underflow, or a reducible chain) gives inf and NaN,
     # which fail the checks of _failures with a typed error.
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, pivot, certified = _gth(S.copy(), w)
+        xt, pivot, certified = _gth(S.copy(), w, dims)
         # Each (xP)[j] adds x[i] * P[i, j] to 0.0 with i ascending: diagonals
         # j - i = o from the highest, which holds each j's least i.
-        xt = np.ascontiguousarray(x.T)
         xP = np.zeros_like(xt)
         V = _square_view(S, w)
         for o in range(w, -w - 1, -1):
@@ -316,11 +378,10 @@ def _solve(S: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, n
 
 
 def _failures(xt: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
-              rows: np.ndarray) -> dict[int, str]:
+              rows: np.ndarray, dims: np.ndarray) -> dict[int, str]:
     """Why each chain of ``rows`` in a solved stack fails the checks, if it
-    does, from _solve's (d, B) columns and pivots: each reduction runs over
-    the short axis d, in runs of B values."""
-    d = len(xt)
+    does, from _solve's (d, B) columns and pivots of chains of dimensions
+    ``dims``: each reduction runs over the short axis d, in runs of B values."""
     mass = xt.sum(axis=0)
     least = xt.min(axis=0)
     # Written so that NaN fails too.
@@ -331,6 +392,7 @@ def _failures(xt: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
     for i in rows[failed[rows]].tolist():
         low = np.flatnonzero(~(pivot[:, i] > 0.0))
         if low.size:
+            d = int(dims[i])
             state = _state_label(int(_interleaved(d)[low[-1]]), d // 2)
             errors[i] = f"GTH pivot of state {state} is {float(pivot[low[-1], i])!r}"
         elif least[i] < 0.0:
@@ -341,24 +403,34 @@ def _failures(xt: np.ndarray, residual: np.ndarray, pivot: np.ndarray,
     return errors
 
 
-def evaluate_storage(S: np.ndarray, w: int, reward: np.ndarray) -> StackEval:
+def evaluate_storage(S: np.ndarray, w: int, rewards: list[tuple[int, np.ndarray]]) -> StackEval:
     """Solve and check a stack of joint chains from their (d, L, B) storage S
-    of half-width w (see joint_band), all sharing ``reward``."""
-    xt, residual, pivot, certified = _solve(S, w)
-    cut_off = check_irreducible(S, w, certified)
+    of half-width w (see joint_band). ``rewards`` lists (count, reward) runs
+    in descending dimension: the next ``count`` chains have dimension
+    len(reward), share ``reward``, and are stored from row 0, with zero rows
+    past their dimension. A uniform stack is one run."""
+    dims = np.repeat([len(reward) for _, reward in rewards], [count for count, _ in rewards])
+    xt, residual, pivot, certified = _solve(S, w, dims)
+    cut_off = check_irreducible(S, w, certified, dims)
     ok = ~cut_off.any(axis=1)
-    errors = _failures(xt, residual, pivot, np.flatnonzero(ok))
+    errors = _failures(xt, residual, pivot, np.flatnonzero(ok), dims)
     ok[list(errors)] = False
-    mu = np.empty(xt.shape[::-1])
-    mu[:, _interleaved(len(xt))] = xt.T
-    mu[~ok] = residual[~ok] = np.nan
-    return StackEval(mu=mu, residual=residual, payoff=_payoffs(mu, reward), ok=ok,
-                     cut_off=cut_off, solve_errors=errors)
+    mu = np.zeros(xt.shape[::-1])
+    payoff = np.empty(len(dims))
+    start = 0
+    for count, reward in rewards:
+        chains, dim = slice(start, start + count), len(reward)
+        mu[chains, _interleaved(dim)] = xt[:dim, chains].T
+        payoff[chains] = _payoffs(np.ascontiguousarray(mu[chains, :dim]), reward)
+        start += count
+    mu[~ok] = residual[~ok] = payoff[~ok] = np.nan
+    return StackEval(mu=mu, residual=residual, payoff=payoff, ok=ok, cut_off=cut_off,
+                     solve_errors=errors, dims=dims)
 
 
 def stationary(chain: JointChainModel) -> StationaryDist:
     """Unique stationary distribution of an irreducible chain."""
-    ev = evaluate_storage(chain.band, chain.w, chain.reward)
+    ev = evaluate_storage(chain.band, chain.w, [(1, chain.reward)])
     if not ev.ok[0]:
         raise ev.error(0)
     return StationaryDist(mu=ev.mu[0], residual=float(ev.residual[0]),
@@ -379,7 +451,14 @@ def evaluate_stack(a_good: np.ndarray, a_bad: np.ndarray, pi: float,
                    reward: np.ndarray) -> StackEval:
     """Assemble, solve and check a stack of joint chains from (B, m, 2W + 1)
     agent bands, all sharing ``reward``."""
-    return evaluate_storage(*joint_band(a_good, a_bad, pi), reward)
+    return evaluate_storage(*joint_band(a_good, a_bad, pi), [(len(a_good), reward)])
+
+
+# The stopping probability's interval. The resolvent solve below loses about
+# 2 eps / eta: on the witness sticky policy, static_expected_utility is off a
+# rational solve by 1.5e-13 at eta = 1e-5, 1.2e-10 at 1e-6 and 1.1e-8 at 1e-8,
+# past the 1e-9 that goldens are held to, so smaller eta is refused.
+ETA_INTERVAL = "[1e-06, 1]"
 
 
 def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.ndarray:
@@ -388,9 +467,10 @@ def stopped_state_distribution(P: np.ndarray, d0: np.ndarray, eta: float) -> np.
     The process takes a step, then halts with probability eta, so the
     result is eta * d0 * P * (I - (1-eta) P)^-1; eta=1 reduces to d0 * P.
     The inverse exists for eta in (0, 1] because I - (1-eta)P is strictly
-    diagonally dominant in the induced norm.
+    diagonally dominant in the induced norm; eta below ETA_INTERVAL is
+    refused, since the solve's error grows as 1 / eta.
     """
-    check_real(eta, "eta", "(0, 1]", BadEtaError)
+    check_real(eta, "eta", ETA_INTERVAL, BadEtaError)
     P = np.asarray(P, dtype=float)
     d0 = np.asarray(d0, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or d0.shape != (P.shape[0],):

@@ -8,9 +8,10 @@ than 1/n while the ladder grows. A vectorized brute-force search over all
 tiny policies (at most 3 states, grid-valued rows) serves as an
 independent near-optimality oracle. Each search solves all its chains,
 every ladder's at once, in stacks whose joint storage fills
-markov_exact.STACK_BYTES. Brute force stores its chains as whole rows,
-gathered for each stack from per-state joint rows that are assembled once
-per action labeling.
+markov_exact.STACK_BYTES; the limit curve's ladders, one length a point,
+share ragged stacks the same way. Brute force stores its chains as whole
+rows, gathered for each stack from per-state joint rows that are assembled
+once per action labeling.
 
 No unimodality in p_exp is assumed anywhere: searches are coarse-grid plus
 refinement, never golden-section.
@@ -27,7 +28,7 @@ import numpy as np
 
 from .automaton import RISKY, SAFE, MAX_RUNGS, AFamilyParams, AutomatonPolicy, build_a_family
 from .dynamic_env import (
-    LADDER_PROB_INTERVAL, PI_INTERVAL, DynamicSetting, is_nontrivial, validate_setting,
+    LADDER_PROB_INTERVAL, PI_INTERVAL, DynamicSetting, is_nontrivial,
 )
 from .errors import (
     BadProbabilityError,
@@ -41,7 +42,9 @@ from .errors import (
     check_real,
     stochastic_rows,
 )
-from .markov_exact import (
+# exact_average_payoff is not called here, but perfbench's tracer test reaches
+# it through this module, as callers did while the curve used it.
+from .markov_exact import (  # noqa: F401
     agent_matrices, evaluate_stack, evaluate_storage, exact_average_payoff, joint_band,
     joint_reward, stack_len,
 )
@@ -294,21 +297,36 @@ def limit_schedule_curve(
     r_u: float = 1.0,
     r_d: float = 1.0,
 ) -> list[CurvePoint]:
-    """Exact payoff along the schedule; setting's pi is replaced per point."""
+    """Exact payoff along the schedule; setting's pi is replaced per point.
+
+    Consecutive points share a ragged stack (see markov_exact) while it fits
+    STACK_BYTES, each stack's ladders built when it is solved; the first
+    failing point in n_list order raises."""
     pos, neg = _sides(setting, partition)
-    curve = []
-    for n in schedule.n_list:
-        pi_n = schedule.pi_of_n(n)
-        pexp_n = schedule.pexp_of_n(n)
-        at_n = validate_setting(setting.k, setting.pG, setting.pB, setting.xG, setting.xB, pi_n)
-        policy = build_a_family(
-            setting.k,
-            AFamilyParams(n=n, p_exp=pexp_n, pos=pos, neg=neg, r_u=r_u, r_d=r_d),
-        )
-        curve.append(
-            CurvePoint(n=n, pi=pi_n, p_exp=pexp_n,
-                       payoff=exact_average_payoff(at_n, policy))
-        )
+    points = [(n, schedule.pi_of_n(n), schedule.pexp_of_n(n)) for n in schedule.n_list]
+    curve: list[CurvePoint] = []
+    while len(curve) < len(points):
+        lo = hi = len(curve)
+        # Every ladder band is (n + 1, 3), so joint_band assembles each chain
+        # of a stack in 2(n + 1) rows of 7 columns, n the stack's largest.
+        while hi < len(points) and hi - lo < stack_len(2 * (points[hi][0] + 1), 7):
+            hi += 1
+        stack = points[lo:hi]
+        ladders = [build_a_family(setting.k, AFamilyParams(n=n, p_exp=p_exp, pos=pos, neg=neg,
+                                                           r_u=r_u, r_d=r_d))
+                   for n, _, p_exp in stack]
+        # A ragged stack holds its chains longest first.
+        ladders.reverse()
+        agents = np.zeros((2, len(stack), ladders[0].num_states, 3))
+        for i, ladder in enumerate(ladders):
+            agents[:, i, :ladder.num_states] = agent_matrices(setting, ladder)
+        pis = np.array([pi for _, pi, _ in reversed(stack)])
+        ev = evaluate_storage(*joint_band(*agents, pis),
+                              [(1, joint_reward(setting, ladder.actions)) for ladder in ladders])
+        if not ev.ok.all():
+            raise ev.error(int(np.flatnonzero(~ev.ok)[-1]))
+        curve += [CurvePoint(n=n, pi=pi, p_exp=p_exp, payoff=payoff)
+                  for (n, pi, p_exp), payoff in zip(stack, ev.payoff[::-1].tolist())]
     return curve
 
 
@@ -419,7 +437,7 @@ def brute_force_policy_search(
         n_cand = math.prod(sizes)
         for lo in range(0, n_cand, chunk):
             S = _gather(rows, np.arange(lo, min(lo + chunk, n_cand)))
-            ev = evaluate_storage(S, w, reward)
+            ev = evaluate_storage(S, w, [(S.shape[2], reward)])
             vals = np.where(ev.ok, ev.payoff, -np.inf)
             local = int(np.argmax(vals))
             if vals[local] > best_val:

@@ -25,7 +25,9 @@ from .errors import (
     check_real,
 )
 from .dynamic_env import check_signals
-from .markov_exact import agent_step_matrix, dense_matrix, stopped_state_distribution
+from .markov_exact import (
+    ETA_INTERVAL, agent_step_matrix, dense_matrix, stopped_state_distribution,
+)
 
 DECISIONS = ("G", "B")
 
@@ -49,7 +51,7 @@ class StaticSetting:
         pG, pB = check_signals(self.k, self.pG, self.pB)
         object.__setattr__(self, "pG", pG)
         object.__setattr__(self, "pB", pB)
-        check_real(self.eta, "eta", "(0, 1]", BadEtaError)
+        check_real(self.eta, "eta", ETA_INTERVAL, BadEtaError)
         check_real(self.prior_G, "prior_G", "[0, 1]")
         rows = check_list(self.utility, "utility", 2)
         object.__setattr__(self, "utility", tuple(

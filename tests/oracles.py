@@ -30,6 +30,7 @@ from fractions import Fraction
 import numpy as np
 
 from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, policy_from_dict
+from bounded_agents.static_model import DECISIONS
 from bounded_agents.optimize import (
     DEFAULT_RATE_GRID, RateSearchResult, legal_partitions, optimize_pexp,
 )
@@ -240,7 +241,7 @@ def dense_route(setting, policy):
     band, w = dense_band(P)
     d = P.shape[1]
     mu = np.empty((1, d))
-    mu[:, _interleaved(d)] = _gth(band.copy(), w)[0]
+    mu[:, _interleaved(d)] = _gth(band.copy(), w, np.array([d]))[0].T
     reward = joint_reward(setting, policy.actions)
     payoff = float((mu[:, None, :] @ reward[:, None])[0, 0, 0])
     return P[0], band, w, mu[0], payoff
@@ -435,6 +436,37 @@ def damped_power_iteration(P, tol=1e-13, max_steps=400_000):
             break
         mu = nxt
     return mu / mu.sum()
+
+
+def static_expected_utility_fraction(setting, policy, rule):
+    """static_expected_utility in exact rationals of its float inputs: under
+    each truth, the stopped distribution x solves x (I - (1 - eta) P) =
+    eta d0 P, by Gauss-Jordan elimination in Fractions."""
+    m, eta = policy.num_states, Fraction(setting.eta)
+    prior_G = Fraction(setting.prior_G)
+    total = Fraction(0)
+    for truth, (prior, probs) in enumerate(((prior_G, setting.pG), (1 - prior_G, setting.pB))):
+        P = [[Fraction(0)] * m for _ in range(m)]
+        for q in range(m):
+            weights = [1] if policy.actions[q] == SAFE else [Fraction(p) for p in probs]
+            for s, weight in enumerate(weights):
+                for nxt, p in zip(policy.next_state[q, s].tolist(), policy.prob[q, s].tolist()):
+                    P[q][nxt] += weight * Fraction(p)
+        # Row j of the transposed system: sum_i x_i (I - (1 - eta) P)[i][j] = eta P[q0][j].
+        start = P[policy.initial_state]
+        A = [[int(i == j) - (1 - eta) * P[i][j] for i in range(m)] + [eta * start[j]]
+             for j in range(m)]
+        for col in range(m):
+            pivot = next(r for r in range(col, m) if A[r][col] != 0)
+            A[col], A[pivot] = A[pivot], A[col]
+            A[col] = [a / A[col][col] for a in A[col]]
+            for r in range(m):
+                if r != col and A[r][col] != 0:
+                    A[r] = [a - A[r][col] * b for a, b in zip(A[r], A[col])]
+        decide = [DECISIONS.index(d) for d in rule.decide]
+        total += prior * sum(A[q][m] * Fraction(setting.utility[decide[q]][truth])
+                             for q in range(m))
+    return total
 
 
 def geometric_series_stopped(P, d0, eta, tail=1e-14):

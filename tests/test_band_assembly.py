@@ -21,6 +21,7 @@ import pytest
 
 from bounded_agents.automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
 from bounded_agents.dynamic_env import validate_setting
+from bounded_agents.errors import ReducibleChainError
 from bounded_agents import markov_exact, optimize
 from bounded_agents.markov_exact import (
     agent_step_matrix,
@@ -182,19 +183,42 @@ def test_benchmark_chains_keep_their_layout(monkeypatch, paper_setting):
         assert set(layouts) == {(2 * m, 2 * m - 1)}
 
 
-def test_chain_whose_mass_underflows_takes_the_structural_pass(monkeypatch):
+def test_chain_whose_mass_underflows_is_certified_by_its_columns(monkeypatch):
     # The sinking ladder's stationary mass falls below the float range from
-    # state 1325 of 2002 on, so the solve cannot certify the chain.
+    # state 1325 of 2002 on, so its entries cannot certify the chain; the
+    # eliminated columns do, and the structural pass never runs.
     setting = validate_setting(4, *SINKING, 1.0, -1.0, 1.0 / 1000**2)
     chain = build_joint_chain(setting, ladder(setting, 1000, 1.0 / 1000))
-    searched = []
-    monkeypatch.setattr(markov_exact, "reach_gaps",
-                        lambda S, w: searched.append(w) or reach_gaps(S, w))
+    columns, reached = [], markov_exact._reached
+    monkeypatch.setattr(markov_exact, "_reached",
+                        lambda S, w, dims: columns.append(dims.tolist()) or reached(S, w, dims))
+    monkeypatch.setattr(markov_exact, "reach_gaps", refuse_the_structural_pass)
     dist = stationary(chain)
-    assert searched == [3]
+    assert columns == [[2002]]
     assert (dist.mu == 0.0).any()
     # Frozen: the payoff's bits do not depend on how irreducibility is checked.
     assert dist.payoff == 0.001240662004217527
+
+
+def refuse_the_structural_pass(S, w):
+    raise AssertionError("a certified chain was searched")
+
+
+def test_reducible_chain_takes_the_structural_pass(monkeypatch, paper_setting):
+    # Rung 2 of the ladder cannot climb, so the rungs above it are cut off:
+    # their pivots are positive but state 0 never reaches them.
+    policy = ladder(paper_setting, 4, 0.1, (frozenset({1}), frozenset({4})))
+    cut = policy.prob.copy()
+    cut[2, :, 0] = np.where(policy.next_state[2, :, 0] == 3, 0.0, cut[2, :, 0])
+    cut[2, :, 1] = 1.0 - cut[2, :, 0]
+    stuck = AutomatonPolicy(5, 0, policy.actions, policy.next_state, cut)
+    searched = []
+    monkeypatch.setattr(markov_exact, "reach_gaps",
+                        lambda S, w: searched.append(S.shape[2]) or reach_gaps(S, w))
+    with pytest.raises(ReducibleChainError) as err:
+        stationary(build_joint_chain(paper_setting, stuck))
+    assert searched == [1]
+    assert list(err.value.unreachable) == ["(G, q=3)", "(G, q=4)", "(B, q=3)", "(B, q=4)"]
 
 
 def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
@@ -203,10 +227,7 @@ def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
     setting = validate_setting(4, *SEED_31, 1.0, -1.0, 1.0 / 2000**2)
     chain = build_joint_chain(setting, ladder(setting, 2000, 1.0 / 2000))
 
-    def refuse(S, w):
-        raise AssertionError("a certified chain was searched")
-
-    monkeypatch.setattr(markov_exact, "reach_gaps", refuse)
+    monkeypatch.setattr(markov_exact, "reach_gaps", refuse_the_structural_pass)
     dist = stationary(chain)
     assert (dist.mu == 0.0).any()
     assert dist.payoff == -8.326672684688674e-17
@@ -252,10 +273,42 @@ def random_storage(rng, d, w, b):
 @pytest.mark.parametrize("b", [1, 5])
 def test_column_sweep_residual_matches_add_at(d, w, b):
     S = random_storage(np.random.default_rng(d * w + b), d, w, b)
-    x = markov_exact._gth(S.copy(), w)[0]
-    residual = markov_exact._solve(S, w)[1]
+    dims = np.full(b, d)
+    x = markov_exact._gth(S.copy(), w, dims)[0].T
+    residual = markov_exact._solve(S, w, dims)[1]
     assert np.array_equal(residual, add_at_residual(S, w, x))
     assert (residual > 0.0).any()
+
+
+def test_certified_chains_have_no_gaps():
+    # random_storage with a fifth of the entries zeroed and a fifth scaled by
+    # 1e-300, so that some chains are reducible and some certified chains'
+    # stationary entries underflow. Half of each stack is cut ragged: chain i
+    # keeps its first dims[i] states. Every chain the solve certifies must have
+    # no state that the structural pass finds cut off.
+    certified_at_all = underflowed = cut_off = 0
+    for d, w in ((40, 3), (40, 7), (200, 3), (12, 11)):
+        rng = np.random.default_rng(d * w)
+        with np.errstate(invalid="ignore"):  # a row the band mask empties is 0/0
+            S = np.nan_to_num(random_storage(rng, d, w, 100))
+        S[rng.random(S.shape) < 0.2] = 0.0
+        S[rng.random(S.shape) < 0.2] *= 1e-300
+        dims = np.full(100, d)
+        dims[50:] = 2 * np.sort(rng.integers(1, d // 2 + 1, 50))[::-1]
+        V = markov_exact._square_view(S, w)
+        for i, dim in enumerate(dims.tolist()):
+            S[dim:, :, i] = 0.0
+            for r in range(max(0, dim - w), dim):
+                V[r, dim:min(d, r + w + 1), i] = 0.0
+        xt, _, _, certified = markov_exact._solve(S, w, dims)
+        for i, dim in enumerate(dims.tolist()):
+            gaps = reach_gaps(np.ascontiguousarray(S[:dim, :, i:i + 1]), w)
+            assert not (certified[i] and gaps.any())
+            cut_off += gaps.any()
+        certified_at_all += certified.sum()
+        zero = (xt == 0.0) & (np.arange(d)[:, None] < dims)
+        underflowed += (certified & zero.any(axis=0)).sum()
+    assert certified_at_all and underflowed and cut_off
 
 
 @pytest.mark.parametrize("m", [2, 3, 33])

@@ -988,6 +988,12 @@ REFUSED_VALUES = {
         "simulate", {"setting": {**PAPER_SETTING, "xG": 1e155}, "automaton": LADDER,
                      "rounds": 2000},
         "xG must be in (0, 1e150], got 1e+155"),
+    # The resolvent solve loses about 2 eps / eta: its expected utility was
+    # 1.1e-8 off at 1e-8, 0.787 against 0.864 at 1e-16, and -4.9e-285 at 1e-300.
+    "static eta below its end": (
+        "static-demo", {"policy": STICKY, "demo": "expected_utility",
+                        "setting": {**STATIC_SETTING, "eta": 1e-8}},
+        "eta must be in [1e-06, 1], got 1e-08"),
 }
 
 

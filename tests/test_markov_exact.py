@@ -34,12 +34,15 @@ from oracles import (
 from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
     _solve,
+    agent_matrices,
     agent_step_matrix,
     build_joint_chain,
     check_irreducible,
     dense_matrix,
     evaluate_stack,
+    evaluate_storage,
     exact_average_payoff,
+    joint_band,
     joint_reward,
     reach_gaps,
     stationary,
@@ -325,9 +328,10 @@ class TestExactAveragePayoff:
             r_d=rng.uniform(1e-3, 1.0),
         )
         chain = build_joint_chain(paper_setting, build_a_family(4, params))
-        assert _solve(chain.band, chain.w)[3].all()
+        dims = np.array([chain.dim])
+        assert _solve(chain.band, chain.w, dims)[3].all()
         # The structural pass, run as if the solve had not certified it, finds no gap.
-        assert not check_irreducible(chain.band, chain.w, np.zeros(1, dtype=bool)).any()
+        assert not check_irreducible(chain.band, chain.w, np.zeros(1, dtype=bool), dims).any()
 
 
 PAPER_SIDES = dict(pos=frozenset({1}), neg=frozenset({4}))
@@ -369,7 +373,8 @@ class TestStackedKernel:
         # solve certifies has no gaps, and the single path names the gaps.
         P[:, np.arange(dim), np.arange(dim)] += P.sum(axis=2) == 0.0
         chains = P / P.sum(axis=2, keepdims=True)
-        assert not (_solve(dense_band(chains)[0], w)[3] & expected.any(axis=1)).any()
+        dims = np.full(len(chains), dim)
+        assert not (_solve(dense_band(chains)[0], w, dims)[3] & expected.any(axis=1)).any()
         m = dim // 2
         for chain, gaps in zip(chains, expected):
             labels = [f"({'GB'[row // m]}, q={row % m})" for row in np.flatnonzero(gaps)]
@@ -409,6 +414,51 @@ class TestStackedKernel:
             assert ev.residual[i] == dist.residual
             assert ev.payoff[i] == exact_average_payoff(paper_setting, policy)
 
+    @staticmethod
+    def ragged(cases):
+        """Solve (setting, policy) cases, longest first, in one ragged stack."""
+        agents = np.zeros((2, len(cases), cases[0][1].num_states, 3))
+        for i, (setting, policy) in enumerate(cases):
+            agents[:, i, :policy.num_states] = agent_matrices(setting, policy)
+        S, w = joint_band(*agents, np.array([setting.pi for setting, _ in cases]))
+        return evaluate_storage(S, w, [(1, joint_reward(s, p.actions)) for s, p in cases]), w
+
+    def test_ragged_stack_matches_single_path_bit_for_bit(self, paper_setting):
+        # Ladders of several lengths, some equal and some of n <= 2 (whose
+        # single chains are whole rows), each with its own pi, p_exp, rate and
+        # payoffs, drawn in three orders and stacked longest first.
+        rng = random.Random(7)
+        cases = []
+        for n in (1, 2, 2, 3, 5, 5, 40, 129, 130):
+            setting = validate_setting(4, paper_setting.pG, paper_setting.pB, rng.uniform(0.5, 2),
+                                       -rng.uniform(0.5, 2), 10 ** rng.uniform(-6, -1))
+            params = AFamilyParams(n=n, p_exp=rng.uniform(1e-3, 1), r_u=rng.uniform(0.1, 1),
+                                   **PAPER_SIDES)
+            cases.append((setting, build_a_family(4, params)))
+        for _ in range(3):
+            rng.shuffle(cases)
+            stacked = sorted(cases, key=lambda case: -case[1].num_states)
+            ev, w = self.ragged(stacked)
+            assert ev.ok.all() and w == 3
+            for i, (setting, policy) in enumerate(stacked):
+                dist = stationary(build_joint_chain(setting, policy))
+                d = 2 * policy.num_states
+                assert ev.payoff[i] == dist.payoff and ev.residual[i] == dist.residual
+                assert np.array_equal(ev.mu[i, :d], dist.mu) and not ev.mu[i, d:].any()
+
+    def test_ragged_stack_names_each_chain_by_its_own_states(self, paper_setting):
+        # A reducible 2-state policy below a 5-rung ladder: the cut-off states
+        # are read in the short chain's own nature-major order.
+        stuck = {(0, NO_SIGNAL): {1: 1.0}, **{(1, s): {1: 1.0} for s in range(1, 5)}}
+        cases = [(paper_setting, build_a_family(4, AFamilyParams(n=4, p_exp=0.1, **PAPER_SIDES))),
+                 (paper_setting, dict_policy((SAFE, RISKY), stuck, 4))]
+        ev, _ = self.ragged(cases)
+        assert ev.ok.tolist() == [True, False]
+        assert ev.payoff[0] == exact_average_payoff(*cases[0])
+        with pytest.raises(ReducibleChainError) as single:
+            stationary(build_joint_chain(*cases[1]))
+        assert str(ev.error(1)) == str(single.value)
+
     def test_failures_name_each_fault_of_a_mixed_stack(self):
         # (d, B) columns of four-state chains in the interleaved order: one
         # that passes, a zero pivot, negative mass, a residual and a mass out
@@ -419,7 +469,7 @@ class TestStackedKernel:
         residual = np.array([0.0, 0.0, 0.0, 1e-9, 0.0, 0.0])
         pivot = np.ones((4, 6))
         pivot[1:3, 1] = pivot[2, 5] = 0.0
-        assert markov_exact._failures(xt, residual, pivot, np.arange(5)) == {
+        assert markov_exact._failures(xt, residual, pivot, np.arange(5), np.full(6, 4)) == {
             1: "GTH pivot of state (G, q=1) is 0.0",
             2: "stationary solve produced mass -0.25",
             3: "stationary residual 1e-09 / mass 1.0 out of tolerance",

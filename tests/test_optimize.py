@@ -24,7 +24,9 @@ from bounded_agents.errors import (
     TrivialSettingError,
     ValidationError,
 )
-from bounded_agents.markov_exact import evaluate_stack, evaluate_storage, exact_average_payoff
+from bounded_agents.markov_exact import (
+    build_joint_chain, evaluate_stack, evaluate_storage, exact_average_payoff, stationary,
+)
 from oracles import (
     dict_policy,
     exact_average_payoff_fraction,
@@ -388,6 +390,64 @@ class TestLimitScheduleCurve:
                                                        neg=partition[1]))
             exact = float(exact_average_payoff_fraction(setting, policy))
             assert pt.payoff == pytest.approx(exact, rel=1e-12, abs=0.0)
+
+    # Stacks of the default size hold the whole curve; stacks of 3,024 bytes
+    # hold (1, 2, 3, 4), (8), (100) and (1000).
+    @pytest.mark.parametrize("stack_bytes, stacks", [
+        (markov_exact.STACK_BYTES, [[1000, 100, 8, 4, 3, 2, 1]]),
+        (3024, [[4, 3, 2, 1], [8], [100], [1000]]),
+    ])
+    def test_points_match_single_chains(self, paper_setting, monkeypatch, stack_bytes, stacks):
+        # Alone, ladders of n <= 2 are whole rows and longer ones bands of
+        # half-width 3; in a stack they share the band.
+        partition = (frozenset({1}), frozenset({4}))
+        schedule = ScheduleSpec(c1=0.4, a=2.0, c2=1.0, b=1.0, n_list=(1, 2, 3, 4, 8, 100, 1000))
+        single = {}
+        for n in schedule.n_list:
+            s = paper_setting
+            setting = validate_setting(s.k, s.pG, s.pB, s.xG, s.xB, schedule.pi_of_n(n))
+            policy = build_a_family(s.k, AFamilyParams(n=n, p_exp=schedule.pexp_of_n(n),
+                                                       pos=partition[0], neg=partition[1]))
+            dist = stationary(build_joint_chain(setting, policy))
+            single[n] = (dist.payoff, dist.residual)
+        events, stacked = [], {}
+
+        def building(k, params):
+            events.append(params.n)
+            return build_a_family(k, params)
+
+        def solving(S, w, rewards):
+            ev = evaluate_storage(S, w, rewards)
+            ns = [len(reward) // 2 - 1 for _, reward in rewards]
+            events.append(ns)
+            stacked.update(zip(ns, zip(ev.payoff.tolist(), ev.residual.tolist())))
+            return ev
+
+        monkeypatch.setattr(markov_exact, "STACK_BYTES", stack_bytes)
+        monkeypatch.setattr(optimize, "build_a_family", building)
+        monkeypatch.setattr(optimize, "evaluate_storage", solving)
+        curve = limit_schedule_curve(paper_setting, schedule, partition)
+        assert stacked == single
+        assert [pt.payoff for pt in curve] == [single[n][0] for n in schedule.n_list]
+        # Each stack's ladders are built just before it is solved.
+        assert events == [x for ns in stacks for x in (*ns[::-1], ns)]
+
+    @pytest.mark.parametrize("stack_bytes", [markov_exact.STACK_BYTES, 1])
+    def test_first_failing_point_raises(self, monkeypatch, stack_bytes):
+        # Signal 1 never occurs, so a ladder that climbs only on it is
+        # reducible at every n; the error names the first point's cut-off rungs.
+        s = validate_setting(4, (0.0, 0.5, 0.3, 0.2), (0.0, 0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
+        schedule = ScheduleSpec(c1=1.0, a=2.0, c2=1.0, b=1.0, n_list=(3, 5, 9))
+        partition = (frozenset({1}), frozenset({4}))
+        first = build_a_family(4, AFamilyParams(n=3, p_exp=schedule.pexp_of_n(3),
+                                                pos=partition[0], neg=partition[1]))
+        at_first = validate_setting(s.k, s.pG, s.pB, s.xG, s.xB, schedule.pi_of_n(3))
+        with pytest.raises(ReducibleChainError) as single:
+            exact_average_payoff(at_first, first)
+        monkeypatch.setattr(markov_exact, "STACK_BYTES", stack_bytes)
+        with pytest.raises(ReducibleChainError) as curve:
+            limit_schedule_curve(s, schedule, partition)
+        assert str(curve.value) == str(single.value)
 
     def test_never_exceeds_upper_bound(self, paper_setting):
         curve = limit_schedule_curve(

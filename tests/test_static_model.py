@@ -10,9 +10,9 @@ from bounded_agents.errors import (
     SignalOutOfRangeError,
     ValidationError,
 )
-from oracles import dict_policy, geometric_series_stopped
+from oracles import dict_policy, geometric_series_stopped, static_expected_utility_fraction
 
-from bounded_agents.markov_exact import agent_step_matrix, dense_matrix
+from bounded_agents.markov_exact import agent_step_matrix, dense_matrix, stopped_state_distribution
 from bounded_agents.static_model import (
     DecisionRule,
     FirstImpressionResult,
@@ -45,6 +45,16 @@ class TestStaticSetting:
     def test_bad_eta(self):
         with pytest.raises(BadEtaError):
             StaticSetting(eta=0.0, **PAPER_SIGNALS)
+
+    @pytest.mark.parametrize("refuse", [
+        lambda eta: StaticSetting(eta=eta, **PAPER_SIGNALS),
+        lambda eta: stopped_state_distribution(np.eye(2), np.array([1.0, 0.0]), eta),
+    ], ids=["setting", "stopped distribution"])
+    def test_eta_below_its_end_is_refused_by_name(self, refuse):
+        # Below 1e-6 the resolvent solve's error passes 1e-9 (1.1e-8 at 1e-8).
+        for eta in (9.9e-7, 1e-8, 1e-300, 5e-324):
+            with pytest.raises(BadEtaError, match=rf"^eta must be in \[1e-06, 1\], got {eta}$"):
+                refuse(eta)
 
     def test_bad_vectors(self):
         with pytest.raises(NonStochasticError):
@@ -96,6 +106,13 @@ class TestStaticExpectedUtility:
         value = static_expected_utility(setting, sticky_policy(), threshold_rule(5))
         # Frozen; cross-checked against the truncated-series oracle below.
         assert value == pytest.approx(0.911938379076, abs=1e-9)
+
+    @pytest.mark.parametrize("eta", [1e-6, 1e-4, 0.01, 1.0])
+    def test_matches_a_rational_solve_down_to_the_least_eta(self, eta):
+        setting = StaticSetting(eta=eta, **PAPER_SIGNALS)
+        exact = static_expected_utility_fraction(setting, sticky_policy(), threshold_rule(5))
+        value = static_expected_utility(setting, sticky_policy(), threshold_rule(5))
+        assert abs(value - float(exact)) <= 1e-9
 
     def test_matches_series_oracle(self):
         setting = StaticSetting(eta=0.01, **PAPER_SIGNALS)
