@@ -26,6 +26,7 @@ from oracles import (
     connectivity_gaps,
     damped_power_iteration,
     dense_band,
+    dense_policy,
     dict_policy,
     enumerated_joint_matrix,
     exact_average_payoff_fraction,
@@ -458,6 +459,44 @@ class TestStackedKernel:
         with pytest.raises(ReducibleChainError) as single:
             stationary(build_joint_chain(*cases[1]))
         assert str(ev.error(1)) == str(single.value)
+
+    def test_whole_row_chains_keep_their_bits_on_either_side_of_the_cut(self):
+        # Whole-row chains (d = 24, w = 23) add up to 23 terms a step, where a
+        # pairwise sum parts from the term-by-term one. Each chain alone (B =
+        # 1), in a stack below REDUCE_CHAINS and in one above it: same bits.
+        setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
+        count = markov_exact.REDUCE_CHAINS + 4
+        chains = [build_joint_chain(setting, dense_policy(12, 3, seed)) for seed in range(count)]
+        assert {chain.w for chain in chains} == {23}
+        S = np.concatenate([chain.band for chain in chains], axis=2)
+        singles = [stationary(chain) for chain in chains]
+        for b in (markov_exact.REDUCE_CHAINS - 1, count):
+            ev = evaluate_storage(S[:, :, :b], 23, [(b, chains[0].reward)])
+            assert ev.ok.all()
+            for i, dist in enumerate(singles[:b]):
+                assert np.array_equal(ev.mu[i], dist.mu)
+                assert ev.residual[i] == dist.residual and ev.payoff[i] == dist.payoff
+
+    @pytest.mark.parametrize("b", [1, 2, markov_exact.REDUCE_CHAINS - 1,
+                                   markov_exact.REDUCE_CHAINS, 1000])
+    def test_row_sums_add_term_by_term(self, b):
+        # Rows of a band's square view, as _gth reads them: the first b of
+        # b + 3 chains, up to w = 15 terms, entries spread over 60 binary
+        # orders so that the order of the additions shows in the bits.
+        rng = np.random.default_rng(b)
+        d, w = 40, 15
+        S = rng.random((d, 2 * w + 1, b + 3)) * 2.0 ** rng.integers(-30, 30, (d, 2 * w + 1, b + 3))
+        V = markov_exact._square_view(S, w)
+        pairwise_parts = False
+        for k in range(1, d):
+            rows = V[k, max(0, k - w):k, :b]
+            total = [0.0] * b
+            for row in rows.tolist():
+                total = [t + r for t, r in zip(total, row)]
+            assert markov_exact._row_sums(rows).tolist() == total
+            pairwise_parts |= np.add.reduce(rows[:, :1], axis=0)[0] != total[0]
+        # The premise: at B = 1, np.add.reduce would not add term by term.
+        assert pairwise_parts
 
     def test_failures_name_each_fault_of_a_mixed_stack(self):
         # (d, B) columns of four-state chains in the interleaved order: one
