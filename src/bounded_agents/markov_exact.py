@@ -255,9 +255,9 @@ def _gth(S: np.ndarray, w: int, dims: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Overwrites S.
 
     Every sum runs term by term (see _row_sums) over the chains that have
-    the state it is for, and each chain is normalized with the chains of its
-    dimension, so a chain gets the same bits alone as in a stack of any size
-    or dimensions.
+    the state it is for, and each run of one dimension is normalized in
+    place (see _normalize), so a chain gets the same bits alone as in a
+    stack of any size or dimensions.
 
     GTH never subtracts, so an entry that comes out positive is positive in
     the chain's zero pattern too (see reach_gaps). A positive pivot says that
@@ -319,11 +319,21 @@ def _gth(S: np.ndarray, w: int, dims: np.ndarray) -> tuple[np.ndarray, np.ndarra
     doubt = np.flatnonzero(positive & ~certified)
     if doubt.size:
         certified[doubt] = _reached(np.take(S, doubt, axis=2), w, dims[doubt])
-    for chains, dim in runs:
-        part = np.ascontiguousarray(x[:dim, chains].T)
-        part /= part.sum(axis=1, keepdims=True)
-        x[:dim, chains] = part.T
+    _normalize(x, runs)
     return x, pivot, certified
+
+
+def _normalize(x: np.ndarray, runs: list[tuple[slice, int]]) -> None:
+    """Divide each chain's first dim entries of the (d, B) columns x by their
+    sum, in place, one run of equal dimension at a time. numpy sums a
+    contiguous row of fewer than 8 terms in order, and a longer one pairwise
+    from 8 partial sums; _row_sums adds in order at every length. So a run
+    of fewer than 8 states takes its divisors from _row_sums, and a longer
+    run from a transposed copy summed along its rows: either way each chain
+    is divided by the sum that numpy gives its contiguous entries."""
+    for chains, dim in runs:
+        part = x[:dim, chains]
+        part /= _row_sums(part) if dim < 8 else np.ascontiguousarray(part.T).sum(axis=1)
 
 
 def _reached(S: np.ndarray, w: int, dims: np.ndarray) -> np.ndarray:
@@ -430,11 +440,17 @@ def evaluate_storage(S: np.ndarray, w: int, rewards: list[tuple[int, np.ndarray]
     of half-width w (see joint_band). ``rewards`` lists (count, reward) runs
     in descending dimension: the next ``count`` chains have dimension
     len(reward), share ``reward``, and are stored from row 0, with zero rows
-    past their dimension. A uniform stack is one run."""
+    past their dimension. A uniform stack is one run.
+
+    A chain is ok if the solve certifies it irreducible or, for the chains
+    it doubts, if check_irreducible finds no state cut off (the only rows
+    of ``cut_off`` it fills), and it passes _failures' checks."""
     dims = np.repeat([len(reward) for _, reward in rewards], [count for count, _ in rewards])
     xt, residual, pivot, certified = _solve(S, w, dims)
     cut_off = check_irreducible(S, w, certified, dims)
-    ok = ~cut_off.any(axis=1)
+    ok = certified
+    doubt = ~certified
+    ok[doubt] = ~cut_off[doubt].any(axis=1)
     errors = _failures(xt, residual, pivot, np.flatnonzero(ok), dims)
     ok[list(errors)] = False
     mu = np.zeros(xt.shape[::-1])

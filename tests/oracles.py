@@ -13,17 +13,19 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage. Six
+and gathered afterwards, instead of assembled in band storage. Seven
 oracles keep the package's earlier kernels, which its current ones must
 match bit for bit: brute-force candidates assembled digit by digit
 instead of gathered from per-state tables, residuals scattered by
-np.add.at instead of swept column by column, whole-row storage
+np.add.at instead of swept column by column, stationary columns
+normalized through a transposed copy instead of in place, whole-row storage
 scattered cell by cell instead of masked from a strided view, the
 partition and rate searches as loops of one-ladder p_exp searches instead
 of one search over all their ladders, and the reader DP cell by cell in
 ragged tuples of Python floats instead of one array step per read count.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -270,6 +272,21 @@ def add_at_residual(S, w, x):
     xP = np.zeros((n, b))
     np.add.at(xP, j[cells], x.T[i[cells]] * S.reshape(n * L, b)[cells])
     return np.abs(xP.T - x).max(axis=1)
+
+
+def transposed_normalize(x, dims):
+    """(d, B) columns x, each chain i's first dims[i] entries divided by
+    their sum: every run of equal dimension copied chain-major, summed by
+    numpy along its contiguous rows, divided there and copied back."""
+    x = x.copy()
+    lo = 0
+    for dim, run in itertools.groupby(dims.tolist()):
+        chains = slice(lo, lo + len(list(run)))
+        part = np.ascontiguousarray(x[:dim, chains].T)
+        part /= part.sum(axis=1, keepdims=True)
+        x[:dim, chains] = part.T
+        lo = chains.stop
+    return x
 
 
 def scatter_joint_rows(a_good, a_bad, pi):

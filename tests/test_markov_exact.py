@@ -31,6 +31,7 @@ from oracles import (
     enumerated_joint_matrix,
     exact_average_payoff_fraction,
     geometric_series_stopped,
+    transposed_normalize,
 )
 from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
@@ -417,10 +418,14 @@ class TestStackedKernel:
 
     @staticmethod
     def ragged(cases):
-        """Solve (setting, policy) cases, longest first, in one ragged stack."""
-        agents = np.zeros((2, len(cases), cases[0][1].num_states, 3))
-        for i, (setting, policy) in enumerate(cases):
-            agents[:, i, :policy.num_states] = agent_matrices(setting, policy)
+        """Solve (setting, policy) cases, longest first, in one ragged stack,
+        each agent band centred in the widest one."""
+        bands = [np.array(agent_matrices(setting, policy)) for setting, policy in cases]
+        wide = max(band.shape[-1] for band in bands) // 2
+        agents = np.zeros((2, len(cases), cases[0][1].num_states, 2 * wide + 1))
+        for i, band in enumerate(bands):
+            m, half = band.shape[1], band.shape[-1] // 2
+            agents[:, i, :m, wide - half:wide + half + 1] = band
         S, w = joint_band(*agents, np.array([setting.pi for setting, _ in cases]))
         return evaluate_storage(S, w, [(1, joint_reward(s, p.actions)) for s, p in cases]), w
 
@@ -498,6 +503,44 @@ class TestStackedKernel:
         # The premise: at B = 1, np.add.reduce would not add term by term.
         assert pairwise_parts
 
+    @staticmethod
+    def wide_columns(rng, d, b):
+        # Entries spread over 60 binary orders, so that the order of the
+        # additions shows in the bits.
+        return rng.random((d, b)) * 2.0 ** rng.integers(-30, 30, (d, b))
+
+    @pytest.mark.parametrize("b", [1, markov_exact.REDUCE_CHAINS - 1,
+                                   markov_exact.REDUCE_CHAINS, 1000])
+    def test_normalize_in_place_keeps_the_transposed_bits(self, b):
+        rng = np.random.default_rng(b)
+        for d in range(2, 11):
+            x = self.wide_columns(rng, d, b)
+            dims = np.full(b, d)
+            want = transposed_normalize(x, dims)
+            markov_exact._normalize(x, markov_exact._runs(dims))
+            assert x.tolist() == want.tolist()
+
+    def test_normalize_in_place_keeps_the_transposed_bits_on_a_ragged_stack(self):
+        # Runs of every dimension 2-10 on either side of REDUCE_CHAINS, with
+        # zeros past each chain's dimension, as _gth leaves them.
+        rng = np.random.default_rng(7)
+        dims = np.repeat(np.arange(10, 1, -1), rng.integers(1, 40, 9))
+        x = self.wide_columns(rng, 10, len(dims))
+        x[np.arange(10)[:, None] >= dims] = 0.0
+        want = transposed_normalize(x, dims)
+        markov_exact._normalize(x, markov_exact._runs(dims))
+        assert x.tolist() == want.tolist()
+
+    def test_contiguous_sums_go_pairwise_from_8_terms(self):
+        # The premise of _normalize's cut: numpy's sum along a contiguous
+        # row adds in order below 8 terms, and at 8 it need not.
+        rng = np.random.default_rng(8)
+        for d in range(2, 9):
+            x = self.wide_columns(rng, d, 1000)
+            in_order = np.add.accumulate(x, axis=0)[-1]
+            contiguous = np.ascontiguousarray(x.T).sum(axis=1)
+            assert (in_order.tolist() == contiguous.tolist()) == (d < 8)
+
     def test_failures_name_each_fault_of_a_mixed_stack(self):
         # (d, B) columns of four-state chains in the interleaved order: one
         # that passes, a zero pivot, negative mass, a residual and a mass out
@@ -529,6 +572,33 @@ class TestStackedKernel:
             stationary(build_joint_chain(paper_setting, policies[1]))
         assert str(ev.error(1)) == str(single.value)
         assert ev.error(1).unreachable == single.value.unreachable
+
+
+    def test_ok_read_from_certificates_matches_the_cut_off_states(self, paper_setting):
+        # Underflow-cut 3-state chains (see
+        # test_coupling_that_underflows_cuts_the_chain) above irreducible and
+        # reducible 2-state ones, mixed, at least REDUCE_CHAINS in all. The
+        # chain whose state 1 only leaves would pass the solve's checks: only
+        # its cut-off states fail it.
+        third = {str(q): 1 / 3 for q in range(3)}
+        cut = (DynamicSetting(k=2, pG=(0.6, 0.4), pB=(0.4, 0.6), xG=1.0, xB=-1.0, pi=5e-324),
+               dict_policy((RISKY,) * 3, {(q, s): third for q in range(3) for s in (1, 2)}, 2))
+        stuck = {(0, NO_SIGNAL): {1: 1.0}, **{(1, s): {1: 1.0} for s in range(1, 5)}}
+        leaving = {(0, NO_SIGNAL): {0: 1.0}, **{(1, s): {0: 1.0} for s in range(1, 5)}}
+        reducible = [(paper_setting, dict_policy((SAFE, RISKY), kernel, 4))
+                     for kernel in (stuck, leaving)]
+        cases = [cut] * 4
+        for p_exp in (0.1, 0.3, 0.5, 0.7, 0.9, 1.0):
+            policy = build_a_family(4, AFamilyParams(n=1, p_exp=p_exp, **PAPER_SIDES))
+            cases += [(paper_setting, policy), *reducible]
+        assert len(cases) >= markov_exact.REDUCE_CHAINS
+        ev, _ = self.ragged(cases)
+        assert ev.ok.tolist() == [False] * 4 + [True, False, False] * 6
+        assert np.array_equal(ev.ok, ~ev.cut_off.any(axis=1))
+        for i in np.flatnonzero(~ev.ok).tolist():
+            with pytest.raises(ReducibleChainError) as single:
+                stationary(build_joint_chain(*cases[i]))
+            assert str(ev.error(i)) == str(single.value)
 
 
 class TestStoppedStateDistribution:
