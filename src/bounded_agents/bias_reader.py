@@ -155,14 +155,7 @@ def first_impression_reader(
     full_info_guess uses all n bits and is order-free; a differing pair of
     guesses around it is pure order sensitivity.
     """
-    return first_impression_after(simulate_reader(table, sequence), table, sequence)
-
-
-def first_impression_after(
-    fwd: ReaderRun, table: ReaderDPTable, sequence: Sequence[int]
-) -> FirstImpressionReport:
-    """first_impression_reader's report from ``fwd``, the run of ``sequence``
-    already walked, so a caller that needs that run walks it once."""
+    fwd = simulate_reader(table, sequence)
     rev = simulate_reader(table, list(sequence)[::-1])
     d_total = sum(1 if b else -1 for b in sequence)
     return FirstImpressionReport(

@@ -30,7 +30,7 @@ from .automaton import (
 from .bias_reader import (
     ReaderProblem,
     disregard_index,
-    first_impression_after,
+    first_impression_reader,
     polarization_reader,
     simulate_reader,
     solve_reader_dp,
@@ -258,7 +258,7 @@ def cmd_reader(config: dict, args) -> int:
     if "sequence" in config:
         run = simulate_reader(table, config["sequence"])
         out["run"] = {"guess": run.guess, "reads": run.reads}
-        out["first_impression"] = asdict(first_impression_after(run, table, config["sequence"]))
+        out["first_impression"] = asdict(first_impression_reader(table, config["sequence"]))
     if "polarization" in config:
         pol = config["polarization"]
         check_keys(pol, "polarization", ("prior_b", "sequence"))

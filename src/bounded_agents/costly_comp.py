@@ -314,6 +314,8 @@ class ConversationSpec:
 
     def __post_init__(self):
         check_integer(self.domain_size, "domain_size", "[1, inf)")
+        # conversation_value divides by it as a float.
+        check_real(self.domain_size, "domain_size")
         check_integer(self.questions, "questions", "[0, inf)")
         check_real(self.payoff, "payoff", "(-inf, inf)")
 

@@ -27,6 +27,13 @@ A stack may be ragged: its chains, in descending dimension, are each stored
 from row 0 of one storage at a common half-width, with zero rows past their
 own dimension, and each elimination and back-substitution step runs over the
 chains that have its state. A uniform stack is the case of one dimension.
+
+Every sum behind a returned value (each elimination step, normalization and
+payoff) is added term by term in the interleaved order (see _row_sums), and
+none goes through BLAS. So exact values do not depend on the BLAS kernel that
+numpy picks for the CPU, and a payoff is within gamma_d * sum_i |mu_i r_i| of
+the exact sum over its computed mu, gamma_d = d u / (1 - d u) (Higham,
+Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
 """
 
 from __future__ import annotations
@@ -93,19 +100,29 @@ class StationaryDist:
 
 @dataclass(frozen=True)
 class StackEval:
-    """Stationary rows, residuals and payoffs of a stack of joint chains of
-    dimensions ``dims``; row i of ``mu`` and ``cut_off`` holds chain i's
-    nature-major states in its first dims[i] entries. Where ``ok`` is False
-    the entries are NaN and ``error(i)`` is the typed error the single-chain
-    path raises for that chain."""
+    """Stationary columns, residuals and payoffs of a stack of joint chains of
+    dimensions ``dims``: column i of ``columns`` holds chain i's stationary
+    entries in the interleaved order, as _gth leaves them, and row i of
+    ``mu`` and ``cut_off`` its nature-major states in its first dims[i]
+    entries, ``mu`` built from ``columns`` on each read. Where ``ok`` is False
+    the row of ``mu`` and the payoff and residual are NaN, and ``error(i)`` is
+    the typed error the single-chain path raises for that chain."""
 
-    mu: np.ndarray
+    columns: np.ndarray
     residual: np.ndarray
     payoff: np.ndarray
     ok: np.ndarray
     cut_off: np.ndarray
     solve_errors: dict[int, str]
     dims: np.ndarray
+
+    @property
+    def mu(self) -> np.ndarray:
+        mu = np.zeros(self.columns.shape[::-1])
+        for chains, dim in _runs(self.dims):
+            mu[chains, _interleaved(dim)] = self.columns[:dim, chains].T
+        mu[~self.ok] = np.nan
+        return mu
 
     def error(self, i: int) -> BoundedAgentsError:
         d = int(self.dims[i])
@@ -238,7 +255,9 @@ REDUCE_CHAINS = 16
 
 def _row_sums(a: np.ndarray) -> np.ndarray:
     """Sums over axis 0 of an (n, B) array, each added term by term from row
-    0, so that a chain's sum has the same bits at every stack width B. _gth
+    0, so that a chain's sum has the same bits at every stack width B and
+    on every CPU. It is the one summation rule for the values the kernel
+    returns: _gth's steps and divisors and evaluate_storage's payoffs. _gth
     writes the accumulate branch out at its steps over fewer than
     REDUCE_CHAINS chains, so that a ladder's many short steps pay no call."""
     if a.shape[1] < REDUCE_CHAINS:
@@ -255,9 +274,9 @@ def _gth(S: np.ndarray, w: int, dims: np.ndarray) -> tuple[np.ndarray, np.ndarra
     Overwrites S.
 
     Every sum runs term by term (see _row_sums) over the chains that have
-    the state it is for, and each run of one dimension is normalized in
-    place (see _normalize), so a chain gets the same bits alone as in a
-    stack of any size or dimensions.
+    the state it is for, and each run of one dimension is divided in place
+    by its columns' _row_sums, so a chain gets the same bits alone as in a
+    stack of any size or dimensions, under any BLAS kernel.
 
     GTH never subtracts, so an entry that comes out positive is positive in
     the chain's zero pattern too (see reach_gaps). A positive pivot says that
@@ -319,21 +338,9 @@ def _gth(S: np.ndarray, w: int, dims: np.ndarray) -> tuple[np.ndarray, np.ndarra
     doubt = np.flatnonzero(positive & ~certified)
     if doubt.size:
         certified[doubt] = _reached(np.take(S, doubt, axis=2), w, dims[doubt])
-    _normalize(x, runs)
-    return x, pivot, certified
-
-
-def _normalize(x: np.ndarray, runs: list[tuple[slice, int]]) -> None:
-    """Divide each chain's first dim entries of the (d, B) columns x by their
-    sum, in place, one run of equal dimension at a time. numpy sums a
-    contiguous row of fewer than 8 terms in order, and a longer one pairwise
-    from 8 partial sums; _row_sums adds in order at every length. So a run
-    of fewer than 8 states takes its divisors from _row_sums, and a longer
-    run from a transposed copy summed along its rows: either way each chain
-    is divided by the sum that numpy gives its contiguous entries."""
     for chains, dim in runs:
-        part = x[:dim, chains]
-        part /= _row_sums(part) if dim < 8 else np.ascontiguousarray(part.T).sum(axis=1)
+        x[:dim, chains] /= _row_sums(x[:dim, chains])
+    return x, pivot, certified
 
 
 def _reached(S: np.ndarray, w: int, dims: np.ndarray) -> np.ndarray:
@@ -444,7 +451,8 @@ def evaluate_storage(S: np.ndarray, w: int, rewards: list[tuple[int, np.ndarray]
 
     A chain is ok if the solve certifies it irreducible or, for the chains
     it doubts, if check_irreducible finds no state cut off (the only rows
-    of ``cut_off`` it fills), and it passes _failures' checks."""
+    of ``cut_off`` it fills), and it passes _failures' checks. Each run's
+    payoffs are the _row_sums of its reward-weighted (d, B) columns."""
     dims = np.repeat([len(reward) for _, reward in rewards], [count for count, _ in rewards])
     xt, residual, pivot, certified = _solve(S, w, dims)
     cut_off = check_irreducible(S, w, certified, dims)
@@ -453,16 +461,14 @@ def evaluate_storage(S: np.ndarray, w: int, rewards: list[tuple[int, np.ndarray]
     ok[doubt] = ~cut_off[doubt].any(axis=1)
     errors = _failures(xt, residual, pivot, np.flatnonzero(ok), dims)
     ok[list(errors)] = False
-    mu = np.zeros(xt.shape[::-1])
     payoff = np.empty(len(dims))
     start = 0
     for count, reward in rewards:
         chains, dim = slice(start, start + count), len(reward)
-        mu[chains, _interleaved(dim)] = xt[:dim, chains].T
-        payoff[chains] = _payoffs(np.ascontiguousarray(mu[chains, :dim]), reward)
+        payoff[chains] = _row_sums(xt[:dim, chains] * reward[_interleaved(dim)][:, None])
         start += count
-    mu[~ok] = residual[~ok] = payoff[~ok] = np.nan
-    return StackEval(mu=mu, residual=residual, payoff=payoff, ok=ok, cut_off=cut_off,
+    residual[~ok] = payoff[~ok] = np.nan
+    return StackEval(columns=xt, residual=residual, payoff=payoff, ok=ok, cut_off=cut_off,
                      solve_errors=errors, dims=dims)
 
 
@@ -473,11 +479,6 @@ def stationary(chain: JointChainModel) -> StationaryDist:
         raise ev.error(0)
     return StationaryDist(mu=ev.mu[0], residual=float(ev.residual[0]),
                           payoff=float(ev.payoff[0]))
-
-
-def _payoffs(mu: np.ndarray, reward: np.ndarray) -> np.ndarray:
-    # This product form gives the bits of the 1-D dot product mu[i] @ reward.
-    return (mu[:, None, :] @ reward[:, None])[:, 0, 0]
 
 
 def exact_average_payoff(setting: DynamicSetting, policy: AutomatonPolicy) -> float:

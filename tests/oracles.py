@@ -13,19 +13,17 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage. Seven
+and gathered afterwards, instead of assembled in band storage. Six
 oracles keep the package's earlier kernels, which its current ones must
 match bit for bit: brute-force candidates assembled digit by digit
 instead of gathered from per-state tables, residuals scattered by
-np.add.at instead of swept column by column, stationary columns
-normalized through a transposed copy instead of in place, whole-row storage
+np.add.at instead of swept column by column, whole-row storage
 scattered cell by cell instead of masked from a strided view, the
 partition and rate searches as loops of one-ladder p_exp searches instead
 of one search over all their ladders, and the reader DP cell by cell in
 ragged tuples of Python floats instead of one array step per read count.
 """
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -234,19 +232,23 @@ def chain_of_matrix(P, reward=None, num_agent_states=None):
 
 def dense_route(setting, policy):
     """(P, band, w, mu, payoff) of a policy's joint chain by the dense route:
-    dense agent and joint matrices P, dense_band, and the package's GTH
-    elimination."""
+    dense agent and joint matrices P, dense_band, the package's GTH
+    elimination, and the payoff added one Python float at a time in the
+    interleaved order, the order the package sums in."""
     from bounded_agents.markov_exact import _gth, joint_reward
 
     P = dense_joint_matrices(dense_step_matrix(policy, setting.pG)[None],
                              dense_step_matrix(policy, setting.pB)[None], setting.pi)
     band, w = dense_band(P)
     d = P.shape[1]
-    mu = np.empty((1, d))
-    mu[:, _interleaved(d)] = _gth(band.copy(), w, np.array([d]))[0].T
+    x = _gth(band.copy(), w, np.array([d]))[0][:, 0]
+    mu = np.empty(d)
+    mu[_interleaved(d)] = x
     reward = joint_reward(setting, policy.actions)
-    payoff = float((mu[:, None, :] @ reward[:, None])[0, 0, 0])
-    return P[0], band, w, mu[0], payoff
+    payoff = 0.0
+    for term in (x * reward[_interleaved(d)]).tolist():
+        payoff += term
+    return P[0], band, w, mu, payoff
 
 
 def exact_residual(P, mu):
@@ -272,21 +274,6 @@ def add_at_residual(S, w, x):
     xP = np.zeros((n, b))
     np.add.at(xP, j[cells], x.T[i[cells]] * S.reshape(n * L, b)[cells])
     return np.abs(xP.T - x).max(axis=1)
-
-
-def transposed_normalize(x, dims):
-    """(d, B) columns x, each chain i's first dims[i] entries divided by
-    their sum: every run of equal dimension copied chain-major, summed by
-    numpy along its contiguous rows, divided there and copied back."""
-    x = x.copy()
-    lo = 0
-    for dim, run in itertools.groupby(dims.tolist()):
-        chains = slice(lo, lo + len(list(run)))
-        part = np.ascontiguousarray(x[:dim, chains].T)
-        part /= part.sum(axis=1, keepdims=True)
-        x[:dim, chains] = part.T
-        lo = chains.stop
-    return x
 
 
 def scatter_joint_rows(a_good, a_bad, pi):

@@ -4,8 +4,14 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one PASS line per
 criterion; `-v` alone already lists each criterion's verdict by test name.
 """
 
+import json
+import os
+import platform
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from oracles import (
     reader_policy_value_by_paths,
 )
 
+import bounded_agents
 from bounded_agents.automaton import AFamilyParams, build_a_family, build_linear_sticky
 from bounded_agents.bias_reader import (
     ReaderProblem,
@@ -392,3 +399,45 @@ def test_criterion_11_reproduce_determinism(tmp_path):
         f"exit codes ({code_a}, {code_b}); byte-identical: {identical}; "
         f"{elapsed:.1f}s for two runs",
     )
+
+
+# Prints the float bits of the exact values compute_paper_numbers returns:
+# the p_exp searches, the limit curve, the robustness table and the paper
+# chain's stationary row and residual.
+EXACT_BITS = """
+import json
+from bounded_agents.reproduce import compute_paper_numbers
+
+numbers = compute_paper_numbers()
+exact = {key: value for key, value in numbers.items()
+         if key.startswith(("payoff_", "pexp_")) or key in (
+             "limit_schedule_curve", "max_payoff_seen", "robustness",
+             "paper_chain_stationary", "paper_chain_residual")}
+
+def bits(value):
+    if isinstance(value, dict):
+        return {key: bits(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    return value.hex()
+
+print(json.dumps(bits(exact), sort_keys=True))
+"""
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernels")
+def test_exact_values_have_the_same_bits_under_any_blas_kernel():
+    # Prescott is OpenBLAS's SSE3 kernel, which runs on any x86-64; the
+    # default is the one it picks for this CPU.
+    package = str(Path(bounded_agents.__file__).resolve().parents[1])
+    env = {key: v for key, v in os.environ.items() if key != "OPENBLAS_CORETYPE"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (package, env.get("PYTHONPATH"))))
+    runs = [subprocess.Popen([sys.executable, "-c", EXACT_BITS], env={**env, **kernel},
+                             stdout=subprocess.PIPE, text=True)
+            for kernel in ({}, {"OPENBLAS_CORETYPE": "Prescott"})]
+    outputs = [run.communicate(timeout=120)[0] for run in runs]
+    assert [run.returncode for run in runs] == [0, 0]
+    default, prescott = map(json.loads, outputs)
+    assert len(default["limit_schedule_curve"]) == 5 and len(default["robustness"]) == 6
+    assert default == prescott

@@ -5,7 +5,8 @@ joint matrix for its band and gathers it, then solves. The package
 assembles the band storage straight from the agents' bands. Both must give
 the same storage and half-bandwidth, and the same stationary rows and
 payoffs, bit for bit. The residual the package reports must be the exact
-residual of its stationary row to within rounding.
+residual of its stationary row to within rounding, and its payoff the exact
+reward-weighted sum of that row to within the in-order sum's bound.
 
 The package's brute-force gather of whole-row joint storage, column-sweep
 residual and masked whole-row storage must also match, bit for bit, the
@@ -15,6 +16,7 @@ bands, the np.add.at residual and the cell-by-cell scatter.
 
 import itertools
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,6 +50,16 @@ SEED_31 = ((0.044440696483823594, 0.11588506093413292, 0.3160011978277597, 0.523
 SINKING = ((0.3, 0.3, 0.3, 0.1), (0.2, 0.45, 0.3, 0.05))
 
 
+def assert_payoff_within_sum_bound(mu, reward, payoff):
+    """|payoff - sum_i mu_i r_i| <= gamma_d * sum_i |mu_i r_i| in exact
+    rationals over the float mu and r, gamma_d = d u / (1 - d u) with
+    u = 2**-53: the bound of a d-term inner product added in order (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002, section 3.1)."""
+    d, u = len(mu), Fraction(1, 2**53)
+    terms = [Fraction(m) * Fraction(r) for m, r in zip(mu.tolist(), reward.tolist())]
+    assert abs(Fraction(payoff) - sum(terms)) <= d * u / (1 - d * u) * sum(map(abs, terms))
+
+
 def assert_matches_dense_route(setting, policy):
     chain = build_joint_chain(setting, policy)
     P, band, w, mu, payoff = dense_route(setting, policy)
@@ -56,6 +68,7 @@ def assert_matches_dense_route(setting, policy):
     dist = stationary(chain)
     assert np.array_equal(dist.mu, mu)
     assert dist.payoff == payoff
+    assert_payoff_within_sum_bound(dist.mu, chain.reward, dist.payoff)
     # Each sum behind the residual adds at most 2w + 1 products whose total
     # is about mu_j <= max(mu), then takes mu_j off: at most 2w + 3
     # roundings of 2**-53 * max(mu) each.
@@ -196,8 +209,10 @@ def test_chain_whose_mass_underflows_is_certified_by_its_columns(monkeypatch):
     dist = stationary(chain)
     assert columns == [[2002]]
     assert (dist.mu == 0.0).any()
-    # Frozen: the payoff's bits do not depend on how irreducibility is checked.
-    assert dist.payoff == 0.001240662004217527
+    # Frozen from oracles.dense_route: the payoff's bits do not depend on how
+    # irreducibility is checked.
+    assert dist.payoff == 0.0012406620042175265
+    assert_payoff_within_sum_bound(dist.mu, chain.reward, dist.payoff)
 
 
 def refuse_the_structural_pass(S, w):
@@ -230,7 +245,10 @@ def test_climbing_chain_is_certified_by_its_solve(monkeypatch):
     monkeypatch.setattr(markov_exact, "reach_gaps", refuse_the_structural_pass)
     dist = stationary(chain)
     assert (dist.mu == 0.0).any()
-    assert dist.payoff == -8.326672684688674e-17
+    # Frozen from oracles.dense_route. Terms whose magnitudes sum to 1 cancel
+    # to about 1e-16, so no digit of it need be right; the bound still holds.
+    assert dist.payoff == -2.7755575615628914e-17
+    assert_payoff_within_sum_bound(dist.mu, chain.reward, dist.payoff)
 
 
 def random_stochastic(rng, shape):

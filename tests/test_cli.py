@@ -400,7 +400,7 @@ class TestReader:
         assert solved == [ReaderProblem(n=7, rho=0.9, c=0.02),
                           ReaderProblem(n=7, rho=0.9, c=0.02, prior1=0.55)]
 
-    def test_each_sequence_is_walked_once(self, tmp_path, monkeypatch):
+    def test_each_output_walks_its_sequences(self, tmp_path, monkeypatch):
         walked = []
 
         def recording(table, sequence):
@@ -416,9 +416,9 @@ class TestReader:
             "polarization": {"prior_b": 0.55, "sequence": [1, 1, 0, 0, 0, 0, 0]},
         })
         assert run_cli(["reader", "--config", config]) == 0
-        # The run and the first impression share the forward walk; the two
-        # polarization readers each walk their sequence.
-        assert walked == [[1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1],
+        # The run walks the sequence, the first impression walks it and its
+        # reversal, and the two polarization readers each walk theirs.
+        assert walked == [[1, 1, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1],
                           [1, 1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0, 0]]
 
     def test_csv_covers_full_grid(self, tmp_path):
@@ -449,6 +449,12 @@ class TestMachine:
         assert run_cli(["machine", "--config", config]) == 0
         eus = json.loads(capsys.readouterr().out)["expected_utility"]
         assert eus[huge] == eus["trial_division_full"]
+
+    def test_domain_size_past_the_float_range_exits_one_naming_it(self, tmp_path, capsys):
+        err = one_error_line(tmp_path, capsys, "machine", {
+            "primality": {"type_bound": 64, "step_cap": 4},
+            "conversation": {"domain_size": 10**400, "questions": 3, "payoff": 10.0}})
+        assert err == "error: domain_size is beyond the float range\n"
 
     @pytest.mark.parametrize("spec", [5, ["always_pass"], "trial_division_budget:x",
                                       "trial_division_budget:1.5", "trial_division_budget:-1"])

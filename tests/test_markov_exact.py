@@ -31,7 +31,6 @@ from oracles import (
     enumerated_joint_matrix,
     exact_average_payoff_fraction,
     geometric_series_stopped,
-    transposed_normalize,
 )
 from bounded_agents import markov_exact
 from bounded_agents.markov_exact import (
@@ -509,31 +508,10 @@ class TestStackedKernel:
         # additions shows in the bits.
         return rng.random((d, b)) * 2.0 ** rng.integers(-30, 30, (d, b))
 
-    @pytest.mark.parametrize("b", [1, markov_exact.REDUCE_CHAINS - 1,
-                                   markov_exact.REDUCE_CHAINS, 1000])
-    def test_normalize_in_place_keeps_the_transposed_bits(self, b):
-        rng = np.random.default_rng(b)
-        for d in range(2, 11):
-            x = self.wide_columns(rng, d, b)
-            dims = np.full(b, d)
-            want = transposed_normalize(x, dims)
-            markov_exact._normalize(x, markov_exact._runs(dims))
-            assert x.tolist() == want.tolist()
-
-    def test_normalize_in_place_keeps_the_transposed_bits_on_a_ragged_stack(self):
-        # Runs of every dimension 2-10 on either side of REDUCE_CHAINS, with
-        # zeros past each chain's dimension, as _gth leaves them.
-        rng = np.random.default_rng(7)
-        dims = np.repeat(np.arange(10, 1, -1), rng.integers(1, 40, 9))
-        x = self.wide_columns(rng, 10, len(dims))
-        x[np.arange(10)[:, None] >= dims] = 0.0
-        want = transposed_normalize(x, dims)
-        markov_exact._normalize(x, markov_exact._runs(dims))
-        assert x.tolist() == want.tolist()
-
     def test_contiguous_sums_go_pairwise_from_8_terms(self):
-        # The premise of _normalize's cut: numpy's sum along a contiguous
-        # row adds in order below 8 terms, and at 8 it need not.
+        # Why every sum the kernel returns is taken by _row_sums: numpy's sum
+        # along a contiguous row adds in order below 8 terms, and at 8 it
+        # need not.
         rng = np.random.default_rng(8)
         for d in range(2, 9):
             x = self.wide_columns(rng, d, 1000)

@@ -1,5 +1,5 @@
-"""No name in the package lives only for its own tests, and the output
-format lives in one module.
+"""No name in the package lives only for its own tests, the output format
+lives in one module, and no exact value goes through BLAS.
 
 Every function, class, method or property defined under ``src/`` is read
 somewhere in ``src/`` outside its own definition, read by the benchmark in
@@ -69,4 +69,25 @@ def test_only_reproduce_writes_the_text_format():
              if path.name != "reproduce.py"
              for marker in (".12g", "io.StringIO", "json.dumps")
              if marker in path.read_text(encoding="utf-8")]
+    assert found == []
+
+
+def test_no_blas_in_the_value_path():
+    """No matrix product or LAPACK call under src/, whose bits would follow
+    the kernel that BLAS picks for the CPU: no ``@``, np.dot, np.matmul,
+    np.einsum or np.linalg. The one exception is the resolvent solve of
+    stopped_state_distribution."""
+    found = []
+    for path, tree in _trees(SRC).items():
+        exempt = {id(node) for f in ast.walk(tree)
+                  if isinstance(f, ast.FunctionDef) and f.name == "stopped_state_distribution"
+                  for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            product = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op,
+                                                                                 ast.MatMult)
+            call = (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in ("np", "numpy")
+                    and node.attr in ("dot", "matmul", "einsum", "linalg"))
+            if (product or call) and id(node) not in exempt:
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []
