@@ -123,10 +123,19 @@ def _guess_from_d(problem: ReaderProblem, d: int) -> int:
     return 1 if posterior(problem, d) >= 0.5 else 0
 
 
+def _bits(problem: ReaderProblem, sequence: Sequence[int]) -> tuple[int, ...]:
+    """``sequence`` as a tuple, once it is n bits."""
+    return check_list(sequence, "sequence", problem.n, check_integer, "[0, 1]")
+
+
 def simulate_reader(table: ReaderDPTable, sequence: Sequence[int]) -> ReaderRun:
     """Walk an explicit bit sequence, stopping at the first stop state."""
+    return _walk(table, _bits(table.problem, sequence))
+
+
+def _walk(table: ReaderDPTable, seq: tuple[int, ...]) -> ReaderRun:
+    """simulate_reader on a checked sequence."""
     problem = table.problem
-    seq = check_list(sequence, "sequence", problem.n, check_integer, "[0, 1]")
     i = 0
     d = 0
     trajectory = []
@@ -155,9 +164,9 @@ def first_impression_reader(
     full_info_guess uses all n bits and is order-free; a differing pair of
     guesses around it is pure order sensitivity.
     """
-    fwd = simulate_reader(table, sequence)
-    rev = simulate_reader(table, list(sequence)[::-1])
-    d_total = sum(1 if b else -1 for b in sequence)
+    seq = _bits(table.problem, sequence)
+    fwd, rev = _walk(table, seq), _walk(table, seq[::-1])
+    d_total = sum(1 if b else -1 for b in seq)
     return FirstImpressionReport(
         forward=fwd.guess,
         reversed=rev.guess,
@@ -182,8 +191,8 @@ def polarization_reader(
         raise MismatchedProblemsError(
             "problems must be identical except for the prior"
         )
-    guess_a = simulate_reader(table_a, sequence).guess
-    guess_b = simulate_reader(table_b, sequence).guess
+    seq = _bits(a, sequence)
+    guess_a, guess_b = _walk(table_a, seq).guess, _walk(table_b, seq).guess
     return PolarizationReport(guess_a=guess_a, guess_b=guess_b, diverged=guess_a != guess_b)
 
 

@@ -11,7 +11,10 @@ every ladder's at once, in stacks whose joint storage fills
 markov_exact.STACK_BYTES; the limit curve's ladders, one length a point,
 share ragged stacks the same way. Brute force stores its chains as whole
 rows, gathered for each stack from per-state joint rows that are assembled
-once per action labeling.
+once per action labeling. A candidate and its mirror image (states reflected
+q -> m - 1 - q) are one chain with its states permuted, so brute force solves
+one of each pair, then only the mirrors whose floats could win (see
+MIRROR_SLACK), and returns the winner that solving every candidate would.
 
 No unimodality in p_exp is assumed anywhere: searches are coarse-grid plus
 refinement, never golden-section.
@@ -19,6 +22,7 @@ refinement, never golden-section.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -52,6 +56,22 @@ from .markov_exact import (  # noqa: F401
 DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
 
 BRUTE_FORCE_CAP = 10**7
+
+# A brute-force candidate and its mirror image, its states reflected
+# q -> m - 1 - q, have the same joint storage with the states permuted, and so
+# the same payoff in exact arithmetic. MIRROR_SLACK * sum_i |mu_i r_i| is
+# twice a bound on the gap between their floats, 1,300 times over, for whole
+# rows of d <= 6 states while every quantity of the solve stays normal. GTH
+# never subtracts (O'Cinneide, Numer. Math. 65, 1993), so each positive
+# quantity it computes is its exact value times a factor within
+# (1 - u)**(+-n), u = 2**-53: a rounding adds 1 to n, a product or quotient
+# adds its operands' n, and an in-order sum of j + 1 terms adds j.
+# Eliminating state k takes entries of n = E to 3E + k + 2, so each divided
+# column has n <= 525, each back-substituted x[k] n <= 794, and each
+# mu = x / sum(x) n <= 1,594. A payoff, one product and d - 1 sums more, is
+# within 1,600 u sum_i |mu_i r_i| of the exact one, so a pair's floats differ
+# by at most 3,200 u sum_i |mu_i r_i|. Twice that is 7.1e-13; 2**-30 is 9.3e-10.
+MIRROR_SLACK = 2.0 ** -30
 
 # Refinement rounds of p_exp points, each spanning the best point's neighbours.
 REFINE_ROUNDS = 2
@@ -395,6 +415,88 @@ def _gather(rows: list[np.ndarray], index: np.ndarray) -> np.ndarray:
     return S
 
 
+def _mirror_rows(options: list[np.ndarray]) -> list[np.ndarray] | None:
+    """Per state q, the row of state m - 1 - q that is each of q's rows
+    reversed, or None if one is missing. The reflection q -> m - 1 - q swaps
+    up and down, and moves past either end fold into stay alike, so no row
+    is missing unless the distribution rule, a left-to-right sum, keeps a row
+    and drops its reverse."""
+    m = len(options)
+    found = []
+    for q in range(m):
+        there = {tuple(row): j for j, row in enumerate(options[m - 1 - q].tolist())}
+        found.append([there.get(tuple(row[::-1])) for row in options[q].tolist()])
+    return None if None in sum(found, []) else [np.array(j) for j in found]
+
+
+def _mirror_index(perm: list[np.ndarray], acts, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lead, trail): candidate i of labeling ``acts`` has its mirror image,
+    candidate lead[i // T] + trail[i % T] of labeling acts[::-1], T =
+    len(trail). The mirror takes each digit of state q (one at a Safe state,
+    one per signal at a Risky one) through perm[q] to the same signal's digit
+    of state m - 1 - q, so its index is a sum of one term per digit: lead
+    and trail are the outer sums of the leading and the trailing half's terms."""
+    digits = [q for q, a in enumerate(acts) for _ in range(1 if a == SAFE else k)]
+    # The mirror's digits are these with the states in reverse order, so
+    # state 0's last digit is its least significant.
+    place, value = [0] * len(digits), 1
+    for i in sorted(range(len(digits)), key=lambda i: (digits[i], -i)):
+        place[i], value = value, value * len(perm[digits[i]])
+    terms = [perm[q] * p for q, p in zip(digits, place)]
+    half = len(terms) // 2
+    return tuple(functools.reduce(lambda a, b: np.add.outer(a, b).ravel(), part,
+                                  np.zeros(1, dtype=int))
+                 for part in (terms[:half], terms[half:]))
+
+
+def _own_half(mirror: tuple[np.ndarray, np.ndarray], lo: int, hi: int) -> np.ndarray:
+    """The candidates of a labeling that is its own reverse, with its mirror
+    tables (see _mirror_index), whose leading digits index // len(trail) are
+    in [lo, hi) and whose index is at most their mirror's: one of each pair."""
+    lead, trail = mirror
+    index = np.arange(lo * len(trail), hi * len(trail))
+    return index[index <= (lead[lo:hi, None] + trail).ravel()]
+
+
+def _stacks(n: int, chunk: int, mirror: tuple[np.ndarray, np.ndarray] | None = None):
+    """Candidate indices below n in increasing order, ``chunk`` a stack (the
+    last may be shorter): every one or, given the mirror tables of a labeling
+    that is its own reverse, those no greater than their mirror's, one of each
+    pair. Those are filtered over blocks of leading digits, so no array is as
+    long as the labeling."""
+    if mirror is None:
+        for lo in range(0, n, chunk):
+            yield np.arange(lo, min(lo + chunk, n))
+        return
+    lead, trail = mirror
+    step = max(1, chunk // len(trail))
+    held = np.empty(0, dtype=int)
+    for lo in range(0, len(lead), step):
+        # A call, so that no array as long as the block outlives it: kept
+        # across the yield, two of them raised a pass's peak RSS by 1 MB.
+        held = np.concatenate([held, _own_half(mirror, lo, min(lo + step, len(lead)))])
+        while len(held) >= chunk:
+            yield held[:chunk]
+            held = held[chunk:]
+    if len(held):
+        yield held
+
+
+def _mirror_images(window: list[tuple], top: float) -> dict[tuple, np.ndarray]:
+    """Per labeling, the indices, in increasing order, of the mirrors to
+    solve. A window entry holds a labeling, its mirror tables (see
+    _mirror_index), representatives, and the highest float each one's mirror
+    could reach; a mirror is solved if that reach is at least the best float
+    ``top``, unless it is its representative itself."""
+    images = {}
+    for acts, (lead, trail), index, reach in window:
+        index = index[reach >= top]
+        image = lead[index // len(trail)] + trail[index % len(trail)]
+        images.setdefault(acts[::-1], []).append(image[image != index] if acts == acts[::-1]
+                                                 else image)
+    return {acts: np.unique(np.concatenate(parts)) for acts, parts in images.items()}
+
+
 def brute_force_policy_search(
     setting: DynamicSetting,
     num_states: int,
@@ -407,7 +509,17 @@ def brute_force_policy_search(
     reducible are skipped (their long-run payoff depends on the start
     state, so they have no single exact value), and so are candidates
     whose stationary solve fails its checks. Candidates are solved in
-    stacks by the same kernel as the exact solver.
+    stacks by the same kernel as the exact solver. The winner is the
+    largest payoff as a float, then the first in labeling and index order.
+
+    A candidate and its mirror image (see MIRROR_SLACK) are one pair, and the
+    search solves the first of each pair in that order, its representative.
+    Only mirrors that could win are solved after: those of representatives
+    within MIRROR_SLACK * sum_i |mu_i r_i| of the best, and of those that fail
+    a numeric check without a cut-off state (a reducible chain's mirror is
+    reducible too). That bound needs every quantity of the solve normal, so
+    a labeling with a positive joint entry or a payoff outside [f, 1 / f],
+    f = 2**(-1022 / 4m), is solved whole, with its reverse.
     """
     check_integer(num_states, "num_states", "[1, 3]")
     grid = sorted(set(map(float, check_list(prob_grid, "prob_grid", each=check_real,
@@ -426,22 +538,64 @@ def brute_force_policy_search(
         raise GridTooLargeError(f"{total} candidates exceed the cap of {BRUTE_FORCE_CAP}")
 
     pG, pB = np.asarray(setting.pG), np.asarray(setting.pB)
-    best_val, best = -np.inf, None
+    # Every product of up to 4m >= 2d factors in [floor, 1 / floor] is normal.
+    floor = 2.0 ** (-1022 / (4 * m))
+    perm = _mirror_rows(options)
+    normal = (perm is not None and floor <= min(setting.xG, -setting.xB)
+              and max(setting.xG, -setting.xB) <= 1.0 / floor)
+    order = {acts: i for i, acts in enumerate(labelings)}
+    chunk = stack_len(2 * m, 2 * m)
+    best = None
+
+    # A state's table has R_q or R_q**k rows, and the all-risky labeling,
+    # always enumerated, has prod_q R_q**k <= BRUTE_FORCE_CAP candidates:
+    # the cap bounds every table.
+    @functools.cache
+    def joint_rows(acts):
+        return _joint_rows(_state_tables(options, acts, pG, pB), setting.pi)
+
+    def evaluate(acts, index):
+        nonlocal best
+        rows, w = joint_rows(acts)
+        ev = evaluate_storage(_gather(rows, index), w, [(len(index), joint_reward(setting, acts))])
+        vals = np.where(ev.ok, ev.payoff, -np.inf)
+        local = int(np.argmax(vals))
+        # The largest float wins, then the first in labeling and index order.
+        key = (float(vals[local]), -order[acts], -int(index[local]))
+        if key[0] > -np.inf and (best is None or key > best[0]):
+            best = key, acts
+        return ev, vals
+
+    paired, window = {}, []
     for acts, sizes in labelings.items():
-        # A state's table has R_q or R_q**k rows, and the all-risky labeling,
-        # always enumerated, has prod_q R_q**k <= BRUTE_FORCE_CAP candidates:
-        # the cap bounds every table.
-        rows, w = _joint_rows(_state_tables(options, acts, pG, pB), setting.pi)
-        chunk = stack_len(2 * m, rows[0].shape[1])
+        if paired.get(acts[::-1]):
+            continue  # every candidate is the mirror of a representative
+        rows, _ = joint_rows(acts)
+        paired[acts] = normal and min(r[r > 0.0].min() for r in rows) >= floor
+        mirror = _mirror_index(perm, acts, k) if paired[acts] else None
         reward = joint_reward(setting, acts)
-        n_cand = math.prod(sizes)
-        for lo in range(0, n_cand, chunk):
-            S = _gather(rows, np.arange(lo, min(lo + chunk, n_cand)))
-            ev = evaluate_storage(S, w, [(S.shape[2], reward)])
-            vals = np.where(ev.ok, ev.payoff, -np.inf)
-            local = int(np.argmax(vals))
-            if vals[local] > best_val:
-                best_val, best = float(vals[local]), (acts, lo + local)
+        # The reward of each state in the interleaved order of the columns.
+        weights = np.abs(reward.reshape(2, m).T.ravel())[:, None]
+        for index in _stacks(math.prod(sizes), chunk, mirror if acts == acts[::-1] else None):
+            ev, vals = evaluate(acts, index)
+            if not paired[acts]:
+                continue
+            # Keep each representative whose mirror's float could reach the
+            # best: its own float plus MIRROR_SLACK * sum_i |mu_i r_i| bounds
+            # that (sum_i mu_i is 1, so it is below the float plus twice
+            # MIRROR_SLACK * max |r|), and any float if it failed a numeric check.
+            low = best[0][0] - 2 * MIRROR_SLACK * weights.max() if best else -np.inf
+            failed = ~ev.ok & ~ev.cut_off.any(axis=1)
+            near = np.flatnonzero(ev.ok & (vals >= low) | failed)
+            ok = ev.ok[near]
+            reach = np.full(len(near), np.inf)
+            scale = (ev.columns[:, near[ok]] * weights).sum(axis=0)
+            reach[ok] = vals[near[ok]] + MIRROR_SLACK * scale
+            window.append((acts, mirror, index[near], reach))
+
+    for acts, index in _mirror_images(window, best[0][0] if best else -np.inf).items():
+        for lo in range(0, len(index), chunk):
+            evaluate(acts, index[lo:lo + chunk])
 
     if best is None:
         raise ReducibleChainError(
@@ -450,9 +604,9 @@ def brute_force_policy_search(
 
     # Decode the winner: its row of state q's table is one Safe row, broadcast
     # to every signal slot, or k Risky rows in signal order.
-    acts, index = best
+    (best_val, _, index), acts = best
     prob = np.empty((m, k, m))
-    for q, row in enumerate(np.unravel_index(index, labelings[acts])):
+    for q, row in enumerate(np.unravel_index(-index, labelings[acts])):
         digits = (len(options[q]),) * (1 if acts[q] == SAFE else k)
         prob[q] = options[q][list(np.unravel_index(row, digits))]
     next_state = np.broadcast_to(np.arange(m), prob.shape)

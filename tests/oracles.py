@@ -13,10 +13,11 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage. Six
+and gathered afterwards, instead of assembled in band storage. Seven
 oracles keep the package's earlier kernels, which its current ones must
 match bit for bit: brute-force candidates assembled digit by digit
-instead of gathered from per-state tables, residuals scattered by
+instead of gathered from per-state tables, brute force solving every
+candidate instead of one per mirror-image pair, residuals scattered by
 np.add.at instead of swept column by column, whole-row storage
 scattered cell by cell instead of masked from a strided view, the
 partition and rate searches as loops of one-ladder p_exp searches instead
@@ -24,15 +25,18 @@ of one search over all their ladders, and the reader DP cell by cell in
 ragged tuples of Python floats instead of one array step per read count.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 
-from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, policy_from_dict
+from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, policy_from_dict
+from bounded_agents.markov_exact import evaluate_storage, joint_reward, stack_len
 from bounded_agents.static_model import DECISIONS
 from bounded_agents.optimize import (
-    DEFAULT_RATE_GRID, RateSearchResult, legal_partitions, optimize_pexp,
+    DEFAULT_RATE_GRID, RateSearchResult, _gather as gather_candidates, _joint_rows, _row_options, _state_tables,
+    legal_partitions, optimize_pexp,
 )
 
 
@@ -343,6 +347,37 @@ def per_ladder_rate_search(setting, n, partition=None, rate_grid=DEFAULT_RATE_GR
             if best is None or result.best_payoff > best.result.best_payoff + 1e-15:
                 best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
     return best
+
+
+def every_candidate_brute_force(setting, num_states, prob_grid=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    """brute_force_policy_search solving every candidate, each labeling's in
+    index order, and keeping the first best: the search before it solved one
+    candidate per mirror-image pair."""
+    m, k = num_states, setting.k
+    grid = sorted(set(map(float, prob_grid)))
+    options = [_row_options(q, m, grid) for q in range(m)]
+    labelings = {acts: [len(options[q]) ** (1 if a == SAFE else k) for q, a in enumerate(acts)]
+                 for acts in itertools.product((SAFE, RISKY), repeat=m)}
+    pG, pB = np.asarray(setting.pG), np.asarray(setting.pB)
+    best_val, best = -np.inf, None
+    for acts, sizes in labelings.items():
+        rows, w = _joint_rows(_state_tables(options, acts, pG, pB), setting.pi)
+        chunk = stack_len(2 * m, rows[0].shape[1])
+        reward = joint_reward(setting, acts)
+        n_cand = math.prod(sizes)
+        for lo in range(0, n_cand, chunk):
+            S = gather_candidates(rows, np.arange(lo, min(lo + chunk, n_cand)))
+            ev = evaluate_storage(S, w, [(S.shape[2], reward)])
+            vals = np.where(ev.ok, ev.payoff, -np.inf)
+            local = int(np.argmax(vals))
+            if vals[local] > best_val:
+                best_val, best = float(vals[local]), (acts, lo + local)
+    acts, index = best
+    prob = np.empty((m, k, m))
+    for q, row in enumerate(np.unravel_index(index, labelings[acts])):
+        digits = (len(options[q]),) * (1 if acts[q] == SAFE else k)
+        prob[q] = options[q][list(np.unravel_index(row, digits))]
+    return AutomatonPolicy(m, 0, acts, np.broadcast_to(np.arange(m), prob.shape), prob), best_val
 
 
 def enumerated_joint_matrix(setting, policy):

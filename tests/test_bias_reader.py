@@ -9,6 +9,7 @@ from oracles import (
     tuple_reader_dp,
 )
 
+from bounded_agents import bias_reader
 from bounded_agents.bias_reader import (
     ReaderProblem,
     disregard_index,
@@ -21,6 +22,7 @@ from bounded_agents.bias_reader import (
 from bounded_agents.errors import (
     MismatchedProblemsError,
     ValidationError,
+    check_list,
 )
 
 
@@ -194,6 +196,25 @@ class TestSimulateReader:
         table = solve_reader_dp(problem)
         with pytest.raises(ValidationError):
             simulate_reader(table, [1, 2, 0])
+
+    def test_each_entry_point_checks_the_sequence_once(self, monkeypatch):
+        # first_impression_reader walks the reversal of the checked sequence,
+        # and polarization_reader walks one checked sequence for both tables.
+        checks = []
+
+        def counting(value, name, *args, **kwargs):
+            checks.append(name)
+            return check_list(value, name, *args, **kwargs)
+
+        monkeypatch.setattr(bias_reader, "check_list", counting)
+        table = solve_reader_dp(ReaderProblem(n=7, rho=0.9, c=0.02))
+        seq = [1, 1, 1, 0, 0, 0, 0]
+        for run in (lambda: simulate_reader(table, seq),
+                    lambda: first_impression_reader(table, seq),
+                    lambda: polarization_reader(table, table, seq)):
+            checks.clear()
+            run()
+            assert checks.count("sequence") == 1
 
 
 class TestFirstImpression:

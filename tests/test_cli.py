@@ -405,11 +405,10 @@ class TestReader:
 
         def recording(table, sequence):
             walked.append(list(sequence))
-            return simulate(table, sequence)
+            return walk(table, sequence)
 
-        simulate = bias_reader.simulate_reader
-        for module in (bias_reader, cli):
-            monkeypatch.setattr(module, "simulate_reader", recording)
+        walk = bias_reader._walk
+        monkeypatch.setattr(bias_reader, "_walk", recording)
         config = write_config(tmp_path, {
             "problem": {"n": 7, "rho": 0.9, "c": 0.02},
             "sequence": [1, 1, 1, 0, 0, 0, 0],

@@ -25,10 +25,12 @@ from bounded_agents.errors import (
     ValidationError,
 )
 from bounded_agents.markov_exact import (
-    build_joint_chain, evaluate_stack, evaluate_storage, exact_average_payoff, stationary,
+    build_joint_chain, evaluate_stack, evaluate_storage, exact_average_payoff, joint_reward,
+    stationary,
 )
 from oracles import (
     dict_policy,
+    every_candidate_brute_force,
     exact_average_payoff_fraction,
     per_ladder_partition_search,
     per_ladder_rate_search,
@@ -36,6 +38,12 @@ from oracles import (
 from bounded_agents.optimize import (
     DEFAULT_PEXP_GRID,
     ScheduleSpec,
+    _gather,
+    _joint_rows,
+    _mirror_index,
+    _mirror_rows,
+    _row_options,
+    _state_tables,
     brute_force_policy_search,
     default_partition,
     exhaustive_partition_search,
@@ -600,3 +608,143 @@ class TestBruteForce:
     def test_more_than_three_states_rejected(self, paper_setting):
         with pytest.raises(ValidationError):
             brute_force_policy_search(paper_setting, num_states=4)
+
+
+# A grid of three weights that sum to 1 + PROB_SUM_TOL in one order and
+# just past it in another (see test_rows_whose_reverse_is_refused_leave_no_pairs).
+UNMIRRORED_GRID = (0.3385953360776327, 0.26014172899029037, 0.40126293493307685)
+
+
+def paper_signals_at(pi):
+    return validate_setting(4, (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 1.0, -1.0, pi)
+
+
+class TestMirrorPairs:
+    """Brute force solves one candidate of each mirror-image pair, then the
+    mirrors that could win; it must return what solving every candidate does."""
+
+    # Draw 0 is a case where a representative's mirror wins and draw 35 one
+    # where the mirror of a representative below the best does (see
+    # test_rule_breaks_without_the_slack_or_the_mirrors); at pi = 1e-300 and
+    # the smallest normal pi every candidate is solved.
+    @pytest.mark.parametrize("name, m, grid", [
+        *[(f"draw{seed}", 1, None) for seed in range(4)],
+        *[(f"draw{seed}", 2, None) for seed in (0, 1, 2, 35)],
+        ("k2", 3, (0.0, 0.5, 1.0)),
+        ("k3", 3, (0.0, 0.5, 1.0)),
+        ("k3", 3, UNMIRRORED_GRID),
+        ("paper", 2, None),
+        ("pi=2.2250738585072014e-308", 2, None),
+        ("pi=1e-300", 2, None),
+    ])
+    def test_winner_is_the_every_candidate_winner(self, name, m, grid):
+        if name.startswith("draw"):
+            setting = policy_search_setting(int(name[4:]))
+        elif name.startswith("pi="):
+            setting = paper_signals_at(float(name[3:]))
+        else:
+            setting = SEARCH_SETTINGS[name]()
+        grid = {} if grid is None else {"prob_grid": grid}
+        policy, value = brute_force_policy_search(setting, m, **grid)
+        want, want_value = every_candidate_brute_force(setting, m, **grid)
+        assert value == want_value and policy.actions == want.actions
+        assert np.array_equal(policy.prob, want.prob)
+        assert np.array_equal(policy.next_state, want.next_state)
+
+    def test_rows_whose_reverse_is_refused_leave_no_pairs(self):
+        # Summed left to right, the middle state's row (z, x, y) of this grid
+        # is within PROB_SUM_TOL of 1 and its reverse (y, x, z) is not, so
+        # some candidates have no mirror and every candidate is solved.
+        options = [_row_options(q, 3, UNMIRRORED_GRID) for q in range(3)]
+        assert [len(rows) for rows in options] == [1, 2, 1]
+        assert _mirror_rows(options) is None
+
+    @pytest.mark.parametrize("pi, solved", [(0.001, 198_765), (1e-300, 396_900)])
+    def test_one_candidate_of_each_pair_is_solved(self, monkeypatch, pi, solved):
+        # 396,900 candidates at m = 2, 630 of them their own mirror: 198,765
+        # pairs, and a few mirrors after. At pi = 1e-300 the joint entries
+        # are below the normal floor, so every candidate is solved.
+        chains = []
+
+        def counting(S, w, rewards):
+            chains.append(S.shape[2])
+            return evaluate_storage(S, w, rewards)
+
+        monkeypatch.setattr(optimize, "evaluate_storage", counting)
+        brute_force_policy_search(paper_signals_at(pi), 2)
+        assert solved <= sum(chains) <= solved + 10
+
+    @pytest.mark.parametrize("m, grid", [(2, (0.0, 0.25, 0.5, 0.75, 1.0)), (3, (0.0, 0.5, 1.0))])
+    def test_mirror_storage_is_the_candidate_storage_permuted(self, paper_setting, m, grid):
+        rng = np.random.default_rng(m)
+        options = [_row_options(q, m, grid) for q in range(m)]
+        perm = _mirror_rows(options)
+        pG, pB = np.array(paper_setting.pG), np.array(paper_setting.pB)
+        # (q, theta) -> (m - 1 - q, theta), interleaved and nature-major.
+        flip = np.arange(2 * m).reshape(m, 2)[::-1].ravel()
+        flip_nature = np.arange(2 * m).reshape(2, m)[:, ::-1].ravel()
+        for acts in itertools.product((SAFE, RISKY), repeat=m):
+            rows, _ = _joint_rows(_state_tables(options, acts, pG, pB), paper_setting.pi)
+            mirror_rows, _ = _joint_rows(_state_tables(options, acts[::-1], pG, pB),
+                                         paper_setting.pi)
+            lead, trail = _mirror_index(perm, acts, paper_setting.k)
+            count = len(lead) * len(trail)
+            index = (np.arange(count) if count <= 2100 else
+                     np.concatenate([np.arange(700), np.arange(count - 700, count),
+                                     rng.integers(0, count, 700)]))
+            image = lead[index // len(trail)] + trail[index % len(trail)]
+            S = _gather(rows, index)
+            assert np.array_equal(_gather(mirror_rows, image), S[flip][:, flip])
+            assert np.array_equal(joint_reward(paper_setting, acts[::-1]),
+                                  joint_reward(paper_setting, acts)[flip_nature])
+            # Mirroring twice is the identity, and at m = 2 every index is
+            # the mirror of one.
+            back, forth = _mirror_index(perm, acts[::-1], paper_setting.k)
+            assert np.array_equal(back[image // len(forth)] + forth[image % len(forth)], index)
+            if m == 2:
+                assert np.array_equal(np.sort(lead[:, None] + trail, axis=None),
+                                      np.arange(count))
+
+    @pytest.mark.parametrize("seed, mirrors", [(35, True), (0, False)])
+    def test_rule_breaks_without_the_slack_or_the_mirrors(self, monkeypatch, seed, mirrors):
+        # With no slack, only the best representative's mirror is solved; with
+        # no mirror pass, none is. Each mutant returns a representative whose
+        # float is below the winner's mirror's.
+        setting = policy_search_setting(seed)
+        _, value = brute_force_policy_search(setting, 2)
+        monkeypatch.setattr(optimize, "MIRROR_SLACK", 0.0)
+        if not mirrors:
+            monkeypatch.setattr(optimize, "_mirror_images", lambda window, top: {})
+        _, mutant = brute_force_policy_search(setting, 2)
+        assert mutant < value
+
+    def test_mirror_slack_is_twice_the_gap_bound_with_room(self):
+        # The count in MIRROR_SLACK's comment, for whole rows of d <= 6
+        # states: n of each divided column, back-substituted x[k] and mu.
+        u = 2.0 ** -53
+        for d in (2, 4, 6):
+            E, column = 0, {}
+            for k in range(d - 1, 0, -1):
+                column[k] = 2 * E + k
+                E = 3 * E + k + 2
+            x = [0]
+            for k in range(1, d):
+                x.append(max(x) + column[k] + k)
+            mu = max(x) + (max(x) + d - 1) + 1
+            gap = 2 * (mu + d) * u  # times sum_i |mu_i r_i|
+            assert 1300 * 2 * gap <= optimize.MIRROR_SLACK
+        assert (column[1], x[-1], mu) == (525, 794, 1594)
+
+    def test_peak_memory_of_a_call(self):
+        # Stacks are gathered from per-state rows and representatives are
+        # filtered over blocks of leading digits: no array is as long as a
+        # labeling (390,625 candidates at m = 2), which alone would be 3 MB.
+        setting = policy_search_setting(0)
+        brute_force_policy_search(setting, 2)
+        tracemalloc.start()
+        try:
+            brute_force_policy_search(setting, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 << 20
