@@ -188,7 +188,9 @@ def build_linear_sticky(
     are applied by the caller; every state carries the opaque HOLD action.
     """
     check_integer(k, "k", "[1, inf)")
-    check_integer(num_states, "num_states", "[1, inf)")
+    # A count past left_prob's length is refused by name, as check_signals does k.
+    left_prob = check_list(left_prob, "left_prob", error=BadProbabilityError)
+    check_integer(num_states, "num_states", f"[1, {len(left_prob)}]")
     check_integer(initial_state, "initial_state", f"[0, {num_states})")
     left_prob, right_prob = (
         check_list(probs, name, num_states, check_real, "[0, 1]", BadProbabilityError)

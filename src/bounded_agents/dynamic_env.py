@@ -27,7 +27,11 @@ from .errors import (
 # divides by pivots that small: at pi = 5e-324 the paper's 4-rung ladder pays 4%
 # off its exact value, and at r_u = 5e-324 the climbs underflow to 0 and an
 # irreducible chain reads as reducible. So pi and every ladder probability start
-# at the smallest normal float.
+# at the smallest normal float. That keeps pi normal, not the joint entries
+# pi * A(q, q'): at pi's low end they can be subnormal (5.6e-310 on the paper
+# signals at m = 2). Ladders still match the rational oracle there, and brute
+# force solves every candidate of such a labeling (see
+# optimize.brute_force_policy_search).
 PI_INTERVAL = f"[{sys.float_info.min!r}, 0.5]"
 LADDER_PROB_INTERVAL = f"[{sys.float_info.min!r}, 1]"
 
@@ -66,8 +70,10 @@ def validate_setting(
 
 def check_signals(k, pG, pB) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """pG and pB as tuples of floats, once k is a count and each is a
-    distribution over the k signals."""
-    check_integer(k, "k", "[1, inf)")
+    distribution over the k signals. A k past pG's length is refused by
+    name; a pG or pB of another length is refused by its own."""
+    pG = check_list(pG, "pG")
+    check_integer(k, "k", f"[1, {len(pG)}]")
     pG, pB = (tuple(map(float, check_list(probs, name, k, check_real)))
               for name, probs in (("pG", pG), ("pB", pB)))
     check_distribution((pG, pB), lambda i: ("pG", "pB")[i])

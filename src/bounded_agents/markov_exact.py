@@ -172,10 +172,11 @@ def joint_band(a_good: np.ndarray, a_bad: np.ndarray, pi) -> tuple[np.ndarray, i
     the matrix (2w + 1 < d); else whole rows (w = d - 1), masked from a strided
     view of the band. The stack axis is last, so each elimination step runs over
     contiguous runs of B values. Brute force, whose chains are whole rows, calls
-    this once per action labeling on its per-state tables and gathers each stack
-    from the rows it makes (see optimize._joint_rows), so no stack is masked.
-    Agent rows left at zero past a chain's own states give zero joint rows, so
-    bands of ladders of several lengths, longest first, make a ragged stack."""
+    this once per action labeling and pass, on every choice of each state's
+    rows, and gathers each stack from the rows it makes (see
+    optimize._joint_rows), so no stack is masked. Agent rows left at zero past
+    a chain's own states give zero joint rows, so bands of ladders of several
+    lengths, longest first, make a ragged stack."""
     b, m, wide = a_good.shape
     # (q, theta) -> (q', theta') is held at column 2(q' - q + W) + theta' - theta + 2W + 1.
     S = np.zeros((m, 2, 2 * wide + 1, b))

@@ -35,7 +35,7 @@ from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, po
 from bounded_agents.markov_exact import evaluate_storage, joint_reward, stack_len
 from bounded_agents.static_model import DECISIONS
 from bounded_agents.optimize import (
-    DEFAULT_RATE_GRID, RateSearchResult, _gather as gather_candidates, _joint_rows, _row_options, _state_tables,
+    DEFAULT_RATE_GRID, RateSearchResult, _gather as gather_candidates, _joint_rows, _row_options,
     legal_partitions, optimize_pexp,
 )
 
@@ -361,7 +361,7 @@ def every_candidate_brute_force(setting, num_states, prob_grid=(0.0, 0.25, 0.5, 
     pG, pB = np.asarray(setting.pG), np.asarray(setting.pB)
     best_val, best = -np.inf, None
     for acts, sizes in labelings.items():
-        rows, w = _joint_rows(_state_tables(options, acts, pG, pB), setting.pi)
+        rows, w = _joint_rows(options, acts, pG, pB, setting.pi)
         chunk = stack_len(2 * m, rows[0].shape[1])
         reward = joint_reward(setting, acts)
         n_cand = math.prod(sizes)

@@ -35,7 +35,7 @@ from bounded_agents.markov_exact import (
     stationary,
 )
 from bounded_agents.optimize import (
-    _gather, _joint_rows, _row_options, _state_tables, brute_force_policy_search,
+    _gather, _joint_rows, _row_options, brute_force_policy_search,
     default_partition, optimize_pexp,
 )
 from oracles import (
@@ -266,7 +266,7 @@ def test_brute_force_gather_matches_digit_assembly(m, k):
     pG[1] = 0.0  # a signal that never occurs in G still adds its (zero) rows
     options = [_row_options(q, m, (0.0, 0.25, 0.5, 0.75, 1.0)) for q in range(m)]
     for acts in itertools.product((SAFE, RISKY), repeat=m):
-        rows, w = _joint_rows(_state_tables(options, acts, pG, pB), 0.01)
+        rows, w = _joint_rows(options, acts, pG, pB, 0.01)
         assert w == 2 * m - 1
         count = np.prod([r.shape[2] for r in rows])
         for index in (np.arange(min(count, 700)), np.arange(max(count - 700, 0), count),

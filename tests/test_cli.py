@@ -898,6 +898,19 @@ REFUSED_VALUES = {
     "xG past float range": ("eval-exact", {"setting": {**PAPER_SETTING, "xG": 10 ** 400},
                                            "automaton": LADDER},
                             "xG is beyond the float range"),
+    # A count past the lists it counts is refused by its own name, not as a
+    # list "must have 9007199254740993 entries".
+    "setting k past its signal lists": (
+        "eval-exact", {"setting": {**PAPER_SETTING, "k": 2 ** 53 + 1}, "automaton": LADDER},
+        f"k must be in [1, 4], got {2 ** 53 + 1}"),
+    "static setting k past its signal lists": (
+        "static-demo", {"policy": STICKY, "demo": "expected_utility",
+                        "setting": {**STATIC_SETTING, "k": 2 ** 53 + 1}},
+        f"k must be in [1, 4], got {2 ** 53 + 1}"),
+    "sticky num_states past its lists": (
+        "static-demo", {"policy": {**STICKY, "num_states": 2 ** 53 + 1},
+                        "demo": "expected_utility", "setting": STATIC_SETTING},
+        f"num_states must be in [1, 5], got {2 ** 53 + 1}"),
     "machine name twice": ("machine", {"problem": {**INLINE_PROBLEM,
                                                    "machines": INLINE_PROBLEM["machines"] * 2}},
                            "machine label 'go' is declared 2 times"),

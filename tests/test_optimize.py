@@ -43,7 +43,6 @@ from bounded_agents.optimize import (
     _mirror_index,
     _mirror_rows,
     _row_options,
-    _state_tables,
     brute_force_policy_search,
     default_partition,
     exhaustive_partition_search,
@@ -659,11 +658,13 @@ class TestMirrorPairs:
         assert [len(rows) for rows in options] == [1, 2, 1]
         assert _mirror_rows(options) is None
 
-    @pytest.mark.parametrize("pi, solved", [(0.001, 198_765), (1e-300, 396_900)])
+    @pytest.mark.parametrize("pi, solved", [(0.001, 198_765), (1e-300, 396_900),
+                                            (2.2250738585072014e-308, 396_900)])
     def test_one_candidate_of_each_pair_is_solved(self, monkeypatch, pi, solved):
         # 396,900 candidates at m = 2, 630 of them their own mirror: 198,765
-        # pairs, and a few mirrors after. At pi = 1e-300 the joint entries
-        # are below the normal floor, so every candidate is solved.
+        # pairs, and a few mirrors after. At pi = 1e-300 and the smallest
+        # normal pi the joint entries are below the normal floor (subnormal at
+        # the latter), so every candidate is solved.
         chains = []
 
         def counting(S, w, rewards):
@@ -673,6 +674,20 @@ class TestMirrorPairs:
         monkeypatch.setattr(optimize, "evaluate_storage", counting)
         brute_force_policy_search(paper_signals_at(pi), 2)
         assert solved <= sum(chains) <= solved + 10
+
+    def test_each_pass_assembles_a_labeling_once(self, monkeypatch, paper_setting):
+        # The representative pass and the mirror pass each build a labeling's
+        # joint rows once and solve all its stacks from them; a rebuild for
+        # each of the 15 stacks would show here.
+        built = []
+
+        def counting(options, acts, *args):
+            built.append(acts)
+            return _joint_rows(options, acts, *args)
+
+        monkeypatch.setattr(optimize, "_joint_rows", counting)
+        brute_force_policy_search(paper_setting, 2)
+        assert built and max(map(built.count, built)) <= 2
 
     @pytest.mark.parametrize("m, grid", [(2, (0.0, 0.25, 0.5, 0.75, 1.0)), (3, (0.0, 0.5, 1.0))])
     def test_mirror_storage_is_the_candidate_storage_permuted(self, paper_setting, m, grid):
@@ -684,9 +699,8 @@ class TestMirrorPairs:
         flip = np.arange(2 * m).reshape(m, 2)[::-1].ravel()
         flip_nature = np.arange(2 * m).reshape(2, m)[:, ::-1].ravel()
         for acts in itertools.product((SAFE, RISKY), repeat=m):
-            rows, _ = _joint_rows(_state_tables(options, acts, pG, pB), paper_setting.pi)
-            mirror_rows, _ = _joint_rows(_state_tables(options, acts[::-1], pG, pB),
-                                         paper_setting.pi)
+            rows, _ = _joint_rows(options, acts, pG, pB, paper_setting.pi)
+            mirror_rows, _ = _joint_rows(options, acts[::-1], pG, pB, paper_setting.pi)
             lead, trail = _mirror_index(perm, acts, paper_setting.k)
             count = len(lead) * len(trail)
             index = (np.arange(count) if count <= 2100 else

@@ -1,5 +1,5 @@
 """No name in the package lives only for its own tests, the output format
-lives in one module, and no exact value goes through BLAS.
+lives in one module, no exact value goes through BLAS, and nothing is memoized.
 
 Every function, class, method or property defined under ``src/`` is read
 somewhere in ``src/`` outside its own definition, read by the benchmark in
@@ -90,4 +90,18 @@ def test_no_blas_in_the_value_path():
                     and node.attr in ("dot", "matmul", "einsum", "linalg"))
             if (product or call) and id(node) not in exempt:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_memo_cache():
+    """No functools.cache, lru_cache or cached_property under src/: a cache
+    stays only where a benchmark shows it pays for itself. functools.reduce
+    and the rest of functools stay allowed."""
+    caches = {"cache", "lru_cache", "cached_property"}
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees(SRC).items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in caches
+             and isinstance(node.value, ast.Name) and node.value.id == "functools"
+             or isinstance(node, ast.ImportFrom) and node.module == "functools"
+             and any(alias.name in caches for alias in node.names)]
     assert found == []
