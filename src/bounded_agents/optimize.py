@@ -15,7 +15,8 @@ passes assembles once per action labeling. A candidate and its mirror image
 (states reflected q -> m - 1 - q) are one chain with its states permuted, so
 brute force solves one of each pair, then only the mirrors whose floats could
 win (see MIRROR_SLACK), and returns the winner that solving every candidate
-would.
+would. Every all-Risky candidate earns (xG + xB) / 2, so that labeling is
+skipped when the bound on its floats is below the best, else solved whole.
 
 No unimodality in p_exp is assumed anywhere: searches are coarse-grid plus
 refinement, never golden-section.
@@ -72,6 +73,8 @@ BRUTE_FORCE_CAP = 10**7
 # mu = x / sum(x) n <= 1,594. A payoff, one product and d - 1 sums more, is
 # within 1,600 u sum_i |mu_i r_i| of the exact one, so a pair's floats differ
 # by at most 3,200 u sum_i |mu_i r_i|. Twice that is 7.1e-13; 2**-30 is 9.3e-10.
+# It bounds all-Risky's floats too: each is within 1,600 u (xG - xB) / 2 of
+# the one exact payoff (xG + xB) / 2 that every such candidate has.
 MIRROR_SLACK = 2.0 ** -30
 
 # Refinement rounds of p_exp points, each spanning the best point's neighbours.
@@ -404,7 +407,7 @@ def _gather(rows: list[np.ndarray], index: np.ndarray) -> np.ndarray:
     digits = np.unravel_index(index, [r.shape[2] for r in rows])
     S = np.empty((2 * len(rows), rows[0].shape[1], len(index)))
     for q, (r, digit) in enumerate(zip(rows, digits)):
-        r.take(digit, axis=2, out=S[2 * q:2 * q + 2])
+        r.take(digit, axis=2, out=S[2 * q:2 * q + 2], mode="clip")
     return S
 
 
@@ -515,6 +518,11 @@ def brute_force_policy_search(
     reducible too). That bound needs every quantity of the solve normal, so
     a labeling with a positive joint entry or a payoff outside [f, 1 / f],
     f = 2**(-1022 / 4m), is solved whole, with its reverse.
+
+    All-Risky, the last labeling, is never paired: each of its candidates
+    earns (xG + xB) / 2, so it is skipped if it passes that range test and
+    that payoff plus MIRROR_SLACK * (xG - xB) / 2 is below the best float,
+    and solved whole otherwise.
     """
     check_integer(num_states, "num_states", "[1, 3]")
     grid = sorted(set(map(float, check_list(prob_grid, "prob_grid", each=check_real,
@@ -536,8 +544,7 @@ def brute_force_policy_search(
     # Every product of up to 4m >= 2d factors in [floor, 1 / floor] is normal.
     floor = 2.0 ** (-1022 / (4 * m))
     perm = _mirror_rows(options)
-    normal = (perm is not None and floor <= min(setting.xG, -setting.xB)
-              and max(setting.xG, -setting.xB) <= 1.0 / floor)
+    in_range = floor <= min(setting.xG, -setting.xB) <= max(setting.xG, -setting.xB) <= 1 / floor
     order = {acts: i for i, acts in enumerate(labelings)}
     chunk = stack_len(2 * m, 2 * m)
     best = None
@@ -558,7 +565,15 @@ def brute_force_policy_search(
         if paired.get(acts[::-1]):
             continue  # every candidate is the mirror of a representative
         rows, w = _joint_rows(options, acts, pG, pB, setting.pi)
-        paired[acts] = normal and min(r[r > 0.0].min() for r in rows) >= floor
+        normal = in_range and min(r[r > 0.0].min() for r in rows) >= floor
+        if acts == (RISKY,) * m:
+            # Nature is in G half of any irreducible chain's long run. The
+            # best only grows, and ties go to the first labeling.
+            if normal and best and ((setting.xG + setting.xB) / 2 + MIRROR_SLACK
+                                    * (setting.xG - setting.xB) / 2 < best[0][0]):
+                continue
+            normal = False
+        paired[acts] = normal and perm is not None
         mirror = _mirror_index(perm, acts, k) if paired[acts] else None
         # The reward of each state in the interleaved order of the columns.
         weights = np.abs(joint_reward(setting, acts).reshape(2, m).T.ravel())[:, None]

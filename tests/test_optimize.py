@@ -614,18 +614,31 @@ class TestBruteForce:
 UNMIRRORED_GRID = (0.3385953360776327, 0.26014172899029037, 0.40126293493307685)
 
 
-def paper_signals_at(pi):
-    return validate_setting(4, (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), 1.0, -1.0, pi)
+def paper_signals_at(pi, xG=1.0, xB=-1.0):
+    return validate_setting(4, (0.4, 0.3, 0.2, 0.1), (0.1, 0.2, 0.3, 0.4), xG, xB, pi)
+
+
+def solved_chains(monkeypatch, setting):
+    """How many chains one m = 2 brute-force call on ``setting`` solves."""
+    chains = []
+
+    def counting(S, w, rewards):
+        chains.append(S.shape[2])
+        return evaluate_storage(S, w, rewards)
+
+    monkeypatch.setattr(optimize, "evaluate_storage", counting)
+    brute_force_policy_search(setting, 2)
+    return sum(chains)
 
 
 class TestMirrorPairs:
     """Brute force solves one candidate of each mirror-image pair, then the
     mirrors that could win; it must return what solving every candidate does."""
 
-    # Draw 0 is a case where a representative's mirror wins and draw 35 one
-    # where the mirror of a representative below the best does (see
-    # test_rule_breaks_without_the_slack_or_the_mirrors); at pi = 1e-300 and
-    # the smallest normal pi every candidate is solved.
+    # Draw 0 is a case where a representative's mirror wins (see
+    # test_rule_breaks_without_the_slack_or_the_mirrors); all-Risky wins at
+    # draws 11 and 35, and a mixed labeling beats it by 1.8e-3 at draw 15; at
+    # pi = 1e-300 and the smallest normal pi every candidate is solved.
     @pytest.mark.parametrize("name, m, grid", [
         *[(f"draw{seed}", 1, None) for seed in range(4)],
         *[(f"draw{seed}", 2, None) for seed in (0, 1, 2, 35)],
@@ -635,6 +648,7 @@ class TestMirrorPairs:
         ("paper", 2, None),
         ("pi=2.2250738585072014e-308", 2, None),
         ("pi=1e-300", 2, None),
+        *[(f"draw{seed}", 2, None) for seed in (11, 15)],
     ])
     def test_winner_is_the_every_candidate_winner(self, name, m, grid):
         if name.startswith("draw"):
@@ -658,36 +672,76 @@ class TestMirrorPairs:
         assert [len(rows) for rows in options] == [1, 2, 1]
         assert _mirror_rows(options) is None
 
-    @pytest.mark.parametrize("pi, solved", [(0.001, 198_765), (1e-300, 396_900),
+    @pytest.mark.parametrize("pi, solved", [(0.001, 3_140), (1e-300, 396_900),
                                             (2.2250738585072014e-308, 396_900)])
     def test_one_candidate_of_each_pair_is_solved(self, monkeypatch, pi, solved):
-        # 396,900 candidates at m = 2, 630 of them their own mirror: 198,765
-        # pairs, and a few mirrors after. At pi = 1e-300 and the smallest
-        # normal pi the joint entries are below the normal floor (subnormal at
-        # the latter), so every candidate is solved.
-        chains = []
+        # 396,900 candidates at m = 2, 390,625 of them all-Risky. At pi = 0.001
+        # all-Risky's payoff 0 is below the best, so it is skipped, and of the
+        # other 6,275 one of each pair is solved, 3,140, and a mirror after. At
+        # pi = 1e-300 and the smallest normal pi the joint entries are below
+        # the normal floor (subnormal at the latter), so every one is solved.
+        assert solved <= solved_chains(monkeypatch, paper_signals_at(pi)) <= solved + 10
 
-        def counting(S, w, rewards):
-            chains.append(S.shape[2])
-            return evaluate_storage(S, w, rewards)
+    def test_all_risky_is_solved_whole_when_it_could_win(self, monkeypatch):
+        # With xG = 2 and xB = -0.5 all-Risky earns 0.75, above every other
+        # labeling's best so far: its 390,625 candidates are solved with the
+        # 3,140 representatives of the rest.
+        setting = paper_signals_at(0.001, xG=2.0, xB=-0.5)
+        assert solved_chains(monkeypatch, setting) == 393_765
 
-        monkeypatch.setattr(optimize, "evaluate_storage", counting)
-        brute_force_policy_search(paper_signals_at(pi), 2)
-        assert solved <= sum(chains) <= solved + 10
+    @pytest.mark.parametrize("name", ["paper", "draw0"])
+    def test_all_risky_floats_are_within_the_slack_of_their_payoff(self, name):
+        # The premise of skipping all-Risky: nature spends half of any
+        # irreducible chain's long run in G, so every ok candidate's float is
+        # within MIRROR_SLACK * (xG - xB) / 2 of (xG + xB) / 2.
+        setting = SEARCH_SETTINGS[name]()
+        options = [_row_options(q, 2, (0.0, 0.25, 0.5, 0.75, 1.0)) for q in range(2)]
+        rows, w = _joint_rows(options, (RISKY, RISKY), np.array(setting.pG),
+                              np.array(setting.pB), setting.pi)
+        assert min(r[r > 0.0].min() for r in rows) >= 2.0 ** (-1022 / 8)
+        reward = joint_reward(setting, (RISKY, RISKY))
+        ok, chunk = 0, markov_exact.stack_len(4, 4)
+        for lo in range(0, 390_625, chunk):
+            index = np.arange(lo, min(lo + chunk, 390_625))
+            ev = evaluate_storage(_gather(rows, index), w, [(len(index), reward)])
+            gap = np.abs(ev.payoff[ev.ok] - (setting.xG + setting.xB) / 2)
+            assert gap.max(initial=0.0) <= optimize.MIRROR_SLACK * (setting.xG - setting.xB) / 2
+            ok += int(ev.ok.sum())
+        assert ok > 0
+
+    def test_skipping_all_risky_always_changes_the_winner_at_draw_35(self, monkeypatch):
+        # All-Risky wins at draw 35, so a rule that skipped it whatever the
+        # best returns another labeling's candidate, below the winner.
+        setting = policy_search_setting(35)
+        policy, value = brute_force_policy_search(setting, 2)
+        all_risky = joint_reward(setting, (RISKY, RISKY))
+
+        def skipping(S, w, rewards):
+            ev = evaluate_storage(S, w, rewards)
+            if np.array_equal(rewards[0][1], all_risky):
+                return dataclasses.replace(ev, ok=np.zeros_like(ev.ok))
+            return ev
+
+        monkeypatch.setattr(optimize, "evaluate_storage", skipping)
+        mutant, mutant_value = brute_force_policy_search(setting, 2)
+        assert policy.actions == (RISKY, RISKY) and mutant.actions != (RISKY, RISKY)
+        assert mutant_value < value
 
     def test_each_pass_assembles_a_labeling_once(self, monkeypatch, paper_setting):
         # The representative pass and the mirror pass each build a labeling's
         # joint rows once and solve all its stacks from them; a rebuild for
-        # each of the 15 stacks would show here.
-        built = []
+        # each of the 24 stacks of all-Risky, solved whole at draw 35, would
+        # show here.
+        for setting in (paper_setting, policy_search_setting(35)):
+            built = []
 
-        def counting(options, acts, *args):
-            built.append(acts)
-            return _joint_rows(options, acts, *args)
+            def counting(options, acts, *args):
+                built.append(acts)
+                return _joint_rows(options, acts, *args)
 
-        monkeypatch.setattr(optimize, "_joint_rows", counting)
-        brute_force_policy_search(paper_setting, 2)
-        assert built and max(map(built.count, built)) <= 2
+            monkeypatch.setattr(optimize, "_joint_rows", counting)
+            brute_force_policy_search(setting, 2)
+            assert built and max(map(built.count, built)) <= 2
 
     @pytest.mark.parametrize("m, grid", [(2, (0.0, 0.25, 0.5, 0.75, 1.0)), (3, (0.0, 0.5, 1.0))])
     def test_mirror_storage_is_the_candidate_storage_permuted(self, paper_setting, m, grid):
@@ -719,11 +773,13 @@ class TestMirrorPairs:
                 assert np.array_equal(np.sort(lead[:, None] + trail, axis=None),
                                       np.arange(count))
 
-    @pytest.mark.parametrize("seed, mirrors", [(35, True), (0, False)])
+    @pytest.mark.parametrize("seed, mirrors", [(0, False)])
     def test_rule_breaks_without_the_slack_or_the_mirrors(self, monkeypatch, seed, mirrors):
         # With no slack, only the best representative's mirror is solved; with
-        # no mirror pass, none is. Each mutant returns a representative whose
-        # float is below the winner's mirror's.
+        # no mirror pass, none is. The mutant returns a representative whose
+        # float is below the winner's mirror's. No setting is known where the
+        # slack alone matters: the one found, draw 35, was all-Risky's window,
+        # and all-Risky is no longer paired.
         setting = policy_search_setting(seed)
         _, value = brute_force_policy_search(setting, 2)
         monkeypatch.setattr(optimize, "MIRROR_SLACK", 0.0)
@@ -753,12 +809,14 @@ class TestMirrorPairs:
         # Stacks are gathered from per-state rows and representatives are
         # filtered over blocks of leading digits: no array is as long as a
         # labeling (390,625 candidates at m = 2), which alone would be 3 MB.
-        setting = policy_search_setting(0)
-        brute_force_policy_search(setting, 2)
-        tracemalloc.start()
-        try:
+        # At draw 35 all-Risky is solved whole, with no mirror window.
+        for seed in (0, 35):
+            setting = policy_search_setting(seed)
             brute_force_policy_search(setting, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 << 20
+            tracemalloc.start()
+            try:
+                brute_force_policy_search(setting, 2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 << 20
