@@ -19,7 +19,9 @@ Two constructors cover the families used elsewhere:
   explores with probability ``p_exp``; states 1..N play risky and climb on
   signals in ``pos`` (probability ``r_u``), descend on signals in ``neg``
   (probability ``r_d``, from state 1 back to the safe state), and ignore
-  the rest. The top rung absorbs further positive signals.
+  the rest. The top rung absorbs further positive signals. ``ladder_rows``
+  builds the rows of many ladders of one length at once, on a leading
+  ladder axis, and ``build_a_family`` is its case of one ladder.
 * ``build_linear_sticky``: a left-to-right ladder that reacts to exactly
   two signals with per-state move probabilities; small escape
   probabilities at the ends make first impressions persistent.
@@ -69,7 +71,7 @@ class AutomatonPolicy:
 
     def row_key(self, q: int, s: int) -> tuple[int, int | None]:
         """Dict-form key of slot s (0-based) of state q."""
-        return (q, NO_SIGNAL if self.actions[q] == SAFE else s + 1)
+        return _row_key(self.actions, q, s)
 
     @property
     def kernel(self) -> dict[tuple[int, int | None], dict[int, float]]:
@@ -83,6 +85,10 @@ class AutomatonPolicy:
         }
 
 
+def _row_key(actions, q: int, s: int) -> tuple[int, int | None]:
+    return (q, NO_SIGNAL if actions[q] == SAFE else s + 1)
+
+
 def check_policy(policy: AutomatonPolicy, k: int) -> None:
     """Raise unless the arrays hold one stochastic row per state and signal
     1..k, each targeting a state, and a Safe state's row is the same in every
@@ -94,15 +100,25 @@ def check_policy(policy: AutomatonPolicy, k: int) -> None:
     if nxt.shape != prob.shape or prob.ndim != 3 or prob.shape[:2] != (m, k):
         raise DimensionMismatchError(f"rows shaped {nxt.shape} and {prob.shape} do not "
                                      f"match {m} states and signals 1..{k}")
-    outside = np.argwhere((nxt < 0) | (nxt >= m))
+    check_rows(policy.actions, nxt, prob)
+
+
+def check_rows(actions, next_state: np.ndarray, prob: np.ndarray) -> None:
+    """Raise unless every row (q, s) of ``next_state`` and ``prob``, (..., m,
+    k, r) with any leading axes and one action label per state, targets a
+    state and is a distribution, and a Safe state's rows are the same in
+    every slot. A message names the first faulty row by its key alone."""
+    outside = np.argwhere((next_state < 0) | (next_state >= len(actions)))
     if len(outside):
-        q, s, j = map(int, outside[0])
-        raise ValidationError(f"row {policy.row_key(q, s)} targets invalid state {nxt[q, s, j]}")
-    check_distribution(prob, lambda q, s: f"kernel row {policy.row_key(q, s)}")
-    safe = np.array([a == SAFE for a in policy.actions])
-    differs = np.argwhere(safe[:, None] & ((nxt != nxt[:, :1]) | (prob != prob[:, :1])).any(-1))
+        *_, q, s, _ = map(int, outside[0])
+        raise ValidationError(f"row {_row_key(actions, q, s)} targets invalid state "
+                              f"{next_state[tuple(outside[0])]}")
+    check_distribution(prob, lambda *index: f"kernel row {_row_key(actions, *index[-2:])}")
+    safe = np.array([a == SAFE for a in actions])[:, None]
+    differs = np.argwhere(safe & ((next_state != next_state[..., :1, :])
+                                  | (prob != prob[..., :1, :])).any(-1))
     if len(differs):
-        q, s = map(int, differs[0])
+        *_, q, s = map(int, differs[0])
         raise ValidationError(f"Safe state {q} has different rows in signal slots 1 and {s + 1}")
 
 
@@ -133,42 +149,61 @@ class AFamilyParams:
         check_integer(self.n, "n", f"[1, {MAX_RUNGS}]")
         for name in ("p_exp", "r_u", "r_d"):
             check_real(getattr(self, name), name, LADDER_PROB_INTERVAL, BadProbabilityError)
-        pos, neg = (frozenset(check_list(getattr(self, name), name, each=check_integer))
-                    for name in ("pos", "neg"))
+        pos, neg = check_sides(self.pos, self.neg)
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "neg", neg)
-        if not pos or not neg:
-            raise ValidationError("pos and neg must both be nonempty")
-        if pos & neg:
-            raise ValidationError(f"pos and neg overlap: {sorted(pos & neg)}")
 
 
-def _move_or_stay(actions: tuple[str, ...], target: np.ndarray, move: np.ndarray,
-                  initial_state: int = 0) -> AutomatonPolicy:
-    """Policy whose row (q, s) moves to target[q, s - 1] with probability
-    move[q, s - 1] and otherwise stays at q (a probability-0 pad if it moves surely)."""
-    stay = np.broadcast_to(np.arange(len(target))[:, None], target.shape)
-    return AutomatonPolicy(num_states=len(target), initial_state=initial_state, actions=actions,
-                           next_state=np.stack([target, stay], axis=-1),
-                           prob=np.stack([move, 1.0 - move], axis=-1))
+def check_sides(pos, neg) -> tuple[frozenset[int], frozenset[int]]:
+    """A ladder's signal sides as frozensets, once each is a list of integers
+    and they are nonempty and disjoint."""
+    pos, neg = (frozenset(check_list(side, name, each=check_integer))
+                for name, side in (("pos", pos), ("neg", neg)))
+    if not pos or not neg:
+        raise ValidationError("pos and neg must both be nonempty")
+    if pos & neg:
+        raise ValidationError(f"pos and neg overlap: {sorted(pos & neg)}")
+    return pos, neg
+
+
+def _move_or_stay(target: np.ndarray, move: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """next_state and prob, (..., m, k, 2), of rows (q, s) that move to
+    target[..., q, s - 1] with probability move[..., q, s - 1] and otherwise
+    stay at q (a probability-0 pad if they move surely)."""
+    stay = np.broadcast_to(np.arange(target.shape[-2])[:, None], target.shape)
+    return np.stack([target, stay], axis=-1), np.stack([move, 1.0 - move], axis=-1)
+
+
+def ladder_rows(k: int, n: int, sides, r_u, r_d, p_exp) -> tuple[np.ndarray, np.ndarray]:
+    """next_state and prob, (L, n + 1, k, 2), of L ladders of n + 1 states in
+    a k-signal environment. Ladder i climbs on the signals of sides[i][0] and
+    descends on those of sides[i][1], frozensets as AFamilyParams holds them,
+    with r_u, r_d and p_exp entry i of those (L,) arrays, or the one value
+    given, as floats. Each distinct side is checked once to hold signals 1..k."""
+    check_integer(k, "k", "[1, inf)")
+    for name, side in dict.fromkeys((name, side) for pair in sides
+                                    for name, side in zip(("pos", "neg"), pair)):
+        check_list(side, name, each=check_integer, interval=f"[1, {k}]",
+                   error=SignalOutOfRangeError)
+    pos, neg = (np.array([[s in side for s in range(1, k + 1)] for side in column])[:, None]
+                for column in zip(*sides))
+    r_u, r_d, p_exp = (np.asarray(x, dtype=float).reshape(-1, 1, 1) for x in (r_u, r_d, p_exp))
+    rung = np.arange(n + 1)[:, None]
+    target = np.where(pos, np.minimum(rung + 1, n), np.where(neg, rung - 1, rung))
+    move = np.where(pos, np.where(rung == n, 1.0, r_u), np.where(neg, r_d, 1.0))
+    # The Safe state explores whatever the signal.
+    target[:, 0], move[:, 0] = 1, p_exp[:, 0]
+    return _move_or_stay(target, move)
 
 
 def build_a_family(k: int, params: AFamilyParams) -> AutomatonPolicy:
-    """Construct the (n+1)-state ladder policy for a k-signal environment."""
-    check_integer(k, "k", "[1, inf)")
-    check_list(params.pos, "pos", each=check_integer, interval=f"[1, {k}]",
-               error=SignalOutOfRangeError)
-    check_list(params.neg, "neg", each=check_integer, interval=f"[1, {k}]",
-               error=SignalOutOfRangeError)
-    n = params.n
-    signals = range(1, k + 1)
-    pos, neg = (np.array([s in side for s in signals]) for side in (params.pos, params.neg))
-    rung = np.arange(n + 1)[:, None]
-    target = np.where(pos, np.minimum(rung + 1, n), np.where(neg, rung - 1, rung))
-    move = np.where(pos, np.where(rung == n, 1.0, params.r_u), np.where(neg, params.r_d, 1.0))
-    # The Safe state explores whatever the signal.
-    target[0], move[0] = 1, params.p_exp
-    return _move_or_stay((SAFE,) + (RISKY,) * n, target, move)
+    """Construct the (n+1)-state ladder policy for a k-signal environment,
+    ladder_rows' case of one ladder."""
+    next_state, prob = ladder_rows(k, params.n, [(params.pos, params.neg)],
+                                   params.r_u, params.r_d, params.p_exp)
+    return AutomatonPolicy(num_states=params.n + 1, initial_state=0,
+                           actions=(SAFE,) + (RISKY,) * params.n,
+                           next_state=next_state[0], prob=prob[0])
 
 
 def build_linear_sticky(
@@ -207,7 +242,8 @@ def build_linear_sticky(
     target = np.where(left, q - 1, np.where(right, q + 1, q))
     move = np.where(left, np.asarray(left_prob, dtype=float)[:, None],
                     np.where(right, np.asarray(right_prob, dtype=float)[:, None], 1.0))
-    return _move_or_stay((HOLD,) * num_states, target, move, initial_state)
+    return AutomatonPolicy(num_states, initial_state, (HOLD,) * num_states,
+                           *_move_or_stay(target, move))
 
 
 def _parse_row(key, row) -> tuple[tuple[int, int | None], dict[int, float]]:

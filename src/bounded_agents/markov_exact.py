@@ -38,6 +38,7 @@ Accuracy and Stability of Numerical Algorithms, 2002, section 3.1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,20 +132,31 @@ class StackEval:
         return SolveFailedError(self.solve_errors[i])
 
 
-def agent_step_matrix(policy: AutomatonPolicy, signal_probs) -> np.ndarray:
-    """(m, 2W + 1) band of the automaton's one-step matrix under a fixed
-    signal distribution, (q, q') at column q' - q + W for the longest move W
-    of any row entry: each state adds its signal rows under ``signal_probs``
-    in signal order, except that a Safe state takes its one row as is."""
-    m, k = policy.num_states, len(signal_probs)
-    safe = np.array([a == SAFE for a in policy.actions], dtype=bool)[:, None]
+def agent_step_matrix(actions, next_state: np.ndarray, prob: np.ndarray,
+                      signal_probs) -> np.ndarray:
+    """(..., m, 2W + 1) bands of the one-step matrices, under a fixed signal
+    distribution, of automata with the action labels ``actions`` and the rows
+    ``next_state`` and ``prob``, (..., m, k, r) with any leading axes (see
+    AutomatonPolicy): (q, q') at column q' - q + W for the longest move W of
+    any row entry. Each state adds its signal rows under ``signal_probs`` in
+    signal order, except that a Safe state takes its one row as is, so each
+    band has the bits it has alone."""
+    m, k = len(actions), len(signal_probs)
+    safe = np.array([a == SAFE for a in actions], dtype=bool)[:, None]
     weight = np.where(safe, np.arange(k) == 0, np.asarray(signal_probs, dtype=float))
-    move = policy.next_state - np.arange(m)[:, None, None]
-    L = 2 * int(np.abs(move).max()) + 1
-    # bincount adds in input order, so signal-major input keeps signal order.
-    cells = (np.arange(m)[:, None, None] * L + move + L // 2).transpose(1, 0, 2)
-    terms = (weight[:, :, None] * policy.prob).transpose(1, 0, 2)
-    return np.bincount(cells.ravel(), terms.ravel(), minlength=m * L).reshape(m, L)
+    lead = prob.shape[:-3]
+    chains = math.prod(lead)
+    # bincount adds in input order, so signal-major input, (..., k, m, r),
+    # keeps signal order within each automaton's cells. Each step writes in
+    # place: a search's rows and these two arrays are its largest.
+    cells = np.swapaxes(next_state, -3, -2).astype(np.intp, order="C")
+    cells -= np.arange(m)[:, None]
+    W = max(int(cells.max()), -int(cells.min()))
+    cells += np.arange(m)[:, None] * (2 * W + 1) + W
+    cells += (np.arange(chains) * (m * (2 * W + 1))).reshape(lead + (1, 1, 1))
+    terms = np.multiply(weight.T[:, :, None], np.swapaxes(prob, -3, -2), order="C")
+    return np.bincount(cells.ravel(), terms.ravel(),
+                       minlength=chains * m * (2 * W + 1)).reshape(lead + (m, 2 * W + 1))
 
 
 def dense_matrix(band: np.ndarray) -> np.ndarray:
@@ -155,7 +167,8 @@ def dense_matrix(band: np.ndarray) -> np.ndarray:
 def agent_matrices(setting: DynamicSetting, policy: AutomatonPolicy):
     """Step-matrix bands in G and in B of a policy the joint chain can take."""
     check_dynamic_policy(policy, setting.k)
-    return agent_step_matrix(policy, setting.pG), agent_step_matrix(policy, setting.pB)
+    return tuple(agent_step_matrix(policy.actions, policy.next_state, policy.prob, p)
+                 for p in (setting.pG, setting.pB))
 
 
 def joint_reward(setting: DynamicSetting, actions) -> np.ndarray:

@@ -8,8 +8,10 @@ than 1/n while the ladder grows. A vectorized brute-force search over all
 tiny policies (at most 3 states, grid-valued rows) serves as an
 independent near-optimality oracle. Each search solves all its chains,
 every ladder's at once, in stacks whose joint storage fills
-markov_exact.STACK_BYTES; the limit curve's ladders, one length a point,
-share ragged stacks the same way. Brute force stores its chains as whole
+markov_exact.STACK_BYTES; the p_exp, partition and rate searches build all
+their ladders' bands in one step and keep their traces as arrays, and the
+limit curve's ladders, one length a point, share ragged stacks the same
+way. Brute force stores its chains as whole
 rows, gathered for each stack from per-state joint rows that each of its two
 passes assembles once per action labeling. A candidate and its mirror image
 (states reflected q -> m - 1 - q) are one chain with its states permuted, so
@@ -32,7 +34,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .automaton import RISKY, SAFE, MAX_RUNGS, AFamilyParams, AutomatonPolicy, build_a_family
+from .automaton import (
+    RISKY, SAFE, MAX_RUNGS, AFamilyParams, AutomatonPolicy, build_a_family, check_rows,
+    check_sides, ladder_rows,
+)
 from .dynamic_env import (
     LADDER_PROB_INTERVAL, PI_INTERVAL, DynamicSetting, is_nontrivial,
 )
@@ -51,8 +56,8 @@ from .errors import (
 # exact_average_payoff is not called here, but perfbench's tracer test reaches
 # it through this module, as callers did while the curve used it.
 from .markov_exact import (  # noqa: F401
-    agent_matrices, evaluate_stack, evaluate_storage, exact_average_payoff, joint_band,
-    joint_reward, stack_len,
+    agent_matrices, agent_step_matrix, evaluate_stack, evaluate_storage, exact_average_payoff,
+    joint_band, joint_reward, stack_len,
 )
 
 DEFAULT_PEXP_GRID = tuple(np.logspace(-5, 0, 40))
@@ -130,60 +135,94 @@ def _sides(setting: DynamicSetting, partition) -> tuple:
     return check_list(partition, "partition", 2)
 
 
-def _search(setting: DynamicSetting, n: int, ladders, grid) -> list[OptResult]:
-    """optimize_pexp's result for each (pos, neg, r_u, r_d) ladder of n + 1
-    states, in one pass: each round solves every ladder's fresh points in
-    shared stacks, and the first failing chain raises."""
+def _search(setting: DynamicSetting, n: int, sides, rates, grid) -> list[OptResult]:
+    """optimize_pexp's result for each ladder of n + 1 states, one per (pos,
+    neg) pair of ``sides`` and (r_u, r_d) pair of ``rates``, side-major, in
+    one pass: each round solves every ladder's fresh points in shared stacks,
+    in ladder-major order, and the first failing chain raises. Each ladder's
+    trace is a row of two arrays, its points and payoffs in the order found."""
     grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
                       each=check_real, interval=LADDER_PROB_INTERVAL, error=BadProbabilityError)
-    grid = list(map(float, grid))
+    grid = list(dict.fromkeys(map(float, grid)))
     if not grid:
         raise ValidationError("p_exp grid must be nonempty")
     # The ladders are held until the search ends, at about 530 bytes a rung
-    # (policy, agent bands and stacks), so together they get MAX_RUNGS.
-    check_integer(n, "n", f"[1, {MAX_RUNGS // len(ladders)}]")
-
-    params = [AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
-              for pos, neg, r_u, r_d in ladders]
-    built = [build_a_family(setting.k, p) for p in params]
+    # (rows, agent bands and stacks), so together they get MAX_RUNGS.
+    check_integer(n, "n", f"[1, {MAX_RUNGS // (len(sides) * len(rates))}]")
+    # AFamilyParams' checks, once per rate pair and side pair; ladder_rows
+    # checks each distinct side's signals, and check_rows the rows, once.
+    for r_u, r_d in rates:
+        check_real(r_u, "r_u", LADDER_PROB_INTERVAL, BadProbabilityError)
+        check_real(r_d, "r_d", LADDER_PROB_INTERVAL, BadProbabilityError)
+    pairs, rates = zip(*itertools.product([check_sides(*pair) for pair in sides], rates))
+    next_state, prob = ladder_rows(setting.k, n, pairs, *np.array(rates, dtype=float).T, grid[0])
+    actions = (SAFE,) + (RISKY,) * n
+    check_rows(actions, next_state, prob)
     # A ladder moves at most one rung, so every band is (n + 1, 3): (2, ladders, n + 1, 3).
-    agents = np.stack([agent_matrices(setting, ladder) for ladder in built], axis=1)
+    agents = np.stack([agent_step_matrix(actions, next_state, prob, p)
+                       for p in (setting.pG, setting.pB)])
     W = agents.shape[-1] // 2
-    reward = joint_reward(setting, built[0].actions)
+    reward = joint_reward(setting, actions)
     # joint_band assembles 2(n + 1) rows of 4W + 3 columns before it cuts the band.
     step = stack_len(2 * (n + 1), 4 * W + 3)
-    traces: list[dict[float, float]] = [{} for _ in params]
+    # Trace rows, padded past each ladder's count with NaN points, which
+    # compare false, and -inf payoffs.
+    size = len(pairs), len(grid) + REFINE_ROUNDS * REFINE_POINTS
+    points, payoffs = np.full(size, np.nan), np.full(size, -np.inf)
+    count = np.zeros(len(pairs), dtype=int)
 
-    def evaluate(points):
-        fresh = [(i, p) for i, ps in enumerate(points) for p in dict.fromkeys(ps)
-                 if p not in traces[i]]
-        for lo in range(0, len(fresh), step):
-            chunk = fresh[lo:lo + step]
-            which, ps = (np.array(column) for column in zip(*chunk))
-            stack = agents[:, which]
+    def evaluate(which, ps):
+        """Solve ladder which[i] at p_exp ps[i], ladders in ascending order."""
+        found = np.empty(len(ps))
+        for lo in range(0, len(ps), step):
+            stack = agents[:, which[lo:lo + step]]
             # p_exp is only the Safe row [1 - p, p, 0, ...], the same in G and B:
             # band columns W and W + 1 of row 0.
-            stack[:, :, 0, W], stack[:, :, 0, W + 1] = 1.0 - ps, ps
+            p = ps[lo:lo + step]
+            stack[:, :, 0, W], stack[:, :, 0, W + 1] = 1.0 - p, p
             ev = evaluate_stack(*stack, setting.pi, reward)
             if not ev.ok.all():
                 raise ev.error(int(np.argmin(ev.ok)))
-            for (i, p), value in zip(chunk, ev.payoff.tolist()):
-                traces[i][p] = value
+            found[lo:lo + step] = ev.payoff
+        # Each ladder's points follow its last ones, in order.
+        slot = count[which] + np.arange(len(which)) - np.searchsorted(which, which)
+        points[which, slot], payoffs[which, slot] = ps, found
+        count[:] += np.bincount(which, minlength=len(count))
 
-    def best(trace):
-        return max(trace.items(), key=lambda t: (t[1], -t[0]))
+    def best():
+        """Index in each trace row of the largest payoff, its least point on ties."""
+        top = payoffs == payoffs.max(axis=1, keepdims=True)
+        return np.argmin(np.where(top, points, np.inf), axis=1)
 
-    def neighbours(trace):
-        xs = sorted(trace)
-        i = xs.index(best(trace)[0])
-        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-        return [float(p) for p in np.linspace(lo, hi, REFINE_POINTS)]
+    def neighbours():
+        """Each ladder's refinement points not yet traced, ladder-major: from
+        the points on either side of its best one (or the best one, at an
+        end), in order, each the first time it is given."""
+        x = points[np.arange(len(count)), best()]
+        lo = np.where(points < x[:, None], points, -np.inf).max(axis=1)
+        hi = np.where(points > x[:, None], points, np.inf).min(axis=1)
+        lo, hi = np.where(np.isinf(lo), x, lo), np.where(np.isinf(hi), x, hi)
+        spans = np.empty((len(count), REFINE_POINTS))
+        # linspace takes another formula for every row if any row's step is
+        # 0, so those rows (a span of one point, or a subnormal step) get
+        # their own call, as each would alone.
+        flat = (hi - lo) / (REFINE_POINTS - 1) == 0.0
+        for rows in (flat, ~flat):
+            if rows.any():
+                spans[rows] = np.linspace(lo[rows], hi[rows], REFINE_POINTS, axis=1)
+        seen = (spans[:, :, None] == points[:, None, :]).any(axis=2)
+        seen |= ((spans[:, :, None] == spans[:, None, :])
+                 & np.tri(REFINE_POINTS, k=-1, dtype=bool)).any(axis=2)
+        which, j = np.nonzero(~seen)
+        return which, spans[which, j]
 
-    evaluate([grid] * len(params))
+    evaluate(np.repeat(np.arange(len(pairs)), len(grid)), np.tile(grid, len(pairs)))
     for _ in range(REFINE_ROUNDS):
-        evaluate([neighbours(trace) for trace in traces])
-    return [OptResult(*best(trace), grid_trace=tuple(trace.items()), partition=(p.pos, p.neg))
-            for p, trace in zip(params, traces)]
+        evaluate(*neighbours())
+    index = best()
+    return [OptResult(float(ps[i]), float(vs[i]),
+                      grid_trace=tuple(zip(ps[:c].tolist(), vs[:c].tolist())), partition=pair)
+            for ps, vs, i, c, pair in zip(points, payoffs, index.tolist(), count.tolist(), pairs)]
 
 
 def optimize_pexp(
@@ -195,8 +234,7 @@ def optimize_pexp(
     grid: Sequence[float] | None = None,
 ) -> OptResult:
     """Best exploration probability on a grid, with local linear refinement."""
-    pos, neg = _sides(setting, partition)
-    return _search(setting, n, [(pos, neg, r_u, r_d)], grid)[0]
+    return _search(setting, n, [_sides(setting, partition)], [(r_u, r_d)], grid)[0]
 
 
 def legal_partitions(k: int):
@@ -223,8 +261,8 @@ def exhaustive_partition_search(
         raise TooManySignalsError(
             f"partition search enumerates 3^k assignments; k={setting.k} > 6"
         )
-    ladders = [(pos, neg, r_u, r_d) for pos, neg in legal_partitions(setting.k)]
-    return max(_search(setting, n, ladders, grid), key=lambda result: result.best_payoff)
+    return max(_search(setting, n, list(legal_partitions(setting.k)), [(r_u, r_d)], grid),
+               key=lambda result: result.best_payoff)
 
 
 DEFAULT_RATE_GRID = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -260,8 +298,7 @@ def optimize_rates(
                   f"[1, {math.isqrt(MAX_RUNGS)}]")
     rates = list(itertools.product(descending, repeat=2))
     best: RateSearchResult | None = None
-    for (r_u, r_d), result in zip(rates, _search(setting, n, [(pos, neg, *r) for r in rates],
-                                                 grid)):
+    for (r_u, r_d), result in zip(rates, _search(setting, n, [(pos, neg)], rates, grid)):
         if best is None or result.best_payoff > best.result.best_payoff + 1e-15:
             best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
     return best

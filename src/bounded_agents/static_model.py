@@ -96,7 +96,8 @@ def static_expected_utility(
     ):
         if prior == 0.0:
             continue
-        step = dense_matrix(agent_step_matrix(policy, probs))
+        step = dense_matrix(agent_step_matrix(policy.actions, policy.next_state, policy.prob,
+                                                  probs))
         stopped = stopped_state_distribution(step, d0, setting.eta)
         for q in range(policy.num_states):
             d_idx = DECISIONS.index(rule.decide[q])

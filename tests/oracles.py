@@ -13,7 +13,7 @@ simulator tables by walking a policy's dict view row by row instead of its
 arrays, Monte Carlo runs one round at a time over the whole counter
 stream instead of in slabs with nature and signals as arrays, and joint
 chains through dense agent and joint matrices, whose band is searched for
-and gathered afterwards, instead of assembled in band storage. Seven
+and gathered afterwards, instead of assembled in band storage. Eight
 oracles keep the package's earlier kernels, which its current ones must
 match bit for bit: brute-force candidates assembled digit by digit
 instead of gathered from per-state tables, brute force solving every
@@ -21,8 +21,11 @@ candidate instead of one per mirror-image pair, residuals scattered by
 np.add.at instead of swept column by column, whole-row storage
 scattered cell by cell instead of masked from a strided view, the
 partition and rate searches as loops of one-ladder p_exp searches instead
-of one search over all their ladders, and the reader DP cell by cell in
-ragged tuples of Python floats instead of one array step per read count.
+of one search over all their ladders, that one search as a loop that builds
+and checks each ladder as a policy and keeps its trace in a dict instead of
+building every ladder's bands in one step and keeping the traces as arrays,
+and the reader DP cell by cell in ragged tuples of Python floats instead of
+one array step per read count.
 """
 
 import itertools
@@ -31,11 +34,21 @@ from fractions import Fraction
 
 import numpy as np
 
-from bounded_agents.automaton import NO_SIGNAL, RISKY, SAFE, AutomatonPolicy, policy_from_dict
-from bounded_agents.markov_exact import evaluate_storage, joint_reward, stack_len
+from bounded_agents.automaton import (
+    MAX_RUNGS, NO_SIGNAL, RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family,
+    policy_from_dict,
+)
+from bounded_agents.dynamic_env import LADDER_PROB_INTERVAL
+from bounded_agents.errors import (
+    BadProbabilityError, ValidationError, check_integer, check_list, check_real,
+)
+from bounded_agents.markov_exact import (
+    agent_matrices, evaluate_stack, evaluate_storage, joint_reward, stack_len,
+)
 from bounded_agents.static_model import DECISIONS
 from bounded_agents.optimize import (
-    DEFAULT_RATE_GRID, RateSearchResult, _gather as gather_candidates, _joint_rows, _row_options,
+    DEFAULT_PEXP_GRID, DEFAULT_RATE_GRID, REFINE_POINTS, REFINE_ROUNDS, OptResult,
+    RateSearchResult, _gather as gather_candidates, _joint_rows, _row_options, _sides,
     legal_partitions, optimize_pexp,
 )
 
@@ -346,6 +359,79 @@ def per_ladder_rate_search(setting, n, partition=None, rate_grid=DEFAULT_RATE_GR
             result = optimize_pexp(setting, n, partition, r_u=r_u, r_d=r_d, grid=grid)
             if best is None or result.best_payoff > best.result.best_payoff + 1e-15:
                 best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
+    return best
+
+
+def dict_trace_search(setting, n, ladders, grid=None):
+    """optimize_pexp's result for each (pos, neg, r_u, r_d) ladder of n + 1
+    states, as the stacked search found them before its traces became
+    arrays: one AFamilyParams, build_a_family and agent_matrices call per
+    ladder, each ladder's trace a dict, and its best point and refinement
+    span taken one ladder at a time. Each round solves every ladder's fresh
+    points in shared stacks, and the first failing chain raises."""
+    grid = check_list(DEFAULT_PEXP_GRID if grid is None else grid, "p_exp grid",
+                      each=check_real, interval=LADDER_PROB_INTERVAL, error=BadProbabilityError)
+    grid = list(map(float, grid))
+    if not grid:
+        raise ValidationError("p_exp grid must be nonempty")
+    check_integer(n, "n", f"[1, {MAX_RUNGS // len(ladders)}]")
+
+    params = [AFamilyParams(n=n, p_exp=grid[0], pos=pos, neg=neg, r_u=r_u, r_d=r_d)
+              for pos, neg, r_u, r_d in ladders]
+    built = [build_a_family(setting.k, p) for p in params]
+    agents = np.stack([agent_matrices(setting, ladder) for ladder in built], axis=1)
+    W = agents.shape[-1] // 2
+    reward = joint_reward(setting, built[0].actions)
+    step = stack_len(2 * (n + 1), 4 * W + 3)
+    traces = [{} for _ in params]
+
+    def evaluate(points):
+        fresh = [(i, p) for i, ps in enumerate(points) for p in dict.fromkeys(ps)
+                 if p not in traces[i]]
+        for lo in range(0, len(fresh), step):
+            chunk = fresh[lo:lo + step]
+            which, ps = (np.array(column) for column in zip(*chunk))
+            stack = agents[:, which]
+            stack[:, :, 0, W], stack[:, :, 0, W + 1] = 1.0 - ps, ps
+            ev = evaluate_stack(*stack, setting.pi, reward)
+            if not ev.ok.all():
+                raise ev.error(int(np.argmin(ev.ok)))
+            for (i, p), value in zip(chunk, ev.payoff.tolist()):
+                traces[i][p] = value
+
+    def best(trace):
+        return max(trace.items(), key=lambda t: (t[1], -t[0]))
+
+    def neighbours(trace):
+        xs = sorted(trace)
+        i = xs.index(best(trace)[0])
+        lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+        return [float(p) for p in np.linspace(lo, hi, REFINE_POINTS)]
+
+    evaluate([grid] * len(params))
+    for _ in range(REFINE_ROUNDS):
+        evaluate([neighbours(trace) for trace in traces])
+    return [OptResult(*best(trace), grid_trace=tuple(trace.items()), partition=(p.pos, p.neg))
+            for p, trace in zip(params, traces)]
+
+
+def dict_trace_partition_search(setting, n, r_u=1.0, r_d=1.0, grid=None):
+    """exhaustive_partition_search over dict_trace_search: the first best."""
+    ladders = [(pos, neg, r_u, r_d) for pos, neg in legal_partitions(setting.k)]
+    return max(dict_trace_search(setting, n, ladders, grid), key=lambda result: result.best_payoff)
+
+
+def dict_trace_rate_search(setting, n, partition=None, rate_grid=DEFAULT_RATE_GRID, grid=None):
+    """optimize_rates over dict_trace_search: rates descending, the first
+    best by more than 1e-15."""
+    pos, neg = _sides(setting, partition)
+    descending = sorted(set(map(float, rate_grid)), reverse=True)
+    rates = list(itertools.product(descending, repeat=2))
+    best = None
+    for (r_u, r_d), result in zip(rates, dict_trace_search(
+            setting, n, [(pos, neg, r_u, r_d) for r_u, r_d in rates], grid)):
+        if best is None or result.best_payoff > best.result.best_payoff + 1e-15:
+            best = RateSearchResult(r_u=r_u, r_d=r_d, result=result)
     return best
 
 

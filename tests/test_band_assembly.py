@@ -11,7 +11,8 @@ reward-weighted sum of that row to within the in-order sum's bound.
 The package's brute-force gather of whole-row joint storage, column-sweep
 residual and masked whole-row storage must also match, bit for bit, the
 kernels they replaced, kept as oracles: digit-by-digit assembly of agent
-bands, the np.add.at residual and the cell-by-cell scatter.
+bands, the np.add.at residual and the cell-by-cell scatter. So must the
+agent bands of many ladders built in one step, against one policy per ladder.
 """
 
 import itertools
@@ -21,11 +22,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bounded_agents.automaton import RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family
+from bounded_agents.automaton import (
+    RISKY, SAFE, AFamilyParams, AutomatonPolicy, build_a_family, ladder_rows,
+)
 from bounded_agents.dynamic_env import validate_setting
 from bounded_agents.errors import ReducibleChainError
 from bounded_agents import markov_exact, optimize
 from bounded_agents.markov_exact import (
+    agent_matrices,
     agent_step_matrix,
     build_joint_chain,
     dense_matrix,
@@ -77,8 +81,8 @@ def assert_matches_dense_route(setting, policy):
     if chain.dim < 4002:  # At d = 4002 a second dense matrix alone takes 128 MB.
         assert np.array_equal(chain.P, P)
     for probs in (setting.pG, setting.pB):
-        assert np.array_equal(dense_matrix(agent_step_matrix(policy, probs)),
-                              dense_step_matrix(policy, probs))
+        band = agent_step_matrix(policy.actions, policy.next_state, policy.prob, probs)
+        assert np.array_equal(dense_matrix(band), dense_step_matrix(policy, probs))
     return chain
 
 
@@ -124,7 +128,8 @@ def jump_policy(m, jump):
 def test_policies_that_jump_two_or_more_states(m, jump, w):
     setting = validate_setting(3, (0.5, 0.3, 0.2), (0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
     policy = jump_policy(m, jump)
-    assert agent_step_matrix(policy, setting.pG).shape[1] == 2 * jump + 1
+    band = agent_step_matrix(policy.actions, policy.next_state, policy.prob, setting.pG)
+    assert band.shape[1] == 2 * jump + 1
     assert assert_matches_dense_route(setting, policy).w == w
 
 
@@ -340,3 +345,45 @@ def test_whole_rows_match_the_cell_scatter(m):
     S, w = joint_band(*bands, 0.01)
     assert w == 2 * m - 1
     assert np.array_equal(S, scatter_joint_rows(*bands, 0.01))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+def test_batched_ladder_bands_match_each_ladder_alone(k):
+    """Random ladders of n = 1..6 rungs, signals that ignore or never occur,
+    rates of 1.0 among others; the top rung absorbs positive signals."""
+    rng = random.Random(k)
+    signals = range(1, k + 1)
+
+    def probs():
+        # Signal 1 never occurs.
+        w = [0.0] + [0.05 + rng.random() for _ in signals[1:]]
+        head = [x / sum(w) for x in w[:-1]]
+        return head + [1.0 - sum(head)]
+
+    setting = validate_setting(k, probs(), probs(), 1.0, -1.0, 0.01)
+    for n in range(1, 7):
+        params = []
+        for _ in range(12):
+            pos, neg = rng.sample(signals, 2)
+            rest = [s for s in signals if s not in (pos, neg)]
+            # Each other signal is positive, negative or ignored.
+            sides = [{pos}, {neg}, set()]
+            for s in rest:
+                sides[rng.randrange(3)].add(s)
+            rate = [1.0, rng.uniform(0.01, 1.0), rng.choice((1e-300, 0.5))]
+            params.append(AFamilyParams(n=n, p_exp=rng.choice(rate), pos=sides[0], neg=sides[1],
+                                        r_u=rng.choice(rate), r_d=rng.choice(rate)))
+        next_state, prob = ladder_rows(k, n, [(p.pos, p.neg) for p in params],
+                                       [p.r_u for p in params], [p.r_d for p in params],
+                                       [p.p_exp for p in params])
+        actions = (SAFE,) + (RISKY,) * n
+        bands = [agent_step_matrix(actions, next_state, prob, p)
+                 for p in (setting.pG, setting.pB)]
+        for i, p in enumerate(params):
+            policy = build_a_family(k, p)
+            assert np.array_equal(next_state[i], policy.next_state)
+            assert np.array_equal(prob[i].view(np.int64), policy.prob.view(np.int64))
+            for band, alone in zip(bands, agent_matrices(setting, policy)):
+                assert np.array_equal(band[i].view(np.int64), alone.view(np.int64))
+            # The top rung stays put on every positive signal, whatever r_u.
+            assert (policy.next_state[n, sorted(p.pos)[0] - 1] == n).all()

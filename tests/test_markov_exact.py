@@ -75,7 +75,9 @@ class TestBuildJointChain:
 
     def test_trivial_setting_factors_as_kronecker(self, trivial_setting, ladder_policy_5):
         chain = build_joint_chain(trivial_setting, ladder_policy_5)
-        agent = dense_matrix(agent_step_matrix(ladder_policy_5, trivial_setting.pG))
+        policy = ladder_policy_5
+        agent = dense_matrix(agent_step_matrix(policy.actions, policy.next_state, policy.prob,
+                                               trivial_setting.pG))
         pi = trivial_setting.pi
         nature = np.array([[1 - pi, pi], [pi, 1 - pi]])
         assert np.allclose(chain.P, np.kron(nature, agent), atol=1e-15)
@@ -398,8 +400,7 @@ class TestStackedKernel:
     @staticmethod
     def stack(setting, policies):
         return evaluate_stack(
-            np.array([agent_step_matrix(p, setting.pG) for p in policies]),
-            np.array([agent_step_matrix(p, setting.pB) for p in policies]),
+            *np.stack([agent_matrices(setting, p) for p in policies], axis=1),
             setting.pi, joint_reward(setting, policies[0].actions),
         )
 
@@ -585,7 +586,8 @@ class TestStoppedStateDistribution:
             5, [1, 1, 1, 1, 1], [0.01, 1, 1, 1, 1], good_signal=1, bad_signal=4, k=4
         )
         pG = (0.4, 0.3, 0.2, 0.1)
-        return dense_matrix(agent_step_matrix(policy, pG))
+        return dense_matrix(agent_step_matrix(policy.actions, policy.next_state, policy.prob,
+                                              pG))
 
     def test_eta_one_is_single_step(self):
         P = self.sticky_matrices()

@@ -20,6 +20,7 @@ from bounded_agents.errors import (
     BadProbabilityError,
     GridTooLargeError,
     ReducibleChainError,
+    SignalOutOfRangeError,
     TooManySignalsError,
     TrivialSettingError,
     ValidationError,
@@ -30,6 +31,9 @@ from bounded_agents.markov_exact import (
 )
 from oracles import (
     dict_policy,
+    dict_trace_partition_search,
+    dict_trace_rate_search,
+    dict_trace_search,
     every_candidate_brute_force,
     exact_average_payoff_fraction,
     per_ladder_partition_search,
@@ -190,17 +194,19 @@ class TestOptimizePexp:
         assert repeated == optimize_pexp(paper_setting, n=4, grid=(0.01, 0.2))
         assert len(repeated.grid_trace) == 18
 
-    def test_one_ladder_built_per_search(self, paper_setting, monkeypatch):
+    def test_band_builds_do_not_grow_with_the_ladders(self, paper_setting, monkeypatch):
         calls = []
 
         def counting(*args):
-            calls.append(args)
-            return build_a_family(*args)
+            calls.append(args[1].shape[0])
+            return markov_exact.agent_step_matrix(*args)
 
-        monkeypatch.setattr(optimize, "build_a_family", counting)
+        monkeypatch.setattr(optimize, "agent_step_matrix", counting)
         optimize_pexp(paper_setting, n=4)
         optimize.optimize_rates(paper_setting, n=2, rate_grid=(0.5, 1.0), grid=COARSE_GRID)
-        assert len(calls) == 1 + 4
+        exhaustive_partition_search(paper_setting, n=2, grid=COARSE_GRID)
+        # One build in G and one in B per search, of all its 1, 4 and 50 ladders.
+        assert calls == [1, 1, 4, 4, 50, 50]
 
     def test_failing_point_raises_the_single_path_error(self):
         # Signal 1 never occurs, so the ladder cannot climb past state 1 and
@@ -275,19 +281,20 @@ class TestRateSearch:
             optimize.optimize_rates(paper_setting, n=1, rate_grid=())
 
 
-def policy_search_setting(seed):
-    """A four-signal setting drawn as the policy_search benchmark draws its
-    own: every signal at least 0.05 / 4.2 likely, pi in [1e-3, 1e-2]."""
+def policy_search_setting(seed, k=4):
+    """A k-signal setting drawn as the policy_search benchmark draws its
+    four-signal one: every signal at least 0.05 / (k + 0.2) likely, pi in
+    [1e-3, 1e-2]."""
     rng = random.Random(seed)
 
     def signals():
-        w = [0.05 + rng.random() for _ in range(4)]
+        w = [0.05 + rng.random() for _ in range(k)]
         head = [x / sum(w) for x in w[:-1]]
         return head + [1.0 - sum(head)]
 
     pG, pB = signals(), signals()
     pi = 10.0 ** rng.uniform(-3.0, -2.0)
-    return validate_setting(4, pG, pB, rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0), pi)
+    return validate_setting(k, pG, pB, rng.uniform(0.5, 2.0), -rng.uniform(0.5, 2.0), pi)
 
 
 SEARCH_SETTINGS = {
@@ -299,19 +306,78 @@ SEARCH_SETTINGS = {
 }
 
 
+def result_bits(result):
+    """Every float of an OptResult or RateSearchResult, in order, as int64 bits."""
+    if isinstance(result, optimize.RateSearchResult):
+        return [*np.array([result.r_u, result.r_d]).view(np.int64).tolist(),
+                *result_bits(result.result)]
+    floats = [result.best_pexp, result.best_payoff, *itertools.chain(*result.grid_trace)]
+    return np.array(floats).view(np.int64).tolist()
+
+
+def assert_same_search(found, oracle):
+    assert found == oracle
+    assert result_bits(found) == result_bits(oracle)
+
+
+PAPER_PARTITION = (frozenset({1}), frozenset({4}))
+
+# Two grid points a subnormal step apart: at n = 2 on the paper setting, 26
+# partitions find their best at the first and refine over a step that rounds
+# to 0, and 24 at 0.5, over a normal one.
+TINY_STEP_GRID = (2.2250738585072014e-308, 2.225073858507202e-308, 0.5)
+
+
 class TestStackedSearches:
-    """The partition and rate searches solve all their ladders in one search;
-    each must return what one optimize_pexp call per ladder returns."""
+    """The partition and rate searches solve all their ladders in one search,
+    which builds every ladder's bands in one step and keeps its traces as
+    arrays. Each must return what one optimize_pexp call per ladder returns,
+    and what the dict-trace search (one policy per ladder) returns, float
+    bits and trace order included."""
 
     @pytest.mark.parametrize("name", SEARCH_SETTINGS)
     def test_partition_search_matches_per_ladder_oracle(self, name):
         s = SEARCH_SETTINGS[name]()
-        assert exhaustive_partition_search(s, 4) == per_ladder_partition_search(s, 4)
+        found = exhaustive_partition_search(s, 4)
+        assert found == per_ladder_partition_search(s, 4)
+        assert_same_search(found, dict_trace_partition_search(s, 4))
 
     @pytest.mark.parametrize("name", SEARCH_SETTINGS)
     def test_rate_search_matches_per_ladder_oracle(self, name):
         s = SEARCH_SETTINGS[name]()
-        assert optimize.optimize_rates(s, 4) == per_ladder_rate_search(s, 4)
+        found = optimize.optimize_rates(s, 4)
+        assert found == per_ladder_rate_search(s, 4)
+        assert_same_search(found, dict_trace_rate_search(s, 4))
+
+    @pytest.mark.parametrize("k", [5, 6])
+    def test_many_signals_match_the_dict_trace_search(self, k):
+        s = policy_search_setting(k, k)
+        assert_same_search(exhaustive_partition_search(s, 2, grid=COARSE_GRID),
+                           dict_trace_partition_search(s, 2, grid=COARSE_GRID))
+        assert_same_search(optimize.optimize_rates(s, 2, grid=COARSE_GRID),
+                           dict_trace_rate_search(s, 2, grid=COARSE_GRID))
+
+    def test_non_unit_rates_match_the_dict_trace_search(self, paper_setting):
+        s = paper_setting
+        assert_same_search(exhaustive_partition_search(s, 3, r_u=0.4, r_d=0.7),
+                           dict_trace_partition_search(s, 3, r_u=0.4, r_d=0.7))
+        sides = (frozenset({1, 2}), frozenset({4}))
+        assert_same_search(optimize_pexp(s, 3, sides, r_u=0.4, r_d=0.7),
+                           dict_trace_search(s, 3, [(*sides, 0.4, 0.7)])[0])
+        rate_grid = (0.3, 0.45, 1.0)
+        assert_same_search(optimize.optimize_rates(s, 3, sides, rate_grid),
+                           dict_trace_rate_search(s, 3, sides, rate_grid))
+
+    @pytest.mark.parametrize("grid", [(0.1,), (0.01, 0.01, 0.2), TINY_STEP_GRID],
+                             ids=["single point", "repeated point", "subnormal step"])
+    def test_small_grids_match_the_dict_trace_search(self, paper_setting, grid):
+        s = paper_setting
+        assert_same_search(exhaustive_partition_search(s, 2, grid=grid),
+                           dict_trace_partition_search(s, 2, grid=grid))
+        assert_same_search(optimize.optimize_rates(s, 2, grid=grid),
+                           dict_trace_rate_search(s, 2, grid=grid))
+        assert_same_search(optimize_pexp(s, 2, grid=grid),
+                           dict_trace_rate_search(s, 2, rate_grid=(1.0,), grid=grid).result)
 
     def test_chunks_that_cut_across_ladders(self, monkeypatch):
         s = policy_search_setting(0)
@@ -321,6 +387,8 @@ class TestStackedSearches:
         cut = exhaustive_partition_search(s, 4), optimize.optimize_rates(s, 4)
         assert cut == whole
         assert cut == (per_ladder_partition_search(s, 4), per_ladder_rate_search(s, 4))
+        assert_same_search(cut[0], dict_trace_partition_search(s, 4))
+        assert_same_search(cut[1], dict_trace_rate_search(s, 4))
 
     def test_one_stack_per_round(self, paper_setting, monkeypatch):
         calls = []
@@ -338,11 +406,56 @@ class TestStackedSearches:
     def test_failing_ladder_raises_the_per_ladder_error(self):
         # Signal 1 never occurs, so a ladder that climbs only on it is reducible.
         s = validate_setting(4, (0.0, 0.5, 0.3, 0.2), (0.0, 0.2, 0.3, 0.5), 1.0, -1.0, 0.01)
-        with pytest.raises(ReducibleChainError) as stacked:
-            exhaustive_partition_search(s, 2, grid=COARSE_GRID)
-        with pytest.raises(ReducibleChainError) as oracle:
-            per_ladder_partition_search(s, 2, grid=COARSE_GRID)
-        assert str(stacked.value) == str(oracle.value)
+        for search, oracles, sides in (
+                (exhaustive_partition_search,
+                 (per_ladder_partition_search, dict_trace_partition_search), {}),
+                (optimize.optimize_rates, (per_ladder_rate_search, dict_trace_rate_search),
+                 {"partition": PAPER_PARTITION})):
+            with pytest.raises(ReducibleChainError) as stacked:
+                search(s, 2, grid=COARSE_GRID, **sides)
+            for oracle in oracles:
+                with pytest.raises(ReducibleChainError) as expected:
+                    oracle(s, 2, grid=COARSE_GRID, **sides)
+                assert str(stacked.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    pytest.param(lambda s: optimize_pexp(s, 2, ([5], [1])), SignalOutOfRangeError,
+                 "pos entry must be in [1, 4], got 5", id="pexp-side-range"),
+    pytest.param(lambda s: optimize.optimize_rates(s, 2, ([5], [1])), SignalOutOfRangeError,
+                 "pos entry must be in [1, 4], got 5", id="rates-side-range"),
+    pytest.param(lambda s: optimize_pexp(s, 2, ([1, 2], [2, 3])), ValidationError,
+                 "pos and neg overlap: [2]", id="pexp-overlap"),
+    pytest.param(lambda s: optimize.optimize_rates(s, 2, ([1, 2], [2, 3])), ValidationError,
+                 "pos and neg overlap: [2]", id="rates-overlap"),
+    pytest.param(lambda s: optimize_pexp(s, 2, ([1], [])), ValidationError,
+                 "pos and neg must both be nonempty", id="pexp-empty"),
+    pytest.param(lambda s: optimize.optimize_rates(s, 2, ([], [4])), ValidationError,
+                 "pos and neg must both be nonempty", id="rates-empty"),
+    pytest.param(lambda s: optimize_pexp(s, 2, PAPER_PARTITION, r_u=0), BadProbabilityError,
+                 "r_u must be in [2.2250738585072014e-308, 1], got 0", id="pexp-r_u"),
+    pytest.param(lambda s: exhaustive_partition_search(s, 2, r_u=0), BadProbabilityError,
+                 "r_u must be in [2.2250738585072014e-308, 1], got 0", id="partition-r_u"),
+    pytest.param(lambda s: optimize_pexp(s, 2, PAPER_PARTITION, r_d=2), BadProbabilityError,
+                 "r_d must be in [2.2250738585072014e-308, 1], got 2", id="pexp-r_d"),
+    pytest.param(lambda s: exhaustive_partition_search(s, 2, r_d=2), BadProbabilityError,
+                 "r_d must be in [2.2250738585072014e-308, 1], got 2", id="partition-r_d"),
+    pytest.param(lambda s: optimize_pexp(s, 2, ([True], [4])), ValidationError,
+                 "pos entry must be an integer, got True", id="pexp-bool"),
+    pytest.param(lambda s: optimize.optimize_rates(s, 2, ([True], [4])), ValidationError,
+                 "pos entry must be an integer, got True", id="rates-bool"),
+    pytest.param(lambda s: exhaustive_partition_search(s, 5000), ValidationError,
+                 "n must be in [1, 2000], got 5000", id="partition-n"),
+    pytest.param(lambda s: optimize.optimize_rates(s, 5000), ValidationError,
+                 "n must be in [1, 4000], got 5000", id="rates-n"),
+    pytest.param(lambda s: optimize_pexp(s, 100_001), ValidationError,
+                 "n must be in [1, 100000], got 100001", id="pexp-n"),
+])
+def test_search_refusals(paper_setting, monkeypatch, call, error, message):
+    monkeypatch.setattr(optimize, "evaluate_stack", lambda *a: pytest.fail("solved"))
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as raised:
+        call(paper_setting)
+    assert type(raised.value) is error
 
 
 class TestLimitScheduleCurve:
@@ -787,6 +900,37 @@ class TestMirrorPairs:
             monkeypatch.setattr(optimize, "_mirror_images", lambda window, top: {})
         _, mutant = brute_force_policy_search(setting, 2)
         assert mutant < value
+
+    @pytest.mark.parametrize("name", ["paper", "draw0"])
+    def test_window_reach_is_the_float_plus_the_slack(self, monkeypatch, name):
+        # Each representative kept in the mirror window reaches its own float
+        # plus MIRROR_SLACK * sum_i |mu_i r_i|, or any float (inf) if it failed
+        # a numeric check without a cut-off state. A reach that drops the
+        # slack term, or any part of it, fails here.
+        setting = SEARCH_SETTINGS[name]()
+        windows = []
+
+        def capturing(window, top, images=optimize._mirror_images):
+            windows.append(window)
+            return images(window, top)
+
+        monkeypatch.setattr(optimize, "_mirror_images", capturing)
+        brute_force_policy_search(setting, 2)
+        options = [_row_options(q, 2, (0.0, 0.25, 0.5, 0.75, 1.0)) for q in range(2)]
+        pG, pB = np.array(setting.pG), np.array(setting.pB)
+        checked = 0
+        for acts, _, index, reach in windows[0]:
+            rows, w = _joint_rows(options, acts, pG, pB, setting.pi)
+            reward = joint_reward(setting, acts)
+            ev = evaluate_storage(_gather(rows, index), w, [(len(index), reward)])
+            # The reward of each state in the interleaved order of the columns.
+            weights = np.abs(reward.reshape(2, 2).T.ravel())[:, None]
+            slack = optimize.MIRROR_SLACK * (ev.columns * weights).sum(axis=0)
+            assert np.isinf(reach[~ev.ok]).all()
+            np.testing.assert_allclose(reach[ev.ok] - ev.payoff[ev.ok], slack[ev.ok], rtol=1e-5)
+            checked += int((slack[ev.ok] > 0.0).sum())
+        # An all-Safe representative earns 0 whatever its mu, with no slack.
+        assert checked > 0
 
     def test_mirror_slack_is_twice_the_gap_bound_with_room(self):
         # The count in MIRROR_SLACK's comment, for whole rows of d <= 6

@@ -56,8 +56,8 @@ def _random_sticky(rng, k, m):
 
 def _assert_step_matrices_match(policy, *signal_probs):
     for probs in signal_probs:
-        assert np.array_equal(dense_matrix(agent_step_matrix(policy, probs)),
-                              dict_walk_step_matrix(policy, probs))
+        band = agent_step_matrix(policy.actions, policy.next_state, policy.prob, probs)
+        assert np.array_equal(dense_matrix(band), dict_walk_step_matrix(policy, probs))
 
 
 @pytest.mark.parametrize("seed", range(12))

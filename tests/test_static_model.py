@@ -85,7 +85,8 @@ class TestStaticExpectedUtility:
         for prior, probs, truth in (
             (0.5, setting.pG, "G"), (0.5, setting.pB, "B")
         ):
-            one_step = d0 @ dense_matrix(agent_step_matrix(policy, probs))
+            band = agent_step_matrix(policy.actions, policy.next_state, policy.prob, probs)
+            one_step = d0 @ dense_matrix(band)
             for q in range(5):
                 if rule.decide[q] == truth:
                     expected += prior * one_step[q]
@@ -123,7 +124,8 @@ class TestStaticExpectedUtility:
         expected = 0.0
         for prior, probs, truth in ((0.5, setting.pG, "G"), (0.5, setting.pB, "B")):
             stopped = geometric_series_stopped(
-                dense_matrix(agent_step_matrix(policy, probs)), d0, 0.01
+                dense_matrix(agent_step_matrix(policy.actions, policy.next_state, policy.prob,
+                                               probs)), d0, 0.01
             )
             expected += prior * sum(
                 stopped[q] for q in range(5) if rule.decide[q] == truth
@@ -139,7 +141,8 @@ class TestStaticExpectedUtility:
         d0 = np.zeros(5)
         d0[2] = 1.0
         probs = (setting.pG, setting.pB)[truth]
-        stopped = geometric_series_stopped(dense_matrix(agent_step_matrix(policy, probs)), d0, 0.01)
+        band = agent_step_matrix(policy.actions, policy.next_state, policy.prob, probs)
+        stopped = geometric_series_stopped(dense_matrix(band), d0, 0.01)
         expected = sum(stopped[q] * setting.utility["GB".index(d)][truth]
                        for q, d in enumerate(threshold_rule(5).decide))
         value = static_expected_utility(setting, policy, threshold_rule(5))
